@@ -13,7 +13,7 @@ import json
 import os
 import sys
 
-from . import formats, foldcat, gallery, gkm, nested
+from . import formats, foldcat, gallery, gkm, nested, rootsys
 from .errors import (
     BscombError,
     InvalidInputError,
@@ -60,6 +60,13 @@ def _parse_pair(text: str) -> tuple[int, int]:
         raise ParseError(f"bad pair {text!r}; expected like 2-6") from exc
 
 
+def _check_length(args, *seqs) -> None:
+    """Apply --max-length; the library's own bound still applies after it."""
+    n = max(len(s) for s in seqs)
+    if n > args.max_length:
+        raise ResourceLimitError(f"sequence length {n} exceeds bound {args.max_length}")
+
+
 def _load_plan(arg: str) -> nested.NestedPlan:
     plan = formats.parse_plan(_read_doc(arg))
     violation = nested.validate(plan)
@@ -70,9 +77,9 @@ def _load_plan(arg: str) -> nested.NestedPlan:
 
 def cmd_gallery_type(args) -> int:
     s = formats.parse_sequence(args.sequence)
-    if len(s) > args.max_length:
-        raise ResourceLimitError(f"sequence length {len(s)} exceeds bound")
-    cert = gallery.is_gallery_type(s, args.max_weyl)
+    _check_length(args, s)
+    rootsys.enumerate_weyl(s.rs, args.max_weyl)
+    cert = gallery.is_gallery_type(s)
     if cert is None:
         _emit(args, {"gallery_type": False}, ["no labelled gallery exists"])
         return EXIT_OK
@@ -92,7 +99,8 @@ def cmd_gallery_type(args) -> int:
 
 def cmd_fixed_points(args) -> int:
     plan = _load_plan(args.plan)
-    points = nested.fixed_points(plan, args.max_length)
+    _check_length(args, plan.seq)
+    points = nested.fixed_points(plan)
     bitstrings = [formats.serialize_bits(g.bits) for g in points]
     doc = {"count": len(points), "galleries": bitstrings}
     _emit(args, doc, [f"{len(points)} galleries"] + bitstrings)
@@ -112,7 +120,8 @@ def cmd_project(args) -> int:
     for r in base.pairs:
         lines.append(f"v^F{base.display(r)} = {base.labels[r]}")
     if args.check_fixed_points:
-        cert = nested.factor_fixed_points(plan, F, args.max_length)
+        _check_length(args, plan.seq)
+        cert = nested.factor_fixed_points(plan, F)
         doc["fixed_point_count"] = cert.count
         lines.append(f"fixed points factor: verified ({cert.count} galleries)")
     _emit(args, doc, lines)
@@ -139,7 +148,8 @@ def cmd_fibres(args) -> int:
 
 def cmd_basis(args) -> int:
     s = formats.parse_sequence(args.sequence)
-    elements = gkm.basis(s, args.max_length)
+    _check_length(args, s)
+    elements = gkm.basis(s)
     docs, lines = [], []
     for e in elements:
         func = {formats.serialize_bits(b): str(p)
@@ -153,8 +163,9 @@ def cmd_basis(args) -> int:
 
 def cmd_decompose(args) -> int:
     s = formats.parse_sequence(args.sequence)
+    _check_length(args, s)
     g = formats.parse_fpfunction(s, _read_doc(args.function))
-    coeffs = gkm.decompose(g, gkm.basis(s, args.max_length))
+    coeffs = gkm.decompose(g, gkm.basis(s))
     table = {",".join(str(i) for i in sorted(J)) or "-": str(c)
              for J, c in coeffs.items()}
     _emit(args, {"coefficients": table},
@@ -185,8 +196,9 @@ def cmd_morphism_verify(args) -> int:
 def cmd_morphism_enumerate(args) -> int:
     source = formats.parse_sequence(args.source)
     target = formats.parse_sequence(args.target)
-    found = foldcat.enumerate_morphisms(source, target, args.max_weyl,
-                                        args.max_length)
+    _check_length(args, source, target)
+    rootsys.enumerate_weyl(source.rs, args.max_weyl)
+    found = foldcat.enumerate_morphisms(source, target)
     docs = [formats.morphism_to_doc(m) for m in found]
     lines = [f"{len(found)} morphisms"]
     for d in docs:
@@ -209,8 +221,7 @@ def cmd_morphism_apply(args) -> int:
 
 def cmd_weyl_info(args) -> int:
     rs = formats.parse_root_system(args.root_system)
-    from .rootsys import enumerate_weyl
-    elements = enumerate_weyl(rs, args.max_weyl)
+    elements = rootsys.enumerate_weyl(rs, args.max_weyl)
     positive = [list(r.coords) for r in rs.roots if r.is_positive]
     doc = {
         "root_system": str(rs),
@@ -232,10 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact Bott-Samelson gallery combinatorics.")
     parser.add_argument("--format", choices=("text", "structured"),
                         default="text")
-    parser.add_argument("--max-weyl", type=int, default=100_000)
-    parser.add_argument("--max-length", type=int, default=20)
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized workloads")
+    parser.add_argument("--max-weyl", type=int, default=rootsys.MAX_WEYL)
+    parser.add_argument("--max-length", type=int, default=gallery.MAX_LENGTH)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gallery-type", help="decide gallery type, print a certificate")

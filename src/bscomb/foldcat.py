@@ -30,7 +30,7 @@ from .gallery import (
 )
 from .rootsys import WeylElement, conjugate_reflection, enumerate_weyl
 
-DEFAULT_MAX_MORPHISM_LENGTH = 12
+MAX_MORPHISM_LENGTH = 12
 
 
 @dataclass(frozen=True)
@@ -99,14 +99,12 @@ def _table_ok(m: Morphism) -> MorphismViolation | None:
     return None
 
 
-def verify_morphism(m: Morphism,
-                    max_length: int = DEFAULT_MAX_MORPHISM_LENGTH
-                    ) -> MorphismViolation | None:
+def verify_morphism(m: Morphism) -> MorphismViolation | None:
     """Check both defining equations exhaustively; None means verified.
 
     On success the morphism's verified flag is set in place.
     """
-    if len(m.source) > max_length or len(m.target) > max_length:
+    if max(len(m.source), len(m.target)) > MAX_MORPHISM_LENGTH:
         raise ResourceLimitError("sequence length exceeds morphism bound")
     bad = _table_ok(m)
     if bad is not None:
@@ -119,7 +117,7 @@ def verify_morphism(m: Morphism,
             twist_cache[bits] = twist_seq(m.target, Gallery(m.target, bits))
         return twist_cache[bits]
 
-    for gamma in galleries(m.source, max_length):
+    for gamma in galleries(m.source):
         src_twist = twist_seq(m.source, gamma)
         image = m.phi[gamma.bits]
         tgt_twist = img_twist(image)
@@ -168,13 +166,15 @@ def subsequence_morphism(s: ReflSeq, target: ReflSeq,
 
 
 def compose(outer: Morphism, inner: Morphism) -> Morphism:
-    """outer after inner; the composite is re-verified from scratch."""
+    """outer after inner; raises VerificationError unless the composite verifies."""
     if inner.target != outer.source:
         raise InvalidInputError("morphisms are not composable")
     p = tuple(outer.p[j - 1] for j in inner.p)
     phi = {bits: outer.phi[image] for bits, image in inner.phi.items()}
     m = Morphism(inner.source, outer.target, p, outer.w * inner.w, phi)
-    verify_morphism(m)
+    bad = verify_morphism(m)
+    if bad is not None:
+        raise VerificationError(f"composite is not a morphism: {bad}")
     return m
 
 
@@ -192,10 +192,7 @@ def _propagated_table(s: ReflSeq, p: tuple[int, ...],
     return table
 
 
-def enumerate_morphisms(s: ReflSeq, target: ReflSeq,
-                        max_weyl: int = 100_000,
-                        max_length: int = DEFAULT_MAX_MORPHISM_LENGTH
-                        ) -> list[Morphism]:
+def enumerate_morphisms(s: ReflSeq, target: ReflSeq) -> list[Morphism]:
     """All morphisms s -> target, in deterministic order.
 
     phi is determined by (p, seed image), so candidates are propagated from
@@ -203,24 +200,20 @@ def enumerate_morphisms(s: ReflSeq, target: ReflSeq,
     lexicographic in p, then enumerate_weyl order of w, then seed image.
     """
     n, nt = len(s), len(target)
-    if n > max_length or nt > max_length:
+    if max(n, nt) > MAX_MORPHISM_LENGTH:
         raise ResourceLimitError("sequence length exceeds morphism bound")
     if n > nt:
         return []
     out = []
-    seen = set()
-    weyl_order = enumerate_weyl(s.rs, max_weyl)
+    weyl_order = enumerate_weyl(s.rs)
     seeds = [g.bits for g in galleries(target)]
     for p in combinations(range(1, nt + 1), n):
         for w in weyl_order:
             for seed in seeds:
                 phi = _propagated_table(s, p, seed, nt)
                 m = Morphism(s, target, p, w, phi)
-                if verify_morphism(m, max_length) is None:
-                    key = m.key()
-                    if key not in seen:
-                        seen.add(key)
-                        out.append(m)
+                if verify_morphism(m) is None:
+                    out.append(m)
     return out
 
 

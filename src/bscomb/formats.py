@@ -14,7 +14,7 @@ import json
 import re
 from fractions import Fraction
 
-from .errors import ParseError
+from .errors import InvalidInputError, ParseError
 from .foldcat import Morphism
 from .gallery import Bits, Gallery, ReflSeq
 from .gkm import FPFunction
@@ -50,10 +50,6 @@ def parse_weyl(rs: RootSystem, text: str) -> WeylElement:
         except Exception as exc:
             raise ParseError(str(exc)) from exc
     return w
-
-
-def serialize_weyl(w: WeylElement) -> str:
-    return str(w)
 
 
 def _parse_refl_token(rs: RootSystem, token: str):
@@ -149,10 +145,6 @@ def parse_poly(nvars: int, text: str) -> Poly:
         key = tuple(mono)
         terms[key] = terms.get(key, Fraction(0)) + coeff
     return Poly.from_dict(nvars, terms)
-
-
-def serialize_poly(p: Poly) -> str:
-    return str(p)
 
 
 def _pair_key(r: Pair) -> str:
@@ -272,7 +264,7 @@ def parse_fpfunction(s: ReflSeq, doc) -> FPFunction:
               for b, text in doc["values"].items()}
     try:
         return FPFunction(s, values)
-    except Exception as exc:
+    except InvalidInputError as exc:
         raise ParseError(str(exc)) from exc
 
 

@@ -20,10 +20,9 @@ from .rootsys import (
     WeylElement,
     conjugate_reflection,
     enumerate_weyl,
-    is_attached,
 )
 
-DEFAULT_MAX_LENGTH = 20
+MAX_LENGTH = 20
 
 Bits = tuple[bool, ...]
 
@@ -116,11 +115,11 @@ class Gallerification:
     gamma: Gallery
 
 
-def galleries(s: ReflSeq, max_length: int = DEFAULT_MAX_LENGTH) -> list[Gallery]:
-    """All 2^n galleries of s in bit-lexicographic order."""
+def galleries(s: ReflSeq) -> list[Gallery]:
+    """All 2^n galleries of s in bit-lexicographic order; n <= MAX_LENGTH."""
     n = len(s)
-    if n > max_length:
-        raise ResourceLimitError(f"sequence length {n} exceeds bound {max_length}")
+    if n > MAX_LENGTH:
+        raise ResourceLimitError(f"sequence length {n} exceeds bound {MAX_LENGTH}")
     return [Gallery(s, bits) for bits in product((False, True), repeat=n)]
 
 
@@ -168,10 +167,9 @@ def twist_seq(s: ReflSeq, gamma: Gallery) -> ReflSeq:
     return ReflSeq(s.rs, tuple(entries), s.positions)
 
 
-def fixed_points_w(s: ReflSeq, w: WeylElement,
-                   max_length: int = DEFAULT_MAX_LENGTH) -> list[Gallery]:
+def fixed_points_w(s: ReflSeq, w: WeylElement) -> list[Gallery]:
     """Gamma(s, w): all galleries whose full prefix product equals w."""
-    return [g for g in galleries(s, max_length) if prefix(g, len(s)) == w]
+    return [g for g in galleries(s) if prefix(g, len(s)) == w]
 
 
 def d_w_shadow(gamma: Gallery, w: WeylElement) -> Gallery:
@@ -188,7 +186,7 @@ def d_w_shadow(gamma: Gallery, w: WeylElement) -> Gallery:
 _GALLERY_TYPE_CACHE: dict = {}
 
 
-def is_gallery_type(s: ReflSeq, max_weyl: int = 100_000) -> Gallerification | None:
+def is_gallery_type(s: ReflSeq) -> Gallerification | None:
     """Search for a gallerification of s; None if no labelled gallery exists.
 
     States are chambers u.Delta+ encoded by Weyl elements u.  At position i
@@ -198,7 +196,7 @@ def is_gallery_type(s: ReflSeq, max_weyl: int = 100_000) -> Gallerification | No
     enumerate_weyl order and stay before cross, so the first certificate
     found is deterministic.  x = u0^-1.
     """
-    cache_key = (s.rs, s.entries, max_weyl)
+    cache_key = (s.rs, s.entries)
     if cache_key in _GALLERY_TYPE_CACHE:
         cached = _GALLERY_TYPE_CACHE[cache_key]
         if cached is None:
@@ -206,7 +204,7 @@ def is_gallery_type(s: ReflSeq, max_weyl: int = 100_000) -> Gallerification | No
         # rebuild with the caller's display positions
         t = ReflSeq(s.rs, cached.t.entries, s.positions)
         return Gallerification(cached.x, t, Gallery(t, cached.gamma.bits))
-    order = enumerate_weyl(s.rs, max_weyl)
+    order = enumerate_weyl(s.rs)
     n = len(s)
     inv_cache: dict = {}
 

@@ -23,7 +23,7 @@ from .gallery import Bits, Gallery, ReflSeq, galleries, prefix
 from .poly import Poly, exact_divide, root_poly, weyl_act
 from .rootsys import WeylElement
 
-DEFAULT_MAX_BASIS_LENGTH = 12
+MAX_BASIS_LENGTH = 12
 
 
 @dataclass(frozen=True)
@@ -149,10 +149,8 @@ class BasisElement:
         return tuple(i + 1 in self.subset for i in range(n))
 
 
-def basis(s: ReflSeq,
-          max_length: int = DEFAULT_MAX_BASIS_LENGTH) -> list[BasisElement]:
+def basis(s: ReflSeq) -> list[BasisElement]:
     """The 2^n triangular basis, ordered by (|J|, sorted J).
-
     B_J is built from the unit on the empty sequence by copying at
     positions outside J and concentrating at t = s_i for positions in J, so
     B_J vanishes off {gamma : J subset supp(gamma)} and its value at
@@ -160,7 +158,7 @@ def basis(s: ReflSeq,
     over i in J.  Both facts are re-verified on construction.
     """
     n = len(s)
-    if n > max_length:
+    if n > MAX_BASIS_LENGTH:
         raise ResourceLimitError(f"sequence length {n} exceeds basis bound")
     empty = ReflSeq(s.rs, ())
     level: dict[frozenset[int], FPFunction] = {

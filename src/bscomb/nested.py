@@ -13,9 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import InvalidInputError, PropertyViolationError, ResourceLimitError
+from .errors import InvalidInputError, PropertyViolationError
 from .gallery import (
-    DEFAULT_MAX_LENGTH,
     Gallerification,
     Gallery,
     ReflSeq,
@@ -200,11 +199,10 @@ def satisfies(plan: NestedPlan, gamma: Gallery) -> bool:
     return True
 
 
-def fixed_points(plan: NestedPlan,
-                 max_length: int = DEFAULT_MAX_LENGTH) -> list[Gallery]:
+def fixed_points(plan: NestedPlan) -> list[Gallery]:
     """Gamma(s, v): galleries satisfying all interval constraints."""
     _require_valid(plan)
-    return [g for g in galleries(plan.seq, max_length) if satisfies(plan, g)]
+    return [g for g in galleries(plan.seq) if satisfies(plan, g)]
 
 
 @dataclass(frozen=True)
@@ -220,8 +218,7 @@ class FactorCertificate:
         return len(self.forward)
 
 
-def factor_fixed_points(plan: NestedPlan, F: FSelection,
-                        max_length: int = DEFAULT_MAX_LENGTH) -> FactorCertificate:
+def factor_fixed_points(plan: NestedPlan, F: FSelection) -> FactorCertificate:
     """Build and verify the explicit factoring of the constrained gallery set.
 
     A gallery maps to its bit restriction to the surviving positions (a
@@ -235,9 +232,9 @@ def factor_fixed_points(plan: NestedPlan, F: FSelection,
     fibre_plans = tuple(fibre_data(plan, f) for f in F.pairs)
     survivors = _surviving_positions(plan, F)
 
-    source = fixed_points(plan, max_length)
-    base_set = set(fixed_points(base_plan, max_length))
-    fibre_sets = [set(fixed_points(fp, max_length)) for fp in fibre_plans]
+    source = fixed_points(plan)
+    base_set = set(fixed_points(base_plan))
+    fibre_sets = [set(fixed_points(fp)) for fp in fibre_plans]
 
     forward: dict[Gallery, tuple[Gallery, tuple[Gallery, ...]]] = {}
     seen_images: set = set()
@@ -290,8 +287,7 @@ def restricted_seq(plan: NestedPlan, r: Pair) -> ReflSeq:
     return ReflSeq(plan.seq.rs, tuple(entries), tuple(positions))
 
 
-def is_gallery_type_pair(plan: NestedPlan,
-                         max_weyl: int = 100_000
+def is_gallery_type_pair(plan: NestedPlan
                          ) -> tuple[bool, dict[Pair, Gallerification | None]]:
     """Whether every restricted sequence s^(r,v) is of gallery type.
 
@@ -302,7 +298,7 @@ def is_gallery_type_pair(plan: NestedPlan,
     certs: dict[Pair, Gallerification | None] = {}
     ok = True
     for r in plan.pairs:
-        cert = is_gallery_type(restricted_seq(plan, r), max_weyl)
+        cert = is_gallery_type(restricted_seq(plan, r))
         certs[r] = cert
         if cert is None:
             ok = False
@@ -324,9 +320,9 @@ def poincare_polynomial(seq: ReflSeq) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-def betti_rank(plan: NestedPlan, max_length: int = DEFAULT_MAX_LENGTH) -> int:
+def betti_rank(plan: NestedPlan) -> int:
     """Reported free rank for gallery-type plans: the fixed-point count."""
     ok, _ = is_gallery_type_pair(plan)
     if not ok:
         raise InvalidInputError("plan is not of gallery type; rank not reported")
-    return len(fixed_points(plan, max_length))
+    return len(fixed_points(plan))

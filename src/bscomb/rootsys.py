@@ -18,7 +18,7 @@ from functools import lru_cache
 
 from .errors import InvalidInputError, ResourceLimitError
 
-DEFAULT_MAX_WEYL = 100_000
+MAX_WEYL = 100_000
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -125,11 +125,7 @@ class RootSystem:
         )
         self.roots = self._close_roots()
         self._root_set = frozenset(r.coords for r in self.roots)
-        self.simple_indices = tuple(self.roots.index(a) for a in self.simple_roots)
         self._refl_matrices: dict[tuple[int, ...], Matrix] = {}
-        self._simple_refl_matrices = frozenset(
-            self.reflection_matrix(a) for a in self.simple_roots
-        )
         self._inv_cache: dict[Matrix, Matrix] = {}
         self._word_cache: dict[Matrix, tuple[int, ...]] = {}
         self._weyl_cache: list["WeylElement"] | None = None
@@ -223,9 +219,6 @@ class RootSystem:
             inv = _mat_inv(m)
             self._inv_cache[m] = inv
         return inv
-
-    def is_simple_reflection_matrix(self, m: Matrix) -> bool:
-        return m in self._simple_refl_matrices
 
     def __eq__(self, other):
         return (isinstance(other, RootSystem)
@@ -335,18 +328,6 @@ def build_root_system(family: str, rank: int) -> RootSystem:
     return rs
 
 
-def weyl_apply(w: WeylElement, beta: Root) -> Root:
-    return w.apply(beta)
-
-
-def weyl_mul(u: WeylElement, w: WeylElement) -> WeylElement:
-    return u * w
-
-
-def weyl_inv(w: WeylElement) -> WeylElement:
-    return w.inv()
-
-
 def conjugate_reflection(w: WeylElement, t: Reflection) -> Reflection:
     """w s_alpha w^-1 = s_{w(alpha)}, with the root kept positive."""
     if w.rs != t.rs:
@@ -354,16 +335,18 @@ def conjugate_reflection(w: WeylElement, t: Reflection) -> Reflection:
     return w.rs.reflection(w.apply(t.root))
 
 
-def enumerate_weyl(rs: RootSystem, max_weyl: int = DEFAULT_MAX_WEYL) -> list[WeylElement]:
+def enumerate_weyl(rs: RootSystem, max_weyl: int = MAX_WEYL) -> list[WeylElement]:
     """All Weyl elements, by closure under simple reflections.
 
+    |W| is bounded by min(max_weyl, MAX_WEYL): a caller can only tighten it.
     Deterministic order: breadth-first by word length, matrices sorted
     within each level.  Cached on the root system.
     """
+    bound = min(max_weyl, MAX_WEYL)
     if rs._weyl_cache is not None:
-        if len(rs._weyl_cache) > max_weyl:
+        if len(rs._weyl_cache) > bound:
             raise ResourceLimitError(
-                f"|W| = {len(rs._weyl_cache)} exceeds bound {max_weyl}")
+                f"|W| = {len(rs._weyl_cache)} exceeds bound {bound}")
         return list(rs._weyl_cache)
     simples = [rs.simple_reflection(i) for i in range(1, rs.rank + 1)]
     seen = {rs.identity().matrix}
@@ -377,8 +360,8 @@ def enumerate_weyl(rs: RootSystem, max_weyl: int = DEFAULT_MAX_WEYL) -> list[Wey
                 if m not in seen:
                     seen.add(m)
                     nxt[m] = WeylElement(rs, m)
-            if len(seen) > max_weyl:
-                raise ResourceLimitError(f"|W| exceeds bound {max_weyl}")
+            if len(seen) > bound:
+                raise ResourceLimitError(f"|W| exceeds bound {bound}")
         level = [nxt[m] for m in sorted(nxt)]
         order.extend(level)
     rs._weyl_cache = list(order)

@@ -1,12 +1,16 @@
 """The batch CLI: commands, formats, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from bscomb.cli import main
 
 SL5 = "data/sl5.plan"
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def run(capsys, *argv):
@@ -43,9 +47,27 @@ def test_parse_error_exit_code(capsys):
 
 
 def test_resource_limit_exit_code(capsys):
-    code, _, err = run(capsys, "--max-length", "2",
-                       "gallery-type", "A2: s1 s2 s1")
-    assert code == 3
+    for argv in (["--max-length", "2", "gallery-type", "A2: s1 s2 s1"],
+                 ["--max-length", "3", "basis", "A2: s1 s2 s1 s2"],
+                 ["--max-length", "1", "morphism", "enumerate", "A1: s1", "A1: s1 s1"],
+                 ["--max-length", "40", "decompose", "A1:" + " s1" * 22, '{"values": {}}']):
+        code, out, _ = run(capsys, *argv)
+        assert (code, out) == (3, ""), argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["basis", "A1:" + " s1" * 14],
+    ["morphism", "enumerate", "A2: s1", "A2:" + " s1" * 16],
+    ["--max-length", "40", "fixed-points", json.dumps(
+        {"root_system": "A1", "sequence": "s1 " * 22, "pairs": [], "labels": {}})],
+], ids=["basis-14", "morphism-target-16", "fixed-points-22"])
+def test_flag_cannot_loosen_library_bound(argv):
+    # Each input is above a library bound but within --max-length; it must
+    # stop at the library bound rather than run the exhaustive walk.
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run([sys.executable, "-m", "bscomb.cli", *argv], cwd=ROOT, env=env,
+                          capture_output=True, timeout=10)
+    assert (proc.returncode, proc.stdout) == (3, b"")
 
 
 def test_project_sl5(capsys):

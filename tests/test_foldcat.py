@@ -90,6 +90,7 @@ def test_enumerate_deterministic(a2):
     first = [m.key() for m in enumerate_morphisms(s, target)]
     second = [m.key() for m in enumerate_morphisms(s, target)]
     assert first == second
+    assert len(set(first)) == len(first)
 
 
 def test_propagation_path_independence(a2):
@@ -120,6 +121,14 @@ def test_composition_verifies(a2):
             assert c.verified
             assert c.p == tuple(b.p[j - 1] for j in a.p)
             assert c.w == b.w * a.w
+
+
+def test_compose_rejects_invalid_composite(a2):
+    s = simple_seq(a2, 1)
+    bad = Morphism(s, s, (1,), a2.simple_reflection(2),
+                   {g.bits: g.bits for g in galleries(s)})
+    with pytest.raises(VerificationError):
+        compose(identity_morphism(s), bad)
 
 
 def test_pointed_identity(a2):
