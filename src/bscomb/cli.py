@@ -173,7 +173,7 @@ def cmd_decompose(args) -> int:
     return EXIT_OK
 
 
-def _load_morphism(args, arg: str) -> foldcat.Morphism:
+def _load_morphism(arg: str) -> foldcat.Morphism:
     doc = _read_doc(arg)
     if "source" not in doc or "target" not in doc:
         raise ParseError("morphism document needs 'source' and 'target'")
@@ -183,7 +183,7 @@ def _load_morphism(args, arg: str) -> foldcat.Morphism:
 
 
 def cmd_morphism_verify(args) -> int:
-    m = _load_morphism(args, args.morphism)
+    m = _load_morphism(args.morphism)
     bad = foldcat.verify_morphism(m)
     if bad is not None:
         _emit(args, {"verified": False, "violation": str(bad)},
@@ -208,7 +208,7 @@ def cmd_morphism_enumerate(args) -> int:
 
 
 def cmd_morphism_apply(args) -> int:
-    m = _load_morphism(args, args.morphism)
+    m = _load_morphism(args.morphism)
     bad = foldcat.verify_morphism(m)
     if bad is not None:
         raise VerificationError(f"not a morphism: {bad}")

@@ -76,7 +76,7 @@ class Morphism:
         return Gallery(self.target, image)
 
     def key(self) -> tuple:
-        return (self.p, self.w.matrix, tuple(sorted(self.phi.items())))
+        return (self.p, self.w.perm, tuple(sorted(self.phi.items())))
 
 
 @dataclass(frozen=True)
@@ -179,7 +179,7 @@ def compose(outer: Morphism, inner: Morphism) -> Morphism:
 
 
 def _propagated_table(s: ReflSeq, p: tuple[int, ...],
-                      seed_image: Bits, nt: int) -> dict[Bits, Bits]:
+                      seed_image: Bits) -> dict[Bits, Bits]:
     # Folding from the all-stay seed flips target bit p(i) whenever source
     # bit i is set; bit flips commute, so the table is path-independent.
     table = {}
@@ -210,7 +210,7 @@ def enumerate_morphisms(s: ReflSeq, target: ReflSeq) -> list[Morphism]:
     for p in combinations(range(1, nt + 1), n):
         for w in weyl_order:
             for seed in seeds:
-                phi = _propagated_table(s, p, seed, nt)
+                phi = _propagated_table(s, p, seed)
                 m = Morphism(s, target, p, w, phi)
                 if verify_morphism(m) is None:
                     out.append(m)

@@ -206,14 +206,9 @@ def is_gallery_type(s: ReflSeq) -> Gallerification | None:
         return Gallerification(cached.x, t, Gallery(t, cached.gamma.bits))
     order = enumerate_weyl(s.rs)
     n = len(s)
-    inv_cache: dict = {}
 
     def conj_simple(u: WeylElement, t: Reflection) -> Reflection | None:
-        uinv = inv_cache.get(u)
-        if uinv is None:
-            uinv = u.inv()
-            inv_cache[u] = uinv
-        conj = conjugate_reflection(uinv, t)
+        conj = conjugate_reflection(u.inv(), t)
         return conj if conj.is_simple() else None
 
     for u0 in order:
@@ -222,7 +217,7 @@ def is_gallery_type(s: ReflSeq) -> Gallerification | None:
         while stack:
             i, u, t_entries, bits = stack.pop()
             if i > n:
-                x = inv_cache.get(u0) or u0.inv()
+                x = u0.inv()
                 t = ReflSeq(s.rs, t_entries, s.positions)
                 gamma = Gallery(t, bits)
                 cert = Gallerification(x, t, gamma)

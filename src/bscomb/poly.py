@@ -206,29 +206,22 @@ def root_poly(rs: RootSystem, root: Root) -> Poly:
     return Poly.linear(rs.rank, coeffs)
 
 
-_WEIGHT_MATRIX_CACHE: dict[tuple[RootSystem, tuple], tuple[tuple[int, ...], ...]] = {}
-
-
 def weight_matrix(w: WeylElement) -> tuple[tuple[int, ...], ...]:
     """Integer matrix of w on fundamental-weight coordinates.
 
-    Built from the word of w via s_i(w_j) = w_j - delta_ij alpha_i.
+    Entry (k, j), the coefficient of w_k in w(w_j), is <w_j, beta^vee> =
+    2 d_j beta_j / (beta, beta) with beta = w^-1(alpha_k), where
+    2 d_j = (alpha_j, alpha_j).
     """
-    key = (w.rs, w.matrix)
-    cached = _WEIGHT_MATRIX_CACHE.get(key)
-    if cached is not None:
-        return cached
-    rank = w.rs.rank
-    # E_i acts on coordinate vectors by (E_i a)_j = a_j - a_i C[i][j]; the
-    # matrix of w = s_{i1}...s_{im} is E_{i1} ... E_{im}.
-    mat = [[int(r == c) for c in range(rank)] for r in range(rank)]
-    for letter in reversed(w.word()):
-        i = letter - 1
-        mat = [[mat[r][c] - w.rs.cartan[i][r] * mat[i][c]
-                for c in range(rank)] for r in range(rank)]
-    result = tuple(tuple(r) for r in mat)
-    _WEIGHT_MATRIX_CACHE[key] = result
-    return result
+    rs = w.rs
+    winv = w.inv()
+    rows = []
+    for alpha in rs.simple_roots:
+        beta = winv.apply(alpha).coords
+        norm = rs.bilinear(beta, beta)
+        rows.append(tuple(rs.bilinear(a.coords, a.coords) * b // norm
+                          for a, b in zip(rs.simple_roots, beta)))
+    return tuple(rows)
 
 
 _ACT_CACHE: dict[tuple, Poly] = {}
@@ -238,7 +231,7 @@ def weyl_act(w: WeylElement, p: Poly) -> Poly:
     """The ring automorphism of S induced by w on weights."""
     if p.nvars != w.rs.rank:
         raise InvalidInputError("polynomial variable count does not match rank")
-    key = (w.rs, w.matrix, p.terms)
+    key = (w.rs, w.perm, p.terms)
     cached = _ACT_CACHE.get(key)
     if cached is None:
         m = weight_matrix(w)

@@ -1,11 +1,13 @@
 """Exact root-system and Weyl-group arithmetic.
 
 Roots are stored as integer coordinate tuples in the simple-root basis, so
-everything here is integer linear algebra: no floats, no Euclidean space.
-Pairings come from a table-driven Cartan matrix, Weyl elements are integer
-matrices acting on simple-root coordinates, and chambers are represented by
-the Weyl elements u (the chamber u.Delta+), which turns geometric attachment
-tests into simplicity tests on conjugated reflections.
+everything here is integer arithmetic: no floats, no Euclidean space.
+Pairings come from a table-driven Cartan matrix.  W acts faithfully on the
+finite root list, so a Weyl element is stored as the permutation it induces
+on `RootSystem.roots`: products, inverses and the action on a root are index
+lookups.  Chambers are represented by the Weyl elements u (the chamber
+u.Delta+), which turns geometric attachment tests into simplicity tests on
+conjugated reflections.
 
 Supported families: A (n>=1), B (n>=2), C (n>=2), D (n>=4), G (n=2).
 """
@@ -13,48 +15,15 @@ Supported families: A (n>=1), B (n>=2), C (n>=2), D (n>=4), G (n=2).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 
 from .errors import InvalidInputError, ResourceLimitError
 
 MAX_WEYL = 100_000
 
 Matrix = tuple[tuple[int, ...], ...]
-
-
-def _identity(n: int) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(ra[k] * cb[k] for k in range(n)) for cb in bt) for ra in a
-    )
-
-
-def _mat_vec(a: Matrix, v: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(sum(row[k] * v[k] for k in range(len(v))) for row in a)
-
-
-def _mat_inv(a: Matrix) -> Matrix:
-    """Exact inverse of an integer matrix with unit determinant."""
-    n = len(a)
-    work = [[Fraction(a[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-            for i in range(n)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if work[r][col] != 0)
-        work[col], work[pivot] = work[pivot], work[col]
-        pv = work[col][col]
-        work[col] = [x / pv for x in work[col]]
-        for r in range(n):
-            if r != col and work[r][col] != 0:
-                factor = work[r][col]
-                work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
-    inv = tuple(tuple(int(work[i][n + j]) for j in range(n)) for i in range(n))
-    return inv
+Perm = tuple[int, ...]
 
 
 def _cartan_matrix(family: str, rank: int) -> Matrix:
@@ -124,10 +93,8 @@ class RootSystem:
             Root(tuple(1 if j == i else 0 for j in range(rank))) for i in range(rank)
         )
         self.roots = self._close_roots()
-        self._root_set = frozenset(r.coords for r in self.roots)
-        self._refl_matrices: dict[tuple[int, ...], Matrix] = {}
-        self._inv_cache: dict[Matrix, Matrix] = {}
-        self._word_cache: dict[Matrix, tuple[int, ...]] = {}
+        self._index = {r.coords: k for k, r in enumerate(self.roots)}
+        self._refl_perms: dict[tuple[int, ...], Perm] = {}
         self._weyl_cache: list["WeylElement"] | None = None
 
     # -- scalar products ---------------------------------------------------
@@ -151,22 +118,29 @@ class RootSystem:
             raise InvalidInputError("pairing is not integral; beta is not a root")
         return q
 
+    def _reflect(self, x: tuple[int, ...], beta: Root) -> tuple[int, ...]:
+        """s_beta(x) = x - <x, beta> beta."""
+        p = self.pairing(x, beta)
+        return tuple(xj - p * bj for xj, bj in zip(x, beta.coords))
+
+    @property
+    def weyl_order(self) -> int:
+        """|W| in closed form: (n+1)!, 2^n n!, 2^(n-1) n!, or 12 for G2."""
+        n = self.rank
+        return {"A": factorial(n + 1), "B": 2 ** n * factorial(n),
+                "C": 2 ** n * factorial(n), "D": 2 ** (n - 1) * factorial(n),
+                "G": 12}[self.family]
+
     # -- roots -------------------------------------------------------------
 
     def _close_roots(self) -> tuple[Root, ...]:
-        simple_refl = []
-        for i in range(self.rank):
-            # s_i(alpha_k) = alpha_k - C[k][i] alpha_i, as a matrix on coordinates
-            mt = tuple(tuple(int(r == c) - (self.cartan[c][i] if r == i else 0)
-                             for c in range(self.rank)) for r in range(self.rank))
-            simple_refl.append(mt)
         seen = {a.coords for a in self.simple_roots}
         frontier = [a.coords for a in self.simple_roots]
         while frontier:
             nxt = []
             for v in frontier:
-                for m in simple_refl:
-                    w = _mat_vec(m, v)
+                for a in self.simple_roots:
+                    w = self._reflect(v, a)
                     if w not in seen:
                         seen.add(w)
                         nxt.append(w)
@@ -177,48 +151,36 @@ class RootSystem:
                                                          for v in positives)
 
     def is_root(self, root: Root) -> bool:
-        return root.coords in self._root_set
+        return root.coords in self._index
 
     def positive_representative(self, root: Root) -> Root:
         return root if root.is_positive else -root
 
     # -- reflections and Weyl elements --------------------------------------
 
-    def reflection_matrix(self, root: Root) -> Matrix:
+    def reflection_perm(self, root: Root) -> Perm:
+        """s_beta as a permutation of root indices; cached per root."""
         key = root.coords
-        cached = self._refl_matrices.get(key)
+        cached = self._refl_perms.get(key)
         if cached is not None:
             return cached
-        if key not in self._root_set:
+        if key not in self._index:
             raise InvalidInputError(f"{root} is not a root of {self}")
-        n = self.rank
-        cols = []
-        for k in range(n):
-            e_k = tuple(int(j == k) for j in range(n))
-            pk = self.pairing(e_k, root)
-            cols.append(tuple(e_k[j] - pk * root.coords[j] for j in range(n)))
-        m = tuple(tuple(cols[c][r] for c in range(n)) for r in range(n))
-        self._refl_matrices[key] = m
-        return m
+        perm = tuple(self._index[self._reflect(g.coords, root)] for g in self.roots)
+        self._refl_perms[key] = perm
+        return perm
 
     def identity(self) -> "WeylElement":
-        return WeylElement(self, _identity(self.rank))
+        return WeylElement(self, tuple(range(len(self.roots))))
 
     def simple_reflection(self, i: int) -> "WeylElement":
         """s_i for 1-based simple index i."""
         if not 1 <= i <= self.rank:
             raise InvalidInputError(f"no simple reflection s{i} in rank {self.rank}")
-        return WeylElement(self, self.reflection_matrix(self.simple_roots[i - 1]))
+        return WeylElement(self, self.reflection_perm(self.simple_roots[i - 1]))
 
     def reflection(self, root: Root) -> "Reflection":
         return Reflection(self, self.positive_representative(root))
-
-    def _inverse(self, m: Matrix) -> Matrix:
-        inv = self._inv_cache.get(m)
-        if inv is None:
-            inv = _mat_inv(m)
-            self._inv_cache[m] = inv
-        return inv
 
     def __eq__(self, other):
         return (isinstance(other, RootSystem)
@@ -233,43 +195,51 @@ class RootSystem:
 
 @dataclass(frozen=True)
 class WeylElement:
-    """A Weyl group element as an exact integer matrix on simple-root coordinates."""
+    """A Weyl group element as the permutation it induces on the roots.
+
+    perm[k] is the index in rs.roots of w(rs.roots[k]); since W acts
+    faithfully on the roots, equality of elements is equality of perms.
+    """
 
     rs: RootSystem = field(compare=False)
-    matrix: Matrix = field(compare=True)
+    perm: Perm = field(compare=True)
 
     def __post_init__(self):
-        if len(self.matrix) != self.rs.rank:
-            raise InvalidInputError("matrix size does not match rank")
+        if len(self.perm) != len(self.rs.roots):
+            raise InvalidInputError("permutation size does not match the root count")
+
+    @property
+    def matrix(self) -> Matrix:
+        """Integer matrix on simple-root coordinates; column j is w(alpha_j)."""
+        images = (self.apply(a).coords for a in self.rs.simple_roots)
+        return tuple(zip(*images))
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         if self.rs != other.rs:
             raise InvalidInputError("cannot multiply elements of different systems")
-        return WeylElement(self.rs, _mat_mul(self.matrix, other.matrix))
+        return WeylElement(self.rs, tuple(map(self.perm.__getitem__, other.perm)))
 
     def inv(self) -> "WeylElement":
-        return WeylElement(self.rs, self.rs._inverse(self.matrix))
+        inverse = [0] * len(self.perm)
+        for k, image in enumerate(self.perm):
+            inverse[image] = k
+        return WeylElement(self.rs, tuple(inverse))
 
     def is_identity(self) -> bool:
-        return self.matrix == _identity(self.rs.rank)
+        return self.perm == tuple(range(len(self.perm)))
 
     def apply(self, root: Root) -> Root:
         """The action w(beta); the result is again a root."""
-        if not self.rs.is_root(root):
+        k = self.rs._index.get(root.coords)
+        if k is None:
             raise InvalidInputError(f"{root} is not a root of {self.rs}")
-        image = Root(_mat_vec(self.matrix, root.coords))
-        if not self.rs.is_root(image):
-            raise InvalidInputError("matrix does not permute the roots")
-        return image
+        return self.rs.roots[self.perm[k]]
 
     def word(self) -> tuple[int, ...]:
         """A reduced word (1-based simple indices), recovered by descent exchange.
 
-        Display aid only; equality of elements is matrix equality.
+        Display aid only; equality of elements is permutation equality.
         """
-        cached = self.rs._word_cache.get(self.matrix)
-        if cached is not None:
-            return cached
         letters: list[int] = []
         u = self
         while not u.is_identity():
@@ -277,16 +247,11 @@ class WeylElement:
                      if not u.apply(a).is_positive)
             letters.append(i)
             u = u * self.rs.simple_reflection(i)
-        word = tuple(reversed(letters))
-        self.rs._word_cache[self.matrix] = word
-        return word
+        return tuple(reversed(letters))
 
     def __str__(self):
         w = self.word()
         return " ".join(f"s{i}" for i in w) if w else "e"
-
-    def __hash__(self):
-        return hash(self.matrix)
 
 
 @dataclass(frozen=True)
@@ -303,7 +268,7 @@ class Reflection:
             raise InvalidInputError("reflection root must be the positive representative")
 
     def as_weyl(self) -> WeylElement:
-        return WeylElement(self.rs, self.rs.reflection_matrix(self.root))
+        return WeylElement(self.rs, self.rs.reflection_perm(self.root))
 
     def is_simple(self) -> bool:
         return self.root in self.rs.simple_roots
@@ -338,34 +303,31 @@ def conjugate_reflection(w: WeylElement, t: Reflection) -> Reflection:
 def enumerate_weyl(rs: RootSystem, max_weyl: int = MAX_WEYL) -> list[WeylElement]:
     """All Weyl elements, by closure under simple reflections.
 
-    |W| is bounded by min(max_weyl, MAX_WEYL): a caller can only tighten it.
-    Deterministic order: breadth-first by word length, matrices sorted
-    within each level.  Cached on the root system.
+    |W| is bounded by min(max_weyl, MAX_WEYL): a caller can only tighten it,
+    and the closed-form order is checked before any element is built.
+    Deterministic order: breadth-first by word length, elements sorted by
+    matrix within each level.  Cached on the root system.
     """
     bound = min(max_weyl, MAX_WEYL)
-    if rs._weyl_cache is not None:
-        if len(rs._weyl_cache) > bound:
-            raise ResourceLimitError(
-                f"|W| = {len(rs._weyl_cache)} exceeds bound {bound}")
-        return list(rs._weyl_cache)
-    simples = [rs.simple_reflection(i) for i in range(1, rs.rank + 1)]
-    seen = {rs.identity().matrix}
-    order = [rs.identity()]
-    level = [rs.identity()]
-    while level:
-        nxt = {}
-        for u in level:
-            for s in simples:
-                m = (u * s).matrix
-                if m not in seen:
-                    seen.add(m)
-                    nxt[m] = WeylElement(rs, m)
-            if len(seen) > bound:
-                raise ResourceLimitError(f"|W| exceeds bound {bound}")
-        level = [nxt[m] for m in sorted(nxt)]
-        order.extend(level)
-    rs._weyl_cache = list(order)
-    return order
+    if rs.weyl_order > bound:
+        raise ResourceLimitError(f"|W| = {rs.weyl_order} exceeds bound {bound}")
+    if rs._weyl_cache is None:
+        simples = [rs.simple_reflection(i) for i in range(1, rs.rank + 1)]
+        seen = {rs.identity()}
+        order = [rs.identity()]
+        level = [rs.identity()]
+        while level:
+            nxt = []
+            for u in level:
+                for s in simples:
+                    v = u * s
+                    if v not in seen:
+                        seen.add(v)
+                        nxt.append(v)
+            level = sorted(nxt, key=lambda w: w.matrix)
+            order.extend(level)
+        rs._weyl_cache = order
+    return list(rs._weyl_cache)
 
 
 def is_attached(u: WeylElement, t: Reflection) -> bool:

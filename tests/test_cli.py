@@ -173,6 +173,14 @@ def test_weyl_info(capsys):
     assert doc["longest_element"] == "s1 s2 s1"
 
 
+def test_weyl_bound_checked_before_walk(capsys):
+    # |W(A8)| = 9! is above MAX_WEYL; the closed-form order is compared with
+    # the bound before any element is built, and the message reports it.
+    code, out, err = run(capsys, "weyl", "info", "--root-system", "A8")
+    assert (code, out) == (3, "")
+    assert "362880" in err
+
+
 def test_structured_output_deterministic(capsys):
     _, out1, _ = run(capsys, "--format", "structured", "project", SL5,
                      "--pairs", "2-6")

@@ -1,5 +1,7 @@
 """Root systems, Weyl elements, and reflections."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +14,7 @@ from bscomb.rootsys import (
     enumerate_weyl,
     is_attached,
 )
+from bscomb.poly import weight_matrix
 
 # (family, rank) -> (number of roots, |W|), classical values
 KNOWN_SIZES = {
@@ -32,7 +35,7 @@ def test_root_and_weyl_counts(family, rank):
     rs = build_root_system(family, rank)
     n_roots, order = KNOWN_SIZES[(family, rank)]
     assert len(rs.roots) == n_roots
-    assert len(enumerate_weyl(rs)) == order
+    assert len(enumerate_weyl(rs)) == order == rs.weyl_order
 
 
 def test_cartan_matrix_a2(a2):
@@ -135,3 +138,89 @@ def test_enumerate_weyl_deterministic(a3):
     assert order[0].is_identity()
     lengths = [len(w.word()) for w in order]
     assert lengths == sorted(lengths)
+
+
+# sha256 of " | ".join(str(w) for w in enumerate_weyl(rs)); this order picks
+# the first-found certificates and the morphism order.
+WEYL_ORDER_SHA256 = {
+    ("A", 3): "18a20d11da72f2e7c2c38332593f95df38ac2df6f2beae8da981a5fdcd1aeccc",
+    ("B", 3): "fd5143f5f1b022bd077c3b902b4afa784f3ee98714b856bbf132d0bd2ed3f998",
+    ("D", 4): "4d91952ed1952aa8c927ce47cea735af56c5c17ebff66bb11afb5dbe5af5a12f",
+    ("G", 2): "4e5b13d94e76c7139a78509387c754bb6ddd25122ffd0b7381370fe25c883c5e",
+}
+
+
+@pytest.mark.parametrize("family,rank", sorted(WEYL_ORDER_SHA256))
+def test_enumerate_weyl_order_pinned(family, rank):
+    text = " | ".join(str(w) for w in enumerate_weyl(build_root_system(family, rank)))
+    assert hashlib.sha256(text.encode()).hexdigest() == WEYL_ORDER_SHA256[(family, rank)]
+
+
+# Independent reference: Weyl elements as integer matrices on simple-root
+# coordinates, built from the Cartan matrix alone.
+
+def _mat_mul(a, b):
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
+
+
+def _simple_matrix(rs, i):
+    """s_i(alpha_k) = alpha_k - C[k][i] alpha_i, with column k the image of alpha_k."""
+    n = rs.rank
+    return tuple(tuple(int(r == k) - (rs.cartan[k][i] if r == i else 0) for k in range(n))
+                 for r in range(n))
+
+
+def _word_matrix(rs, word):
+    m = tuple(tuple(int(r == c) for c in range(rs.rank)) for r in range(rs.rank))
+    for i in word:
+        m = _mat_mul(m, _simple_matrix(rs, i - 1))
+    return m
+
+
+def _word_weight_matrix(w):
+    """w on fundamental-weight coordinates, via s_i(w_j) = w_j - delta_ij alpha_i."""
+    rank = w.rs.rank
+    # E_i acts on coordinate vectors by (E_i a)_j = a_j - a_i C[i][j]; the
+    # matrix of w = s_{i1}...s_{im} is E_{i1} ... E_{im}.
+    mat = [[int(r == c) for c in range(rank)] for r in range(rank)]
+    for letter in reversed(w.word()):
+        i = letter - 1
+        mat = [[mat[r][c] - w.rs.cartan[i][r] * mat[i][c]
+                for c in range(rank)] for r in range(rank)]
+    return tuple(tuple(r) for r in mat)
+
+
+PERM_SYSTEMS = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3),
+                ("C", 3), ("D", 4), ("G", 2)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_permutation_arithmetic_matches_matrices(data):
+    family, rank = data.draw(st.sampled_from(PERM_SYSTEMS))
+    rs = build_root_system(family, rank)
+    words = st.lists(st.integers(1, rank), max_size=12)
+    uw, vw, xw = data.draw(words), data.draw(words), data.draw(words)
+    u, v = rs.identity(), rs.identity()
+    for i in uw:
+        u = u * rs.simple_reflection(i)
+    for i in vw:
+        v = v * rs.simple_reflection(i)
+    um, vm = _word_matrix(rs, uw), _word_matrix(rs, vw)
+    for i in range(1, rank + 1):
+        assert rs.simple_reflection(i).matrix == _simple_matrix(rs, i - 1)
+    assert u.matrix == um
+    assert (u * v).matrix == _mat_mul(um, vm)
+    assert _mat_mul(u.inv().matrix, u.matrix) == _word_matrix(rs, ())
+    root = data.draw(st.sampled_from(rs.roots))
+    image = tuple(sum(a * c for a, c in zip(row, root.coords)) for row in um)
+    assert u.apply(root).coords == image
+    # t = s_beta with beta = x(alpha_i), so t = x s_i x^-1 as a matrix
+    i = data.draw(st.integers(1, rank))
+    xm = _word_matrix(rs, xw)
+    tm = _mat_mul(_mat_mul(xm, _simple_matrix(rs, i - 1)), _word_matrix(rs, xw[::-1]))
+    t = rs.reflection(Root(tuple(row[i - 1] for row in xm)))
+    assert t.as_weyl().matrix == tm
+    conj = _mat_mul(_mat_mul(um, tm), _word_matrix(rs, uw[::-1]))
+    assert conjugate_reflection(u, t).as_weyl().matrix == conj
+    assert weight_matrix(u) == _word_weight_matrix(u)
