@@ -1,0 +1,66 @@
+"""Microbenchmarks for the gkm layer on a length-5 B2 sequence: generator,
+concentrate, basis and decompose.
+
+Run from the repository root:
+
+    python -m pytest benchmarks/bench_gkm.py
+
+Each round gets a fresh sequence object, so tables a sequence builds once
+(bit patterns, prefix products) are rebuilt in every round.  Tier-1 does
+not collect this file (`testpaths = ["tests"]`).
+"""
+
+import random
+from fractions import Fraction
+from itertools import combinations, product
+
+from bscomb.gallery import ReflSeq
+from bscomb.gkm import FPFunction, basis, combine, concentrate, decompose, generator
+from bscomb.poly import Poly, root_poly
+from bscomb.rootsys import build_root_system
+
+RS = build_root_system("B", 2)
+ROOTS = [r for r in RS.roots if r.is_positive]
+ENTRIES = tuple(RS.reflection(ROOTS[k]) for k in (0, 2, 1, 3, 0))
+
+
+def _seq():
+    return ReflSeq(RS, ENTRIES)
+
+
+def _poly(rng, top, span):
+    return Poly.from_dict(RS.rank, {tuple(rng.randint(0, top) for _ in range(RS.rank)):
+                                    Fraction(rng.randint(-span, span))})
+
+
+def test_generator(benchmark):
+    w = RS.simple_reflection(1) * RS.simple_reflection(2)
+    c = root_poly(RS, ROOTS[1])
+    benchmark.pedantic(generator, setup=lambda: ((_seq(), 3, w, c), {}), rounds=200)
+
+
+def test_concentrate(benchmark):
+    rng = random.Random(0)
+    values = {b: _poly(rng, 2, 4) for b in product((False, True), repeat=len(ENTRIES) - 1)}
+
+    def setup():
+        s = _seq()
+        return (s, FPFunction(s.truncated(), values), True), {}
+
+    benchmark.pedantic(concentrate, setup=setup, rounds=200)
+
+
+def test_basis(benchmark):
+    result = benchmark.pedantic(basis, setup=lambda: ((_seq(),), {}), rounds=20)
+    assert len(result) == 2 ** len(ENTRIES)
+
+
+def test_decompose(benchmark):
+    rng = random.Random(1)
+    n = len(ENTRIES)
+    coeffs = {frozenset(c): _poly(rng, 1, 3)
+              for k in range(n + 1) for c in combinations(range(1, n + 1), k)}
+    elements = basis(_seq())
+    g = combine(elements, coeffs)
+    result = benchmark.pedantic(decompose, args=(g, elements), rounds=20)
+    assert result == coeffs

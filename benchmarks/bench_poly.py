@@ -1,0 +1,65 @@
+"""Microbenchmarks for the poly layer: products, division by a linear form
+and the Weyl action, on rank-2 (B2) and rank-3 (B3) inputs.
+
+Run from the repository root:
+
+    python -m pytest benchmarks/bench_poly.py
+
+Tier-1 does not collect this file (`testpaths = ["tests"]`).
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from bscomb import poly
+from bscomb.poly import Poly, divide_linear, root_poly, weyl_act
+from bscomb.rootsys import build_root_system, enumerate_weyl
+
+SYSTEMS = [("B", 2), ("B", 3)]
+
+
+def _poly(rng, rank, terms=5, top=3):
+    """Mostly integral coefficients, some halves and thirds, as in decompositions."""
+    return Poly.from_dict(rank, {
+        tuple(rng.randint(0, top) for _ in range(rank)):
+            Fraction(rng.randint(-6, 6) or 1, rng.choice((1, 1, 1, 2, 3)))
+        for _ in range(terms)})
+
+
+def _cases(system, count=100):
+    rng = random.Random(0)
+    rs = build_root_system(*system)
+    order = enumerate_weyl(rs)
+    roots = [r for r in rs.roots if r.is_positive]
+    return rs, [(_poly(rng, rs.rank), _poly(rng, rs.rank),
+                 root_poly(rs, rng.choice(roots)), rng.choice(order))
+                for _ in range(count)]
+
+
+@pytest.mark.parametrize("system", SYSTEMS, ids=str)
+def test_mul(benchmark, system):
+    _, cases = _cases(system)
+    benchmark(lambda: [p * q for p, q, _, _ in cases])
+
+
+@pytest.mark.parametrize("system", SYSTEMS, ids=str)
+def test_divide_linear(benchmark, system):
+    _, cases = _cases(system)
+    # half of the dividends are exact multiples of the divisor
+    work = [(p * ell if k % 2 else p, ell) for k, (p, _, ell, _) in enumerate(cases)]
+    benchmark(lambda: [divide_linear(p, ell) for p, ell in work])
+
+
+@pytest.mark.parametrize("system", SYSTEMS, ids=str)
+def test_weyl_act_uncached(benchmark, system):
+    _, cases = _cases(system)
+    benchmark.pedantic(lambda: [weyl_act(w, p) for p, _, _, w in cases],
+                       setup=poly._ACT_CACHE.clear, rounds=30)
+
+
+@pytest.mark.parametrize("system", SYSTEMS, ids=str)
+def test_weyl_act_cached(benchmark, system):
+    _, cases = _cases(system)
+    benchmark(lambda: [weyl_act(w, p) for p, _, _, w in cases])

@@ -11,6 +11,7 @@ returning a certificate (x, t, gamma) with t^(gamma) = s^x when it can.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 
 from .errors import InvalidInputError, ResourceLimitError
@@ -66,6 +67,32 @@ class ReflSeq:
     def prefix_seq(self, k: int) -> "ReflSeq":
         return ReflSeq(self.rs, self.entries[:k], self.positions[:k])
 
+    @cached_property
+    def patterns(self) -> dict[Bits, None]:
+        """The 2^n bit patterns of Gamma(s) in lexicographic order, as the
+        keys of a dict (an ordered set); built once per sequence object, so
+        tables keyed by them share the key tuples.  n <= MAX_LENGTH."""
+        check_length(len(self.entries))
+        return dict.fromkeys(product((False, True), repeat=len(self.entries)))
+
+    @cached_property
+    def prefixes(self) -> list[dict[Bits, WeylElement]]:
+        """Prefix products of every gallery: level i maps each pattern of
+        i bits to gamma^i, so gamma^i = prefixes[i][gamma.bits[:i]].
+
+        Built once per sequence object by doubling over the bit tree: level
+        i extends each pattern of level i-1 by a stay (same product) and a
+        cross (times s_i), 2^n - 1 products in all rather than O(n) per
+        gallery and index.  n <= MAX_LENGTH.
+        """
+        check_length(len(self.entries))
+        levels = [{(): self.rs.identity()}]
+        for t in self.entries:
+            ti = t.as_weyl()
+            levels.append({b + (x,): u * ti if x else u
+                           for b, u in levels[-1].items() for x in (False, True)})
+        return levels
+
     def all_simple(self) -> bool:
         return all(t.is_simple() for t in self.entries)
 
@@ -115,16 +142,22 @@ class Gallerification:
     gamma: Gallery
 
 
-def galleries(s: ReflSeq) -> list[Gallery]:
-    """All 2^n galleries of s in bit-lexicographic order; n <= MAX_LENGTH."""
-    n = len(s)
+def check_length(n: int) -> None:
+    """Refuse a sequence whose 2^n galleries exceed the length bound."""
     if n > MAX_LENGTH:
         raise ResourceLimitError(f"sequence length {n} exceeds bound {MAX_LENGTH}")
-    return [Gallery(s, bits) for bits in product((False, True), repeat=n)]
+
+
+def galleries(s: ReflSeq) -> list[Gallery]:
+    """All 2^n galleries of s in bit-lexicographic order; n <= MAX_LENGTH."""
+    check_length(len(s))
+    return [Gallery(s, bits) for bits in product((False, True), repeat=len(s))]
 
 
 def prefix(gamma: Gallery, i: int) -> WeylElement:
-    """The partial product gamma^i = gamma_1 ... gamma_i; i = 0 gives e."""
+    """The partial product gamma^i = gamma_1 ... gamma_i; i = 0 gives e.
+
+    For one gallery; `ReflSeq.prefixes` tabulates every gallery at once."""
     if not 0 <= i <= len(gamma.bits):
         raise InvalidInputError(f"prefix index {i} out of range 0..{len(gamma.bits)}")
     w = gamma.seq.rs.identity()
@@ -204,12 +237,20 @@ def is_gallery_type(s: ReflSeq) -> Gallerification | None:
         # rebuild with the caller's display positions
         t = ReflSeq(s.rs, cached.t.entries, s.positions)
         return Gallerification(cached.x, t, Gallery(t, cached.gamma.bits))
-    order = enumerate_weyl(s.rs)
+    rs = s.rs
+    order = enumerate_weyl(rs)
     n = len(s)
+    # indices in rs.roots of the simple roots and their negatives
+    simple = {rs._index[a.coords] for a in rs.simple_roots}
+    simple |= {rs._index[(-a).coords] for a in rs.simple_roots}
 
     def conj_simple(u: WeylElement, t: Reflection) -> Reflection | None:
-        conj = conjugate_reflection(u.inv(), t)
-        return conj if conj.is_simple() else None
+        """u^-1 t u = s_beta with beta = u^-1(t.root), when it is simple.
+
+        beta's index is the preimage under u's permutation, so u is never
+        inverted."""
+        j = u.perm.index(rs._index[t.root.coords])
+        return rs.reflection(rs.roots[j]) if j in simple else None
 
     for u0 in order:
         # iterative DFS: stack of (position index, chamber, simple entries, bits)

@@ -19,7 +19,7 @@ from .errors import (
     VerificationError,
 )
 from .foldcat import Morphism
-from .gallery import Bits, Gallery, ReflSeq, galleries, prefix
+from .gallery import Bits, Gallery, ReflSeq
 from .poly import Poly, exact_divide, root_poly, weyl_act
 from .rootsys import WeylElement
 
@@ -34,7 +34,7 @@ class FPFunction:
     values: dict[Bits, Poly] = field(hash=False)
 
     def __post_init__(self):
-        if set(self.values) != {g.bits for g in galleries(self.seq)}:
+        if self.values.keys() != self.seq.patterns.keys():
             raise InvalidInputError("table does not cover Gamma(s) exactly")
         for p in self.values.values():
             if p.nvars != self.seq.rs.rank:
@@ -81,7 +81,7 @@ class FPFunction:
 
 def constant(s: ReflSeq, c) -> FPFunction:
     p = c if isinstance(c, Poly) else Poly.const(s.rs.rank, c)
-    return FPFunction(s, {g.bits: p for g in galleries(s)})
+    return FPFunction(s, dict.fromkeys(s.patterns, p))
 
 
 def generator(s: ReflSeq, i: int, w: WeylElement, c: Poly) -> FPFunction:
@@ -91,8 +91,8 @@ def generator(s: ReflSeq, i: int, w: WeylElement, c: Poly) -> FPFunction:
     """
     if not 0 <= i <= len(s):
         raise InvalidInputError(f"generator index {i} out of range 0..{len(s)}")
-    return FPFunction(s, {g.bits: weyl_act(prefix(g, i) * w, c)
-                          for g in galleries(s)})
+    table = s.prefixes[i]
+    return FPFunction(s, {b: weyl_act(table[b[:i]] * w, c) for b in s.patterns})
 
 
 def copy(s: ReflSeq, g: FPFunction) -> FPFunction:
@@ -100,8 +100,7 @@ def copy(s: ReflSeq, g: FPFunction) -> FPFunction:
     only depends on the truncated gallery."""
     if g.seq != s.truncated():
         raise InvalidInputError("function is not over the truncation of s")
-    return FPFunction(s, {gal.bits: g.values[gal.bits[:-1]]
-                          for gal in galleries(s)})
+    return FPFunction(s, {b: g.values[b[:-1]] for b in s.patterns})
 
 
 def concentrate(s: ReflSeq, g: FPFunction, cross: bool) -> FPFunction:
@@ -115,13 +114,10 @@ def concentrate(s: ReflSeq, g: FPFunction, cross: bool) -> FPFunction:
     n = len(s)
     neg_alpha = -root_poly(s.rs, s[n].root)
     zero = Poly.zero(s.rs.rank)
-    out = {}
-    for gal in galleries(s):
-        if gal.bits[-1] == cross:
-            out[gal.bits] = weyl_act(prefix(gal, n), neg_alpha) * g.values[gal.bits[:-1]]
-        else:
-            out[gal.bits] = zero
-    return FPFunction(s, out)
+    table = s.prefixes[n]
+    return FPFunction(s, {b: weyl_act(table[b], neg_alpha) * g.values[b[:-1]]
+                          if b[-1] == cross else zero
+                          for b in s.patterns})
 
 
 def concentration_identity_check(s: ReflSeq, g: FPFunction, cross: bool) -> bool:
@@ -170,12 +166,12 @@ def basis(s: ReflSeq) -> list[BasisElement]:
             nxt[J] = copy(sk, f)
             nxt[J | {k}] = concentrate(sk, f, True)
         level = nxt
+    neg_alphas = [-root_poly(s.rs, t.root) for t in s.entries]
     out = []
     for J in sorted(level, key=lambda J: (len(J), sorted(J))):
         f = level[J]
-        lead = tuple(weyl_act(prefix(Gallery(s, tuple(i + 1 in J for i in range(n))), i),
-                              -root_poly(s.rs, s[i].root))
-                     for i in sorted(J))
+        bits = tuple(i + 1 in J for i in range(n))
+        lead = tuple(weyl_act(s.prefixes[i][bits[:i]], neg_alphas[i - 1]) for i in sorted(J))
         elem = BasisElement(J, f, lead)
         _verify_basis_element(s, elem)
         out.append(elem)
@@ -189,9 +185,8 @@ def _verify_basis_element(s: ReflSeq, elem: BasisElement) -> None:
     if elem.function.values[elem.lead_bits()] != product:
         raise VerificationError("basis element has the wrong leading value")
     for bits, p in elem.function.values.items():
-        if not elem.subset <= {i for i, b in enumerate(bits, start=1) if b}:
-            if not p.is_zero():
-                raise VerificationError("basis element breaks triangularity")
+        if not p.is_zero() and not all(bits[i - 1] for i in elem.subset):
+            raise VerificationError("basis element breaks triangularity")
 
 
 def decompose(g: FPFunction,

@@ -6,30 +6,52 @@ roots embed linearly via the Cartan matrix (alpha_i = sum_j C[i][j] w_j),
 which makes the Weyl action an integral linear substitution.  Division is
 only ever by linear forms, implemented by univariate long division in a
 pivot variable with a remainder test; no Groebner machinery.
+
+A coefficient is stored as an `int` when it is integral and as a
+`Fraction` only otherwise, so that the common integral case runs on
+machine-speed integers; every constructor and operation normalises its
+result, and the sorted term tuple is canonical.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add
 
 from .errors import InvalidInputError
 from .rootsys import Root, RootSystem, WeylElement
 
 Monomial = tuple[int, ...]
+Coeff = int | Fraction
 
 
-@dataclass(frozen=True)
+def _coeff(c) -> Coeff:
+    """Any exact rational as a canonical coefficient: int when integral."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _canon(nvars: int, d: dict[Monomial, Coeff]) -> "Poly":
+    """The polynomial of an arithmetic result: nonzero terms, sorted, with
+    integral Fractions turned back into ints."""
+    return Poly(nvars, tuple(sorted([
+        (m, c if type(c) is int or c.denominator != 1 else c.numerator)
+        for m, c in d.items() if c])))
+
+
+@dataclass(frozen=True, slots=True)
 class Poly:
-    """A polynomial in `nvars` variables; zero is the empty term dict."""
+    """A polynomial in `nvars` variables; zero has no terms."""
 
     nvars: int
-    terms: tuple[tuple[Monomial, Fraction], ...] = field(default=())
+    terms: tuple[tuple[Monomial, Coeff], ...] = field(default=())
 
     @staticmethod
-    def from_dict(nvars: int, d: dict[Monomial, Fraction]) -> "Poly":
-        cleaned = tuple(sorted((m, c) for m, c in d.items() if c != 0))
-        return Poly(nvars, cleaned)
+    def from_dict(nvars: int, d: dict[Monomial, Coeff]) -> "Poly":
+        return _canon(nvars, {m: _coeff(c) for m, c in d.items()})
 
     @staticmethod
     def zero(nvars: int) -> "Poly":
@@ -37,7 +59,7 @@ class Poly:
 
     @staticmethod
     def const(nvars: int, c) -> "Poly":
-        c = Fraction(c)
+        c = _coeff(c)
         if c == 0:
             return Poly.zero(nvars)
         return Poly(nvars, (((0,) * nvars, c),))
@@ -46,16 +68,12 @@ class Poly:
     def variable(nvars: int, j: int) -> "Poly":
         """The generator w_{j+1} (0-based j)."""
         mono = tuple(1 if k == j else 0 for k in range(nvars))
-        return Poly(nvars, ((mono, Fraction(1)),))
+        return Poly(nvars, ((mono, 1),))
 
     @staticmethod
     def linear(nvars: int, coeffs) -> "Poly":
-        d = {}
-        for j, c in enumerate(coeffs):
-            c = Fraction(c)
-            if c != 0:
-                d[tuple(1 if k == j else 0 for k in range(nvars))] = c
-        return Poly.from_dict(nvars, d)
+        return Poly.from_dict(nvars, {tuple(1 if k == j else 0 for k in range(nvars)): c
+                                      for j, c in enumerate(coeffs)})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -66,22 +84,24 @@ class Poly:
             return -1
         return max(sum(m) for m, _ in self.terms)
 
-    def coefficient(self, mono: Monomial) -> Fraction:
+    def coefficient(self, mono: Monomial) -> Coeff:
         for m, c in self.terms:
             if m == mono:
                 return c
-        return Fraction(0)
-
-    def _check(self, other: "Poly") -> None:
-        if self.nvars != other.nvars:
-            raise InvalidInputError("polynomials in different variable counts")
+        return 0
 
     def __add__(self, other: "Poly") -> "Poly":
-        self._check(other)
+        if self.nvars != other.nvars:
+            raise InvalidInputError("polynomials in different variable counts")
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         d = dict(self.terms)
+        get = d.get
         for m, c in other.terms:
-            d[m] = d.get(m, Fraction(0)) + c
-        return Poly.from_dict(self.nvars, d)
+            d[m] = get(m, 0) + c
+        return _canon(self.nvars, d)
 
     def __neg__(self) -> "Poly":
         return Poly(self.nvars, tuple((m, -c) for m, c in self.terms))
@@ -90,25 +110,31 @@ class Poly:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
         if not isinstance(other, Poly):
+            if isinstance(other, (int, Fraction)):
+                return self.scale(other)
             return NotImplemented
-        self._check(other)
-        d: dict[Monomial, Fraction] = {}
+        if self.nvars != other.nvars:
+            raise InvalidInputError("polynomials in different variable counts")
+        if not self.terms:
+            return self
+        if not other.terms:
+            return other
+        d: dict[Monomial, Coeff] = {}
+        get = d.get
         for m1, c1 in self.terms:
             for m2, c2 in other.terms:
-                m = tuple(a + b for a, b in zip(m1, m2))
-                d[m] = d.get(m, Fraction(0)) + c1 * c2
-        return Poly.from_dict(self.nvars, d)
+                m = tuple(map(add, m1, m2))
+                d[m] = get(m, 0) + c1 * c2
+        return _canon(self.nvars, d)
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "Poly":
-        c = Fraction(c)
+        c = _coeff(c)
         if c == 0:
             return Poly.zero(self.nvars)
-        return Poly(self.nvars, tuple((m, c * coeff) for m, coeff in self.terms))
+        return _canon(self.nvars, {m: c * coeff for m, coeff in self.terms})
 
     def substitute(self, images: list["Poly"]) -> "Poly":
         """Ring map sending generator j to images[j]."""
@@ -175,7 +201,7 @@ def divide_linear(p: Poly, ell: Poly) -> tuple[Poly, Poly]:
         if top == 0:
             break
         lead = {
-            tuple(e - (1 if j == pivot else 0) for j, e in enumerate(m)): c / a
+            tuple(e - (1 if j == pivot else 0) for j, e in enumerate(m)): Fraction(c, a)
             for m, c in rest.terms if m[pivot] == top
         }
         qpart = Poly.from_dict(p.nvars, lead)

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bscomb.errors import InvalidInputError, VerificationError
+from bscomb.errors import InvalidInputError, ResourceLimitError, VerificationError
 from bscomb.gallery import (
+    MAX_LENGTH,
     Gallery,
     Gallerification,
     ReflSeq,
@@ -20,7 +21,7 @@ from bscomb.gallery import (
     twist_seq,
     verify_gallerification,
 )
-from bscomb.rootsys import build_root_system, enumerate_weyl
+from bscomb.rootsys import build_root_system, conjugate_reflection, enumerate_weyl
 
 from conftest import all_seqs, simple_seq
 
@@ -156,3 +157,57 @@ def test_twist_of_conjugate(data):
     lhs = twist_seq(conj_seq(s, w), conj_gallery(g, w))
     rhs = conj_seq(twist_seq(s, g), w)
     assert lhs.entries == rhs.entries
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([("A", 2), ("B", 2), ("G", 2), ("A", 3), ("B", 3)]), st.data())
+def test_prefix_tables_match_prefix(system, data):
+    """The doubled tables agree with the per-gallery product at every index."""
+    rs = build_root_system(*system)
+    refls = [rs.reflection(r) for r in rs.roots if r.is_positive]
+    n = data.draw(st.integers(0, 5))
+    s = ReflSeq(rs, tuple(data.draw(st.sampled_from(refls)) for _ in range(n)))
+    assert list(s.patterns) == [g.bits for g in galleries(s)]
+    assert [len(level) for level in s.prefixes] == [2 ** i for i in range(n + 1)]
+    for g in galleries(s):
+        for i in range(n + 1):
+            assert s.prefixes[i][g.bits[:i]] == prefix(g, i)
+
+
+def test_tables_respect_length_bound(a1):
+    s = simple_seq(a1, *[1] * (MAX_LENGTH + 1))
+    with pytest.raises(ResourceLimitError):
+        s.patterns
+    with pytest.raises(ResourceLimitError):
+        s.prefixes
+
+
+def _reference_gallery_type(s):
+    """The search with every chamber inverted at every node, as a reference
+    for the first-found certificate."""
+    n = len(s)
+    for u0 in enumerate_weyl(s.rs):
+        stack = [(1, u0, (), ())]
+        while stack:
+            i, u, t_entries, bits = stack.pop()
+            if i > n:
+                return u0.inv(), t_entries, bits
+            ti = conjugate_reflection(u.inv(), s[i])
+            if not ti.is_simple():
+                continue
+            stack.append((i + 1, s[i].as_weyl() * u, t_entries + (ti,), bits + (True,)))
+            stack.append((i + 1, u, t_entries + (ti,), bits + (False,)))
+    return None
+
+
+@pytest.mark.parametrize("system,length", [(("A", 2), 3), (("B", 2), 3), (("G", 2), 2),
+                                           (("A", 3), 2)])
+def test_gallery_type_matches_reference(system, length):
+    rs = build_root_system(*system)
+    for s in all_seqs(rs, length):
+        cert = is_gallery_type(s)
+        expect = _reference_gallery_type(s)
+        if expect is None:
+            assert cert is None
+        else:
+            assert (cert.x, cert.t.entries, cert.gamma.bits) == expect

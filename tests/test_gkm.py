@@ -189,3 +189,13 @@ def test_fpfunction_table_must_be_total(a2):
     s = simple_seq(a2, 1)
     with pytest.raises(InvalidInputError):
         FPFunction(s, {(False,): Poly.zero(2)})
+    zero = Poly.zero(2)
+    s2 = simple_seq(a2, 1, 2)
+    # the right number of keys, one of them of the wrong length
+    with pytest.raises(InvalidInputError):
+        FPFunction(s2, {(False, False): zero, (False, True): zero,
+                        (True, False): zero, (True,): zero})
+    # the right number of keys, one holding an entry that is not a boolean
+    with pytest.raises(InvalidInputError):
+        FPFunction(s2, {(False, False): zero, (False, True): zero,
+                        (True, False): zero, (True, None): zero})

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,6 +14,7 @@ from bscomb.poly import (
     exact_divide,
     root_poly,
     simple_root_poly,
+    weight_matrix,
     weyl_act,
 )
 from bscomb.rootsys import build_root_system, enumerate_weyl
@@ -112,3 +114,146 @@ def test_str_ordering():
     p = Poly.from_dict(2, {(2, 1): Fraction(3), (0, 1): Fraction(-1, 2)})
     assert str(p) == "3*w1^2*w2 - 1/2*w2"
     assert str(Poly.from_dict(2, {(0, 1): Fraction(-1)})) == "-w2"
+
+
+def test_integral_fraction_is_stored_as_int():
+    p = Poly.from_dict(2, {(1, 0): Fraction(4, 2)})
+    q = Poly.from_dict(2, {(1, 0): 2})
+    assert p == q
+    assert p.terms == q.terms
+    assert type(p.terms[0][1]) is int
+    half = Poly.linear(2, (Fraction(1, 2), 0))
+    assert (half + half).terms == Poly.variable(2, 0).terms
+    assert type((half * Poly.const(2, 4)).terms[0][1]) is int
+
+
+def test_str_of_fractional_terms():
+    w2 = Poly.variable(2, 1)
+    assert str(w2 * Fraction(-1, 2)) == "-1/2*w2"
+    assert str(Poly.linear(2, (3, Fraction(-1, 2)))) == "3*w1 - 1/2*w2"
+    assert str(w2 * Fraction(-1, 2) + w2 * Fraction(3, 2)) == "w2"
+    assert str(Poly.const(2, Fraction(6, 4))) == "3/2"
+
+
+# -- differential oracle: the ring against sympy ------------------------------
+
+ORACLE_SYSTEMS = [("A", 2), ("B", 2), ("G", 2), ("A", 3), ("B", 3), ("C", 3)]
+# integers as often as fractions, since integral coefficients take their own path
+oracle_coeffs = st.one_of(st.integers(-20, 20),
+                          st.fractions(min_value=-20, max_value=20, max_denominator=12))
+
+
+def oracle_polys(nvars, max_size=4):
+    monos = st.tuples(*[st.integers(0, 2)] * nvars)
+    return st.dictionaries(monos, oracle_coeffs, max_size=max_size).map(
+        lambda d: Poly.from_dict(nvars, d))
+
+
+def oracle_linear(nvars):
+    return st.lists(oracle_coeffs, min_size=nvars, max_size=nvars).filter(any).map(
+        lambda cs: Poly.linear(nvars, cs))
+
+
+def _gens(nvars):
+    return sympy.symbols(f"w1:{nvars + 1}")
+
+
+def to_sympy(p):
+    gens = _gens(p.nvars)
+    return sum((sympy.Rational(c.numerator, c.denominator)
+                * sympy.Mul(*[g ** e for g, e in zip(gens, m)]) for m, c in p.terms),
+               sympy.Integer(0))
+
+
+def from_sympy(expr, nvars):
+    terms = sympy.Poly(sympy.expand(expr), *_gens(nvars), domain="QQ").terms()
+    return Poly.from_dict(nvars, {m: Fraction(int(c.p), int(c.q)) for m, c in terms})
+
+
+def assert_canonical(p):
+    monos = [m for m, _ in p.terms]
+    assert monos == sorted(set(monos))
+    for m, c in p.terms:
+        assert len(m) == p.nvars
+        assert c != 0
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3]), st.data())
+def test_ring_ops_match_sympy(nvars, data):
+    p = data.draw(oracle_polys(nvars))
+    q = data.draw(oracle_polys(nvars))
+    c = data.draw(oracle_coeffs)
+    P, Q, C = to_sympy(p), to_sympy(q), sympy.Rational(c.numerator, c.denominator)
+    for result, expect in [(p + q, P + Q), (p - q, P - Q), (p * q, P * Q),
+                           (p.scale(c), P * C), (p * c, P * C)]:
+        assert_canonical(result)
+        assert result == from_sympy(expect, nvars)
+        assert str(result) == str(from_sympy(expect, nvars))
+
+
+def test_divide_linear_integral_operands_give_exact_fractions():
+    q, r = divide_linear(Poly.linear(2, (1, 1)), Poly.linear(2, (0, 3)))
+    assert q == Poly.const(2, Fraction(1, 3))
+    assert r == Poly.variable(2, 0)
+    assert type(q.terms[0][1]) is Fraction
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3]), st.data())
+def test_divide_linear_matches_sympy(nvars, data):
+    p = data.draw(oracle_polys(nvars, max_size=5))
+    ell = data.draw(oracle_linear(nvars))
+    q, r = divide_linear(p, ell)
+    assert_canonical(q)
+    assert_canonical(r)
+    # divide_linear pivots on the last variable of ell; lex order with that
+    # variable first makes sympy's remainder free of it, and the quotient
+    # and remainder of such a division are unique
+    gens = _gens(nvars)
+    pivot = max(j for m, _ in ell.terms for j, e in enumerate(m) if e)
+    order = (gens[pivot],) + tuple(g for j, g in enumerate(gens) if j != pivot)
+    Q, R = sympy.div(to_sympy(p), to_sympy(ell), *order, domain="QQ")
+    assert q == from_sympy(Q.as_expr(), nvars)
+    assert r == from_sympy(R.as_expr(), nvars)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 3]), st.booleans(), st.data())
+def test_exact_divide_matches_sympy(nvars, exact, data):
+    factors = data.draw(st.lists(oracle_linear(nvars), min_size=1, max_size=3))
+    base = data.draw(oracle_polys(nvars))
+    p = base
+    for ell in factors:
+        p = p * ell
+    if not exact:
+        p = p + data.draw(oracle_polys(nvars))
+    quotient = exact_divide(p, factors)
+    gens = _gens(nvars)
+    product = sympy.Mul(*[to_sympy(ell) for ell in factors])
+    Q, R = sympy.div(to_sympy(p), product, *gens, domain="QQ")
+    if R.is_zero:
+        assert quotient is not None
+        assert_canonical(quotient)
+        assert quotient == from_sympy(Q.as_expr(), nvars)
+    else:
+        assert quotient is None
+    if exact:
+        assert quotient == base
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(ORACLE_SYSTEMS), st.data())
+def test_weyl_act_matches_sympy(system, data):
+    rs = build_root_system(*system)
+    w = data.draw(st.sampled_from(enumerate_weyl(rs)))
+    p = data.draw(oracle_polys(rs.rank))
+    result = weyl_act(w, p)
+    assert_canonical(result)
+    # w sends w_j to sum_k m[k][j] w_k
+    gens = _gens(rs.rank)
+    m = weight_matrix(w)
+    images = {gens[j]: sum(m[k][j] * gens[k] for k in range(rs.rank))
+              for j in range(rs.rank)}
+    assert result == from_sympy(to_sympy(p).xreplace(images), rs.rank)
