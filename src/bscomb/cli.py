@@ -32,8 +32,8 @@ EXIT_VERIFY = 4
 def _read_doc(arg: str):
     """A document argument: a filename if one exists, else inline JSON."""
     if arg == "-":
-        return json.load(sys.stdin)
-    if os.path.exists(arg):
+        text = sys.stdin.read()
+    elif os.path.exists(arg):
         with open(arg) as fh:
             text = fh.read()
     else:
@@ -175,7 +175,7 @@ def cmd_decompose(args) -> int:
 
 def _load_morphism(arg: str) -> foldcat.Morphism:
     doc = _read_doc(arg)
-    if "source" not in doc or "target" not in doc:
+    if not isinstance(doc, dict) or "source" not in doc or "target" not in doc:
         raise ParseError("morphism document needs 'source' and 'target'")
     source = formats.parse_sequence(doc["source"])
     target = formats.parse_sequence(doc["target"])

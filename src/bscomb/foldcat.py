@@ -20,14 +20,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .errors import InvalidInputError, ResourceLimitError, VerificationError
-from .gallery import (
-    Bits,
-    Gallery,
-    ReflSeq,
-    galleries,
-    prefix,
-    twist_seq,
-)
+from .gallery import Bits, Gallery, ReflSeq
 from .rootsys import WeylElement, conjugate_reflection, enumerate_weyl
 
 MAX_MORPHISM_LENGTH = 12
@@ -102,46 +95,34 @@ def _table_ok(m: Morphism) -> MorphismViolation | None:
 def verify_morphism(m: Morphism) -> MorphismViolation | None:
     """Check both defining equations exhaustively; None means verified.
 
-    On success the morphism's verified flag is set in place.
+    Twist entry i of a gallery is gamma^i s_i (gamma^i)^-1, read from the
+    prefix tables of source and target.  On success the morphism's verified
+    flag is set in place.
     """
     if max(len(m.source), len(m.target)) > MAX_MORPHISM_LENGTH:
         raise ResourceLimitError("sequence length exceeds morphism bound")
     bad = _table_ok(m)
     if bad is not None:
         return bad
-    n = len(m.source)
-    twist_cache: dict[Bits, ReflSeq] = {}
-
-    def img_twist(bits: Bits) -> ReflSeq:
-        if bits not in twist_cache:
-            twist_cache[bits] = twist_seq(m.target, Gallery(m.target, bits))
-        return twist_cache[bits]
-
-    for gamma in galleries(m.source):
-        src_twist = twist_seq(m.source, gamma)
-        image = m.phi[gamma.bits]
-        tgt_twist = img_twist(image)
-        for i in range(1, n + 1):
-            lhs = tgt_twist[m.p[i - 1]]
-            rhs = conjugate_reflection(m.w, src_twist[i])
+    s, t, phi = m.source, m.target, m.phi
+    src, tgt = s.prefixes, t.prefixes
+    for bits in s.patterns:
+        image = phi[bits]
+        for i, j in enumerate(m.p, start=1):
+            lhs = conjugate_reflection(tgt[j][image[:j]], t[j])
+            rhs = conjugate_reflection(m.w, conjugate_reflection(src[i][bits[:i]], s[i]))
             if lhs != rhs:
-                return MorphismViolation("wall-equation", gamma.bits, i)
-            folded = list(gamma.bits)
-            folded[i - 1] = not folded[i - 1]
-            expect = list(image)
-            expect[m.p[i - 1] - 1] = not expect[m.p[i - 1] - 1]
-            if m.phi[tuple(folded)] != tuple(expect):
-                return MorphismViolation("folding-equation", gamma.bits, i)
+                return MorphismViolation("wall-equation", bits, i)
+            folded = bits[:i - 1] + (not bits[i - 1],) + bits[i:]
+            expect = image[:j - 1] + (not image[j - 1],) + image[j:]
+            if phi[folded] != expect:
+                return MorphismViolation("folding-equation", bits, i)
     object.__setattr__(m, "verified", True)
     return None
 
 
 def identity_morphism(s: ReflSeq) -> Morphism:
-    phi = {g.bits: g.bits for g in galleries(s)}
-    m = Morphism(s, s, tuple(range(1, len(s) + 1)), s.rs.identity(), phi)
-    if verify_morphism(m) is not None:
-        raise VerificationError("identity morphism failed verification")
-    return m
+    return subsequence_morphism(s, s, tuple(range(1, len(s) + 1)))
 
 
 def subsequence_morphism(s: ReflSeq, target: ReflSeq,
@@ -151,13 +132,7 @@ def subsequence_morphism(s: ReflSeq, target: ReflSeq,
         if target[p[i - 1]] != s[i]:
             raise InvalidInputError(
                 f"target entry at {p[i - 1]} does not match source entry {i}")
-    zeros = [False] * len(target)
-    phi = {}
-    for g in galleries(s):
-        image = list(zeros)
-        for i, bit in enumerate(g.bits):
-            image[p[i] - 1] = bit
-        phi[g.bits] = tuple(image)
+    phi = _propagated_table(s, p, (False,) * len(target))
     m = Morphism(s, target, p, s.rs.identity(), phi)
     bad = verify_morphism(m)
     if bad is not None:
@@ -183,12 +158,12 @@ def _propagated_table(s: ReflSeq, p: tuple[int, ...],
     # Folding from the all-stay seed flips target bit p(i) whenever source
     # bit i is set; bit flips commute, so the table is path-independent.
     table = {}
-    for g in galleries(s):
+    for bits in s.patterns:
         image = list(seed_image)
-        for i, bit in enumerate(g.bits):
+        for j, bit in zip(p, bits):
             if bit:
-                image[p[i] - 1] = not image[p[i] - 1]
-        table[g.bits] = tuple(image)
+                image[j - 1] = not image[j - 1]
+        table[bits] = tuple(image)
     return table
 
 
@@ -206,7 +181,7 @@ def enumerate_morphisms(s: ReflSeq, target: ReflSeq) -> list[Morphism]:
         return []
     out = []
     weyl_order = enumerate_weyl(s.rs)
-    seeds = [g.bits for g in galleries(target)]
+    seeds = list(target.patterns)
     for p in combinations(range(1, nt + 1), n):
         for w in weyl_order:
             for seed in seeds:
@@ -229,10 +204,10 @@ def verify_pointed(pm: PointedMorphism) -> MorphismViolation | None:
         if bad is not None:
             return bad
     winv = m.w.inv()
-    for gamma in galleries(m.source):
-        image = Gallery(m.target, m.phi[gamma.bits])
-        lhs = pm.x_target * prefix(image, len(m.target)).inv()
-        rhs = m.w * pm.x * prefix(gamma, len(m.source)).inv() * winv
+    tgt = m.target.prefixes[len(m.target)]
+    for bits, u in m.source.prefixes[len(m.source)].items():
+        lhs = pm.x_target * tgt[m.phi[bits]].inv()
+        rhs = m.w * pm.x * u.inv() * winv
         if lhs != rhs:
-            return MorphismViolation("pointed-condition", gamma.bits)
+            return MorphismViolation("pointed-condition", bits)
     return None

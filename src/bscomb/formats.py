@@ -23,10 +23,18 @@ from .poly import Poly
 from .rootsys import Root, RootSystem, WeylElement, build_root_system
 
 _RS_RE = re.compile(r"^([ABCDG])(\d+)$")
+_JSON_TYPES = {"string": str, "array": (list, tuple), "object": dict}
+
+
+def _expect(value, kind: str, what: str):
+    """A document field of the given JSON type; ParseError for any other."""
+    if not isinstance(value, _JSON_TYPES[kind]):
+        raise ParseError(f"{what} must be a JSON {kind}, not {value!r}")
+    return value
 
 
 def parse_root_system(text: str) -> RootSystem:
-    m = _RS_RE.match(text.strip())
+    m = _RS_RE.match(_expect(text, "string", "root system").strip())
     if not m:
         raise ParseError(f"bad root system {text!r}; expected e.g. A2, B3, G2")
     try:
@@ -37,7 +45,7 @@ def parse_root_system(text: str) -> RootSystem:
 
 def parse_weyl(rs: RootSystem, text: str) -> WeylElement:
     """A word in simple reflections, e.g. "s1 s2 s1"; "e" is the identity."""
-    text = text.strip()
+    text = _expect(text, "string", "Weyl word").strip()
     w = rs.identity()
     if text in ("", "e"):
         return w
@@ -76,7 +84,7 @@ def _parse_refl_token(rs: RootSystem, token: str):
 
 def parse_sequence(text: str) -> ReflSeq:
     """A sequence document "A2: s1 s2" / "A2: [1,1] [1,0]"; "A2:" is empty."""
-    if ":" not in text:
+    if ":" not in _expect(text, "string", "sequence document"):
         raise ParseError("sequence document must look like 'A2: s1 s2'")
     head, _, body = text.partition(":")
     rs = parse_root_system(head)
@@ -103,7 +111,7 @@ def serialize_bits(bits: Bits) -> str:
 
 
 def parse_bits(text: str, n: int) -> Bits:
-    text = text.strip()
+    text = _expect(text, "string", "gallery bitstring").strip()
     if text == "-" and n == 0:
         return ()
     if len(text) != n or any(c not in "01" for c in text):
@@ -112,13 +120,13 @@ def parse_bits(text: str, n: int) -> Bits:
 
 
 _TERM_RE = re.compile(
-    r"^(?P<coeff>\d+(?:/\d+)?)?(?P<star>\*)?(?P<vars>(?:w\d+(?:\^\d+)?)"
+    r"^(?P<coeff>\d+(?:/0*[1-9]\d*)?)?(?P<star>\*)?(?P<vars>(?:w\d+(?:\^\d+)?)"
     r"(?:\*w\d+(?:\^\d+)?)*)?$")
 
 
 def parse_poly(nvars: int, text: str) -> Poly:
     """Canonical sparse form, e.g. "3*w1^2*w2 - 1/2*w2"; "0" is zero."""
-    text = text.strip()
+    text = _expect(text, "string", "polynomial").strip()
     if text in ("0", ""):
         return Poly.zero(nvars)
     chunks = re.split(r"(?=[+-])", text.replace(" ", ""))
@@ -168,7 +176,7 @@ def parse_plan(doc) -> NestedPlan:
         if key not in doc:
             raise ParseError(f"plan document missing {key!r}")
     rs = parse_root_system(doc["root_system"])
-    body = doc["sequence"]
+    body = _expect(doc["sequence"], "string", "plan sequence")
     if ":" in body:
         seq = parse_sequence(body)
         if seq.rs != rs:
@@ -176,17 +184,18 @@ def parse_plan(doc) -> NestedPlan:
     else:
         seq = ReflSeq(rs, tuple(_parse_refl_token(rs, t) for t in body.split()))
     pairs = []
-    for item in doc["pairs"]:
+    for item in _expect(doc["pairs"], "array", "plan pairs"):
         if (not isinstance(item, (list, tuple)) or len(item) != 2
                 or not all(isinstance(c, int) for c in item)):
             raise ParseError(f"bad pair {item!r}")
         pairs.append((item[0], item[1]))
+    texts = _expect(doc["labels"], "object", "plan labels")
     labels = {}
     for r in pairs:
         key = _pair_key(r)
-        if key not in doc["labels"]:
+        if key not in texts:
             raise ParseError(f"plan labels missing pair {key}")
-        labels[r] = parse_weyl(rs, doc["labels"][key])
+        labels[r] = parse_weyl(rs, texts[key])
     try:
         return NestedPlan(seq, tuple(pairs), labels)
     except Exception as exc:
@@ -219,12 +228,12 @@ def parse_morphism(source: ReflSeq, target: ReflSeq, doc) -> Morphism:
     for key, seq in (("source", source), ("target", target)):
         if key in doc and parse_sequence(doc[key]) != seq:
             raise ParseError(f"morphism {key} disagrees with the given sequence")
-    p = tuple(doc["p"])
+    p = tuple(_expect(doc["p"], "array", "p"))
     if not all(isinstance(j, int) for j in p):
         raise ParseError("p must be a list of integers")
     w = parse_weyl(source.rs, doc["w"])
     phi = {}
-    for src_text, tgt_text in doc["phi"].items():
+    for src_text, tgt_text in _expect(doc["phi"], "object", "phi").items():
         phi[parse_bits(src_text, len(source))] = parse_bits(tgt_text, len(target))
     try:
         return Morphism(source, target, p, w, phi)
@@ -258,10 +267,10 @@ def parse_fpfunction(s: ReflSeq, doc) -> FPFunction:
             doc = json.loads(doc)
         except json.JSONDecodeError as exc:
             raise ParseError(f"bad function JSON: {exc}") from exc
-    if "values" not in doc:
+    if "values" not in _expect(doc, "object", "function document"):
         raise ParseError("function document missing 'values'")
     values = {parse_bits(b, len(s)): parse_poly(s.rs.rank, text)
-              for b, text in doc["values"].items()}
+              for b, text in _expect(doc["values"], "object", "function values").items()}
     try:
         return FPFunction(s, values)
     except InvalidInputError as exc:

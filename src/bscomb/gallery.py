@@ -114,18 +114,6 @@ class Gallery:
         if len(self.bits) != len(self.seq):
             raise InvalidInputError("gallery length does not match its sequence")
 
-    def entry(self, i: int) -> WeylElement:
-        """gamma_i as a Weyl element (1-based)."""
-        if self.bits[i - 1]:
-            return self.seq[i].as_weyl()
-        return self.seq.rs.identity()
-
-    def support(self) -> frozenset[int]:
-        return frozenset(i for i, b in enumerate(self.bits, start=1) if b)
-
-    def truncated(self) -> "Gallery":
-        return Gallery(self.seq.truncated(), self.bits[:-1])
-
     def __str__(self):
         return "".join("1" if b else "0" for b in self.bits) if self.bits else "-"
 
@@ -150,8 +138,7 @@ def check_length(n: int) -> None:
 
 def galleries(s: ReflSeq) -> list[Gallery]:
     """All 2^n galleries of s in bit-lexicographic order; n <= MAX_LENGTH."""
-    check_length(len(s))
-    return [Gallery(s, bits) for bits in product((False, True), repeat=len(s))]
+    return [Gallery(s, bits) for bits in s.patterns]
 
 
 def prefix(gamma: Gallery, i: int) -> WeylElement:
@@ -202,7 +189,7 @@ def twist_seq(s: ReflSeq, gamma: Gallery) -> ReflSeq:
 
 def fixed_points_w(s: ReflSeq, w: WeylElement) -> list[Gallery]:
     """Gamma(s, w): all galleries whose full prefix product equals w."""
-    return [g for g in galleries(s) if prefix(g, len(s)) == w]
+    return [Gallery(s, bits) for bits, u in s.prefixes[len(s)].items() if u == w]
 
 
 def d_w_shadow(gamma: Gallery, w: WeylElement) -> Gallery:

@@ -214,9 +214,9 @@ def decompose(g: FPFunction,
         if q is None:
             raise NotInSpanError(sorted(J), str(residue))
         coeffs[J] = q
-    recon = constant(s, 0)
-    for J, c in coeffs.items():
-        recon = recon + c * elems[J].function
+    recon = combine(basis_elements, coeffs)
+    if recon.seq != s:
+        raise InvalidInputError("functions over different sequences")
     if recon.values != g.values:
         raise VerificationError("decomposition failed to reconstruct g")
     return coeffs
@@ -224,13 +224,17 @@ def decompose(g: FPFunction,
 
 def combine(basis_elements: list[BasisElement],
             coeffs: dict[frozenset[int], Poly]) -> FPFunction:
-    """The linear combination sum c_J B_J."""
+    """The linear combination sum c_J B_J, accumulated into one table."""
     s = basis_elements[0].function.seq
-    out = constant(s, 0)
     elems = {e.subset: e for e in basis_elements}
-    for J, c in coeffs.items():
-        out = out + c * elems[J].function
-    return out
+    terms = [(c, elems[J].function.values) for J, c in coeffs.items()]
+    values = {}
+    for bits in s.patterns:
+        total = Poly.zero(s.rs.rank)
+        for c, table in terms:
+            total = total + table[bits] * c
+        values[bits] = total
+    return FPFunction(s, values)
 
 
 def induced_map(m: Morphism, g: FPFunction) -> FPFunction:

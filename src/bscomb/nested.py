@@ -18,8 +18,8 @@ from .gallery import (
     Gallerification,
     Gallery,
     ReflSeq,
+    check_length,
     conjugate_reflection,
-    galleries,
     is_gallery_type,
 )
 from .rootsys import WeylElement
@@ -188,21 +188,40 @@ def fibre_data(plan: NestedPlan, f: Pair) -> NestedPlan:
     return NestedPlan(seq, tuple(pairs), labels, display)
 
 
-def satisfies(plan: NestedPlan, gamma: Gallery) -> bool:
-    """Whether every constrained interval product of gamma equals its label."""
-    for r in plan.pairs:
-        w = plan.seq.rs.identity()
-        for i in range(r[0], r[1] + 1):
-            w = w * gamma.entry(i)
-        if w != plan.labels[r]:
-            return False
-    return True
-
-
 def fixed_points(plan: NestedPlan) -> list[Gallery]:
-    """Gamma(s, v): galleries satisfying all interval constraints."""
+    """Gamma(s, v): galleries satisfying all interval constraints, in
+    bit-lexicographic order.
+
+    The product over [a, b] is (gamma^(a-1))^-1 gamma^b, so a depth-first
+    walk over the bits, stay before cross, carries gamma^0..gamma^i and
+    drops a branch at position b as soon as gamma^b != gamma^(a-1) v_(a,b).
+    Endpoints are distinct, so at most one pair closes at each position.
+    """
     _require_valid(plan)
-    return [g for g in galleries(plan.seq) if satisfies(plan, g)]
+    seq = plan.seq
+    n = len(seq)
+    check_length(n)
+    steps = [t.as_weyl() for t in seq.entries]
+    closes = {b: (a, plan.labels[(a, b)]) for a, b in plan.pairs}
+    gamma = [seq.rs.identity()] * (n + 1)
+    bits = [False] * n
+    out = []
+
+    def walk(i: int) -> None:
+        if i == n:
+            out.append(Gallery(seq, tuple(bits)))
+            return
+        closing = closes.get(i + 1)
+        want = gamma[closing[0] - 1] * closing[1] if closing else None
+        for cross in (False, True):
+            u = gamma[i] * steps[i] if cross else gamma[i]
+            if want is None or u == want:
+                bits[i] = cross
+                gamma[i + 1] = u
+                walk(i + 1)
+
+    walk(0)
+    return out
 
 
 @dataclass(frozen=True)

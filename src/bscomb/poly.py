@@ -27,9 +27,14 @@ Coeff = int | Fraction
 
 
 def _coeff(c) -> Coeff:
-    """Any exact rational as a canonical coefficient: int when integral."""
+    """Any exact rational as a canonical coefficient: int when integral.
+
+    A float is refused: its binary expansion is not the number it was
+    written as."""
     if type(c) is int:
         return c
+    if isinstance(c, float):
+        raise InvalidInputError(f"inexact coefficient {c!r}; use an int or a Fraction")
     c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
 

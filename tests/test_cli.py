@@ -1,5 +1,6 @@
 """The batch CLI: commands, formats, and exit codes."""
 
+import io
 import json
 import os
 import subprocess
@@ -40,10 +41,26 @@ def test_gallery_type_empty_sequence(capsys):
     assert json.loads(out)["x"] == "e"
 
 
-def test_parse_error_exit_code(capsys):
-    code, _, err = run(capsys, "gallery-type", "A2: bogus")
-    assert code == 2
-    assert "error" in err
+def test_parse_error_exit_code(capsys, monkeypatch):
+    # a bad token, document fields of the wrong JSON type, a zero
+    # denominator, and bad JSON on standard input
+    monkeypatch.setattr(sys, "stdin", io.StringIO("{"))
+    morphism = {"source": "A1: s1", "target": "A1: s1 s1",
+                "p": [2], "w": "s1", "phi": {"0": "10", "1": "11"}}
+    plan = {"root_system": "A2", "sequence": "s1", "pairs": [], "labels": {}}
+    for argv in (["gallery-type", "A2: bogus"],
+                 ["morphism", "verify", json.dumps(dict(morphism, p=5))],
+                 ["morphism", "verify", json.dumps(dict(morphism, phi=[]))],
+                 ["morphism", "verify", json.dumps(dict(morphism, w=5))],
+                 ["decompose", "A2: s1", '{"values": []}'],
+                 ["decompose", "A2: s1", '{"values": {"0": 3}}'],
+                 ["fixed-points", json.dumps(dict(plan, sequence=5))],
+                 ["fixed-points", json.dumps(dict(plan, pairs=5))],
+                 ["decompose", "A2: s1", '{"values": {"0": "1/0", "1": "3"}}'],
+                 ["fixed-points", "-"]):
+        code, _, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert "error" in err, argv
 
 
 def test_resource_limit_exit_code(capsys):
@@ -68,6 +85,17 @@ def test_flag_cannot_loosen_library_bound(argv):
     proc = subprocess.run([sys.executable, "-m", "bscomb.cli", *argv], cwd=ROOT, env=env,
                           capture_output=True, timeout=10)
     assert (proc.returncode, proc.stdout) == (3, b"")
+
+
+def test_fixed_points_at_length_bound():
+    # 2^20 galleries with one constraint that only the full product can
+    # check: the walk keeps prefix products along one branch at a time.
+    plan = json.dumps({"root_system": "A4", "sequence": "s1 s2 s3 s4 " * 5,
+                       "pairs": [[1, 20]], "labels": {"1-20": "e"}})
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run([sys.executable, "-m", "bscomb.cli", "fixed-points", plan],
+                          cwd=ROOT, env=env, capture_output=True, timeout=15)
+    assert proc.returncode == 0
 
 
 def test_project_sl5(capsys):

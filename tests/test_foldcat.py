@@ -1,12 +1,14 @@
 """Folding-category morphisms: verification, enumeration, pointed checks."""
 
 import random
+from itertools import combinations, product
 
 import pytest
 
 from bscomb.errors import InvalidInputError, VerificationError
 from bscomb.foldcat import (
     Morphism,
+    MorphismViolation,
     PointedMorphism,
     compose,
     enumerate_morphisms,
@@ -15,8 +17,8 @@ from bscomb.foldcat import (
     verify_morphism,
     verify_pointed,
 )
-from bscomb.gallery import galleries
-from bscomb.rootsys import enumerate_weyl
+from bscomb.gallery import Gallery, ReflSeq, galleries, prefix, twist_seq
+from bscomb.rootsys import build_root_system, conjugate_reflection, enumerate_weyl
 
 from conftest import all_seqs, simple_seq
 
@@ -162,3 +164,110 @@ def test_p_must_increase(a2):
     with pytest.raises(InvalidInputError):
         Morphism(s, s, (2, 1), a2.identity(),
                  {g.bits: g.bits for g in galleries(s)})
+
+
+def _reference_verify(m):
+    """verify_morphism as one twisted sequence per gallery, from twist_seq
+    and prefix: the reference for the first violation reported."""
+    n, nt = len(m.source), len(m.target)
+    if len(m.phi) != 1 << n:
+        return MorphismViolation("phi-total", ())
+    for bits, image in m.phi.items():
+        if len(bits) != n or len(image) != nt:
+            return MorphismViolation("phi-shape", bits)
+    for gamma in galleries(m.source):
+        src = twist_seq(m.source, gamma)
+        image = m.phi[gamma.bits]
+        tgt = twist_seq(m.target, Gallery(m.target, image))
+        for i in range(1, n + 1):
+            j = m.p[i - 1]
+            if tgt[j] != conjugate_reflection(m.w, src[i]):
+                return MorphismViolation("wall-equation", gamma.bits, i)
+            folded = gamma.bits[:i - 1] + (not gamma.bits[i - 1],) + gamma.bits[i:]
+            expect = image[:j - 1] + (not image[j - 1],) + image[j:]
+            if m.phi[folded] != expect:
+                return MorphismViolation("folding-equation", gamma.bits, i)
+    return None
+
+
+def _reference_pointed(m, x, x_target):
+    bad = _reference_verify(m)
+    if bad is not None:
+        return bad
+    for gamma in galleries(m.source):
+        image = Gallery(m.target, m.phi[gamma.bits])
+        lhs = x_target * prefix(image, len(m.target)).inv()
+        rhs = m.w * x * prefix(gamma, len(m.source)).inv() * m.w.inv()
+        if lhs != rhs:
+            return MorphismViolation("pointed-condition", gamma.bits)
+    return None
+
+
+def _candidate_tables(s, target):
+    """Every (p, w, phi) that enumeration considers, phi propagated from the
+    image of the all-stay gallery."""
+    n, nt = len(s), len(target)
+    for p in combinations(range(1, nt + 1), n):
+        for w in enumerate_weyl(s.rs):
+            for seed in product((False, True), repeat=nt):
+                phi = {}
+                for bits in product((False, True), repeat=n):
+                    image = list(seed)
+                    for i, bit in enumerate(bits):
+                        image[p[i] - 1] ^= bit
+                    phi[bits] = tuple(image)
+                yield p, w, phi
+
+
+def _reference_pairs():
+    """Source/target pairs of shape (n, n~) with n <= 2, n~ <= 3, n <= n~:
+    every A1 pair, and six seeded pairs of each shape in A2 and B2."""
+    rng = random.Random(5)
+    for family, rank, per_shape in (("A", 1, None), ("A", 2, 6), ("B", 2, 6)):
+        rs = build_root_system(family, rank)
+        refls = [rs.reflection(r) for r in rs.roots if r.is_positive]
+        for n in range(3):
+            for nt in range(n, 4):
+                if per_shape is None:
+                    entries = [(e, f) for e in product(refls, repeat=n)
+                               for f in product(refls, repeat=nt)]
+                else:
+                    entries = [(tuple(rng.choice(refls) for _ in range(n)),
+                                tuple(rng.choice(refls) for _ in range(nt)))
+                               for _ in range(per_shape)]
+                for e, f in entries:
+                    yield ReflSeq(rs, e), ReflSeq(rs, f)
+
+
+def test_verify_matches_twist_reference():
+    rng = random.Random(9)
+    accepted = rejected = pointed_ok = 0
+    for s, target in _reference_pairs():
+        order = enumerate_weyl(s.rs)
+        for p, w, phi in _candidate_tables(s, target):
+            flipped = dict(phi)
+            bits = rng.choice(list(phi))
+            j = rng.randrange(len(target)) if len(target) else None
+            if j is not None:
+                image = flipped[bits]
+                flipped[bits] = image[:j] + (not image[j],) + image[j + 1:]
+            for table in (phi, flipped):
+                m = Morphism(s, target, p, w, table)
+                expect = _reference_verify(m)
+                assert verify_morphism(m) == expect, (s, target, p, w, table)
+                assert m.verified == (expect is None)
+                accepted += expect is None
+                rejected += expect is not None
+                x = rng.choice(order)
+                image_max = target.rs.identity()
+                for k, bit in enumerate(table[(False,) * len(s)], start=1):
+                    if bit:
+                        image_max = image_max * target[k].as_weyl()
+                # x~ fitted at the all-stay gallery, then a random one
+                for x_target in (w * x * w.inv() * image_max, rng.choice(order)):
+                    fresh = Morphism(s, target, p, w, table)
+                    expect = _reference_pointed(fresh, x, x_target)
+                    got = verify_pointed(PointedMorphism(fresh, x, x_target))
+                    assert got == expect, (s, target, p, w, table, x, x_target)
+                    pointed_ok += got is None
+    assert accepted > 2000 and rejected > 5000 and pointed_ok > 2000

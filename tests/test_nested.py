@@ -1,6 +1,7 @@
 """Nested structures, projections, fibres, and the counting bijection."""
 
 import random
+from itertools import product
 
 import pytest
 
@@ -188,3 +189,117 @@ def test_poincare_polynomial(a2):
     assert poincare_polynomial(s) == (1, 0, 3, 0, 3, 0, 1)
     plan = make_plan(a2, (1, 2, 1), [], [])
     assert betti_rank(plan) == 8 == len(fixed_points(plan))
+
+
+def _reference_fixed_points(plan):
+    """Every gallery whose product over each constrained interval equals the
+    label, filtered in bit-lexicographic order: the definition of
+    Gamma(s, v), as a reference for the depth-first walk."""
+    rs = plan.seq.rs
+    out = []
+    for bits in product((False, True), repeat=len(plan.seq)):
+        ok = True
+        for r in plan.pairs:
+            w = rs.identity()
+            for i in range(r[0], r[1] + 1):
+                if bits[i - 1]:
+                    w = w * plan.seq[i].as_weyl()
+            ok = ok and w == plan.labels[r]
+        if ok:
+            out.append(bits)
+    return out
+
+
+def _nested_pair_sets(n):
+    """Every set of pairs on 1..n that satisfies the nested-structure rules."""
+    cands = [(a, b) for a in range(1, n + 1) for b in range(a, n + 1)]
+
+    def extend(chosen, start):
+        yield chosen
+        for k in range(start, len(cands)):
+            r = cands[k]
+            if all(not {r[0], r[1]} & {q[0], q[1]}
+                   and (r[1] < q[0] or q[1] < r[0]
+                        or (q[0] <= r[0] and r[1] <= q[1])
+                        or (r[0] <= q[0] and q[1] <= r[1])) for q in chosen):
+                yield from extend(chosen + (r,), k + 1)
+
+    return list(extend((), 0))
+
+
+def _interval_products(seq, pairs, bits):
+    rs = seq.rs
+    out = []
+    for r in pairs:
+        w = rs.identity()
+        for i in range(r[0], r[1] + 1):
+            if bits[i - 1]:
+                w = w * seq[i].as_weyl()
+        out.append(w)
+    return tuple(out)
+
+
+def test_fixed_points_match_filter_all_a2_plans(a2):
+    # Every A2 sequence up to length 4 with every nested pair set.  Labels
+    # range over every tuple some gallery attains, plus one tuple no gallery
+    # attains when there is one, which covers every distinct fixed-point set.
+    refls = [a2.reflection(r) for r in a2.roots if r.is_positive]
+    order = enumerate_weyl(a2)
+    checked = 0
+    for n in range(5):
+        pair_sets = _nested_pair_sets(n)
+        for entries in product(refls, repeat=n):
+            seq = ReflSeq(a2, entries)
+            patterns = list(product((False, True), repeat=n))
+            for pairs in pair_sets:
+                if not pairs:
+                    label_sets = [()]
+                else:
+                    attained = {_interval_products(seq, pairs, b) for b in patterns}
+                    missed = next((t for t in product(order, repeat=len(pairs))
+                                   if t not in attained), None)
+                    label_sets = sorted(attained, key=lambda t: [w.perm for w in t])
+                    label_sets += [missed] if missed else []
+                for labels in label_sets:
+                    plan = NestedPlan(seq, pairs, dict(zip(pairs, labels)))
+                    got = [g.bits for g in fixed_points(plan)]
+                    assert got == _reference_fixed_points(plan), (seq, pairs, labels)
+                    checked += 1
+    assert checked > 10_000
+
+
+@pytest.mark.parametrize("system", [("A", 3), ("B", 3), ("D", 4)])
+def test_fixed_points_match_filter_random(system):
+    rs = build_root_system(*system)
+    refls = [rs.reflection(r) for r in rs.roots if r.is_positive]
+    order = enumerate_weyl(rs)
+    rng = random.Random(11)
+    nonempty = 0
+    for _ in range(40):
+        n = rng.randint(0, 9)
+        seq = ReflSeq(rs, tuple(rng.choice(refls) for _ in range(n)))
+        pairs = rng.choice(_nested_pair_sets(n)) if n <= 6 else _random_pairs(rng, n)
+        # labels read off a random gallery, so the set is mostly nonempty,
+        # or drawn at random
+        bits = tuple(rng.random() < 0.5 for _ in range(n))
+        labels = (_interval_products(seq, pairs, bits) if rng.random() < 0.75
+                  else tuple(rng.choice(order) for _ in pairs))
+        plan = NestedPlan(seq, pairs, dict(zip(pairs, labels)))
+        got = [g.bits for g in fixed_points(plan)]
+        assert got == _reference_fixed_points(plan), (seq, pairs, labels)
+        nonempty += bool(got)
+    assert nonempty >= 20
+
+
+def _random_pairs(rng, n):
+    """A random nested pair set on 1..n, built by rejection."""
+    pairs = []
+    for _ in range(rng.randint(1, 4)):
+        a = rng.randint(1, n)
+        r = (a, rng.randint(a, n))
+        if all(not {r[0], r[1]} & {q[0], q[1]}
+               and (r[1] < q[0] or q[1] < r[0]
+                    or (q[0] <= r[0] and r[1] <= q[1])
+                    or (r[0] <= q[0] and q[1] <= r[1])) for q in pairs):
+            pairs.append(r)
+    return tuple(pairs)

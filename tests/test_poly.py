@@ -127,6 +127,18 @@ def test_integral_fraction_is_stored_as_int():
     assert type((half * Poly.const(2, 4)).terms[0][1]) is int
 
 
+@pytest.mark.parametrize("build", [
+    lambda: Poly.const(2, 0.1),
+    lambda: Poly.linear(2, (1, 0.5)),
+    lambda: Poly.from_dict(2, {(1, 0): 0.25}),
+    lambda: Poly.variable(2, 0).scale(0.1),
+], ids=["const", "linear", "from_dict", "scale"])
+def test_float_coefficient_rejected(build):
+    # a float's binary expansion is not the decimal it was written as
+    with pytest.raises(InvalidInputError):
+        build()
+
+
 def test_str_of_fractional_terms():
     w2 = Poly.variable(2, 1)
     assert str(w2 * Fraction(-1, 2)) == "-1/2*w2"
