@@ -1,5 +1,5 @@
-"""Microbenchmarks for the rootsys layer: Weyl product, inverse, conjugation
-and group enumeration on A5 (|W| = 720, 30 roots).
+"""Microbenchmarks for the rootsys layer: Weyl product, inverse, conjugation,
+reflection lookup and group enumeration on A5 (|W| = 720, 30 roots).
 
 Run from the repository root:
 
@@ -41,6 +41,11 @@ def test_conjugate_reflection(benchmark, a5):
     refls = [a5.reflection(r) for r in a5.roots if r.is_positive]
     cases = [(u, rng.choice(refls)) for u, _ in _pairs(a5)]
     benchmark(lambda: [conjugate_reflection(u, t) for u, t in cases])
+
+
+def test_reflection_lookup(benchmark, a5):
+    roots = list(a5.roots)
+    benchmark(lambda: [a5.reflection(r) for r in roots])
 
 
 def test_enumerate_weyl(benchmark):

@@ -228,7 +228,8 @@ def cmd_weyl_info(args) -> int:
         "rank": rs.rank,
         "order": len(elements),
         "positive_roots": sorted(positive),
-        "longest_element": str(max(elements, key=lambda w: len(w.word()))),
+        # breadth-first by length, so the unique longest element comes last
+        "longest_element": str(elements[-1]),
     }
     _emit(args, doc, [f"root system {doc['root_system']} (rank {rs.rank})",
                       f"|W| = {doc['order']}",

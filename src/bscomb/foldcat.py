@@ -52,6 +52,8 @@ class Morphism:
     verified: bool = field(default=False, compare=False)
 
     def __post_init__(self):
+        if self.source.rs != self.target.rs:
+            raise InvalidInputError("source and target are over different root systems")
         n, m = len(self.source), len(self.target)
         if len(self.p) != n:
             raise InvalidInputError("p must be defined on every source position")
@@ -174,6 +176,8 @@ def enumerate_morphisms(s: ReflSeq, target: ReflSeq) -> list[Morphism]:
     the all-stay gallery and filtered by full verification.  Ordering is
     lexicographic in p, then enumerate_weyl order of w, then seed image.
     """
+    if s.rs != target.rs:
+        raise InvalidInputError("source and target are over different root systems")
     n, nt = len(s), len(target)
     if max(n, nt) > MAX_MORPHISM_LENGTH:
         raise ResourceLimitError("sequence length exceeds morphism bound")

@@ -160,18 +160,12 @@ def _pair_key(r: Pair) -> str:
 
 
 def parse_plan(doc) -> NestedPlan:
-    """A plan document: JSON object or its text.
+    """A decoded plan document:
 
     {"root_system": "A4", "sequence": "s4 s1 ...",
      "pairs": [[1,10],[2,6]], "labels": {"1-10": "s2 s3 s4"}}
     """
-    if isinstance(doc, str):
-        try:
-            doc = json.loads(doc)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"bad plan JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError("plan document must be a JSON object")
+    _expect(doc, "object", "plan document")
     for key in ("root_system", "sequence", "pairs", "labels"):
         if key not in doc:
             raise ParseError(f"plan document missing {key!r}")
@@ -213,15 +207,10 @@ def plan_to_doc(plan: NestedPlan) -> dict:
 
 
 def parse_morphism(source: ReflSeq, target: ReflSeq, doc) -> Morphism:
-    """{"p": [2], "w": "s1", "phi": {"0": "10", "1": "11"}}; optional
-    "source"/"target" sequence documents are checked for consistency."""
-    if isinstance(doc, str):
-        try:
-            doc = json.loads(doc)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"bad morphism JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError("morphism document must be a JSON object")
+    """A decoded morphism document {"p": [2], "w": "s1", "phi": {"0": "10",
+    "1": "11"}}; optional "source"/"target" sequence documents are checked
+    for consistency."""
+    _expect(doc, "object", "morphism document")
     for key in ("p", "w", "phi"):
         if key not in doc:
             raise ParseError(f"morphism document missing {key!r}")
@@ -262,11 +251,7 @@ def fpfunction_to_doc(g: FPFunction) -> dict:
 
 
 def parse_fpfunction(s: ReflSeq, doc) -> FPFunction:
-    if isinstance(doc, str):
-        try:
-            doc = json.loads(doc)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"bad function JSON: {exc}") from exc
+    """A decoded function document {"values": {"0": "3", "1": "w1"}}."""
     if "values" not in _expect(doc, "object", "function document"):
         raise ParseError("function document missing 'values'")
     values = {parse_bits(b, len(s)): parse_poly(s.rs.rank, text)

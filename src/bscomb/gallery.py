@@ -6,6 +6,8 @@ clear meaning gamma_i = 1.  Folding operators flip single bits, prefix
 products gamma^i live in W, and a depth-first search over chambers decides
 whether the wall sequence of s can be realized by a labelled gallery,
 returning a certificate (x, t, gamma) with t^(gamma) = s^x when it can.
+The search remembers the (position, chamber) states it has seen fail, so it
+visits at most n*|W| of them whatever the start chamber.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ class ReflSeq:
     ingestion; `positions` retains the original labels for display.
     """
 
-    rs: RootSystem = field(compare=False)
+    rs: RootSystem = field(compare=True)
     entries: tuple[Reflection, ...] = field(compare=True)
     positions: tuple[int, ...] = field(default=(), compare=False)
 
@@ -214,7 +216,9 @@ def is_gallery_type(s: ReflSeq) -> Gallerification | None:
     t_i = u^-1 s_i u simple; the walk then stays (gamma_i = 1) or crosses
     (u -> s_i u, gamma_i = t_i).  Start chambers are explored in
     enumerate_weyl order and stay before cross, so the first certificate
-    found is deterministic.  x = u0^-1.
+    found is deterministic.  x = u0^-1.  Whether a state (i, u) can be
+    completed depends on nothing else, so a state that failed once is never
+    walked again, from any start chamber: at most n*|W| states in all.
     """
     cache_key = (s.rs, s.entries)
     if cache_key in _GALLERY_TYPE_CACHE:
@@ -224,40 +228,35 @@ def is_gallery_type(s: ReflSeq) -> Gallerification | None:
         # rebuild with the caller's display positions
         t = ReflSeq(s.rs, cached.t.entries, s.positions)
         return Gallerification(cached.x, t, Gallery(t, cached.gamma.bits))
-    rs = s.rs
-    order = enumerate_weyl(rs)
-    n = len(s)
-    # indices in rs.roots of the simple roots and their negatives
-    simple = {rs._index[a.coords] for a in rs.simple_roots}
-    simple |= {rs._index[(-a).coords] for a in rs.simple_roots}
+    table = s.rs.reflections
+    entries = s.entries
+    dead = set()
 
-    def conj_simple(u: WeylElement, t: Reflection) -> Reflection | None:
-        """u^-1 t u = s_beta with beta = u^-1(t.root), when it is simple.
+    def walk(i: int, u: WeylElement) -> tuple[tuple, Bits] | None:
+        """(t entries, bits) for positions i+1..n from chamber u, or None."""
+        if i == len(entries):
+            return (), ()
+        if (i, u.perm) in dead:
+            return None
+        # u^-1 s_i u = s_beta with beta = u^-1(root of s_i): beta's index is
+        # the preimage under u's permutation, so u is never inverted
+        ti = table[u.perm.index(entries[i].index)]
+        if ti.is_simple():
+            for cross in (False, True):
+                rest = walk(i + 1, entries[i].as_weyl() * u if cross else u)
+                if rest is not None:
+                    return (ti, *rest[0]), (cross, *rest[1])
+        dead.add((i, u.perm))
+        return None
 
-        beta's index is the preimage under u's permutation, so u is never
-        inverted."""
-        j = u.perm.index(rs._index[t.root.coords])
-        return rs.reflection(rs.roots[j]) if j in simple else None
-
-    for u0 in order:
-        # iterative DFS: stack of (position index, chamber, simple entries, bits)
-        stack = [(1, u0, (), ())]
-        while stack:
-            i, u, t_entries, bits = stack.pop()
-            if i > n:
-                x = u0.inv()
-                t = ReflSeq(s.rs, t_entries, s.positions)
-                gamma = Gallery(t, bits)
-                cert = Gallerification(x, t, gamma)
-                verify_gallerification(s, cert)
-                _GALLERY_TYPE_CACHE[cache_key] = cert
-                return cert
-            ti = conj_simple(u, s[i])
-            if ti is None:
-                continue
-            # pushed cross-first so the stay branch pops first
-            stack.append((i + 1, s[i].as_weyl() * u, t_entries + (ti,), bits + (True,)))
-            stack.append((i + 1, u, t_entries + (ti,), bits + (False,)))
+    for u0 in enumerate_weyl(s.rs):
+        found = walk(0, u0)
+        if found is not None:
+            t = ReflSeq(s.rs, found[0], s.positions)
+            cert = Gallerification(u0.inv(), t, Gallery(t, found[1]))
+            verify_gallerification(s, cert)
+            _GALLERY_TYPE_CACHE[cache_key] = cert
+            return cert
     _GALLERY_TYPE_CACHE[cache_key] = None
     return None
 

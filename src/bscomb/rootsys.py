@@ -5,7 +5,10 @@ everything here is integer arithmetic: no floats, no Euclidean space.
 Pairings come from a table-driven Cartan matrix.  W acts faithfully on the
 finite root list, so a Weyl element is stored as the permutation it induces
 on `RootSystem.roots`: products, inverses and the action on a root are index
-lookups.  Chambers are represented by the Weyl elements u (the chamber
+lookups.  A reflection is one object per positive root, built with the
+system and indexed by root index, so beta and -beta share it and the
+conjugate w s_beta w^-1 = s_{w(beta)} is a table lookup at w's image of
+beta's index.  Chambers are represented by the Weyl elements u (the chamber
 u.Delta+), which turns geometric attachment tests into simplicity tests on
 conjugated reflections.
 
@@ -15,7 +18,7 @@ Supported families: A (n>=1), B (n>=2), C (n>=2), D (n>=4), G (n=2).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import factorial
 
 from .errors import InvalidInputError, ResourceLimitError
@@ -94,7 +97,11 @@ class RootSystem:
         )
         self.roots = self._close_roots()
         self._index = {r.coords: k for k, r in enumerate(self.roots)}
-        self._refl_perms: dict[tuple[int, ...], Perm] = {}
+        letters = {a.coords: i for i, a in enumerate(self.simple_roots, start=1)}
+        positive = [Reflection(self, k, r, letters.get(r.coords))
+                    for k, r in enumerate(self.roots[:len(self.roots) // 2])]
+        # roots[k + N] = -roots[k], so both halves share the reflection objects
+        self.reflections = tuple(positive + positive)
         self._weyl_cache: list["WeylElement"] | None = None
 
     # -- scalar products ---------------------------------------------------
@@ -153,22 +160,7 @@ class RootSystem:
     def is_root(self, root: Root) -> bool:
         return root.coords in self._index
 
-    def positive_representative(self, root: Root) -> Root:
-        return root if root.is_positive else -root
-
     # -- reflections and Weyl elements --------------------------------------
-
-    def reflection_perm(self, root: Root) -> Perm:
-        """s_beta as a permutation of root indices; cached per root."""
-        key = root.coords
-        cached = self._refl_perms.get(key)
-        if cached is not None:
-            return cached
-        if key not in self._index:
-            raise InvalidInputError(f"{root} is not a root of {self}")
-        perm = tuple(self._index[self._reflect(g.coords, root)] for g in self.roots)
-        self._refl_perms[key] = perm
-        return perm
 
     def identity(self) -> "WeylElement":
         return WeylElement(self, tuple(range(len(self.roots))))
@@ -177,17 +169,22 @@ class RootSystem:
         """s_i for 1-based simple index i."""
         if not 1 <= i <= self.rank:
             raise InvalidInputError(f"no simple reflection s{i} in rank {self.rank}")
-        return WeylElement(self, self.reflection_perm(self.simple_roots[i - 1]))
+        return self.reflection(self.simple_roots[i - 1]).as_weyl()
 
     def reflection(self, root: Root) -> "Reflection":
-        return Reflection(self, self.positive_representative(root))
+        """s_beta = s_-beta, the table entry of either root; refuses a non-root."""
+        k = self._index.get(root.coords)
+        if k is None:
+            raise InvalidInputError(f"{root} is not a root of {self}")
+        return self.reflections[k]
 
     def __eq__(self, other):
         return (isinstance(other, RootSystem)
                 and (self.family, self.rank) == (other.family, other.rank))
 
     def __hash__(self):
-        return hash((self.family, self.rank))
+        # integers only, so the hash is the same in every run
+        return hash((ord(self.family), self.rank))
 
     def __repr__(self):
         return f"{self.family}{self.rank}"
@@ -256,30 +253,35 @@ class WeylElement:
 
 @dataclass(frozen=True)
 class Reflection:
-    """The reflection s_alpha; its wall is L_alpha, with alpha kept positive."""
+    """The reflection s_alpha for the positive root alpha = rs.roots[index].
 
-    rs: RootSystem = field(compare=False)
-    root: Root = field(compare=True)
+    Its system builds one per positive root; reach it through
+    `RootSystem.reflection` or `conjugate_reflection`.  Equal and hashed by
+    (root system, index).  `letter` is i when alpha = alpha_i, else None.
+    """
 
-    def __post_init__(self):
-        if not self.rs.is_root(self.root):
-            raise InvalidInputError(f"{self.root} is not a root of {self.rs}")
-        if not self.root.is_positive:
-            raise InvalidInputError("reflection root must be the positive representative")
+    rs: RootSystem
+    index: int
+    root: Root = field(compare=False)
+    letter: int | None = field(compare=False)
+
+    @cached_property
+    def _weyl(self) -> WeylElement:
+        rs = self.rs
+        perm = tuple(rs._index[rs._reflect(g.coords, self.root)] for g in rs.roots)
+        return WeylElement(rs, perm)
 
     def as_weyl(self) -> WeylElement:
-        return WeylElement(self.rs, self.rs.reflection_perm(self.root))
+        """s_alpha as a Weyl element; its permutation is built on first use."""
+        return self._weyl
 
     def is_simple(self) -> bool:
-        return self.root in self.rs.simple_roots
+        return self.letter is not None
 
     def __str__(self):
-        if self.is_simple():
-            return f"s{self.rs.simple_roots.index(self.root) + 1}"
+        if self.letter is not None:
+            return f"s{self.letter}"
         return "s[" + ",".join(str(c) for c in self.root.coords) + "]"
-
-    def __hash__(self):
-        return hash(self.root)
 
 
 @lru_cache(maxsize=None)
@@ -294,10 +296,10 @@ def build_root_system(family: str, rank: int) -> RootSystem:
 
 
 def conjugate_reflection(w: WeylElement, t: Reflection) -> Reflection:
-    """w s_alpha w^-1 = s_{w(alpha)}, with the root kept positive."""
-    if w.rs != t.rs:
+    """w s_alpha w^-1 = s_{w(alpha)}: the table entry at w's image of alpha."""
+    if w.rs is not t.rs and w.rs != t.rs:
         raise InvalidInputError("mismatched root systems")
-    return w.rs.reflection(w.apply(t.root))
+    return w.rs.reflections[w.perm[t.index]]
 
 
 def enumerate_weyl(rs: RootSystem, max_weyl: int = MAX_WEYL) -> list[WeylElement]:

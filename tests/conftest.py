@@ -4,6 +4,12 @@ from bscomb.gallery import ReflSeq
 from bscomb.rootsys import build_root_system
 
 
+def positive_root(root):
+    """The sign rule, independent of the reflection table: flip a root whose
+    first nonzero coordinate is negative."""
+    return root if next(c for c in root.coords if c) > 0 else -root
+
+
 def simple_seq(rs, *letters):
     """A sequence of simple reflections from 1-based letters."""
     return ReflSeq(rs, tuple(rs.reflection(rs.simple_roots[i - 1])

@@ -9,6 +9,8 @@ import sys
 import pytest
 
 from bscomb.cli import main
+from bscomb.formats import parse_weyl
+from bscomb.rootsys import build_root_system
 
 SL5 = "data/sl5.plan"
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -181,6 +183,13 @@ def test_morphism_enumerate(capsys):
     assert json.loads(out)["count"] == 16
 
 
+def test_morphism_enumerate_refuses_mixed_root_systems(capsys):
+    for source in ("A2: s1", "A2:", "A2: s1 s2"):
+        code, out, err = run(capsys, "morphism", "enumerate", source, "B2: s1")
+        assert (code, out) == (2, ""), source
+        assert "different root systems" in err
+
+
 def test_morphism_apply(capsys):
     doc = json.dumps({"source": "A1: s1", "target": "A1: s1 s1",
                       "p": [2], "w": "s1", "phi": {"0": "10", "1": "11"}})
@@ -199,6 +208,23 @@ def test_weyl_info(capsys):
     doc = json.loads(out)
     assert doc["order"] == 6
     assert doc["longest_element"] == "s1 s2 s1"
+
+
+WEYL_INFO_SYSTEMS = [(f, r) for f, ranks in (("A", range(1, 7)), ("B", range(2, 6)),
+                                               ("C", range(2, 6)), ("D", (4, 5)), ("G", (2,)))
+                     for r in ranks]
+
+
+@pytest.mark.parametrize("family,rank", WEYL_INFO_SYSTEMS)
+def test_weyl_info_longest_element(capsys, family, rank):
+    # every system with |W| <= 5040; the oracle reads no reduced word: w0 is
+    # the element that sends every positive root negative
+    code, out, _ = run(capsys, "--format", "structured",
+                       "weyl", "info", "--root-system", f"{family}{rank}")
+    assert code == 0
+    rs = build_root_system(family, rank)
+    w0 = parse_weyl(rs, json.loads(out)["longest_element"])
+    assert all(not w0.apply(r).is_positive for r in rs.roots if r.is_positive)
 
 
 def test_weyl_bound_checked_before_walk(capsys):

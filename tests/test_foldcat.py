@@ -271,3 +271,13 @@ def test_verify_matches_twist_reference():
                     assert got == expect, (s, target, p, w, table, x, x_target)
                     pointed_ok += got is None
     assert accepted > 2000 and rejected > 5000 and pointed_ok > 2000
+
+
+def test_morphism_refuses_mixed_root_systems(a2, b2):
+    for source in (ReflSeq(a2, ()), simple_seq(a2, 1)):
+        target = simple_seq(b2, 1)
+        with pytest.raises(InvalidInputError):
+            Morphism(source, target, tuple(range(1, len(source) + 1)), a2.identity(),
+                     {})
+        with pytest.raises(InvalidInputError):
+            enumerate_morphisms(source, target)

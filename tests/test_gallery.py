@@ -1,5 +1,11 @@
 """Galleries, foldings, and gallery-type certificates."""
 
+import os
+import random
+import subprocess
+import sys
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -200,14 +206,42 @@ def _reference_gallery_type(s):
     return None
 
 
+def _random_seqs(rs, max_length, count=500, seed=0):
+    """Seeded sequences of reflections, of every length 0..max_length."""
+    rng = random.Random(seed)
+    refls = [rs.reflection(r) for r in rs.roots if r.is_positive]
+    return [ReflSeq(rs, tuple(rng.choice(refls) for _ in range(rng.randint(0, max_length))))
+            for _ in range(count)]
+
+
+# every sequence of the given length up to 4; above that, seeded samples
 @pytest.mark.parametrize("system,length", [(("A", 2), 3), (("B", 2), 3), (("G", 2), 2),
-                                           (("A", 3), 2)])
+                                           (("A", 3), 2), (("A", 2), 4), (("B", 2), 4),
+                                           (("A", 3), 9), (("B", 3), 9), (("D", 4), 9)])
 def test_gallery_type_matches_reference(system, length):
     rs = build_root_system(*system)
-    for s in all_seqs(rs, length):
+    for s in all_seqs(rs, length) if length <= 4 else _random_seqs(rs, length):
         cert = is_gallery_type(s)
         expect = _reference_gallery_type(s)
         if expect is None:
             assert cert is None
         else:
             assert (cert.x, cert.t.entries, cert.gamma.bits) == expect
+
+
+def test_gallery_type_search_is_bounded_by_states():
+    # a negative answer at the length bound: every start chamber used to
+    # restart a full walk, doubling the time with each position
+    seq = "B3:" + " [0,0,1]" * 19 + " [0,1,1]"
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "bscomb.cli", "gallery-type", seq],
+                          cwd=root, env=env, capture_output=True, timeout=30)
+    assert proc.returncode == 0
+    assert time.perf_counter() - start < 5
+
+
+def test_sequences_over_different_systems_differ(a2, b2):
+    assert ReflSeq(a2, ()) != ReflSeq(b2, ())
+    assert simple_seq(a2, 1) != simple_seq(b2, 1)

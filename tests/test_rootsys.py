@@ -9,12 +9,15 @@ from hypothesis import strategies as st
 from bscomb.errors import InvalidInputError, ResourceLimitError
 from bscomb.rootsys import (
     Root,
+    RootSystem,
     build_root_system,
     conjugate_reflection,
     enumerate_weyl,
     is_attached,
 )
 from bscomb.poly import weight_matrix
+
+from conftest import positive_root
 
 # (family, rank) -> (number of roots, |W|), classical values
 KNOWN_SIZES = {
@@ -93,7 +96,7 @@ def test_conjugate_reflection_moves_root(a2):
     t = a2.reflection(a2.simple_roots[0])
     s2 = a2.simple_reflection(2)
     conj = conjugate_reflection(s2, t)
-    assert conj.root == a2.positive_representative(s2.apply(t.root))
+    assert conj.root == positive_root(s2.apply(t.root))
     assert conj.as_weyl() == s2 * t.as_weyl() * s2.inv()
 
 
@@ -116,8 +119,46 @@ def test_bad_inputs():
     a2 = build_root_system("A", 2)
     with pytest.raises(InvalidInputError):
         a2.simple_reflection(3)
-    with pytest.raises(InvalidInputError):
-        a2.reflection(Root((5, 0)))
+    for coords in ((5, 0), (1, -1), (2, 2), (0, 0, 1)):
+        with pytest.raises(InvalidInputError):
+            a2.reflection(Root(coords))
+
+
+@pytest.mark.parametrize("family,rank", [("A", 2), ("B", 3), ("G", 2)])
+def test_reflection_table_is_interned(family, rank):
+    rs = build_root_system(family, rank)
+    for root in rs.roots:
+        t = rs.reflection(root)
+        assert rs.reflection(-root) is t
+        assert t.root == positive_root(root)
+        assert t.is_simple() == (t.root in rs.simple_roots)
+    # a rebuilt system has its own objects, which still compare equal
+    twin = RootSystem(family, rank)
+    assert twin.reflections == rs.reflections
+    assert twin.reflections[0] is not rs.reflections[0]
+
+
+def test_reflections_of_different_systems_differ(a2, b2):
+    # same root coordinates, different systems
+    assert a2.reflection(Root((1, 0))) != b2.reflection(Root((1, 0)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_conjugate_reflection_matches_coordinates(data):
+    """The table lookup against the coordinate formula: w applied to the root
+    by its word matrix, then the sign rule, then a lookup by coordinates."""
+    family, rank = data.draw(st.sampled_from([("A", 3), ("B", 3), ("C", 3), ("D", 4),
+                                              ("G", 2)]))
+    rs = build_root_system(family, rank)
+    word = data.draw(st.lists(st.integers(1, rank), max_size=12))
+    w = rs.identity()
+    for i in word:
+        w = w * rs.simple_reflection(i)
+    t = rs.reflection(data.draw(st.sampled_from(rs.roots)))
+    wm = _word_matrix(rs, word)
+    image = Root(tuple(sum(a * c for a, c in zip(row, t.root.coords)) for row in wm))
+    assert conjugate_reflection(w, t) is rs.reflection(positive_root(image))
 
 
 @settings(max_examples=60, deadline=None)
