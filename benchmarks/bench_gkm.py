@@ -1,5 +1,5 @@
 """Microbenchmarks for the gkm layer on a length-5 B2 sequence: generator,
-concentrate, basis and decompose.
+concentrate, basis, combine and decompose.
 
 Run from the repository root:
 
@@ -55,11 +55,22 @@ def test_basis(benchmark):
     assert len(result) == 2 ** len(ENTRIES)
 
 
-def test_decompose(benchmark):
-    rng = random.Random(1)
+def _dense_coeffs(rng):
+    """A nonzero coefficient for every subset, as in a decomposition."""
     n = len(ENTRIES)
-    coeffs = {frozenset(c): _poly(rng, 1, 3)
-              for k in range(n + 1) for c in combinations(range(1, n + 1), k)}
+    return {frozenset(c): _poly(rng, 1, 3) for k in range(n + 1)
+            for c in combinations(range(1, n + 1), k)}
+
+
+def test_combine(benchmark):
+    elements = basis(_seq())
+    coeffs = _dense_coeffs(random.Random(2))
+    result = benchmark.pedantic(combine, args=(elements, coeffs), rounds=50)
+    assert decompose(result, elements) == coeffs
+
+
+def test_decompose(benchmark):
+    coeffs = _dense_coeffs(random.Random(1))
     elements = basis(_seq())
     g = combine(elements, coeffs)
     result = benchmark.pedantic(decompose, args=(g, elements), rounds=20)

@@ -1,5 +1,6 @@
-"""Microbenchmarks for the poly layer: products, division by a linear form
-and the Weyl action, on rank-2 (B2) and rank-3 (B3) inputs.
+"""Microbenchmarks for the poly layer: products, the multiply-accumulate
+`mul_add`, division by a linear form and the Weyl action, on rank-2 (B2)
+and rank-3 (B3) inputs.
 
 Run from the repository root:
 
@@ -14,7 +15,7 @@ from fractions import Fraction
 import pytest
 
 from bscomb import poly
-from bscomb.poly import Poly, divide_linear, root_poly, weyl_act
+from bscomb.poly import Poly, divide_linear, mul_add, root_poly, weyl_act
 from bscomb.rootsys import build_root_system, enumerate_weyl
 
 SYSTEMS = [("B", 2), ("B", 3)]
@@ -42,6 +43,15 @@ def _cases(system, count=100):
 def test_mul(benchmark, system):
     _, cases = _cases(system)
     benchmark(lambda: [p * q for p, q, _, _ in cases])
+
+
+@pytest.mark.parametrize("system", SYSTEMS, ids=str)
+def test_mul_add(benchmark, system):
+    # one residue of a decomposition: a value less eight products
+    _, cases = _cases(system)
+    work = [(cases[k][0], [(p, q) for p, q, _, _ in cases[k + 1:k + 9]])
+            for k in range(0, len(cases) - 8, 9)]
+    benchmark(lambda: [mul_add(base, pairs, -1) for base, pairs in work])
 
 
 @pytest.mark.parametrize("system", SYSTEMS, ids=str)

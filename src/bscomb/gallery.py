@@ -44,7 +44,7 @@ class ReflSeq:
 
     def __post_init__(self):
         for t in self.entries:
-            if t.rs != self.rs:
+            if t.rs is not self.rs and t.rs != self.rs:
                 raise InvalidInputError("sequence entry from a different root system")
         if not self.positions:
             object.__setattr__(self, "positions", tuple(range(1, len(self.entries) + 1)))

@@ -4,7 +4,9 @@ Classes are functions from the gallery set Gamma(s) to the polynomial ring
 S = Sym of the rational weight lattice, with W acting by linear
 substitution.  The module provides the generator classes, the copy and
 concentration operators, a triangular basis of 2^n elements indexed by
-subsets of positions, and exact decomposition in its span.
+subsets of positions, and exact decomposition in its span.  Each value of
+a combination sum c_J B_J, and each residue of a decomposition, is one
+multiply-accumulate (`poly.mul_add`) over the nonzero values of the B_J.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .errors import (
 )
 from .foldcat import Morphism
 from .gallery import Bits, Gallery, ReflSeq
-from .poly import Poly, exact_divide, root_poly, weyl_act
+from .poly import Poly, exact_divide, mul_add, root_poly, weyl_act
 from .rootsys import WeylElement
 
 MAX_BASIS_LENGTH = 12
@@ -116,7 +118,7 @@ def concentrate(s: ReflSeq, g: FPFunction, cross: bool) -> FPFunction:
     zero = Poly.zero(s.rs.rank)
     table = s.prefixes[n]
     return FPFunction(s, {b: weyl_act(table[b], neg_alpha) * g.values[b[:-1]]
-                          if b[-1] == cross else zero
+                          if b[-1] == cross and g.values[b[:-1]].terms else zero
                           for b in s.patterns})
 
 
@@ -206,10 +208,8 @@ def decompose(g: FPFunction,
     for J in sorted(elems, key=lambda J: (len(J), sorted(J))):
         elem = elems[J]
         bits = elem.lead_bits()
-        residue = g.values[bits]
-        for Jp, c in coeffs.items():
-            if Jp < J:
-                residue = residue - c * elems[Jp].function.values[bits]
+        residue = mul_add(g.values[bits], [(c, elems[Jp].function.values[bits])
+                                           for Jp, c in coeffs.items() if Jp < J], -1)
         q = exact_divide(residue, list(elem.lead_factors))
         if q is None:
             raise NotInSpanError(sorted(J), str(residue))
@@ -224,17 +224,17 @@ def decompose(g: FPFunction,
 
 def combine(basis_elements: list[BasisElement],
             coeffs: dict[frozenset[int], Poly]) -> FPFunction:
-    """The linear combination sum c_J B_J, accumulated into one table."""
+    """sum c_J B_J, one mul_add per gallery over the nonzero entries of each
+    B_J: zeros are skipped, not assumed, so B_J need not be triangular."""
     s = basis_elements[0].function.seq
     elems = {e.subset: e for e in basis_elements}
-    terms = [(c, elems[J].function.values) for J, c in coeffs.items()]
-    values = {}
-    for bits in s.patterns:
-        total = Poly.zero(s.rs.rank)
-        for c, table in terms:
-            total = total + table[bits] * c
-        values[bits] = total
-    return FPFunction(s, values)
+    pairs: dict[Bits, list[tuple[Poly, Poly]]] = {bits: [] for bits in s.patterns}
+    for J, c in coeffs.items():
+        for bits, p in elems[J].function.values.items():
+            if p.terms and c.terms:
+                pairs[bits].append((c, p))
+    zero = Poly.zero(s.rs.rank)
+    return FPFunction(s, {bits: mul_add(zero, live) for bits, live in pairs.items()})
 
 
 def induced_map(m: Morphism, g: FPFunction) -> FPFunction:

@@ -15,9 +15,10 @@ result, and the sorted term tuple is canonical.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add
+from operator import add, sub
 
 from .errors import InvalidInputError
 from .rootsys import Root, RootSystem, WeylElement
@@ -45,6 +46,27 @@ def _canon(nvars: int, d: dict[Monomial, Coeff]) -> "Poly":
     return Poly(nvars, tuple(sorted([
         (m, c if type(c) is int or c.denominator != 1 else c.numerator)
         for m, c in d.items() if c])))
+
+
+def _mul_into(d: dict[Monomial, Coeff], p_terms, q_terms) -> None:
+    """Add p * q into the term dict d, one product term at a time."""
+    get = d.get
+    for m1, c1 in p_terms:
+        for m2, c2 in q_terms:
+            m = tuple(map(add, m1, m2))
+            d[m] = get(m, 0) + c1 * c2
+
+
+def mul_add(base: "Poly", pairs: Iterable[tuple["Poly", "Poly"]], sign: int = 1) -> "Poly":
+    """base + sign * (sum of a * b over the pairs), for sign 1 or -1, with
+    every product term accumulated in one dict that is canonicalised once."""
+    nvars = base.nvars
+    d = dict(base.terms)
+    for a, b in pairs:
+        if a.nvars != nvars or b.nvars != nvars:
+            raise InvalidInputError("polynomials in different variable counts")
+        _mul_into(d, a.terms if sign == 1 else [(m, sign * c) for m, c in a.terms], b.terms)
+    return _canon(nvars, d)
 
 
 @dataclass(frozen=True, slots=True)
@@ -89,12 +111,6 @@ class Poly:
             return -1
         return max(sum(m) for m, _ in self.terms)
 
-    def coefficient(self, mono: Monomial) -> Coeff:
-        for m, c in self.terms:
-            if m == mono:
-                return c
-        return 0
-
     def __add__(self, other: "Poly") -> "Poly":
         if self.nvars != other.nvars:
             raise InvalidInputError("polynomials in different variable counts")
@@ -126,11 +142,7 @@ class Poly:
         if not other.terms:
             return other
         d: dict[Monomial, Coeff] = {}
-        get = d.get
-        for m1, c1 in self.terms:
-            for m2, c2 in other.terms:
-                m = tuple(map(add, m1, m2))
-                d[m] = get(m, 0) + c1 * c2
+        _mul_into(d, self.terms, other.terms)
         return _canon(self.nvars, d)
 
     __rmul__ = __mul__
@@ -192,27 +204,31 @@ class Poly:
 def divide_linear(p: Poly, ell: Poly) -> tuple[Poly, Poly]:
     """Divide p by a nonzero linear form; returns (quotient, remainder).
 
-    The remainder has degree zero in the pivot variable; p is divisible by
-    ell exactly when the remainder is the zero polynomial.
+    The pivot is the last variable of ell.  The remainder has degree zero
+    in it; p is divisible by ell exactly when the remainder is the zero
+    polynomial.  One pass over p's terms in descending pivot degree: a term
+    of pivot degree k > 0 gives the quotient term that cancels it, and
+    subtracting that term times the rest of ell only touches degree k - 1.
     """
     if ell.degree() != 1 or any(sum(m) == 0 for m, _ in ell.terms):
         raise InvalidInputError("divisor must be a homogeneous linear form")
-    pivot = next(j for m, _ in sorted(ell.terms) for j, e in enumerate(m) if e)
-    a = ell.coefficient(tuple(1 if k == pivot else 0 for k in range(ell.nvars)))
-    quotient = Poly.zero(p.nvars)
-    rest = p
-    while True:
-        top = max((m[pivot] for m, _ in rest.terms), default=0)
-        if top == 0:
-            break
-        lead = {
-            tuple(e - (1 if j == pivot else 0) for j, e in enumerate(m)): Fraction(c, a)
-            for m, c in rest.terms if m[pivot] == top
-        }
-        qpart = Poly.from_dict(p.nvars, lead)
-        quotient = quotient + qpart
-        rest = rest - qpart * ell
-    return quotient, rest
+    if p.nvars != ell.nvars:
+        raise InvalidInputError("polynomials in different variable counts")
+    # ell's terms are sorted, so the first is the pivot variable's
+    (unit, a), others = ell.terms[0], [(m, -b) for m, b in ell.terms[1:]]
+    pivot = unit.index(1)
+    rest = dict(p.terms)
+    quotient: dict[Monomial, Coeff] = {}
+    for k in range(max((m[pivot] for m in rest), default=0), 0, -1):
+        level = []
+        for m in [m for m in rest if m[pivot] == k]:
+            c = rest.pop(m)
+            if c:
+                c = c // a if type(c) is int and type(a) is int and not c % a else Fraction(c, a)
+                level.append((tuple(map(sub, m, unit)), c))
+        quotient.update(level)
+        _mul_into(rest, level, others)
+    return _canon(p.nvars, quotient), _canon(p.nvars, rest)
 
 
 def exact_divide(p: Poly, factors: list[Poly]) -> Poly | None:

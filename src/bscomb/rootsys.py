@@ -102,6 +102,7 @@ class RootSystem:
                     for k, r in enumerate(self.roots[:len(self.roots) // 2])]
         # roots[k + N] = -roots[k], so both halves share the reflection objects
         self.reflections = tuple(positive + positive)
+        self._identity = WeylElement(self, tuple(range(len(self.roots))))
         self._weyl_cache: list["WeylElement"] | None = None
 
     # -- scalar products ---------------------------------------------------
@@ -163,7 +164,8 @@ class RootSystem:
     # -- reflections and Weyl elements --------------------------------------
 
     def identity(self) -> "WeylElement":
-        return WeylElement(self, tuple(range(len(self.roots))))
+        """The identity element, built once with the system."""
+        return self._identity
 
     def simple_reflection(self, i: int) -> "WeylElement":
         """s_i for 1-based simple index i."""
@@ -212,7 +214,7 @@ class WeylElement:
         return tuple(zip(*images))
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
-        if self.rs != other.rs:
+        if self.rs is not other.rs and self.rs != other.rs:
             raise InvalidInputError("cannot multiply elements of different systems")
         return WeylElement(self.rs, tuple(map(self.perm.__getitem__, other.perm)))
 
@@ -223,7 +225,7 @@ class WeylElement:
         return WeylElement(self.rs, tuple(inverse))
 
     def is_identity(self) -> bool:
-        return self.perm == tuple(range(len(self.perm)))
+        return self.perm == self.rs.identity().perm
 
     def apply(self, root: Root) -> Root:
         """The action w(beta); the result is again a root."""
@@ -331,13 +333,3 @@ def enumerate_weyl(rs: RootSystem, max_weyl: int = MAX_WEYL) -> list[WeylElement
         rs._weyl_cache = order
     return list(rs._weyl_cache)
 
-
-def is_attached(u: WeylElement, t: Reflection) -> bool:
-    """Whether the chamber u.Delta+ is attached to the wall of t.
-
-    Combinatorially: u^-1 t u is a simple reflection.
-    """
-    if u.rs != t.rs:
-        raise InvalidInputError("mismatched root systems")
-    conj = conjugate_reflection(u.inv(), t)
-    return conj.is_simple()

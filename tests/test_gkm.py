@@ -6,8 +6,9 @@ from fractions import Fraction
 import pytest
 
 from bscomb.errors import InvalidInputError, NotInSpanError
-from bscomb.gallery import galleries
+from bscomb.gallery import ReflSeq, galleries
 from bscomb.gkm import (
+    BasisElement,
     FPFunction,
     basis,
     combine,
@@ -20,7 +21,7 @@ from bscomb.gkm import (
     induced_map,
 )
 from bscomb.foldcat import identity_morphism
-from bscomb.poly import Poly, simple_root_poly
+from bscomb.poly import Poly, exact_divide, simple_root_poly
 from bscomb.rootsys import build_root_system
 
 from conftest import all_seqs, simple_seq
@@ -199,3 +200,123 @@ def test_fpfunction_table_must_be_total(a2):
     with pytest.raises(InvalidInputError):
         FPFunction(s2, {(False, False): zero, (False, True): zero,
                         (True, False): zero, (True, None): zero})
+
+
+# -- combine and decompose against the term-by-term reference ------------------
+
+def combine_reference(basis_elements, coeffs):
+    """sum c_J B_J by visiting all 4^n (J, gamma) pairs, one Poly at a time."""
+    s = basis_elements[0].function.seq
+    elems = {e.subset: e for e in basis_elements}
+    values = {}
+    for bits in s.patterns:
+        total = Poly.zero(s.rs.rank)
+        for J, c in coeffs.items():
+            total = total + elems[J].function.values[bits] * c
+        values[bits] = total
+    return FPFunction(s, values)
+
+
+def first_failure_reference(g, basis_elements):
+    """(subset, residue string) where the term-by-term residue chain of
+    decompose first fails to divide, or None when g is in the span."""
+    elems = {e.subset: e for e in basis_elements}
+    coeffs = {}
+    for J in sorted(elems, key=lambda J: (len(J), sorted(J))):
+        bits = elems[J].lead_bits()
+        residue = g.values[bits]
+        for Jp, c in coeffs.items():
+            if Jp < J:
+                residue = residue - c * elems[Jp].function.values[bits]
+        q = exact_divide(residue, list(elems[J].lead_factors))
+        if q is None:
+            return sorted(J), str(residue)
+        coeffs[J] = q
+    return None
+
+
+REFERENCE_SYSTEMS = [("A", 2), ("B", 2), ("G", 2)]
+
+
+def reference_seqs(rs, rng):
+    """Simple-letter sequences of every length up to 4 and one random
+    sequence of arbitrary reflections per length."""
+    refls = [rs.reflection(r) for r in rs.roots if r.is_positive]
+    seqs = []
+    for n in range(1, 5):
+        seqs.append(simple_seq(rs, *[(k % rs.rank) + 1 for k in range(n)]))
+        seqs.append(ReflSeq(rs, tuple(rng.choice(refls) for _ in range(n))))
+    return seqs
+
+
+def rand_frac_poly(rng, rank, min_terms=0):
+    """Up to three terms, some coefficients fractional, zero allowed."""
+    return Poly.from_dict(rank, {
+        tuple(rng.randint(0, 2) for _ in range(rank)):
+            Fraction(rng.randint(1, 5) * rng.choice((-1, 1)), rng.choice((1, 1, 2, 3)))
+        for _ in range(rng.randint(min_terms, 3))})
+
+
+@pytest.mark.parametrize("family,rank", REFERENCE_SYSTEMS)
+def test_combine_matches_reference(family, rank):
+    rs = build_root_system(family, rank)
+    rng = random.Random(f"combine {family}{rank}")
+    for s in reference_seqs(rs, rng):
+        elements = basis(s)
+        subsets = [e.subset for e in elements]
+        cases = [
+            {J: rand_frac_poly(rng, rank) for J in subsets},
+            # partial: a random half of the subsets
+            {J: rand_frac_poly(rng, rank) for J in rng.sample(subsets, len(subsets) // 2)},
+            # explicit zero coefficients beside nonzero ones
+            {J: (Poly.zero(rank) if k % 2 else rand_frac_poly(rng, rank))
+             for k, J in enumerate(subsets)},
+            {J: Poly.zero(rank) for J in subsets},
+        ]
+        for coeffs in cases:
+            got = combine(elements, coeffs)
+            assert got.seq == s
+            assert got.values == combine_reference(elements, coeffs).values
+
+
+def test_combine_does_not_assume_triangularity(b2):
+    # a hand-built element that is nonzero off {gamma : J subset supp(gamma)}
+    rng = random.Random(41)
+    s = simple_seq(b2, 1, 2, 1)
+    elements = basis(s)
+    dense = BasisElement(frozenset({1, 2}),
+                         FPFunction(s, {b: rand_frac_poly(rng, 2, 1) for b in s.patterns}),
+                         ())
+    assert any(not p.is_zero() and not (b[0] and b[1])
+               for b, p in dense.function.values.items())
+    elements = [e for e in elements if e.subset != dense.subset] + [dense]
+    coeffs = {e.subset: rand_frac_poly(rng, 2, 1) for e in elements}
+    assert combine(elements, coeffs).values == combine_reference(elements, coeffs).values
+
+
+@pytest.mark.parametrize("family,rank", REFERENCE_SYSTEMS)
+def test_decompose_failure_matches_reference(family, rank):
+    rs = build_root_system(family, rank)
+    rng = random.Random(f"span {family}{rank}")
+    failures = 0
+    for s in reference_seqs(rs, rng):
+        elements = basis(s)
+        inside = combine(elements, {e.subset: rand_frac_poly(rng, rank) for e in elements})
+        bump = rng.choice(sorted(s.patterns))
+        candidates = [
+            rand_fp(rng, s),
+            # in the span except for a constant added at one gallery
+            FPFunction(s, {b: p + Poly.const(rank, 1) if b == bump else p
+                           for b, p in inside.values.items()}),
+            inside,
+        ]
+        for g in candidates:
+            expected = first_failure_reference(g, elements)
+            if expected is None:
+                decompose(g, elements)
+                continue
+            failures += 1
+            with pytest.raises(NotInSpanError) as info:
+                decompose(g, elements)
+            assert (info.value.subset, str(info.value.remainder)) == expected
+    assert failures >= 8

@@ -12,6 +12,7 @@ from bscomb.poly import (
     Poly,
     divide_linear,
     exact_divide,
+    mul_add,
     root_poly,
     simple_root_poly,
     weight_matrix,
@@ -155,9 +156,9 @@ oracle_coeffs = st.one_of(st.integers(-20, 20),
                           st.fractions(min_value=-20, max_value=20, max_denominator=12))
 
 
-def oracle_polys(nvars, max_size=4):
+def oracle_polys(nvars, max_size=4, coeffs=oracle_coeffs):
     monos = st.tuples(*[st.integers(0, 2)] * nvars)
-    return st.dictionaries(monos, oracle_coeffs, max_size=max_size).map(
+    return st.dictionaries(monos, coeffs, max_size=max_size).map(
         lambda d: Poly.from_dict(nvars, d))
 
 
@@ -210,25 +211,69 @@ def test_divide_linear_integral_operands_give_exact_fractions():
     assert q == Poly.const(2, Fraction(1, 3))
     assert r == Poly.variable(2, 0)
     assert type(q.terms[0][1]) is Fraction
+    # a negative pivot coefficient, and an exact integral quotient stays an int
+    q, r = divide_linear(Poly.linear(2, (1, 1)), Poly.linear(2, (0, -3)))
+    assert q == Poly.const(2, Fraction(-1, 3))
+    assert r == Poly.variable(2, 0)
+    q, r = divide_linear(Poly.linear(2, (4, 6)), Poly.linear(2, (2, -3)))
+    assert q == Poly.const(2, -2)
+    assert r == Poly.variable(2, 0) * 8
+    assert type(q.terms[0][1]) is int
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from([2, 3]), st.data())
-def test_divide_linear_matches_sympy(nvars, data):
-    p = data.draw(oracle_polys(nvars, max_size=5))
-    ell = data.draw(oracle_linear(nvars))
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([2, 3]), st.booleans(), st.booleans(), st.data())
+def test_divide_linear_matches_sympy(nvars, negative_pivot, integral, data):
+    coeffs = st.integers(-20, 20) if integral else oracle_coeffs
+    p = data.draw(oracle_polys(nvars, max_size=5, coeffs=coeffs))
+    # divide_linear pivots on the last variable of ell; integral operands
+    # get a pivot coefficient of 2..7, so most quotients are fractional
+    pivot = data.draw(st.integers(0, nvars - 1))
+    a = data.draw(st.integers(2, 7) if integral else coeffs.filter(bool))
+    a = -abs(a) if negative_pivot else abs(a)
+    cs = data.draw(st.lists(coeffs, min_size=nvars, max_size=nvars))
+    ell = Poly.linear(nvars, cs[:pivot] + [a] + [0] * (nvars - pivot - 1))
     q, r = divide_linear(p, ell)
     assert_canonical(q)
     assert_canonical(r)
-    # divide_linear pivots on the last variable of ell; lex order with that
-    # variable first makes sympy's remainder free of it, and the quotient
-    # and remainder of such a division are unique
+    # lex order with the pivot variable first makes sympy's remainder free
+    # of it, and the quotient and remainder of such a division are unique
     gens = _gens(nvars)
-    pivot = max(j for m, _ in ell.terms for j, e in enumerate(m) if e)
     order = (gens[pivot],) + tuple(g for j, g in enumerate(gens) if j != pivot)
     Q, R = sympy.div(to_sympy(p), to_sympy(ell), *order, domain="QQ")
     assert q == from_sympy(Q.as_expr(), nvars)
     assert r == from_sympy(R.as_expr(), nvars)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3]), st.sampled_from([1, -1]), st.data())
+def test_mul_add_matches_sympy(nvars, sign, data):
+    base = data.draw(oracle_polys(nvars))
+    # empty lists, zero operands and fractional coefficients all occur
+    pairs = data.draw(st.lists(st.tuples(oracle_polys(nvars), oracle_polys(nvars)),
+                               max_size=4))
+    result = mul_add(base, pairs, sign)
+    assert_canonical(result)
+    expect = to_sympy(base) + sign * sum((to_sympy(a) * to_sympy(b) for a, b in pairs),
+                                         sympy.Integer(0))
+    assert result == from_sympy(expect, nvars)
+    assert str(result) == str(from_sympy(expect, nvars))
+
+
+def test_mul_add_edge_cases():
+    w1, w2 = Poly.variable(2, 0), Poly.variable(2, 1)
+    half = Poly.const(2, Fraction(1, 2))
+    assert mul_add(w1, []) == w1
+    assert mul_add(Poly.zero(2), [(w1, Poly.zero(2)), (Poly.zero(2), w2)]) == Poly.zero(2)
+    # everything cancels
+    assert mul_add(w1 * w2, [(w1, w2)], -1).is_zero()
+    # fractions that sum to an integer come back as an int
+    total = mul_add(Poly.zero(2), [(half, w1), (half, w1)])
+    assert total.terms == w1.terms
+    with pytest.raises(InvalidInputError):
+        mul_add(w1, [(w1, Poly.variable(3, 0))])
+    with pytest.raises(InvalidInputError):
+        mul_add(Poly.variable(3, 0), [(w1, w2)])
 
 
 @settings(max_examples=40, deadline=None)

@@ -13,7 +13,6 @@ from bscomb.rootsys import (
     build_root_system,
     conjugate_reflection,
     enumerate_weyl,
-    is_attached,
 )
 from bscomb.poly import weight_matrix
 
@@ -98,14 +97,6 @@ def test_conjugate_reflection_moves_root(a2):
     conj = conjugate_reflection(s2, t)
     assert conj.root == positive_root(s2.apply(t.root))
     assert conj.as_weyl() == s2 * t.as_weyl() * s2.inv()
-
-
-def test_attachment_matches_simplicity(a2):
-    highest = a2.reflection(Root((1, 1)))
-    assert not highest.is_simple()
-    for u in enumerate_weyl(a2):
-        expected = conjugate_reflection(u.inv(), highest).is_simple()
-        assert is_attached(u, highest) == expected
 
 
 def test_enumerate_weyl_respects_bound(a3):
