@@ -1,6 +1,7 @@
 """Microbenchmarks for the foldcat layer on A2 and B2: verify_morphism,
 enumerate_morphisms and verify_pointed, from a length-2 source into a
-length-3 target.
+length-3 target; and enumerate_morphisms into a long target, B3 s1 s2 into
+s1 s2 s3 s1 s2 s3 s1 s2 (5,728 morphisms).
 
 Run from the repository root:
 
@@ -73,3 +74,14 @@ def test_verify_pointed(benchmark, system):
         return (PointedMorphism(m, x, m.w * x * m.w.inv() * image),), {}
 
     benchmark.pedantic(verify_pointed, setup=setup, rounds=200)
+
+
+def test_enumerate_morphisms_long_target(benchmark):
+    rs = build_root_system("B", 3)
+    s1, s2, s3 = (rs.reflection(a) for a in rs.simple_roots)
+
+    def setup():
+        return (ReflSeq(rs, (s1, s2)), ReflSeq(rs, (s1, s2, s3) * 2 + (s1, s2))), {}
+
+    result = benchmark.pedantic(enumerate_morphisms, setup=setup, rounds=3)
+    assert len(result) == 5728

@@ -220,7 +220,7 @@ def cmd_morphism_apply(args) -> int:
 
 
 def cmd_weyl_info(args) -> int:
-    rs = formats.parse_root_system(args.root_system)
+    rs = formats.parse_root_system(args.root_system, args.max_weyl)
     elements = rootsys.enumerate_weyl(rs, args.max_weyl)
     positive = [list(r.coords) for r in rs.roots if r.is_positive]
     doc = {

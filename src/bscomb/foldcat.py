@@ -10,8 +10,9 @@ for all galleries gamma and positions i:
     phi(f_i gamma) = f_{p(i)} phi(gamma)
 
 Since foldings act transitively on galleries, phi is determined by its
-value on a single seed; enumeration exploits this, while verification
-always walks the full table.
+value on a single seed.  Twist entries come from one table per sequence,
+`ReflSeq.twists`; enumeration keys candidates by the wall equation at the
+all-stay gallery and then verifies each one in full.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from itertools import combinations
 
 from .errors import InvalidInputError, ResourceLimitError, VerificationError
 from .gallery import Bits, Gallery, ReflSeq
-from .rootsys import WeylElement, conjugate_reflection, enumerate_weyl
+from .rootsys import WeylElement, enumerate_weyl
 
 MAX_MORPHISM_LENGTH = 12
 
@@ -54,6 +55,8 @@ class Morphism:
     def __post_init__(self):
         if self.source.rs != self.target.rs:
             raise InvalidInputError("source and target are over different root systems")
+        if self.w.rs is not self.source.rs and self.w.rs != self.source.rs:
+            raise InvalidInputError("w is from a different root system")
         n, m = len(self.source), len(self.target)
         if len(self.p) != n:
             raise InvalidInputError("p must be defined on every source position")
@@ -97,23 +100,22 @@ def _table_ok(m: Morphism) -> MorphismViolation | None:
 def verify_morphism(m: Morphism) -> MorphismViolation | None:
     """Check both defining equations exhaustively; None means verified.
 
-    Twist entry i of a gallery is gamma^i s_i (gamma^i)^-1, read from the
-    prefix tables of source and target.  On success the morphism's verified
-    flag is set in place.
+    w s_beta w^-1 = s_{w(beta)}, so the wall equation at (gamma, i) compares
+    the target's twist entry p(i) with w's image of the source's entry i, up
+    to sign.  On success the morphism's verified flag is set in place.
     """
     if max(len(m.source), len(m.target)) > MAX_MORPHISM_LENGTH:
         raise ResourceLimitError("sequence length exceeds morphism bound")
     bad = _table_ok(m)
     if bad is not None:
         return bad
-    s, t, phi = m.source, m.target, m.phi
-    src, tgt = s.prefixes, t.prefixes
-    for bits in s.patterns:
+    phi, tgt, perm = m.phi, m.target.twists, m.w.perm
+    half = len(perm) // 2
+    for bits, src in m.source.twists.items():
         image = phi[bits]
+        row = tgt[image]
         for i, j in enumerate(m.p, start=1):
-            lhs = conjugate_reflection(tgt[j][image[:j]], t[j])
-            rhs = conjugate_reflection(m.w, conjugate_reflection(src[i][bits[:i]], s[i]))
-            if lhs != rhs:
+            if row[j - 1] != perm[src[i - 1]] % half:
                 return MorphismViolation("wall-equation", bits, i)
             folded = bits[:i - 1] + (not bits[i - 1],) + bits[i:]
             expect = image[:j - 1] + (not image[j - 1],) + image[j:]
@@ -172,9 +174,11 @@ def _propagated_table(s: ReflSeq, p: tuple[int, ...],
 def enumerate_morphisms(s: ReflSeq, target: ReflSeq) -> list[Morphism]:
     """All morphisms s -> target, in deterministic order.
 
-    phi is determined by (p, seed image), so candidates are propagated from
-    the all-stay gallery and filtered by full verification.  Ordering is
-    lexicographic in p, then enumerate_weyl order of w, then seed image.
+    phi is propagated from (p, seed), the image of the all-stay gallery, whose
+    twist entries are s_1..s_n: the wall equation there asks that w map the
+    root of s_i to +-(the seed's twist entry p(i)).  So w is keyed by those
+    images, seeds by their entries at p, and only matching pairs are verified
+    in full.  Order: p lexicographic, then w in enumerate_weyl order, then seed.
     """
     if s.rs != target.rs:
         raise InvalidInputError("source and target are over different root systems")
@@ -183,14 +187,17 @@ def enumerate_morphisms(s: ReflSeq, target: ReflSeq) -> list[Morphism]:
         raise ResourceLimitError("sequence length exceeds morphism bound")
     if n > nt:
         return []
+    half = len(s.rs.roots) // 2
+    keyed = [(tuple(w.perm[t.index] % half for t in s.entries), w)
+             for w in enumerate_weyl(s.rs)]
     out = []
-    weyl_order = enumerate_weyl(s.rs)
-    seeds = list(target.patterns)
     for p in combinations(range(1, nt + 1), n):
-        for w in weyl_order:
-            for seed in seeds:
-                phi = _propagated_table(s, p, seed)
-                m = Morphism(s, target, p, w, phi)
+        buckets: dict[tuple[int, ...], list[Bits]] = {}
+        for seed, row in target.twists.items():
+            buckets.setdefault(tuple(row[j - 1] for j in p), []).append(seed)
+        for key, w in keyed:
+            for seed in buckets.get(key, ()):
+                m = Morphism(s, target, p, w, _propagated_table(s, p, seed))
                 if verify_morphism(m) is None:
                     out.append(m)
     return out
@@ -207,11 +214,10 @@ def verify_pointed(pm: PointedMorphism) -> MorphismViolation | None:
         bad = verify_morphism(m)
         if bad is not None:
             return bad
-    winv = m.w.inv()
+    # x~ v^-1 = w x u^-1 w^-1 holds exactly when v = w u c, c = x^-1 w^-1 x~
+    c = pm.x.inv() * m.w.inv() * pm.x_target
     tgt = m.target.prefixes[len(m.target)]
     for bits, u in m.source.prefixes[len(m.source)].items():
-        lhs = pm.x_target * tgt[m.phi[bits]].inv()
-        rhs = m.w * pm.x * u.inv() * winv
-        if lhs != rhs:
+        if tgt[m.phi[bits]] != m.w * u * c:
             return MorphismViolation("pointed-condition", bits)
     return None

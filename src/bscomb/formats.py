@@ -20,7 +20,7 @@ from .gallery import Bits, Gallery, ReflSeq
 from .gkm import FPFunction
 from .nested import NestedPlan, Pair
 from .poly import Poly
-from .rootsys import Root, RootSystem, WeylElement, build_root_system
+from .rootsys import Root, RootSystem, WeylElement, build_root_system, check_weyl_order
 
 _RS_RE = re.compile(r"^([ABCDG])(\d+)$")
 _JSON_TYPES = {"string": str, "array": (list, tuple), "object": dict}
@@ -33,12 +33,16 @@ def _expect(value, kind: str, what: str):
     return value
 
 
-def parse_root_system(text: str) -> RootSystem:
+def parse_root_system(text: str, max_weyl: int | None = None) -> RootSystem:
+    """A name like "B3"; given max_weyl, |W| is bounded before roots are built."""
     m = _RS_RE.match(_expect(text, "string", "root system").strip())
     if not m:
         raise ParseError(f"bad root system {text!r}; expected e.g. A2, B3, G2")
+    family, rank = m.group(1), int(m.group(2))
+    if max_weyl is not None:
+        check_weyl_order(family, rank, max_weyl)
     try:
-        return build_root_system(m.group(1), int(m.group(2)))
+        return build_root_system(family, rank)
     except Exception as exc:
         raise ParseError(str(exc)) from exc
 

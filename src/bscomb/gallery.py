@@ -95,6 +95,24 @@ class ReflSeq:
                            for b, u in levels[-1].items() for x in (False, True)})
         return levels
 
+    @cached_property
+    def twists(self) -> dict[Bits, tuple[int, ...]]:
+        """Twist entries of every gallery: twists[bits][i-1] is the index in
+        rs.reflections of gamma^i s_i (gamma^i)^-1 = gamma^{i-1} s_i
+        (gamma^{i-1})^-1, so it depends on bits[:i-1] alone.  Built once per
+        sequence object by doubling over the bit tree, as `prefixes`;
+        `twist_seq` is the one-gallery form.  n <= MAX_LENGTH."""
+        check_length(len(self.entries))
+        half = len(self.rs.roots) // 2
+        level = {(): ()}
+        for t, products in zip(self.entries, self.prefixes):
+            nxt = {}
+            for b, row in level.items():
+                row += (products[b].perm[t.index] % half,)
+                nxt[b + (False,)] = nxt[b + (True,)] = row
+            level = nxt
+        return level
+
     def all_simple(self) -> bool:
         return all(t.is_simple() for t in self.entries)
 

@@ -80,6 +80,20 @@ class Root:
         return Root(tuple(-c for c in self.coords))
 
 
+def closed_weyl_order(family: str, n: int) -> int:
+    """|W| from family and rank alone: (n+1)!, 2^n n!, 2^(n-1) n!, or 12."""
+    return {"A": factorial(n + 1), "B": 2 ** n * factorial(n),
+            "C": 2 ** n * factorial(n), "D": 2 ** (n - 1) * factorial(n),
+            "G": 12}[family]
+
+
+def check_weyl_order(family: str, rank: int, max_weyl: int = MAX_WEYL) -> None:
+    """Refuse |W| above min(max_weyl, MAX_WEYL): a caller can only tighten it."""
+    bound, order = min(max_weyl, MAX_WEYL), closed_weyl_order(family, rank)
+    if order > bound:
+        raise ResourceLimitError(f"|W| = {order} exceeds bound {bound}")
+
+
 class RootSystem:
     """The full root datum of a finite family/rank: roots, pairings, Weyl group.
 
@@ -133,11 +147,7 @@ class RootSystem:
 
     @property
     def weyl_order(self) -> int:
-        """|W| in closed form: (n+1)!, 2^n n!, 2^(n-1) n!, or 12 for G2."""
-        n = self.rank
-        return {"A": factorial(n + 1), "B": 2 ** n * factorial(n),
-                "C": 2 ** n * factorial(n), "D": 2 ** (n - 1) * factorial(n),
-                "G": 12}[self.family]
+        return closed_weyl_order(self.family, self.rank)
 
     # -- roots -------------------------------------------------------------
 
@@ -307,14 +317,11 @@ def conjugate_reflection(w: WeylElement, t: Reflection) -> Reflection:
 def enumerate_weyl(rs: RootSystem, max_weyl: int = MAX_WEYL) -> list[WeylElement]:
     """All Weyl elements, by closure under simple reflections.
 
-    |W| is bounded by min(max_weyl, MAX_WEYL): a caller can only tighten it,
-    and the closed-form order is checked before any element is built.
+    |W| is bounded by `check_weyl_order` before any element is built.
     Deterministic order: breadth-first by word length, elements sorted by
     matrix within each level.  Cached on the root system.
     """
-    bound = min(max_weyl, MAX_WEYL)
-    if rs.weyl_order > bound:
-        raise ResourceLimitError(f"|W| = {rs.weyl_order} exceeds bound {bound}")
+    check_weyl_order(rs.family, rs.rank, max_weyl)
     if rs._weyl_cache is None:
         simples = [rs.simple_reflection(i) for i in range(1, rs.rank + 1)]
         seen = {rs.identity()}

@@ -233,6 +233,19 @@ def test_weyl_bound_checked_before_walk(capsys):
     code, out, err = run(capsys, "weyl", "info", "--root-system", "A8")
     assert (code, out) == (3, "")
     assert "362880" in err
+    # |W(A3)| = 24: a bound equal to the order admits it, one less refuses it
+    assert run(capsys, "--max-weyl", "24", "weyl", "info", "--root-system", "A3")[0] == 0
+    assert run(capsys, "--max-weyl", "23", "weyl", "info", "--root-system", "A3")[0] == 3
+
+
+def test_weyl_bound_checked_before_roots_are_built():
+    # A60 has 3,660 roots; the order needs only family and rank, so the
+    # refusal comes before the roots are closed under reflection.
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run([sys.executable, "-m", "bscomb.cli", "weyl", "info",
+                           "--root-system", "A60"], cwd=ROOT, env=env,
+                          capture_output=True, timeout=2)
+    assert (proc.returncode, proc.stdout) == (3, b"")
 
 
 def test_structured_output_deterministic(capsys):

@@ -204,8 +204,8 @@ def _reference_pointed(m, x, x_target):
 
 
 def _candidate_tables(s, target):
-    """Every (p, w, phi) that enumeration considers, phi propagated from the
-    image of the all-stay gallery."""
+    """Every (p, w, phi) of the generate-and-test loop that enumeration
+    replaced, phi propagated from the image of the all-stay gallery."""
     n, nt = len(s), len(target)
     for p in combinations(range(1, nt + 1), n):
         for w in enumerate_weyl(s.rs):
@@ -273,6 +273,24 @@ def test_verify_matches_twist_reference():
     assert accepted > 2000 and rejected > 5000 and pointed_ok > 2000
 
 
+def test_enumerate_matches_generate_and_test(a1, a2):
+    """Enumeration against generate-and-test: every candidate table checked
+    by the reference, kept in candidate order.  Every A1 and A2 pair up to
+    length 3, and the seeded B2 pairs of _reference_pairs."""
+    pairs = [(s, t) for rs in (a1, a2)
+             for s in (x for n in range(4) for x in all_seqs(rs, n))
+             for t in (x for n in range(len(s), 4) for x in all_seqs(rs, n))]
+    pairs += [(s, t) for s, t in _reference_pairs() if s.rs.family == "B"]
+    found = 0
+    for s, target in pairs:
+        expect = [Morphism(s, target, p, w, phi).key()
+                  for p, w, phi in _candidate_tables(s, target)
+                  if _reference_verify(Morphism(s, target, p, w, phi)) is None]
+        assert [m.key() for m in enumerate_morphisms(s, target)] == expect, (s, target)
+        found += len(expect)
+    assert found > 10000
+
+
 def test_morphism_refuses_mixed_root_systems(a2, b2):
     for source in (ReflSeq(a2, ()), simple_seq(a2, 1)):
         target = simple_seq(b2, 1)
@@ -281,3 +299,10 @@ def test_morphism_refuses_mixed_root_systems(a2, b2):
                      {})
         with pytest.raises(InvalidInputError):
             enumerate_morphisms(source, target)
+    # A3 and G2 both have 12 roots, so an A3 permutation fits G2's tables
+    g2, a3 = build_root_system("G", 2), build_root_system("A", 3)
+    assert len(a3.roots) == len(g2.roots)
+    s = simple_seq(g2, 1, 2)
+    with pytest.raises(InvalidInputError):
+        Morphism(s, s, (1, 2), a3.simple_reflection(1),
+                 {g.bits: g.bits for g in galleries(s)})

@@ -180,12 +180,28 @@ def test_prefix_tables_match_prefix(system, data):
             assert s.prefixes[i][g.bits[:i]] == prefix(g, i)
 
 
+@pytest.mark.parametrize("system", [("A", 2), ("B", 2), ("G", 2)],
+                         ids=lambda s: "".join(map(str, s)))
+def test_twist_table_matches_twist_seq(system):
+    """The doubled twist table names the reflections of twist_seq at every
+    gallery of every sequence up to length 4, the empty one included."""
+    rs = build_root_system(*system)
+    for n in range(5):
+        for s in all_seqs(rs, n):
+            assert list(s.twists) == list(s.patterns)
+            for bits, row in s.twists.items():
+                named = tuple(rs.reflections[k] for k in row)
+                assert named == twist_seq(s, Gallery(s, bits)).entries
+
+
 def test_tables_respect_length_bound(a1):
     s = simple_seq(a1, *[1] * (MAX_LENGTH + 1))
     with pytest.raises(ResourceLimitError):
         s.patterns
     with pytest.raises(ResourceLimitError):
         s.prefixes
+    with pytest.raises(ResourceLimitError):
+        s.twists
 
 
 def _reference_gallery_type(s):
