@@ -1,12 +1,12 @@
 """Nested structures, projections, fibres, and the counting bijection."""
 
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
 from bscomb.errors import InvalidInputError, PropertyViolationError
-from bscomb.gallery import ReflSeq, is_gallery_type
+from bscomb.gallery import Gallery, ReflSeq, conjugate_reflection, is_gallery_type
 from bscomb.nested import (
     FSelection,
     NestedPlan,
@@ -302,3 +302,171 @@ def _random_pairs(rng, n):
                     or (r[0] <= q[0] and q[1] <= r[1])) for q in pairs):
             pairs.append(r)
     return tuple(pairs)
+
+
+# Reference gate for the one-pass contraction: the per-position `v_power`
+# projection, the accumulator `restricted_seq` and the Gallery-keyed
+# factoring, kept here as the slow paths the library's versions replace.
+
+
+def _reference_v_power(plan, F, i):
+    for f in F.pairs:
+        if f[0] <= i <= f[1]:
+            raise InvalidInputError(f"position {i} lies inside the interval {f}")
+    w = plan.seq.rs.identity()
+    for f in F.pairs:
+        if f[1] < i:
+            w = w * plan.labels[f]
+    return w
+
+
+def _reference_survivors(plan, F):
+    covered = set()
+    for f in F.pairs:
+        covered.update(range(f[0], f[1] + 1))
+    return [i for i in range(1, len(plan.seq) + 1) if i not in covered]
+
+
+def _reference_project(plan, F):
+    survivors = _reference_survivors(plan, F)
+    renum = {pos: k for k, pos in enumerate(survivors, start=1)}
+    entries = [conjugate_reflection(_reference_v_power(plan, F, pos), plan.seq[pos])
+               for pos in survivors]
+    pairs, labels, display = [], {}, {}
+    for r in plan.pairs:
+        if any(f[0] <= r[0] and r[1] <= f[1] for f in F.pairs):
+            continue
+        image = (renum[r[0]], renum[r[1]])
+        v1 = _reference_v_power(plan, F, r[0])
+        v2 = _reference_v_power(plan, F, r[1])
+        pairs.append(image)
+        labels[image] = v1 * plan.labels[r] * v2.inv()
+        display[image] = plan.display(r)
+    return NestedPlan(ReflSeq(plan.seq.rs, tuple(entries)), tuple(pairs), labels, display)
+
+
+def _reference_restricted_seq(plan, r):
+    inner = [q for q in plan.pairs
+             if r[0] <= q[0] and q[1] <= r[1] and q != r]
+    maximal = sorted(q for q in inner
+                     if not any(p[0] <= q[0] and q[1] <= p[1] and p != q for p in inner))
+    entries = []
+    acc = plan.seq.rs.identity()
+    k = 0
+    for pos in range(r[0], r[1] + 1):
+        while k < len(maximal) and maximal[k][1] < pos:
+            acc = acc * plan.labels[maximal[k]]
+            k += 1
+        if any(q[0] <= pos <= q[1] for q in maximal):
+            continue
+        entries.append(conjugate_reflection(acc, plan.seq[pos]))
+    return tuple(entries)
+
+
+def _reference_forward(plan, F):
+    """The Gallery-keyed factoring map, with its three checks as asserts."""
+    base_plan = _reference_project(plan, F)
+    fibre_plans = [fibre_data(plan, f) for f in F.pairs]
+    survivors = _reference_survivors(plan, F)
+    base_set = {Gallery(base_plan.seq, b) for b in _reference_fixed_points(base_plan)}
+    fibre_sets = [{Gallery(fp.seq, b) for b in _reference_fixed_points(fp)}
+                  for fp in fibre_plans]
+    forward, seen = {}, set()
+    for bits in _reference_fixed_points(plan):
+        g = Gallery(plan.seq, bits)
+        base = Gallery(base_plan.seq, tuple(g.bits[p - 1] for p in survivors))
+        parts = tuple(Gallery(fp.seq, g.bits[f[0] - 1:f[1]])
+                      for fp, f in zip(fibre_plans, F.pairs))
+        assert base in base_set and all(p in s for p, s in zip(parts, fibre_sets))
+        assert (base, parts) not in seen
+        seen.add((base, parts))
+        forward[g] = (base, parts)
+    expected = len(base_set)
+    for s in fibre_sets:
+        expected *= len(s)
+    assert len(forward) == expected
+    return forward
+
+
+def _as_bits(forward):
+    """A factoring map as (bits, (base bits, fibre bits)) items in order;
+    Gallery objects and bit tuples alike become bit tuples."""
+    bits = lambda g: getattr(g, "bits", g)  # noqa: E731
+    return [(bits(g), (bits(b), tuple(map(bits, parts))))
+            for g, (b, parts) in forward.items()]
+
+
+def _plan_fields(p):
+    return p.seq.entries, p.pairs, p.labels, p.display_pairs
+
+
+def _selections(plan):
+    return [FSelection.of(plan, sel) for k in range(1, len(plan.pairs) + 1)
+            for sel in combinations(plan.pairs, k)
+            if all(f[1] < g[0] or g[1] < f[0] for f, g in combinations(sel, 2))]
+
+
+def _check_against_reference(plan, twice=False):
+    for r in plan.pairs:
+        assert restricted_seq(plan, r).entries == _reference_restricted_seq(plan, r)
+    for F in _selections(plan):
+        base = project(plan, F)
+        assert _plan_fields(base) == _plan_fields(_reference_project(plan, F))
+        assert (_as_bits(factor_fixed_points(plan, F).forward)
+                == _as_bits(_reference_forward(plan, F)))
+        for G in _selections(base) if twice else ():  # display labels carry over
+            assert (_plan_fields(project(base, G))
+                    == _plan_fields(_reference_project(base, G)))
+
+
+def test_projection_matches_reference_all_a2_plans(a2):
+    # every labelled A2 plan up to length 3, every selection F
+    refls = [a2.reflection(r) for r in a2.roots if r.is_positive]
+    order = enumerate_weyl(a2)
+    checked = 0
+    for n in range(4):
+        for pairs in _nested_pair_sets(n):
+            if not pairs:
+                continue
+            for entries in product(refls, repeat=n):
+                seq = ReflSeq(a2, entries)
+                for labels in product(order, repeat=len(pairs)):
+                    _check_against_reference(NestedPlan(seq, pairs, dict(zip(pairs, labels))))
+                    checked += 1
+    assert checked > 10_000
+
+
+@pytest.mark.parametrize("system", [("A", 3), ("B", 3)])
+def test_projection_matches_reference_random(system):
+    rs = build_root_system(*system)
+    refls = [rs.reflection(r) for r in rs.roots if r.is_positive]
+    order = enumerate_weyl(rs)
+    rng = random.Random(29)
+    for _ in range(60):
+        n = rng.randint(1, 7)
+        seq = ReflSeq(rs, tuple(rng.choice(refls) for _ in range(n)))
+        pairs = _random_pairs(rng, n)
+        bits = tuple(rng.random() < 0.5 for _ in range(n))
+        labels = (_interval_products(seq, pairs, bits) if rng.random() < 0.75
+                  else tuple(rng.choice(order) for _ in pairs))
+        _check_against_reference(NestedPlan(seq, pairs, dict(zip(pairs, labels))), twice=True)
+
+
+@pytest.mark.parametrize("pairs, message", [
+    (((1, 3), (2, 5)), "intervals neither disjoint nor nested: (1, 3), (2, 5)"),
+    (((1, 2), (2, 4)), "endpoint sets not disjoint: (1, 2), (2, 4)"),
+    (((4, 2),), "endpoint order r1 <= r2 violated: (4, 2)"),
+])
+def test_invalid_plan_refused_alike_everywhere(a2, pairs, message):
+    plan = make_plan(a2, (1, 2, 1, 2, 1), pairs, [(1,)] * len(pairs))
+    r = plan.pairs[0]
+    F = FSelection((r,))
+    calls = [lambda: project(plan, F), lambda: fibre_data(plan, r),
+             lambda: fixed_points(plan), lambda: factor_fixed_points(plan, F),
+             lambda: restricted_seq(plan, r), lambda: is_gallery_type_pair(plan),
+             lambda: betti_rank(plan)]
+    assert str(validate(plan)) == message
+    for call in calls:
+        with pytest.raises(InvalidInputError) as info:
+            call()
+        assert str(info.value) == f"invalid nested structure ({message})"
