@@ -1,6 +1,8 @@
 """Microbenchmarks for the nested layer: fixed_points and
 factor_fixed_points on the SL5 plan (length 10, pairs (1, 10) and (2, 6))
-and on a length-16 A4 plan with the single pair (3, 14).
+and on a length-16 A4 plan with the single pair (3, 14); project along
+(2, 6) and restricted_seq at (1, 10), the two uses of the one contraction,
+on the SL5 plan.
 
 Run from the repository root:
 
@@ -12,7 +14,14 @@ Tier-1 does not collect this file (`testpaths = ["tests"]`).
 import pytest
 
 from bscomb.gallery import ReflSeq
-from bscomb.nested import FSelection, NestedPlan, factor_fixed_points, fixed_points
+from bscomb.nested import (
+    FSelection,
+    NestedPlan,
+    factor_fixed_points,
+    fixed_points,
+    project,
+    restricted_seq,
+)
 from bscomb.rootsys import build_root_system
 
 RS = build_root_system("A", 4)
@@ -49,3 +58,15 @@ def test_factor_fixed_points(benchmark, name):
     F = FSelection.of(plan, SELECTIONS[name])
     cert = benchmark.pedantic(factor_fixed_points, args=(plan, F), rounds=5)
     assert cert.count == len(fixed_points(plan))
+
+
+def test_project(benchmark):
+    plan = PLANS["sl5"]
+    F = FSelection.of(plan, SELECTIONS["sl5"])
+    base = benchmark(project, plan, F)
+    assert len(base.seq) == 5 and base.pairs == ((1, 5),)
+
+
+def test_restricted_seq(benchmark):
+    s = benchmark(restricted_seq, PLANS["sl5"], (1, 10))
+    assert len(s) == 5

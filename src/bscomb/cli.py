@@ -76,7 +76,7 @@ def _load_plan(arg: str) -> nested.NestedPlan:
 
 
 def cmd_gallery_type(args) -> int:
-    s = formats.parse_sequence(args.sequence)
+    s = formats.parse_sequence(args.sequence, args.max_weyl)
     _check_length(args, s)
     rootsys.enumerate_weyl(s.rs, args.max_weyl)
     cert = gallery.is_gallery_type(s)
@@ -101,7 +101,7 @@ def cmd_fixed_points(args) -> int:
     plan = _load_plan(args.plan)
     _check_length(args, plan.seq)
     points = nested.fixed_points(plan)
-    bitstrings = [formats.serialize_bits(g.bits) for g in points]
+    bitstrings = [formats.serialize_bits(g) for g in points]
     doc = {"count": len(points), "galleries": bitstrings}
     _emit(args, doc, [f"{len(points)} galleries"] + bitstrings)
     return EXIT_OK
@@ -194,12 +194,12 @@ def cmd_morphism_verify(args) -> int:
 
 
 def cmd_morphism_enumerate(args) -> int:
-    source = formats.parse_sequence(args.source)
-    target = formats.parse_sequence(args.target)
+    source = formats.parse_sequence(args.source, args.max_weyl)
+    target = formats.parse_sequence(args.target, args.max_weyl)
     _check_length(args, source, target)
     rootsys.enumerate_weyl(source.rs, args.max_weyl)
     found = foldcat.enumerate_morphisms(source, target)
-    docs = [formats.morphism_to_doc(m) for m in found]
+    docs = formats.morphism_docs(found)
     lines = [f"{len(found)} morphisms"]
     for d in docs:
         lines.append(f"p={d['p']} w={d['w']} phi={d['phi']}")

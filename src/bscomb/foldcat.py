@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .errors import InvalidInputError, ResourceLimitError, VerificationError
-from .gallery import Bits, Gallery, ReflSeq
+from .gallery import Bits, Gallery, ReflSeq, serialize_bits
 from .rootsys import WeylElement, enumerate_weyl
 
 MAX_MORPHISM_LENGTH = 12
@@ -36,9 +36,8 @@ class MorphismViolation:
     position: int | None = None
 
     def __str__(self):
-        gallery = "".join("1" if b else "0" for b in self.bits) or "-"
         where = f" at position {self.position}" if self.position is not None else ""
-        return f"{self.condition} fails at gallery {gallery}{where}"
+        return f"{self.condition} fails at gallery {serialize_bits(self.bits)}{where}"
 
 
 @dataclass(frozen=True)

@@ -13,10 +13,11 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from functools import cache
 
 from .errors import InvalidInputError, ParseError
 from .foldcat import Morphism
-from .gallery import Bits, Gallery, ReflSeq
+from .gallery import Bits, ReflSeq, serialize_bits
 from .gkm import FPFunction
 from .nested import NestedPlan, Pair
 from .poly import Poly
@@ -86,12 +87,13 @@ def _parse_refl_token(rs: RootSystem, token: str):
     raise ParseError(f"bad reflection token {token!r}")
 
 
-def parse_sequence(text: str) -> ReflSeq:
-    """A sequence document "A2: s1 s2" / "A2: [1,1] [1,0]"; "A2:" is empty."""
+def parse_sequence(text: str, max_weyl: int | None = None) -> ReflSeq:
+    """A sequence document "A2: s1 s2" / "A2: [1,1] [1,0]"; "A2:" is empty.
+    Given max_weyl, |W| is bounded before the roots are built."""
     if ":" not in _expect(text, "string", "sequence document"):
         raise ParseError("sequence document must look like 'A2: s1 s2'")
     head, _, body = text.partition(":")
-    rs = parse_root_system(head)
+    rs = parse_root_system(head, max_weyl)
     tokens = body.split()
     return ReflSeq(rs, tuple(_parse_refl_token(rs, t) for t in tokens))
 
@@ -99,19 +101,6 @@ def parse_sequence(text: str) -> ReflSeq:
 def serialize_sequence(s: ReflSeq) -> str:
     body = " ".join(str(t) for t in s.entries)
     return f"{s.rs}:{' ' + body if body else ''}"
-
-
-def parse_gallery(s: ReflSeq, text: str) -> Gallery:
-    text = text.strip()
-    if text == "-" and len(s) == 0:
-        return Gallery(s, ())
-    if len(text) != len(s) or any(c not in "01" for c in text):
-        raise ParseError(f"bad gallery {text!r} for a sequence of length {len(s)}")
-    return Gallery(s, tuple(c == "1" for c in text))
-
-
-def serialize_bits(bits: Bits) -> str:
-    return "".join("1" if b else "0" for b in bits) or "-"
 
 
 def parse_bits(text: str, n: int) -> Bits:
@@ -234,15 +223,15 @@ def parse_morphism(source: ReflSeq, target: ReflSeq, doc) -> Morphism:
         raise ParseError(str(exc)) from exc
 
 
-def morphism_to_doc(m: Morphism) -> dict:
-    return {
-        "source": serialize_sequence(m.source),
-        "target": serialize_sequence(m.target),
-        "p": list(m.p),
-        "w": str(m.w),
-        "phi": {serialize_bits(b): serialize_bits(img)
-                for b, img in sorted(m.phi.items())},
-    }
+def morphism_docs(ms: list[Morphism]) -> list[dict]:
+    """Documents for morphisms, in order.  Each distinct sequence, Weyl
+    element and bit pattern is serialised once per call."""
+    seq_text, bits_text = cache(serialize_sequence), cache(serialize_bits)
+    word = cache(lambda rs, w: str(w))  # elements of two systems may share a perm
+    return [{"source": seq_text(m.source), "target": seq_text(m.target), "p": list(m.p),
+             "w": word(m.w.rs, m.w),
+             "phi": {bits_text(b): bits_text(img) for b, img in sorted(m.phi.items())}}
+            for m in ms]
 
 
 def fpfunction_to_doc(g: FPFunction) -> dict:

@@ -34,22 +34,17 @@ Bits = tuple[bool, ...]
 class ReflSeq:
     """An ordered sequence of reflections on positions 1..n.
 
-    Arbitrary totally ordered index sets are normalized to 1..n on
-    ingestion; `positions` retains the original labels for display.
+    Equal and hashed by (root system, entries).  A plan that renumbers
+    positions keeps the original pair labels itself (`NestedPlan.display_pairs`).
     """
 
-    rs: RootSystem = field(compare=True)
-    entries: tuple[Reflection, ...] = field(compare=True)
-    positions: tuple[int, ...] = field(default=(), compare=False)
+    rs: RootSystem
+    entries: tuple[Reflection, ...]
 
     def __post_init__(self):
         for t in self.entries:
             if t.rs is not self.rs and t.rs != self.rs:
                 raise InvalidInputError("sequence entry from a different root system")
-        if not self.positions:
-            object.__setattr__(self, "positions", tuple(range(1, len(self.entries) + 1)))
-        elif len(self.positions) != len(self.entries):
-            raise InvalidInputError("position labels do not match sequence length")
 
     def __len__(self):
         return len(self.entries)
@@ -64,10 +59,10 @@ class ReflSeq:
         """Drop the last entry (the truncation s')."""
         if not self.entries:
             raise InvalidInputError("cannot truncate an empty sequence")
-        return ReflSeq(self.rs, self.entries[:-1], self.positions[:-1])
+        return ReflSeq(self.rs, self.entries[:-1])
 
     def prefix_seq(self, k: int) -> "ReflSeq":
-        return ReflSeq(self.rs, self.entries[:k], self.positions[:k])
+        return ReflSeq(self.rs, self.entries[:k])
 
     @cached_property
     def patterns(self) -> dict[Bits, None]:
@@ -135,10 +130,15 @@ class Gallery:
             raise InvalidInputError("gallery length does not match its sequence")
 
     def __str__(self):
-        return "".join("1" if b else "0" for b in self.bits) if self.bits else "-"
+        return serialize_bits(self.bits)
 
     def __hash__(self):
         return hash(self.bits)
+
+
+def serialize_bits(bits: Bits) -> str:
+    """A bit pattern as text: "101", and "-" for the empty pattern."""
+    return "".join("1" if b else "0" for b in bits) or "-"
 
 
 @dataclass(frozen=True)
@@ -185,8 +185,7 @@ def fold(gamma: Gallery, i: int) -> Gallery:
 
 def conj_seq(s: ReflSeq, w: WeylElement) -> ReflSeq:
     """The conjugated sequence s^w with (s^w)_i = w s_i w^-1."""
-    return ReflSeq(s.rs, tuple(conjugate_reflection(w, t) for t in s.entries),
-                   s.positions)
+    return ReflSeq(s.rs, tuple(conjugate_reflection(w, t) for t in s.entries))
 
 
 def conj_gallery(gamma: Gallery, w: WeylElement) -> Gallery:
@@ -204,7 +203,7 @@ def twist_seq(s: ReflSeq, gamma: Gallery) -> ReflSeq:
         if gamma.bits[i - 1]:
             w = w * s[i].as_weyl()
         entries.append(conjugate_reflection(w, s[i]))
-    return ReflSeq(s.rs, tuple(entries), s.positions)
+    return ReflSeq(s.rs, tuple(entries))
 
 
 def fixed_points_w(s: ReflSeq, w: WeylElement) -> list[Gallery]:
@@ -240,12 +239,7 @@ def is_gallery_type(s: ReflSeq) -> Gallerification | None:
     """
     cache_key = (s.rs, s.entries)
     if cache_key in _GALLERY_TYPE_CACHE:
-        cached = _GALLERY_TYPE_CACHE[cache_key]
-        if cached is None:
-            return None
-        # rebuild with the caller's display positions
-        t = ReflSeq(s.rs, cached.t.entries, s.positions)
-        return Gallerification(cached.x, t, Gallery(t, cached.gamma.bits))
+        return _GALLERY_TYPE_CACHE[cache_key]
     table = s.rs.reflections
     entries = s.entries
     dead = set()
@@ -270,7 +264,7 @@ def is_gallery_type(s: ReflSeq) -> Gallerification | None:
     for u0 in enumerate_weyl(s.rs):
         found = walk(0, u0)
         if found is not None:
-            t = ReflSeq(s.rs, found[0], s.positions)
+            t = ReflSeq(s.rs, found[0])
             cert = Gallerification(u0.inv(), t, Gallery(t, found[1]))
             verify_gallerification(s, cert)
             _GALLERY_TYPE_CACHE[cache_key] = cert

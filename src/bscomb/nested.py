@@ -4,9 +4,11 @@ A nested plan is a sequence of reflections together with a set R of
 non-crossing interval constraints (r1, r2) labelled by Weyl elements: a
 gallery satisfies the plan when the product of its entries over every
 constrained interval equals the label.  Projection along a disjoint family
-F inside R conjugates the surviving positions by the accumulated labels and
-reproduces the constrained gallery set as a product of a base and fibres,
-which this module verifies by explicit bijection.
+F inside R and the restricted sequences s^(r,v) are one contraction: delete
+disjoint intervals and conjugate each surviving entry by the product of the
+deleted labels before it.  The projection reproduces the constrained
+gallery set as a product of a base and fibres, verified by explicit
+bijection on bit patterns.
 """
 
 from __future__ import annotations
@@ -15,12 +17,13 @@ from dataclasses import dataclass, field
 
 from .errors import InvalidInputError, PropertyViolationError
 from .gallery import (
+    Bits,
     Gallerification,
-    Gallery,
     ReflSeq,
     check_length,
     conjugate_reflection,
     is_gallery_type,
+    serialize_bits,
 )
 from .rootsys import WeylElement
 
@@ -44,12 +47,14 @@ class NestedPlan:
 
     `pairs` are 1-based inclusive intervals in the operational numbering of
     `seq`; `display_pairs` keeps the original labels after renumbering.
+    `violation` is found once, at construction, and `validate` returns it.
     """
 
     seq: ReflSeq
     pairs: tuple[Pair, ...]
     labels: dict[Pair, WeylElement] = field(default_factory=dict)
     display_pairs: dict[Pair, Pair] = field(default_factory=dict)
+    violation: Violation | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.seq)
@@ -64,22 +69,23 @@ class NestedPlan:
                 raise InvalidInputError(f"label for unknown pair {r}")
             if w.rs != self.seq.rs:
                 raise InvalidInputError("label from a different root system")
+        object.__setattr__(self, "violation", _first_violation(self.pairs))
 
     def display(self, r: Pair) -> Pair:
         return self.display_pairs.get(r, r)
 
 
-def validate(plan: NestedPlan) -> Violation | None:
-    """Check the three nested-structure conditions; None means ok."""
-    for r in plan.pairs:
+def _first_violation(pairs: tuple[Pair, ...]) -> Violation | None:
+    """The first of the three nested-structure conditions the pairs break."""
+    for r in pairs:
         if r[0] > r[1]:
             return Violation("endpoint order r1 <= r2 violated", (r,))
-    for i, r in enumerate(plan.pairs):
-        for q in plan.pairs[i + 1:]:
+    for i, r in enumerate(pairs):
+        for q in pairs[i + 1:]:
             if {r[0], r[1]} & {q[0], q[1]}:
                 return Violation("endpoint sets not disjoint", (r, q))
-    for i, r in enumerate(plan.pairs):
-        for q in plan.pairs[i + 1:]:
+    for i, r in enumerate(pairs):
+        for q in pairs[i + 1:]:
             disjoint = r[1] < q[0] or q[1] < r[0]
             nested = (r[0] <= q[0] and q[1] <= r[1]) or (q[0] <= r[0] and r[1] <= q[1])
             if not (disjoint or nested):
@@ -87,10 +93,14 @@ def validate(plan: NestedPlan) -> Violation | None:
     return None
 
 
+def validate(plan: NestedPlan) -> Violation | None:
+    """The plan's first violated nested-structure condition; None means ok."""
+    return plan.violation
+
+
 def _require_valid(plan: NestedPlan) -> None:
-    v = validate(plan)
-    if v is not None:
-        raise InvalidInputError(f"invalid nested structure ({v})")
+    if plan.violation is not None:
+        raise InvalidInputError(f"invalid nested structure ({plan.violation})")
 
 
 @dataclass(frozen=True)
@@ -117,52 +127,47 @@ class FSelection:
         return sel
 
 
-def v_power(plan: NestedPlan, F: FSelection, i: int) -> WeylElement:
-    """The accumulated label v^i: product of v_f over f in F with f_2 < i."""
-    for f in F.pairs:
-        if f[0] <= i <= f[1]:
-            raise InvalidInputError(f"position {i} lies inside the interval {f}")
-    w = plan.seq.rs.identity()
-    for f in F.pairs:
-        if f[1] < i:
-            w = w * plan.labels[f]
-    return w
+def _contract(plan: NestedPlan, lo: int, hi: int,
+              cut: tuple[Pair, ...]) -> dict[int, WeylElement]:
+    """{i: v^i} for the positions i of lo..hi outside the sorted disjoint
+    intervals `cut`, in order, where v^i is the product of the labels of
+    the intervals of `cut` that end before i."""
+    v = plan.seq.rs.identity()
+    out = {}
+    for f in cut:
+        out.update(dict.fromkeys(range(lo, f[0]), v))
+        v = v * plan.labels[f]
+        lo = f[1] + 1
+    out.update(dict.fromkeys(range(lo, hi + 1), v))
+    return out
 
 
-def _surviving_positions(plan: NestedPlan, F: FSelection) -> list[int]:
-    covered = set()
-    for f in F.pairs:
-        covered.update(range(f[0], f[1] + 1))
-    return [i for i in range(1, len(plan.seq) + 1) if i not in covered]
+def _conjugated(plan: NestedPlan, v: dict[int, WeylElement]) -> ReflSeq:
+    """The surviving entries of a contraction, entry i conjugated by v^i."""
+    entries = plan.seq.entries
+    return ReflSeq(plan.seq.rs,
+                   tuple(conjugate_reflection(w, entries[i - 1]) for i, w in v.items()))
 
 
 def project(plan: NestedPlan, F: FSelection) -> NestedPlan:
     """The projected plan (s^F, R^F, v^F) on the surviving positions.
 
-    Positions are densely renumbered; original labels are retained in the
-    sequence's `positions` and in `display_pairs`.
+    Positions are densely renumbered; original pair labels are retained in
+    `display_pairs`.  Endpoints are distinct and pairs nested or disjoint,
+    so a pair survives exactly when its first endpoint does.
     """
     _require_valid(plan)
     F = FSelection.of(plan, F.pairs)
-    survivors = _surviving_positions(plan, F)
-    renum = {pos: k for k, pos in enumerate(survivors, start=1)}
-    entries = []
-    for pos in survivors:
-        vi = v_power(plan, F, pos)
-        entries.append(conjugate_reflection(vi, plan.seq[pos]))
-    seq = ReflSeq(plan.seq.rs, tuple(entries),
-                  tuple(plan.seq.positions[p - 1] for p in survivors))
+    v = _contract(plan, 1, len(plan.seq), F.pairs)
+    renum = {pos: k for k, pos in enumerate(v, start=1)}
     pairs, labels, display = [], {}, {}
     for r in plan.pairs:
-        if any(f[0] <= r[0] and r[1] <= f[1] for f in F.pairs):
-            continue
-        image = (renum[r[0]], renum[r[1]])
-        v1 = v_power(plan, F, r[0])
-        v2 = v_power(plan, F, r[1])
-        pairs.append(image)
-        labels[image] = v1 * plan.labels[r] * v2.inv()
-        display[image] = plan.display(r)
-    return NestedPlan(seq, tuple(pairs), labels, display)
+        if r[0] in v:
+            image = (renum[r[0]], renum[r[1]])
+            pairs.append(image)
+            labels[image] = v[r[0]] * plan.labels[r] * v[r[1]].inv()
+            display[image] = plan.display(r)
+    return NestedPlan(_conjugated(plan, v), tuple(pairs), labels, display)
 
 
 def fibre_data(plan: NestedPlan, f: Pair) -> NestedPlan:
@@ -175,22 +180,20 @@ def fibre_data(plan: NestedPlan, f: Pair) -> NestedPlan:
     if f not in plan.pairs:
         raise InvalidInputError(f"{f} is not a pair of the plan")
     lo, hi = f
-    renum = {pos: pos - lo + 1 for pos in range(lo, hi + 1)}
-    seq = ReflSeq(plan.seq.rs, plan.seq.entries[lo - 1:hi],
-                  plan.seq.positions[lo - 1:hi])
+    seq = ReflSeq(plan.seq.rs, plan.seq.entries[lo - 1:hi])
     pairs, labels, display = [], {}, {}
     for r in plan.pairs:
         if lo <= r[0] and r[1] <= hi:
-            image = (renum[r[0]], renum[r[1]])
+            image = (r[0] - lo + 1, r[1] - lo + 1)
             pairs.append(image)
             labels[image] = plan.labels[r]
             display[image] = plan.display(r)
     return NestedPlan(seq, tuple(pairs), labels, display)
 
 
-def fixed_points(plan: NestedPlan) -> list[Gallery]:
-    """Gamma(s, v): galleries satisfying all interval constraints, in
-    bit-lexicographic order.
+def fixed_points(plan: NestedPlan) -> list[Bits]:
+    """Gamma(s, v): the bit patterns of the galleries satisfying all
+    interval constraints, in lexicographic order.
 
     The product over [a, b] is (gamma^(a-1))^-1 gamma^b, so a depth-first
     walk over the bits, stay before cross, carries gamma^0..gamma^i and
@@ -209,7 +212,7 @@ def fixed_points(plan: NestedPlan) -> list[Gallery]:
 
     def walk(i: int) -> None:
         if i == n:
-            out.append(Gallery(seq, tuple(bits)))
+            out.append(tuple(bits))
             return
         closing = closes.get(i + 1)
         want = gamma[closing[0] - 1] * closing[1] if closing else None
@@ -226,11 +229,11 @@ def fixed_points(plan: NestedPlan) -> list[Gallery]:
 
 @dataclass(frozen=True)
 class FactorCertificate:
-    """Verified bijection Gamma(s,v) <-> Gamma(s^F,v^F) x prod Gamma(s_f,v_f)."""
+    """Verified bijection Gamma(s,v) <-> Gamma(s^F,v^F) x prod Gamma(s_f,v_f) on bits."""
 
     base_plan: NestedPlan
     fibre_plans: tuple[NestedPlan, ...]
-    forward: dict[Gallery, tuple[Gallery, tuple[Gallery, ...]]]
+    forward: dict[Bits, tuple[Bits, tuple[Bits, ...]]]
 
     @property
     def count(self) -> int:
@@ -249,26 +252,24 @@ def factor_fixed_points(plan: NestedPlan, F: FSelection) -> FactorCertificate:
     F = FSelection.of(plan, F.pairs)
     base_plan = project(plan, F)
     fibre_plans = tuple(fibre_data(plan, f) for f in F.pairs)
-    survivors = _surviving_positions(plan, F)
+    survivors = [i - 1 for i in _contract(plan, 1, len(plan.seq), F.pairs)]
 
     source = fixed_points(plan)
     base_set = set(fixed_points(base_plan))
     fibre_sets = [set(fixed_points(fp)) for fp in fibre_plans]
 
-    forward: dict[Gallery, tuple[Gallery, tuple[Gallery, ...]]] = {}
+    forward: dict[Bits, tuple[Bits, tuple[Bits, ...]]] = {}
     seen_images: set = set()
     for g in source:
-        base = Gallery(base_plan.seq, tuple(g.bits[p - 1] for p in survivors))
-        parts = tuple(
-            Gallery(fp.seq, g.bits[f[0] - 1:f[1]])
-            for fp, f in zip(fibre_plans, F.pairs)
-        )
+        base = tuple(g[i] for i in survivors)
+        parts = tuple(g[f[0] - 1:f[1]] for f in F.pairs)
         if base not in base_set or any(p not in s for p, s in zip(parts, fibre_sets)):
             raise PropertyViolationError(
-                f"image of gallery {g} lands outside the product")
+                f"image of gallery {serialize_bits(g)} lands outside the product")
         key = (base, parts)
         if key in seen_images:
-            raise PropertyViolationError(f"factoring map is not injective at {g}")
+            raise PropertyViolationError(
+                f"factoring map is not injective at {serialize_bits(g)}")
         seen_images.add(key)
         forward[g] = key
 
@@ -287,23 +288,13 @@ def restricted_seq(plan: NestedPlan, r: Pair) -> ReflSeq:
     _require_valid(plan)
     if r not in plan.pairs:
         raise InvalidInputError(f"{r} is not a pair of the plan")
-    inner = [q for q in plan.pairs
-             if r[0] <= q[0] and q[1] <= r[1] and q != r]
-    maximal = [q for q in inner
-               if not any(p[0] <= q[0] and q[1] <= p[1] and p != q for p in inner)]
-    maximal.sort()
-    entries, positions = [], []
-    acc = plan.seq.rs.identity()
-    k = 0
-    for pos in range(r[0], r[1] + 1):
-        while k < len(maximal) and maximal[k][1] < pos:
-            acc = acc * plan.labels[maximal[k]]
-            k += 1
-        if any(q[0] <= pos <= q[1] for q in maximal):
-            continue
-        entries.append(conjugate_reflection(acc, plan.seq[pos]))
-        positions.append(plan.seq.positions[pos - 1])
-    return ReflSeq(plan.seq.rs, tuple(entries), tuple(positions))
+    # pairs are sorted by first endpoint, so an inner pair is maximal exactly
+    # when it starts after the last maximal one ends
+    maximal = []
+    for q in plan.pairs:
+        if r[0] < q[0] and q[1] < r[1] and (not maximal or maximal[-1][1] < q[0]):
+            maximal.append(q)
+    return _conjugated(plan, _contract(plan, r[0], r[1], tuple(maximal)))
 
 
 def is_gallery_type_pair(plan: NestedPlan

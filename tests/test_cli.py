@@ -240,12 +240,15 @@ def test_weyl_bound_checked_before_walk(capsys):
 
 def test_weyl_bound_checked_before_roots_are_built():
     # A60 has 3,660 roots; the order needs only family and rank, so the
-    # refusal comes before the roots are closed under reflection.
+    # refusal comes before the roots are closed under reflection, also
+    # where the system is named in a sequence document.
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
-    proc = subprocess.run([sys.executable, "-m", "bscomb.cli", "weyl", "info",
-                           "--root-system", "A60"], cwd=ROOT, env=env,
-                          capture_output=True, timeout=2)
-    assert (proc.returncode, proc.stdout) == (3, b"")
+    for argv in (["weyl", "info", "--root-system", "A60"],
+                 ["gallery-type", "A60: s1"],
+                 ["morphism", "enumerate", "A60: s1", "A60: s1"]):
+        proc = subprocess.run([sys.executable, "-m", "bscomb.cli", *argv], cwd=ROOT,
+                              env=env, capture_output=True, timeout=2)
+        assert (proc.returncode, proc.stdout) == (3, b""), argv
 
 
 def test_structured_output_deterministic(capsys):

@@ -6,9 +6,9 @@ from bscomb.errors import ParseError
 from bscomb.formats import (
     dumps,
     fpfunction_to_doc,
-    morphism_to_doc,
+    morphism_docs,
+    parse_bits,
     parse_fpfunction,
-    parse_gallery,
     parse_morphism,
     parse_plan,
     parse_poly,
@@ -16,6 +16,7 @@ from bscomb.formats import (
     parse_sequence,
     parse_weyl,
     plan_to_doc,
+    serialize_bits,
     serialize_sequence,
 )
 from bscomb.foldcat import verify_morphism
@@ -61,12 +62,11 @@ def test_parse_weyl(a2):
         parse_weyl(a2, "t1")
 
 
-def test_gallery_round_trip(a2):
-    s = simple_seq(a2, 1, 2, 1)
-    g = parse_gallery(s, "101")
-    assert g.bits == (True, False, True)
+def test_gallery_round_trip():
+    assert parse_bits("101", 3) == (True, False, True)
+    assert serialize_bits(parse_bits("101", 3)) == "101"
     with pytest.raises(ParseError):
-        parse_gallery(s, "10")
+        parse_bits("10", 3)
 
 
 def test_poly_round_trip():
@@ -103,7 +103,7 @@ def test_morphism_round_trip(a1):
     doc = {"p": [2], "w": "s1", "phi": {"0": "10", "1": "11"}}
     m = parse_morphism(s, target, doc)
     assert verify_morphism(m) is None
-    again = parse_morphism(s, target, morphism_to_doc(m))
+    again = parse_morphism(s, target, morphism_docs([m])[0])
     assert again.key() == m.key()
 
 

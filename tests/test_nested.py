@@ -18,7 +18,6 @@ from bscomb.nested import (
     poincare_polynomial,
     project,
     restricted_seq,
-    v_power,
     validate,
 )
 from bscomb.rootsys import build_root_system, enumerate_weyl
@@ -60,15 +59,6 @@ def test_validate_shared_endpoint(a2):
     assert validate(plan) is not None
 
 
-def test_v_power(sl5_plan):
-    F = FSelection.of(sl5_plan, [(2, 6)])
-    rs = sl5_plan.seq.rs
-    assert v_power(sl5_plan, F, 1).is_identity()
-    assert v_power(sl5_plan, F, 7) == rs.simple_reflection(2)
-    with pytest.raises(InvalidInputError):
-        v_power(sl5_plan, F, 4)
-
-
 def test_sl5_projection(sl5_plan):
     rs = sl5_plan.seq.rs
     F = FSelection.of(sl5_plan, [(2, 6)])
@@ -103,9 +93,9 @@ def test_trivial_labels_project_to_restriction(a2):
 
 def test_fixed_points_examples(a2):
     plan = make_plan(a2, (1, 2), [(1, 2)], [(1, 2)])
-    assert [g.bits for g in fixed_points(plan)] == [(True, True)]
+    assert fixed_points(plan) == [(True, True)]
     plan2 = make_plan(a2, (1, 1), [(1, 1)], [(1,)])
-    assert sorted(g.bits for g in fixed_points(plan2)) == [
+    assert sorted(fixed_points(plan2)) == [
         (True, False), (True, True)]
 
 
@@ -261,7 +251,7 @@ def test_fixed_points_match_filter_all_a2_plans(a2):
                     label_sets += [missed] if missed else []
                 for labels in label_sets:
                     plan = NestedPlan(seq, pairs, dict(zip(pairs, labels)))
-                    got = [g.bits for g in fixed_points(plan)]
+                    got = fixed_points(plan)
                     assert got == _reference_fixed_points(plan), (seq, pairs, labels)
                     checked += 1
     assert checked > 10_000
@@ -284,7 +274,7 @@ def test_fixed_points_match_filter_random(system):
         labels = (_interval_products(seq, pairs, bits) if rng.random() < 0.75
                   else tuple(rng.choice(order) for _ in pairs))
         plan = NestedPlan(seq, pairs, dict(zip(pairs, labels)))
-        got = [g.bits for g in fixed_points(plan)]
+        got = fixed_points(plan)
         assert got == _reference_fixed_points(plan), (seq, pairs, labels)
         nonempty += bool(got)
     assert nonempty >= 20
