@@ -199,7 +199,7 @@ def cmd_morphism_enumerate(args) -> int:
     _check_length(args, source, target)
     rootsys.enumerate_weyl(source.rs, args.max_weyl)
     found = foldcat.enumerate_morphisms(source, target)
-    docs = formats.morphism_docs(found)
+    docs = formats.morphism_docs(source, target, found)
     lines = [f"{len(found)} morphisms"]
     for d in docs:
         lines.append(f"p={d['p']} w={d['w']} phi={d['phi']}")

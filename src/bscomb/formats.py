@@ -223,13 +223,13 @@ def parse_morphism(source: ReflSeq, target: ReflSeq, doc) -> Morphism:
         raise ParseError(str(exc)) from exc
 
 
-def morphism_docs(ms: list[Morphism]) -> list[dict]:
-    """Documents for morphisms, in order.  Each distinct sequence, Weyl
-    element and bit pattern is serialised once per call."""
-    seq_text, bits_text = cache(serialize_sequence), cache(serialize_bits)
-    word = cache(lambda rs, w: str(w))  # elements of two systems may share a perm
-    return [{"source": seq_text(m.source), "target": seq_text(m.target), "p": list(m.p),
-             "w": word(m.w.rs, m.w),
+def morphism_docs(source: ReflSeq, target: ReflSeq, ms: list[Morphism]) -> list[dict]:
+    """Documents for the morphisms ms from source to target, in order.  The
+    two sequences are serialised once per call, and so is each distinct Weyl
+    element and bit pattern."""
+    ends = {"source": serialize_sequence(source), "target": serialize_sequence(target)}
+    word, bits_text = cache(str), cache(serialize_bits)
+    return [{**ends, "p": list(m.p), "w": word(m.w),
              "phi": {bits_text(b): bits_text(img) for b, img in sorted(m.phi.items())}}
             for m in ms]
 

@@ -103,7 +103,7 @@ def test_morphism_round_trip(a1):
     doc = {"p": [2], "w": "s1", "phi": {"0": "10", "1": "11"}}
     m = parse_morphism(s, target, doc)
     assert verify_morphism(m) is None
-    again = parse_morphism(s, target, morphism_docs([m])[0])
+    again = parse_morphism(s, target, morphism_docs(s, target, [m])[0])
     assert again.key() == m.key()
 
 

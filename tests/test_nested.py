@@ -353,16 +353,16 @@ def _reference_restricted_seq(plan, r):
     return tuple(entries)
 
 
-def _reference_forward(plan, F):
-    """The Gallery-keyed factoring map, with its three checks as asserts."""
-    base_plan = _reference_project(plan, F)
+def _reference_forward(plan, F, base_plan, source):
+    """The Gallery-keyed factoring map of the plan's fixed points `source`
+    onto the reference projection, with its three checks as asserts."""
     fibre_plans = [fibre_data(plan, f) for f in F.pairs]
     survivors = _reference_survivors(plan, F)
     base_set = {Gallery(base_plan.seq, b) for b in _reference_fixed_points(base_plan)}
     fibre_sets = [{Gallery(fp.seq, b) for b in _reference_fixed_points(fp)}
                   for fp in fibre_plans]
     forward, seen = {}, set()
-    for bits in _reference_fixed_points(plan):
+    for bits in source:
         g = Gallery(plan.seq, bits)
         base = Gallery(base_plan.seq, tuple(g.bits[p - 1] for p in survivors))
         parts = tuple(Gallery(fp.seq, g.bits[f[0] - 1:f[1]])
@@ -399,11 +399,14 @@ def _selections(plan):
 def _check_against_reference(plan, twice=False):
     for r in plan.pairs:
         assert restricted_seq(plan, r).entries == _reference_restricted_seq(plan, r)
+    source = _reference_fixed_points(plan)
     for F in _selections(plan):
-        base = project(plan, F)
-        assert _plan_fields(base) == _plan_fields(_reference_project(plan, F))
-        assert (_as_bits(factor_fixed_points(plan, F).forward)
-                == _as_bits(_reference_forward(plan, F)))
+        cert = factor_fixed_points(plan, F)
+        base, reference = cert.base_plan, _reference_project(plan, F)
+        assert _plan_fields(base) == _plan_fields(reference)
+        assert _plan_fields(project(plan, F)) == _plan_fields(reference)
+        assert (_as_bits(cert.forward)
+                == _as_bits(_reference_forward(plan, F, reference, source)))
         for G in _selections(base) if twice else ():  # display labels carry over
             assert (_plan_fields(project(base, G))
                     == _plan_fields(_reference_project(base, G)))
@@ -432,10 +435,14 @@ def test_projection_matches_reference_random(system):
     refls = [rs.reflection(r) for r in rs.roots if r.is_positive]
     order = enumerate_weyl(rs)
     rng = random.Random(29)
-    for _ in range(60):
-        n = rng.randint(1, 7)
+    pair_sets = {n: _nested_pair_sets(n) for n in range(1, 7)}
+    # nests three and four deep, where a maximal inner pair holds others
+    deep = [((1, 7), (2, 6), (3, 5), (4, 4)), ((1, 7), (2, 4), (3, 3), (5, 6))]
+    for k in range(80):
+        n = 7 if k >= 60 else rng.randint(1, 7)
         seq = ReflSeq(rs, tuple(rng.choice(refls) for _ in range(n)))
-        pairs = _random_pairs(rng, n)
+        pairs = (deep[k % 2] if k >= 60 else rng.choice(pair_sets[n]) if n <= 6
+                 else _random_pairs(rng, n))
         bits = tuple(rng.random() < 0.5 for _ in range(n))
         labels = (_interval_products(seq, pairs, bits) if rng.random() < 0.75
                   else tuple(rng.choice(order) for _ in pairs))
@@ -446,7 +453,7 @@ def test_projection_matches_reference_random(system):
     (((1, 3), (2, 5)), "intervals neither disjoint nor nested: (1, 3), (2, 5)"),
     (((1, 2), (2, 4)), "endpoint sets not disjoint: (1, 2), (2, 4)"),
     (((4, 2),), "endpoint order r1 <= r2 violated: (4, 2)"),
-])
+], ids=["crossing", "shared-endpoint", "reversed"])
 def test_invalid_plan_refused_alike_everywhere(a2, pairs, message):
     plan = make_plan(a2, (1, 2, 1, 2, 1), pairs, [(1,)] * len(pairs))
     r = plan.pairs[0]
