@@ -381,7 +381,9 @@ def _reference_forward(plan, F, base_plan, source):
 def _as_bits(forward):
     """A factoring map as (bits, (base bits, fibre bits)) items in order;
     Gallery objects and bit tuples alike become bit tuples."""
-    bits = lambda g: getattr(g, "bits", g)  # noqa: E731
+    def bits(g):
+        return getattr(g, "bits", g)
+
     return [(bits(g), (bits(b), tuple(map(bits, parts))))
             for g, (b, parts) in forward.items()]
 
@@ -441,8 +443,12 @@ def test_projection_matches_reference_random(system):
     for k in range(80):
         n = 7 if k >= 60 else rng.randint(1, 7)
         seq = ReflSeq(rs, tuple(rng.choice(refls) for _ in range(n)))
-        pairs = (deep[k % 2] if k >= 60 else rng.choice(pair_sets[n]) if n <= 6
-                 else _random_pairs(rng, n))
+        if k >= 60:
+            pairs = deep[k % 2]
+        elif n <= 6:
+            pairs = rng.choice(pair_sets[n])
+        else:
+            pairs = _random_pairs(rng, n)
         bits = tuple(rng.random() < 0.5 for _ in range(n))
         labels = (_interval_products(seq, pairs, bits) if rng.random() < 0.75
                   else tuple(rng.choice(order) for _ in pairs))
