@@ -11,10 +11,9 @@ Tier-1 does not collect this file (`testpaths = ["tests"]`).
 
 import pytest
 
-from bscomb import gallery
 from bscomb.formats import parse_sequence
 from bscomb.gallery import ReflSeq, is_gallery_type
-from bscomb.rootsys import build_root_system
+from bscomb.rootsys import RootSystem, build_root_system
 
 RS = build_root_system("B", 3)
 SEARCH_CASES = {
@@ -27,9 +26,10 @@ SEARCH_CASES = {
 
 
 def _fresh(text):
-    """A new sequence object with an empty answer cache."""
-    gallery._GALLERY_TYPE_CACHE.clear()
-    return (parse_sequence(text),), {}
+    """The sequence over a new root system, whose answer memo is empty."""
+    rs = RootSystem("B", 3)
+    entries = parse_sequence(text).entries
+    return (ReflSeq(rs, tuple(rs.reflections[t.index] for t in entries)),), {}
 
 
 @pytest.mark.parametrize("name", SEARCH_CASES)

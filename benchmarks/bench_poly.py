@@ -14,9 +14,8 @@ from fractions import Fraction
 
 import pytest
 
-from bscomb import poly
 from bscomb.poly import Poly, divide_linear, mul_add, root_poly, weyl_act
-from bscomb.rootsys import build_root_system, enumerate_weyl
+from bscomb.rootsys import RootSystem, WeylElement, build_root_system, enumerate_weyl
 
 SYSTEMS = [("B", 2), ("B", 3)]
 
@@ -65,8 +64,14 @@ def test_divide_linear(benchmark, system):
 @pytest.mark.parametrize("system", SYSTEMS, ids=str)
 def test_weyl_act_uncached(benchmark, system):
     _, cases = _cases(system)
-    benchmark.pedantic(lambda: [weyl_act(w, p) for p, _, _, w in cases],
-                       setup=poly._ACT_CACHE.clear, rounds=30)
+
+    def fresh():
+        """The cases' elements over a new root system, whose action memo is empty."""
+        rs = RootSystem(*system)
+        return ([(WeylElement(rs, w.perm), p) for p, _, _, w in cases],), {}
+
+    benchmark.pedantic(lambda work: [weyl_act(w, p) for w, p in work],
+                       setup=fresh, rounds=30)
 
 
 @pytest.mark.parametrize("system", SYSTEMS, ids=str)

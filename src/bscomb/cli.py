@@ -78,7 +78,6 @@ def _load_plan(arg: str) -> nested.NestedPlan:
 def cmd_gallery_type(args) -> int:
     s = formats.parse_sequence(args.sequence, args.max_weyl)
     _check_length(args, s)
-    rootsys.enumerate_weyl(s.rs, args.max_weyl)
     cert = gallery.is_gallery_type(s)
     if cert is None:
         _emit(args, {"gallery_type": False}, ["no labelled gallery exists"])
@@ -197,7 +196,6 @@ def cmd_morphism_enumerate(args) -> int:
     source = formats.parse_sequence(args.source, args.max_weyl)
     target = formats.parse_sequence(args.target, args.max_weyl)
     _check_length(args, source, target)
-    rootsys.enumerate_weyl(source.rs, args.max_weyl)
     found = foldcat.enumerate_morphisms(source, target)
     docs = formats.morphism_docs(source, target, found)
     lines = [f"{len(found)} morphisms"]
@@ -221,7 +219,7 @@ def cmd_morphism_apply(args) -> int:
 
 def cmd_weyl_info(args) -> int:
     rs = formats.parse_root_system(args.root_system, args.max_weyl)
-    elements = rootsys.enumerate_weyl(rs, args.max_weyl)
+    elements = rootsys.enumerate_weyl(rs)
     positive = [list(r.coords) for r in rs.roots if r.is_positive]
     doc = {
         "root_system": str(rs),

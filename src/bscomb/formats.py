@@ -44,7 +44,7 @@ def parse_root_system(text: str, max_weyl: int | None = None) -> RootSystem:
         check_weyl_order(family, rank, max_weyl)
     try:
         return build_root_system(family, rank)
-    except Exception as exc:
+    except InvalidInputError as exc:
         raise ParseError(str(exc)) from exc
 
 

@@ -222,9 +222,6 @@ def d_w_shadow(gamma: Gallery, w: WeylElement) -> Gallery:
     return image
 
 
-_GALLERY_TYPE_CACHE: dict = {}
-
-
 def is_gallery_type(s: ReflSeq) -> Gallerification | None:
     """Search for a gallerification of s; None if no labelled gallery exists.
 
@@ -237,9 +234,9 @@ def is_gallery_type(s: ReflSeq) -> Gallerification | None:
     completed depends on nothing else, so a state that failed once is never
     walked again, from any start chamber: at most n*|W| states in all.
     """
-    cache_key = (s.rs, s.entries)
-    if cache_key in _GALLERY_TYPE_CACHE:
-        return _GALLERY_TYPE_CACHE[cache_key]
+    memo, key = s.rs._gallery_type_memo, tuple(t.index for t in s.entries)
+    if key in memo:
+        return memo[key]
     table = s.rs.reflections
     entries = s.entries
     dead = set()
@@ -267,9 +264,9 @@ def is_gallery_type(s: ReflSeq) -> Gallerification | None:
             t = ReflSeq(s.rs, found[0])
             cert = Gallerification(u0.inv(), t, Gallery(t, found[1]))
             verify_gallerification(s, cert)
-            _GALLERY_TYPE_CACHE[cache_key] = cert
+            memo[key] = cert
             return cert
-    _GALLERY_TYPE_CACHE[cache_key] = None
+    memo[key] = None
     return None
 
 

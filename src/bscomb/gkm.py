@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import (
     InvalidInputError,
@@ -25,7 +26,7 @@ from .gallery import Bits, Gallery, ReflSeq
 from .poly import Poly, exact_divide, mul_add, root_poly, weyl_act
 from .rootsys import WeylElement
 
-MAX_BASIS_LENGTH = 12
+MAX_BASIS_LENGTH = 10
 
 
 @dataclass(frozen=True)
@@ -136,15 +137,15 @@ def concentration_identity_check(s: ReflSeq, g: FPFunction, cross: bool) -> bool
 
 @dataclass(frozen=True)
 class BasisElement:
-    """B_J with its leading value at gamma_J pre-factored into linear forms."""
+    """B_J with its leading value at gamma_J (bits) pre-factored into linear forms."""
 
     subset: frozenset[int]
     function: FPFunction
     lead_factors: tuple[Poly, ...]
 
-    def lead_bits(self) -> Bits:
-        n = len(self.function.seq)
-        return tuple(i + 1 in self.subset for i in range(n))
+    @cached_property
+    def bits(self) -> Bits:
+        return tuple(i + 1 in self.subset for i in range(len(self.function.seq)))
 
 
 def basis(s: ReflSeq) -> list[BasisElement]:
@@ -184,7 +185,7 @@ def _verify_basis_element(s: ReflSeq, elem: BasisElement) -> None:
     product = Poly.const(s.rs.rank, 1)
     for ell in elem.lead_factors:
         product = product * ell
-    if elem.function.values[elem.lead_bits()] != product:
+    if elem.function.values[elem.bits] != product:
         raise VerificationError("basis element has the wrong leading value")
     for bits, p in elem.function.values.items():
         if not p.is_zero() and not all(bits[i - 1] for i in elem.subset):
@@ -207,7 +208,7 @@ def decompose(g: FPFunction,
     coeffs: dict[frozenset[int], Poly] = {}
     for J in sorted(elems, key=lambda J: (len(J), sorted(J))):
         elem = elems[J]
-        bits = elem.lead_bits()
+        bits = elem.bits
         residue = mul_add(g.values[bits], [(c, elems[Jp].function.values[bits])
                                            for Jp, c in coeffs.items() if Jp < J], -1)
         q = exact_divide(residue, list(elem.lead_factors))

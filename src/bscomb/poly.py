@@ -271,19 +271,15 @@ def weight_matrix(w: WeylElement) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-_ACT_CACHE: dict[tuple, Poly] = {}
-
-
 def weyl_act(w: WeylElement, p: Poly) -> Poly:
-    """The ring automorphism of S induced by w on weights."""
+    """The ring automorphism of S induced by w on weights, memoised on w.rs."""
     if p.nvars != w.rs.rank:
         raise InvalidInputError("polynomial variable count does not match rank")
-    key = (w.rs, w.perm, p.terms)
-    cached = _ACT_CACHE.get(key)
+    memo, key = w.rs._act_memo, (w.perm, p.terms)
+    cached = memo.get(key)
     if cached is None:
         m = weight_matrix(w)
         images = [Poly.linear(w.rs.rank, [m[k][j] for k in range(w.rs.rank)])
                   for j in range(w.rs.rank)]
-        cached = p.substitute(images)
-        _ACT_CACHE[key] = cached
+        cached = memo[key] = p.substitute(images)
     return cached

@@ -24,6 +24,7 @@ from math import factorial
 from .errors import InvalidInputError, ResourceLimitError
 
 MAX_WEYL = 100_000
+MAX_RANK = 30
 
 Matrix = tuple[tuple[int, ...], ...]
 Perm = tuple[int, ...]
@@ -97,11 +98,14 @@ def check_weyl_order(family: str, rank: int, max_weyl: int = MAX_WEYL) -> None:
 class RootSystem:
     """The full root datum of a finite family/rank: roots, pairings, Weyl group.
 
-    Construct via :func:`build_root_system`; instances are immutable and
-    compare by (family, rank).
+    Construct via :func:`build_root_system`; instances compare by (family,
+    rank).  A system owns the memo tables of pure functions of it (the Weyl
+    list, gallery-type answers, Weyl actions); a fresh one starts empty.
     """
 
     def __init__(self, family: str, rank: int):
+        if rank > MAX_RANK:
+            raise ResourceLimitError(f"rank {rank} exceeds bound {MAX_RANK}")
         self.family = family
         self.rank = rank
         self.cartan = _cartan_matrix(family, rank)
@@ -118,6 +122,8 @@ class RootSystem:
         self.reflections = tuple(positive + positive)
         self._identity = WeylElement(self, tuple(range(len(self.roots))))
         self._weyl_cache: list["WeylElement"] | None = None
+        self._gallery_type_memo: dict = {}
+        self._act_memo: dict = {}
 
     # -- scalar products ---------------------------------------------------
 
@@ -314,14 +320,14 @@ def conjugate_reflection(w: WeylElement, t: Reflection) -> Reflection:
     return w.rs.reflections[w.perm[t.index]]
 
 
-def enumerate_weyl(rs: RootSystem, max_weyl: int = MAX_WEYL) -> list[WeylElement]:
+def enumerate_weyl(rs: RootSystem) -> list[WeylElement]:
     """All Weyl elements, by closure under simple reflections.
 
-    |W| is bounded by `check_weyl_order` before any element is built.
+    |W| is bounded by MAX_WEYL before any element is built.
     Deterministic order: breadth-first by word length, elements sorted by
     matrix within each level.  Cached on the root system.
     """
-    check_weyl_order(rs.family, rs.rank, max_weyl)
+    check_weyl_order(rs.family, rs.rank)
     if rs._weyl_cache is None:
         simples = [rs.simple_reflection(i) for i in range(1, rs.rank + 1)]
         seen = {rs.identity()}

@@ -76,10 +76,12 @@ def test_resource_limit_exit_code(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["basis", "A1:" + " s1" * 14],
+    ["basis", "A1:" + " s1" * 11],
+    ["basis", "A120: s1"],
     ["morphism", "enumerate", "A2: s1", "A2:" + " s1" * 16],
     ["--max-length", "40", "fixed-points", json.dumps(
         {"root_system": "A1", "sequence": "s1 " * 22, "pairs": [], "labels": {}})],
-], ids=["basis-14", "morphism-target-16", "fixed-points-22"])
+], ids=["basis-14", "basis-11", "basis-rank-120", "morphism-target-16", "fixed-points-22"])
 def test_flag_cannot_loosen_library_bound(argv):
     # Each input is above a library bound but within --max-length; it must
     # stop at the library bound rather than run the exhaustive walk.

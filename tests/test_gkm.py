@@ -112,7 +112,7 @@ def test_basis_triangularity(a2):
             support = {i for i, b in enumerate(bits, start=1) if b}
             if not e.subset <= support:
                 assert p.is_zero()
-        lead = e.function.values[e.lead_bits()]
+        lead = e.function.values[e.bits]
         product = Poly.const(2, 1)
         for ell in e.lead_factors:
             product = product * ell
@@ -223,7 +223,7 @@ def first_failure_reference(g, basis_elements):
     elems = {e.subset: e for e in basis_elements}
     coeffs = {}
     for J in sorted(elems, key=lambda J: (len(J), sorted(J))):
-        bits = elems[J].lead_bits()
+        bits = elems[J].bits
         residue = g.values[bits]
         for Jp, c in coeffs.items():
             if Jp < J:

@@ -7,14 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bscomb.errors import InvalidInputError, ResourceLimitError
+from bscomb.gallery import ReflSeq, is_gallery_type
 from bscomb.rootsys import (
+    MAX_RANK,
     Root,
     RootSystem,
+    WeylElement,
     build_root_system,
+    check_weyl_order,
     conjugate_reflection,
     enumerate_weyl,
 )
-from bscomb.poly import weight_matrix
+from bscomb.poly import root_poly, weight_matrix, weyl_act
 
 from conftest import positive_root
 
@@ -99,9 +103,40 @@ def test_conjugate_reflection_moves_root(a2):
     assert conj.as_weyl() == s2 * t.as_weyl() * s2.inv()
 
 
-def test_enumerate_weyl_respects_bound(a3):
+def test_enumerate_weyl_respects_bound():
+    # a caller's tighter bound applies where the system is parsed; the
+    # enumeration itself refuses |W(A8)| = 362,880 > MAX_WEYL
     with pytest.raises(ResourceLimitError):
-        enumerate_weyl(a3, max_weyl=5)
+        check_weyl_order("A", 3, 5)
+    with pytest.raises(ResourceLimitError):
+        enumerate_weyl(RootSystem("A", 8))
+
+
+def test_rank_bound():
+    with pytest.raises(ResourceLimitError):
+        RootSystem("A", MAX_RANK + 1)
+    assert RootSystem("A", MAX_RANK).rank == MAX_RANK
+
+
+def test_memo_tables_belong_to_their_system():
+    # answers on the registry's B3 leave a new B3's tables empty, and the
+    # new system computes the same answers for itself
+    shared, fresh = build_root_system("B", 3), RootSystem("B", 3)
+    w = enumerate_weyl(shared)[17]
+    # a simple sequence conjugated by w: of gallery type with x != e
+    entries = [conjugate_reflection(w, shared.reflections[i]).root for i in (0, 1, 0, 4)]
+    seq = ReflSeq(shared, tuple(shared.reflection(r) for r in entries))
+    p = root_poly(shared, shared.roots[5])
+    cert, image = is_gallery_type(seq), weyl_act(w, p)
+    assert not cert.x.is_identity()
+    assert (fresh._gallery_type_memo, fresh._act_memo) == ({}, {})
+    fresh_seq = ReflSeq(fresh, tuple(fresh.reflection(r) for r in entries))
+    fresh_cert = is_gallery_type(fresh_seq)
+    assert ((fresh_cert.x, fresh_cert.t.entries, fresh_cert.gamma.bits)
+            == (cert.x, cert.t.entries, cert.gamma.bits))
+    assert weyl_act(WeylElement(fresh, w.perm), p) == image
+    # a repeat is a hit on the system's own table
+    assert is_gallery_type(fresh_seq) is fresh_cert
 
 
 def test_bad_inputs():
