@@ -5,33 +5,57 @@ certificates, nested-structure projections with verified counting
 bijections, a GKM-style fixed-point model of equivariant cohomology with a
 triangular basis, and folding-category morphisms.  All arithmetic is exact
 (integers and rationals).
+
+Every layer module except `cli` is registered in `sys.modules` at import
+through `importlib.util.LazyLoader`, and is compiled and run the first time
+one of its attributes is read.  So `import bscomb` runs no layer, and a CLI
+command runs only the layers it uses.  The public names below resolve on
+first access (PEP 562), each from the one layer that defines it.  Before
+Python 3.12 a lazy module's first load is not thread-safe, so a threaded
+caller should touch the layers it needs before starting threads.
 """
 
-from .errors import (
-    BscombError,
-    InvalidInputError,
-    NotInSpanError,
-    ParseError,
-    PropertyViolationError,
-    ResourceLimitError,
-    VerificationError,
-)
-from .gallery import Gallery, Gallerification, ReflSeq, galleries, is_gallery_type
-from .gkm import FPFunction, basis, decompose, induced_map
-from .nested import FSelection, NestedPlan, factor_fixed_points, project
-from .foldcat import Morphism, PointedMorphism, enumerate_morphisms, verify_morphism
-from .poly import Poly
-from .rootsys import Reflection, Root, RootSystem, WeylElement, build_root_system
+import importlib.util
+import sys
 
-__all__ = [
-    "BscombError", "InvalidInputError", "NotInSpanError", "ParseError",
-    "PropertyViolationError", "ResourceLimitError", "VerificationError",
-    "Gallery", "Gallerification", "ReflSeq", "galleries", "is_gallery_type",
-    "FPFunction", "basis", "decompose", "induced_map",
-    "FSelection", "NestedPlan", "factor_fixed_points", "project",
-    "Morphism", "PointedMorphism", "enumerate_morphisms", "verify_morphism",
-    "Poly",
-    "Reflection", "Root", "RootSystem", "WeylElement", "build_root_system",
-]
+# layer -> the public names it defines; the package's __all__ is derived here
+_EXPORTS = {
+    "errors": ("BscombError", "InvalidInputError", "NotInSpanError", "ParseError",
+               "PropertyViolationError", "ResourceLimitError", "VerificationError"),
+    "rootsys": ("Reflection", "Root", "RootSystem", "WeylElement", "build_root_system"),
+    "gallery": ("Gallery", "Gallerification", "ReflSeq", "galleries", "is_gallery_type"),
+    "poly": ("Poly",),
+    "gkm": ("FPFunction", "basis", "decompose", "induced_map"),
+    "nested": ("FSelection", "NestedPlan", "factor_fixed_points", "project"),
+    "foldcat": ("Morphism", "PointedMorphism", "enumerate_morphisms", "verify_morphism"),
+    "formats": (),
+}
+_OWNER = {name: layer for layer, names in _EXPORTS.items() for name in names}
 
+__all__ = list(_OWNER)
 __version__ = "0.1.0"
+
+
+def _register_lazily(layer: str) -> None:
+    name = f"{__name__}.{layer}"
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+
+
+for _layer in _EXPORTS:
+    _register_lazily(_layer)
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return sys.modules[f"{__name__}.{name}"]
+    if name in _OWNER:
+        return getattr(sys.modules[f"{__name__}.{_OWNER[name]}"], name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS, *_OWNER})

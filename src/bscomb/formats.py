@@ -12,15 +12,12 @@ from __future__ import annotations
 
 import json
 import re
-from fractions import Fraction
 from functools import cache
 
+# read as modules, so that parsing a sequence runs none of these layers
+from . import foldcat, gkm, nested, poly
 from .errors import InvalidInputError, ParseError
-from .foldcat import Morphism
 from .gallery import Bits, ReflSeq, serialize_bits
-from .gkm import FPFunction
-from .nested import NestedPlan, Pair
-from .poly import Poly
 from .rootsys import Root, RootSystem, WeylElement, build_root_system, check_weyl_order
 
 _RS_RE = re.compile(r"^([ABCDG])(\d+)$")
@@ -117,11 +114,13 @@ _TERM_RE = re.compile(
     r"(?:\*w\d+(?:\^\d+)?)*)?$")
 
 
-def parse_poly(nvars: int, text: str) -> Poly:
+def parse_poly(nvars: int, text: str) -> poly.Poly:
     """Canonical sparse form, e.g. "3*w1^2*w2 - 1/2*w2"; "0" is zero."""
+    from fractions import Fraction
+
     text = _expect(text, "string", "polynomial").strip()
     if text in ("0", ""):
-        return Poly.zero(nvars)
+        return poly.Poly.zero(nvars)
     chunks = re.split(r"(?=[+-])", text.replace(" ", ""))
     terms: dict = {}
     for chunk in chunks:
@@ -145,14 +144,14 @@ def parse_poly(nvars: int, text: str) -> Poly:
                 mono[j - 1] += int(vm.group(2) or 1)
         key = tuple(mono)
         terms[key] = terms.get(key, Fraction(0)) + coeff
-    return Poly.from_dict(nvars, terms)
+    return poly.Poly.from_dict(nvars, terms)
 
 
-def _pair_key(r: Pair) -> str:
+def _pair_key(r: nested.Pair) -> str:
     return f"{r[0]}-{r[1]}"
 
 
-def parse_plan(doc) -> NestedPlan:
+def parse_plan(doc) -> nested.NestedPlan:
     """A decoded plan document:
 
     {"root_system": "A4", "sequence": "s4 s1 ...",
@@ -184,12 +183,12 @@ def parse_plan(doc) -> NestedPlan:
             raise ParseError(f"plan labels missing pair {key}")
         labels[r] = parse_weyl(rs, texts[key])
     try:
-        return NestedPlan(seq, tuple(pairs), labels)
+        return nested.NestedPlan(seq, tuple(pairs), labels)
     except Exception as exc:
         raise ParseError(str(exc)) from exc
 
 
-def plan_to_doc(plan: NestedPlan) -> dict:
+def plan_to_doc(plan: nested.NestedPlan) -> dict:
     return {
         "root_system": str(plan.seq.rs),
         "sequence": " ".join(str(t) for t in plan.seq.entries),
@@ -199,7 +198,7 @@ def plan_to_doc(plan: NestedPlan) -> dict:
     }
 
 
-def parse_morphism(source: ReflSeq, target: ReflSeq, doc) -> Morphism:
+def parse_morphism(source: ReflSeq, target: ReflSeq, doc) -> foldcat.Morphism:
     """A decoded morphism document {"p": [2], "w": "s1", "phi": {"0": "10",
     "1": "11"}}; optional "source"/"target" sequence documents are checked
     for consistency."""
@@ -218,12 +217,13 @@ def parse_morphism(source: ReflSeq, target: ReflSeq, doc) -> Morphism:
     for src_text, tgt_text in _expect(doc["phi"], "object", "phi").items():
         phi[parse_bits(src_text, len(source))] = parse_bits(tgt_text, len(target))
     try:
-        return Morphism(source, target, p, w, phi)
+        return foldcat.Morphism(source, target, p, w, phi)
     except Exception as exc:
         raise ParseError(str(exc)) from exc
 
 
-def morphism_docs(source: ReflSeq, target: ReflSeq, ms: list[Morphism]) -> list[dict]:
+def morphism_docs(source: ReflSeq, target: ReflSeq,
+                  ms: list[foldcat.Morphism]) -> list[dict]:
     """Documents for the morphisms ms from source to target, in order.  The
     two sequences are serialised once per call, and so is each distinct Weyl
     element and bit pattern."""
@@ -234,7 +234,7 @@ def morphism_docs(source: ReflSeq, target: ReflSeq, ms: list[Morphism]) -> list[
             for m in ms]
 
 
-def fpfunction_to_doc(g: FPFunction) -> dict:
+def fpfunction_to_doc(g: gkm.FPFunction) -> dict:
     return {
         "root_system": str(g.seq.rs),
         "sequence": serialize_sequence(g.seq),
@@ -243,14 +243,14 @@ def fpfunction_to_doc(g: FPFunction) -> dict:
     }
 
 
-def parse_fpfunction(s: ReflSeq, doc) -> FPFunction:
+def parse_fpfunction(s: ReflSeq, doc) -> gkm.FPFunction:
     """A decoded function document {"values": {"0": "3", "1": "w1"}}."""
     if "values" not in _expect(doc, "object", "function document"):
         raise ParseError("function document missing 'values'")
     values = {parse_bits(b, len(s)): parse_poly(s.rs.rank, text)
               for b, text in _expect(doc["values"], "object", "function values").items()}
     try:
-        return FPFunction(s, values)
+        return gkm.FPFunction(s, values)
     except InvalidInputError as exc:
         raise ParseError(str(exc)) from exc
 

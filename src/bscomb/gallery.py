@@ -206,22 +206,6 @@ def twist_seq(s: ReflSeq, gamma: Gallery) -> ReflSeq:
     return ReflSeq(s.rs, tuple(entries))
 
 
-def fixed_points_w(s: ReflSeq, w: WeylElement) -> list[Gallery]:
-    """Gamma(s, w): all galleries whose full prefix product equals w."""
-    return [Gallery(s, bits) for bits, u in s.prefixes[len(s)].items() if u == w]
-
-
-def d_w_shadow(gamma: Gallery, w: WeylElement) -> Gallery:
-    """Transport gamma in Gamma(s, x) to Gamma(s^w, w x w^-1) by conjugation."""
-    n = len(gamma.bits)
-    x = prefix(gamma, n)
-    image = conj_gallery(gamma, w)
-    expect = w * x * w.inv()
-    if prefix(image, n) != expect:
-        raise InvalidInputError("conjugation did not transport the fixed point")
-    return image
-
-
 def is_gallery_type(s: ReflSeq) -> Gallerification | None:
     """Search for a gallerification of s; None if no labelled gallery exists.
 

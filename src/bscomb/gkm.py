@@ -15,14 +15,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
+from . import foldcat  # for an annotation; binding the lazy module runs nothing
 from .errors import (
     InvalidInputError,
     NotInSpanError,
     ResourceLimitError,
     VerificationError,
 )
-from .foldcat import Morphism
-from .gallery import Bits, Gallery, ReflSeq
+from .gallery import Bits, ReflSeq
 from .poly import Poly, exact_divide, mul_add, root_poly, weyl_act
 from .rootsys import WeylElement
 
@@ -42,11 +42,6 @@ class FPFunction:
         for p in self.values.values():
             if p.nvars != self.seq.rs.rank:
                 raise InvalidInputError("value in the wrong polynomial ring")
-
-    def __call__(self, gamma: Gallery) -> Poly:
-        if gamma.seq != self.seq:
-            raise InvalidInputError("gallery does not live over this sequence")
-        return self.values[gamma.bits]
 
     def __add__(self, other: "FPFunction") -> "FPFunction":
         if other.seq != self.seq:
@@ -238,7 +233,7 @@ def combine(basis_elements: list[BasisElement],
     return FPFunction(s, {bits: mul_add(zero, live) for bits, live in pairs.items()})
 
 
-def induced_map(m: Morphism, g: FPFunction) -> FPFunction:
+def induced_map(m: foldcat.Morphism, g: FPFunction) -> FPFunction:
     """Pull back g over the target along a verified morphism:
     gamma -> w^{-1} . g(phi(gamma))."""
     if not m.verified:

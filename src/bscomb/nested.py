@@ -314,25 +314,3 @@ def is_gallery_type_pair(plan: NestedPlan
             ok = False
     return ok, certs
 
-
-def poincare_polynomial(seq: ReflSeq) -> tuple[int, ...]:
-    """Coefficients of (1 + q^2)^n, the unconstrained Betti numbers.
-
-    Only the R = empty case is emitted; cell dimensions for general plans
-    are out of scope.
-    """
-    from math import comb
-
-    n = len(seq)
-    coeffs = [0] * (2 * n + 1)
-    for k in range(n + 1):
-        coeffs[2 * k] = comb(n, k)
-    return tuple(coeffs)
-
-
-def betti_rank(plan: NestedPlan) -> int:
-    """Reported free rank for gallery-type plans: the fixed-point count."""
-    ok, _ = is_gallery_type_pair(plan)
-    if not ok:
-        raise InvalidInputError("plan is not of gallery type; rank not reported")
-    return len(fixed_points(plan))

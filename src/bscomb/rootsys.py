@@ -329,18 +329,20 @@ def enumerate_weyl(rs: RootSystem) -> list[WeylElement]:
     """
     check_weyl_order(rs.family, rs.rank)
     if rs._weyl_cache is None:
-        simples = [rs.simple_reflection(i) for i in range(1, rs.rank + 1)]
-        seen = {rs.identity()}
-        order = [rs.identity()]
+        # u * s on raw perms, (us)[k] = u[s[k]]; only each new element is wrapped
+        simples = [rs.simple_reflection(i).perm for i in range(1, rs.rank + 1)]
         level = [rs.identity()]
+        seen = {level[0].perm}
+        order = list(level)
         while level:
             nxt = []
             for u in level:
+                get = u.perm.__getitem__
                 for s in simples:
-                    v = u * s
+                    v = tuple(map(get, s))
                     if v not in seen:
                         seen.add(v)
-                        nxt.append(v)
+                        nxt.append(WeylElement(rs, v))
             level = sorted(nxt, key=lambda w: w.matrix)
             order.extend(level)
         rs._weyl_cache = order

@@ -18,8 +18,6 @@ from bscomb.gallery import (
     ReflSeq,
     conj_gallery,
     conj_seq,
-    d_w_shadow,
-    fixed_points_w,
     fold,
     galleries,
     is_gallery_type,
@@ -88,22 +86,6 @@ def test_twist_matches_conjugated_walk(a2):
 def test_conj_seq_identity(a2):
     s = simple_seq(a2, 1, 2)
     assert conj_seq(s, a2.identity()).entries == s.entries
-
-
-def test_fixed_points_w(a2):
-    s = simple_seq(a2, 1, 2)
-    target = a2.simple_reflection(1) * a2.simple_reflection(2)
-    pts = fixed_points_w(s, target)
-    assert [g.bits for g in pts] == [(True, True)]
-
-
-def test_d_w_shadow_transports(a2):
-    s = simple_seq(a2, 1, 2, 1)
-    w = a2.simple_reflection(2)
-    for g in galleries(s):
-        image = d_w_shadow(g, w)
-        assert image.bits == g.bits
-        assert image.seq.entries == conj_seq(s, w).entries
 
 
 def test_empty_sequence_certificate(a2):

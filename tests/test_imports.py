@@ -1,0 +1,103 @@
+"""The import surface: which layer modules each entry point executes.
+
+Every test runs in a fresh interpreter, since a module executed once stays
+executed for the life of the process.  A lazily registered module is a
+`importlib.util._LazyModule` until its first attribute access; a module
+counts as executed when its type is plain `types.ModuleType` again.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+LAYERS = ("errors", "rootsys", "gallery", "poly", "gkm", "nested", "foldcat", "formats")
+
+EXECUTED = """
+import json, sys, types
+print(json.dumps(sorted(k for k, m in sys.modules.items()
+                        if k.startswith("bscomb") and type(m) is types.ModuleType)))
+"""
+
+RUN_COMMAND = """
+import contextlib, io, sys
+from bscomb import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+assert code == 0, code
+""" + EXECUTED
+
+
+def python(*args) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def executed(code: str, *argv) -> set[str]:
+    return set(json.loads(python("-c", code, *argv).stdout))
+
+
+def test_import_package_executes_no_layer():
+    assert executed("import bscomb" + EXECUTED) == {"bscomb"}
+
+
+def test_import_cli_registers_every_layer():
+    # bench/spans.py `Tracer.install` imports bscomb.cli and then reads
+    # sys.modules["bscomb.<layer>"] for every traced layer.
+    code = f"""
+import sys, bscomb.cli
+missing = [l for l in {LAYERS!r} if "bscomb." + l not in sys.modules]
+assert not missing, missing
+""" + EXECUTED
+    assert executed(code) == {"bscomb", "bscomb.cli", "bscomb.errors"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["gallery-type", "A2: s1 s2"],
+    ["--format", "structured", "gallery-type", "B3: [0,1,1] [1,1,1] [0,1,2] [1,2,2]"],
+    ["weyl", "info", "--root-system", "A2"],
+], ids=["gallery-type", "gallery-type-negative", "weyl-info"])
+def test_search_commands_skip_cohomology_nesting_and_morphisms(argv):
+    modules = executed(RUN_COMMAND, *argv)
+    assert not modules & {"bscomb.gkm", "bscomb.poly", "bscomb.nested", "bscomb.foldcat"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["basis", "A2: s1 s2"],
+    ["decompose", "A2: s1", '{"values": {"0": "3", "1": "3"}}'],
+], ids=["basis", "decompose"])
+def test_cohomology_commands_skip_nesting_and_morphisms(argv):
+    modules = executed(RUN_COMMAND, *argv)
+    assert "bscomb.gkm" in modules
+    assert not modules & {"bscomb.nested", "bscomb.foldcat"}
+
+
+def test_run_as_module_is_quiet():
+    proc = python("-m", "bscomb.cli", "weyl", "info", "--root-system", "A2")
+    assert proc.stderr == ""
+    assert "|W| = 6" in proc.stdout
+
+
+def test_public_and_layer_names_resolve():
+    code = f"""
+import bscomb, sys
+for layer in {LAYERS!r}:
+    assert getattr(bscomb, layer) is sys.modules["bscomb." + layer], layer
+for name in bscomb.__all__:
+    value = getattr(bscomb, name)
+    assert getattr(sys.modules[value.__module__], name) is value, name
+assert set(bscomb.__all__) | set({LAYERS!r}) <= set(dir(bscomb))
+try:
+    bscomb.no_such_name
+except AttributeError as exc:
+    assert "no_such_name" in str(exc)
+else:
+    raise AssertionError("unknown name resolved")
+"""
+    python("-c", code)

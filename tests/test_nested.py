@@ -10,12 +10,10 @@ from bscomb.gallery import Gallery, ReflSeq, conjugate_reflection, is_gallery_ty
 from bscomb.nested import (
     FSelection,
     NestedPlan,
-    betti_rank,
     factor_fixed_points,
     fibre_data,
     fixed_points,
     is_gallery_type_pair,
-    poincare_polynomial,
     project,
     restricted_seq,
     validate,
@@ -171,13 +169,6 @@ def test_projection_stability_small(a2):
     F = FSelection.of(plan, [(2, 3)])
     assert is_gallery_type_pair(project(plan, F))[0]
     assert is_gallery_type_pair(fibre_data(plan, (2, 3)))[0]
-
-
-def test_poincare_polynomial(a2):
-    s = simple_seq(a2, 1, 2, 1)
-    assert poincare_polynomial(s) == (1, 0, 3, 0, 3, 0, 1)
-    plan = make_plan(a2, (1, 2, 1), [], [])
-    assert betti_rank(plan) == 8 == len(fixed_points(plan))
 
 
 def _reference_fixed_points(plan):
@@ -466,8 +457,7 @@ def test_invalid_plan_refused_alike_everywhere(a2, pairs, message):
     F = FSelection((r,))
     calls = [lambda: project(plan, F), lambda: fibre_data(plan, r),
              lambda: fixed_points(plan), lambda: factor_fixed_points(plan, F),
-             lambda: restricted_seq(plan, r), lambda: is_gallery_type_pair(plan),
-             lambda: betti_rank(plan)]
+             lambda: restricted_seq(plan, r), lambda: is_gallery_type_pair(plan)]
     assert str(validate(plan)) == message
     for call in calls:
         with pytest.raises(InvalidInputError) as info:

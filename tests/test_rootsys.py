@@ -223,6 +223,35 @@ def test_enumerate_weyl_order_pinned(family, rank):
     assert hashlib.sha256(text.encode()).hexdigest() == WEYL_ORDER_SHA256[(family, rank)]
 
 
+def _reference_enumerate_weyl(rs):
+    """Breadth-first search by WeylElement products, each level sorted by
+    matrix: the search enumerate_weyl ran before it moved to raw perms."""
+    simples = [rs.simple_reflection(i) for i in range(1, rs.rank + 1)]
+    seen = {rs.identity()}
+    order = [rs.identity()]
+    level = [rs.identity()]
+    while level:
+        nxt = []
+        for u in level:
+            for s in simples:
+                v = u * s
+                if v not in seen:
+                    seen.add(v)
+                    nxt.append(v)
+        level = sorted(nxt, key=lambda w: w.matrix)
+        order.extend(level)
+    return order
+
+
+@pytest.mark.parametrize("family,rank", [
+    ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5), ("A", 6),
+    ("B", 2), ("B", 3), ("B", 4), ("C", 3), ("D", 4), ("G", 2)])
+def test_enumerate_weyl_matches_reference_order(family, rank):
+    rs = RootSystem(family, rank)
+    assert [w.perm for w in enumerate_weyl(rs)] == \
+        [w.perm for w in _reference_enumerate_weyl(rs)]
+
+
 # Independent reference: Weyl elements as integer matrices on simple-root
 # coordinates, built from the Cartan matrix alone.
 
