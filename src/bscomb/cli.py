@@ -40,7 +40,7 @@ def _read_doc(arg: str):
         text = arg
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
         raise ParseError(f"bad JSON document {arg!r}: {exc}") from exc
 
 
@@ -172,17 +172,14 @@ def cmd_decompose(args) -> int:
     return EXIT_OK
 
 
-def _load_morphism(arg: str) -> foldcat.Morphism:
-    doc = _read_doc(arg)
-    if not isinstance(doc, dict) or "source" not in doc or "target" not in doc:
-        raise ParseError("morphism document needs 'source' and 'target'")
-    source = formats.parse_sequence(doc["source"])
-    target = formats.parse_sequence(doc["target"])
-    return formats.parse_morphism(source, target, doc)
+def _load_morphism(args) -> foldcat.Morphism:
+    m = formats.parse_morphism(_read_doc(args.morphism))
+    _check_length(args, m.source, m.target)
+    return m
 
 
 def cmd_morphism_verify(args) -> int:
-    m = _load_morphism(args.morphism)
+    m = _load_morphism(args)
     bad = foldcat.verify_morphism(m)
     if bad is not None:
         _emit(args, {"verified": False, "violation": str(bad)},
@@ -206,7 +203,7 @@ def cmd_morphism_enumerate(args) -> int:
 
 
 def cmd_morphism_apply(args) -> int:
-    m = _load_morphism(args.morphism)
+    m = _load_morphism(args)
     bad = foldcat.verify_morphism(m)
     if bad is not None:
         raise VerificationError(f"not a morphism: {bad}")

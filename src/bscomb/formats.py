@@ -1,5 +1,5 @@
 """Text and JSON formats for sequences, galleries, plans, morphisms, and
-polynomials.
+polynomials, with one parser per grammar and one reader of numerals.
 
 Sequence documents look like "A2: s1 s2 s1" or "A2: [1,1] [1,0]"; Weyl
 elements are words in simple reflections ("s1 s2", "e"); galleries are
@@ -20,7 +20,9 @@ from .errors import InvalidInputError, ParseError
 from .gallery import Bits, ReflSeq, serialize_bits
 from .rootsys import Root, RootSystem, WeylElement, build_root_system, check_weyl_order
 
-_RS_RE = re.compile(r"^([ABCDG])(\d+)$")
+_RS_RE = re.compile(r"([ABCDG])(\d+)")
+_LETTER_RE = re.compile(r"s(\d+)")
+_ROOT_RE = re.compile(r"s?\[([-\d,\s]*)\]")
 _JSON_TYPES = {"string": str, "array": (list, tuple), "object": dict}
 
 
@@ -31,18 +33,37 @@ def _expect(value, kind: str, what: str):
     return value
 
 
+def _number(text: str, kind=int):
+    """int or Fraction of text; ParseError for a numeral it refuses (over 4,300 digits)."""
+    try:
+        return kind(text)
+    except ValueError as exc:
+        raise ParseError(f"bad numeral {text[:20]!r}: {exc}") from exc
+
+
 def parse_root_system(text: str, max_weyl: int | None = None) -> RootSystem:
-    """A name like "B3"; given max_weyl, |W| is bounded before roots are built."""
-    m = _RS_RE.match(_expect(text, "string", "root system").strip())
+    """A name like "B3"; given max_weyl, rank and |W| are bounded before roots are built."""
+    m = _RS_RE.fullmatch(_expect(text, "string", "root system").strip())
     if not m:
         raise ParseError(f"bad root system {text!r}; expected e.g. A2, B3, G2")
-    family, rank = m.group(1), int(m.group(2))
+    family, rank = m.group(1), _number(m.group(2))
     if max_weyl is not None:
         check_weyl_order(family, rank, max_weyl)
     try:
         return build_root_system(family, rank)
     except InvalidInputError as exc:
         raise ParseError(str(exc)) from exc
+
+
+def _letter(rs: RootSystem, token: str) -> int | None:
+    """i for a token "s<i>" naming a simple reflection of rs; None for other shapes."""
+    m = _LETTER_RE.fullmatch(token)
+    if m is None:
+        return None
+    i = _number(m.group(1))
+    if not 1 <= i <= rs.rank:
+        raise ParseError(f"no simple reflection {token} in rank {rs.rank}")
+    return i
 
 
 def parse_weyl(rs: RootSystem, text: str) -> WeylElement:
@@ -52,47 +73,40 @@ def parse_weyl(rs: RootSystem, text: str) -> WeylElement:
     if text in ("", "e"):
         return w
     for token in text.split():
-        m = re.match(r"^s(\d+)$", token)
-        if not m:
+        i = _letter(rs, token)
+        if i is None:
             raise ParseError(f"bad Weyl word letter {token!r}")
-        try:
-            w = w * rs.simple_reflection(int(m.group(1)))
-        except Exception as exc:
-            raise ParseError(str(exc)) from exc
+        w = w * rs.simple_reflection(i)
     return w
 
 
 def _parse_refl_token(rs: RootSystem, token: str):
-    m = re.match(r"^s(\d+)$", token)
-    if m:
-        i = int(m.group(1))
-        if not 1 <= i <= rs.rank:
-            raise ParseError(f"no simple reflection {token} in rank {rs.rank}")
+    i = _letter(rs, token)
+    if i is not None:
         return rs.reflection(rs.simple_roots[i - 1])
-    m = re.match(r"^s?\[([-\d,\s]*)\]$", token)
-    if m:
-        try:
-            coords = tuple(int(c) for c in m.group(1).split(","))
-        except ValueError as exc:
-            raise ParseError(f"bad root coordinates in {token!r}") from exc
-        if len(coords) != rs.rank:
-            raise ParseError(f"root {token} has wrong rank for {rs}")
-        root = Root(coords)
-        if not rs.is_root(root):
-            raise ParseError(f"{token} is not a root of {rs}")
-        return rs.reflection(root)
-    raise ParseError(f"bad reflection token {token!r}")
+    m = _ROOT_RE.fullmatch(token)
+    if m is None:
+        raise ParseError(f"bad reflection token {token!r}")
+    root = Root(tuple(_number(c) for c in m.group(1).split(",")))
+    if len(root.coords) != rs.rank:
+        raise ParseError(f"root {token} has wrong rank for {rs}")
+    if not rs.is_root(root):
+        raise ParseError(f"{token} is not a root of {rs}")
+    return rs.reflection(root)
+
+
+def _tokens(rs: RootSystem, body: str) -> ReflSeq:
+    """The sequence of whitespace-separated reflection tokens over rs."""
+    return ReflSeq(rs, tuple(_parse_refl_token(rs, t) for t in body.split()))
 
 
 def parse_sequence(text: str, max_weyl: int | None = None) -> ReflSeq:
     """A sequence document "A2: s1 s2" / "A2: [1,1] [1,0]"; "A2:" is empty.
-    Given max_weyl, |W| is bounded before the roots are built."""
+    Given max_weyl, rank and |W| are bounded before the roots are built."""
     if ":" not in _expect(text, "string", "sequence document"):
         raise ParseError("sequence document must look like 'A2: s1 s2'")
     head, _, body = text.partition(":")
-    rs = parse_root_system(head, max_weyl)
-    tokens = body.split()
-    return ReflSeq(rs, tuple(_parse_refl_token(rs, t) for t in tokens))
+    return _tokens(parse_root_system(head, max_weyl), body)
 
 
 def serialize_sequence(s: ReflSeq) -> str:
@@ -109,9 +123,9 @@ def parse_bits(text: str, n: int) -> Bits:
     return tuple(c == "1" for c in text)
 
 
-_TERM_RE = re.compile(
-    r"^(?P<coeff>\d+(?:/0*[1-9]\d*)?)?(?P<star>\*)?(?P<vars>(?:w\d+(?:\^\d+)?)"
-    r"(?:\*w\d+(?:\^\d+)?)*)?$")
+# a term is [coefficient][*][monomial], the monomial factors joined by "*"
+_TERM_RE = re.compile(r"(\d+(?:/0*[1-9]\d*)?)?\*?(.*)")
+_FACTOR_RE = re.compile(r"w(\d+)(?:\^(\d+))?")
 
 
 def parse_poly(nvars: int, text: str) -> poly.Poly:
@@ -121,27 +135,26 @@ def parse_poly(nvars: int, text: str) -> poly.Poly:
     text = _expect(text, "string", "polynomial").strip()
     if text in ("0", ""):
         return poly.Poly.zero(nvars)
-    chunks = re.split(r"(?=[+-])", text.replace(" ", ""))
+    chunks = re.split(r"(?=[+-])", "".join(text.split()))
     terms: dict = {}
     for chunk in chunks:
         if not chunk:
             continue
-        sign = Fraction(1)
-        if chunk[0] in "+-":
-            sign = Fraction(-1) if chunk[0] == "-" else Fraction(1)
-            chunk = chunk[1:]
-        m = _TERM_RE.match(chunk)
-        if not m or (m.group("coeff") is None and m.group("vars") is None):
+        sign = -1 if chunk[0] == "-" else 1
+        chunk = chunk[1:] if chunk[0] in "+-" else chunk
+        coeff_text, factors = _TERM_RE.fullmatch(chunk).groups()
+        if coeff_text is None and not factors:
             raise ParseError(f"bad polynomial term {chunk!r}")
-        coeff = sign * Fraction(m.group("coeff") or 1)
+        coeff = sign * _number(coeff_text or "1", Fraction)
         mono = [0] * nvars
-        if m.group("vars"):
-            for piece in m.group("vars").split("*"):
-                vm = re.match(r"^w(\d+)(?:\^(\d+))?$", piece)
-                j = int(vm.group(1))
-                if not 1 <= j <= nvars:
-                    raise ParseError(f"variable w{j} out of range 1..{nvars}")
-                mono[j - 1] += int(vm.group(2) or 1)
+        for factor in factors.split("*") if factors else ():
+            m = _FACTOR_RE.fullmatch(factor)
+            if m is None:
+                raise ParseError(f"bad polynomial term {chunk!r}")
+            j = _number(m.group(1))
+            if not 1 <= j <= nvars:
+                raise ParseError(f"variable w{j} out of range 1..{nvars}")
+            mono[j - 1] += _number(m.group(2) or "1")
         key = tuple(mono)
         terms[key] = terms.get(key, Fraction(0)) + coeff
     return poly.Poly.from_dict(nvars, terms)
@@ -152,7 +165,7 @@ def _pair_key(r: nested.Pair) -> str:
 
 
 def parse_plan(doc) -> nested.NestedPlan:
-    """A decoded plan document:
+    """A decoded plan document, its sequence bare reflection tokens:
 
     {"root_system": "A4", "sequence": "s4 s1 ...",
      "pairs": [[1,10],[2,6]], "labels": {"1-10": "s2 s3 s4"}}
@@ -162,13 +175,7 @@ def parse_plan(doc) -> nested.NestedPlan:
         if key not in doc:
             raise ParseError(f"plan document missing {key!r}")
     rs = parse_root_system(doc["root_system"])
-    body = _expect(doc["sequence"], "string", "plan sequence")
-    if ":" in body:
-        seq = parse_sequence(body)
-        if seq.rs != rs:
-            raise ParseError("sequence root system disagrees with the plan")
-    else:
-        seq = ReflSeq(rs, tuple(_parse_refl_token(rs, t) for t in body.split()))
+    seq = _tokens(rs, _expect(doc["sequence"], "string", "plan sequence"))
     pairs = []
     for item in _expect(doc["pairs"], "array", "plan pairs"):
         if (not isinstance(item, (list, tuple)) or len(item) != 2
@@ -184,7 +191,7 @@ def parse_plan(doc) -> nested.NestedPlan:
         labels[r] = parse_weyl(rs, texts[key])
     try:
         return nested.NestedPlan(seq, tuple(pairs), labels)
-    except Exception as exc:
+    except InvalidInputError as exc:
         raise ParseError(str(exc)) from exc
 
 
@@ -198,27 +205,24 @@ def plan_to_doc(plan: nested.NestedPlan) -> dict:
     }
 
 
-def parse_morphism(source: ReflSeq, target: ReflSeq, doc) -> foldcat.Morphism:
-    """A decoded morphism document {"p": [2], "w": "s1", "phi": {"0": "10",
-    "1": "11"}}; optional "source"/"target" sequence documents are checked
-    for consistency."""
+def parse_morphism(doc) -> foldcat.Morphism:
+    """A decoded morphism document, carrying its own source and target
+    sequence documents: {"source": "A1: s1", "target": "A1: s1 s1",
+    "p": [2], "w": "s1", "phi": {"0": "10", "1": "11"}}."""
     _expect(doc, "object", "morphism document")
-    for key in ("p", "w", "phi"):
+    for key in ("source", "target", "p", "w", "phi"):
         if key not in doc:
             raise ParseError(f"morphism document missing {key!r}")
-    for key, seq in (("source", source), ("target", target)):
-        if key in doc and parse_sequence(doc[key]) != seq:
-            raise ParseError(f"morphism {key} disagrees with the given sequence")
+    source, target = parse_sequence(doc["source"]), parse_sequence(doc["target"])
     p = tuple(_expect(doc["p"], "array", "p"))
     if not all(isinstance(j, int) for j in p):
         raise ParseError("p must be a list of integers")
     w = parse_weyl(source.rs, doc["w"])
-    phi = {}
-    for src_text, tgt_text in _expect(doc["phi"], "object", "phi").items():
-        phi[parse_bits(src_text, len(source))] = parse_bits(tgt_text, len(target))
+    phi = {parse_bits(src_text, len(source)): parse_bits(tgt_text, len(target))
+           for src_text, tgt_text in _expect(doc["phi"], "object", "phi").items()}
     try:
         return foldcat.Morphism(source, target, p, w, phi)
-    except Exception as exc:
+    except InvalidInputError as exc:
         raise ParseError(str(exc)) from exc
 
 

@@ -154,27 +154,20 @@ class Poly:
         return _canon(self.nvars, {m: c * coeff for m, coeff in self.terms})
 
     def substitute(self, images: list["Poly"]) -> "Poly":
-        """Ring map sending generator j to images[j]."""
+        """Ring map sending generator j to images[j]; powers by repeated squaring."""
         if len(images) != self.nvars:
             raise InvalidInputError("substitution must cover every variable")
         out_nvars = images[0].nvars if images else self.nvars
         result = Poly.zero(out_nvars)
-        power_cache: dict[tuple[int, int], Poly] = {}
-
-        def power(j: int, e: int) -> Poly:
-            key = (j, e)
-            if key not in power_cache:
-                p = Poly.const(out_nvars, 1)
-                for _ in range(e):
-                    p = p * images[j]
-                power_cache[key] = p
-            return power_cache[key]
-
         for mono, coeff in self.terms:
             term = Poly.const(out_nvars, coeff)
-            for j, e in enumerate(mono):
-                if e:
-                    term = term * power(j, e)
+            for square, e in zip(images, mono):
+                while e:
+                    if e & 1:
+                        term = term * square
+                    e >>= 1
+                    if e:
+                        square = square * square
             result = result + term
         return result
 
@@ -206,9 +199,10 @@ def divide_linear(p: Poly, ell: Poly) -> tuple[Poly, Poly]:
 
     The pivot is the last variable of ell.  The remainder has degree zero
     in it; p is divisible by ell exactly when the remainder is the zero
-    polynomial.  One pass over p's terms in descending pivot degree: a term
-    of pivot degree k > 0 gives the quotient term that cancels it, and
-    subtracting that term times the rest of ell only touches degree k - 1.
+    polynomial.  One pass in descending pivot degree, over the degrees that
+    have terms: a term of pivot degree k > 0 gives the quotient term that
+    cancels it, and subtracting that term times the rest of ell only
+    touches degree k - 1.
     """
     if ell.degree() != 1 or any(sum(m) == 0 for m, _ in ell.terms):
         raise InvalidInputError("divisor must be a homogeneous linear form")
@@ -219,7 +213,7 @@ def divide_linear(p: Poly, ell: Poly) -> tuple[Poly, Poly]:
     pivot = unit.index(1)
     rest = dict(p.terms)
     quotient: dict[Monomial, Coeff] = {}
-    for k in range(max((m[pivot] for m in rest), default=0), 0, -1):
+    while rest and (k := max(m[pivot] for m in rest)) > 0:
         level = []
         for m in [m for m in rest if m[pivot] == k]:
             c = rest.pop(m)

@@ -83,13 +83,16 @@ class Root:
 
 def closed_weyl_order(family: str, n: int) -> int:
     """|W| from family and rank alone: (n+1)!, 2^n n!, 2^(n-1) n!, or 12."""
-    return {"A": factorial(n + 1), "B": 2 ** n * factorial(n),
-            "C": 2 ** n * factorial(n), "D": 2 ** (n - 1) * factorial(n),
-            "G": 12}[family]
+    if family == "A":
+        return factorial(n + 1)
+    return 12 if family == "G" else 2 ** (n - 1 if family == "D" else n) * factorial(n)
 
 
 def check_weyl_order(family: str, rank: int, max_weyl: int = MAX_WEYL) -> None:
-    """Refuse |W| above min(max_weyl, MAX_WEYL): a caller can only tighten it."""
+    """Refuse rank above MAX_RANK, then |W| above min(max_weyl, MAX_WEYL): a
+    caller can only tighten it, and |W| is computed only for a rank within bound."""
+    if rank > MAX_RANK:
+        raise ResourceLimitError(f"rank {rank} exceeds bound {MAX_RANK}")
     bound, order = min(max_weyl, MAX_WEYL), closed_weyl_order(family, rank)
     if order > bound:
         raise ResourceLimitError(f"|W| = {order} exceeds bound {bound}")

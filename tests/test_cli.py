@@ -45,12 +45,24 @@ def test_gallery_type_empty_sequence(capsys):
 
 def test_parse_error_exit_code(capsys, monkeypatch):
     # a bad token, document fields of the wrong JSON type, a zero
-    # denominator, and bad JSON on standard input
+    # denominator, bad JSON on standard input, a plan sequence that names
+    # its root system, and numerals too long to convert (Python refuses
+    # integer strings of more than 4,300 digits)
     monkeypatch.setattr(sys, "stdin", io.StringIO("{"))
     morphism = {"source": "A1: s1", "target": "A1: s1 s1",
                 "p": [2], "w": "s1", "phi": {"0": "10", "1": "11"}}
     plan = {"root_system": "A2", "sequence": "s1", "pairs": [], "labels": {}}
+    digits = "9" * 5000
     for argv in (["gallery-type", "A2: bogus"],
+                 ["fixed-points", json.dumps(dict(plan, sequence="A2: s1"))],
+                 ["gallery-type", f"A{digits}: s1"],
+                 ["basis", f"A2: s{digits}"],
+                 ["basis", f"A2: [{digits},1]"],
+                 ["decompose", "A2: s1", json.dumps({"values": {"0": digits, "1": "3"}})],
+                 ["decompose", "A2: s1", json.dumps({"values": {"0": "1/" + digits, "1": "3"}})],
+                 ["decompose", "A2: s1", json.dumps({"values": {"0": "w" + digits, "1": "3"}})],
+                 ["decompose", "A2: s1", json.dumps({"values": {"0": "w1^" + digits, "1": "3"}})],
+                 ["morphism", "verify", json.dumps(morphism)[:-1] + f', "x": {digits}}}'],
                  ["morphism", "verify", json.dumps(dict(morphism, p=5))],
                  ["morphism", "verify", json.dumps(dict(morphism, phi=[]))],
                  ["morphism", "verify", json.dumps(dict(morphism, w=5))],
@@ -60,16 +72,27 @@ def test_parse_error_exit_code(capsys, monkeypatch):
                  ["fixed-points", json.dumps(dict(plan, pairs=5))],
                  ["decompose", "A2: s1", '{"values": {"0": "1/0", "1": "3"}}'],
                  ["fixed-points", "-"]):
-        code, _, err = run(capsys, *argv)
-        assert code == 2, argv
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
         assert "error" in err, argv
 
 
 def test_resource_limit_exit_code(capsys):
+    # the identity on a length-6 sequence, 64 galleries
+    bits = [format(i, "06b") for i in range(64)]
+    identity = json.dumps({"source": "A1:" + " s1" * 6, "target": "A1:" + " s1" * 6,
+                           "p": [1, 2, 3, 4, 5, 6], "w": "e", "phi": dict(zip(bits, bits))})
+    morphism = json.dumps({"source": "A1: s1", "target": "A1: s1 s1",
+                           "p": [2], "w": "s1", "phi": {"0": "10", "1": "11"}})
+    func = json.dumps({"values": {"00": "w1", "01": "w1", "10": "0", "11": "0"}})
     for argv in (["--max-length", "2", "gallery-type", "A2: s1 s2 s1"],
                  ["--max-length", "3", "basis", "A2: s1 s2 s1 s2"],
                  ["--max-length", "1", "morphism", "enumerate", "A1: s1", "A1: s1 s1"],
-                 ["--max-length", "40", "decompose", "A1:" + " s1" * 22, '{"values": {}}']):
+                 ["--max-length", "40", "decompose", "A1:" + " s1" * 22, '{"values": {}}'],
+                 ["--max-length", "2", "morphism", "verify", identity],
+                 ["--max-length", "1", "morphism", "apply", morphism, func],
+                 ["weyl", "info", "--root-system", "A10000"],
+                 ["gallery-type", "A10000: s1"]):
         code, out, _ = run(capsys, *argv)
         assert (code, out) == (3, ""), argv
 
@@ -89,6 +112,24 @@ def test_flag_cannot_loosen_library_bound(argv):
     proc = subprocess.run([sys.executable, "-m", "bscomb.cli", *argv], cwd=ROOT, env=env,
                           capture_output=True, timeout=10)
     assert (proc.returncode, proc.stdout) == (3, b"")
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["decompose", "A1: s1", json.dumps({"values": {"0": "0", "1": "w1^1000000000000"}})],
+     b"c_[-] = 0\nc_[1] = 1/2*w1^999999999999\n"),
+    (["morphism", "apply",
+      json.dumps({"source": "A1: s1", "target": "A1: s1 s1",
+                  "p": [2], "w": "s1", "phi": {"0": "10", "1": "11"}}),
+      json.dumps({"values": {b: "w1^1000000000" for b in ("00", "01", "10", "11")}})],
+     b"0 -> w1^1000000000\n1 -> w1^1000000000\n"),
+], ids=["decompose-exponent-1e12", "apply-exponent-1e9"])
+def test_large_exponent_costs_its_terms_not_its_value(argv, expected):
+    # Short documents with one huge exponent: division steps over the pivot
+    # degrees present and powers are built by squaring, so each ends at once.
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run([sys.executable, "-m", "bscomb.cli", *argv], cwd=ROOT, env=env,
+                          capture_output=True, timeout=10)
+    assert (proc.returncode, proc.stdout) == (0, expected)
 
 
 def test_fixed_points_at_length_bound():

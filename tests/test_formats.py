@@ -77,6 +77,11 @@ def test_poly_round_trip():
         parse_poly(2, "w3")
     with pytest.raises(ParseError):
         parse_poly(2, "3**w1")
+    # the coefficient's "*" is optional, and every factor is read
+    assert parse_poly(2, "3w1*w2^2*w1") == parse_poly(2, "3*w1^2*w2^2")
+    for bad in ("w1*", "w1**w2", "w1w2", "1/0", "3/w1", "*", "w1^"):
+        with pytest.raises(ParseError):
+            parse_poly(2, bad)
 
 
 def test_plan_round_trip():
@@ -100,11 +105,16 @@ def test_plan_missing_label():
 def test_morphism_round_trip(a1):
     s = simple_seq(a1, 1)
     target = simple_seq(a1, 1, 1)
-    doc = {"p": [2], "w": "s1", "phi": {"0": "10", "1": "11"}}
-    m = parse_morphism(s, target, doc)
+    doc = {"source": "A1: s1", "target": "A1: s1 s1",
+           "p": [2], "w": "s1", "phi": {"0": "10", "1": "11"}}
+    m = parse_morphism(doc)
+    assert (m.source, m.target) == (s, target)
     assert verify_morphism(m) is None
-    again = parse_morphism(s, target, morphism_docs(s, target, [m])[0])
+    again = parse_morphism(morphism_docs(s, target, [m])[0])
     assert again.key() == m.key()
+    for key in ("source", "target"):
+        with pytest.raises(ParseError):
+            parse_morphism({k: v for k, v in doc.items() if k != key})
 
 
 def test_fpfunction_round_trip(a2):

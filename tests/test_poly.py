@@ -314,3 +314,19 @@ def test_weyl_act_matches_sympy(system, data):
     images = {gens[j]: sum(m[k][j] * gens[k] for k in range(rs.rank))
               for j in range(rs.rank)}
     assert result == from_sympy(to_sympy(p).xreplace(images), rs.rank)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 3]), st.sampled_from([2, 3]), st.data())
+def test_substitute_matches_sympy(nvars, out_nvars, data):
+    # exponents up to 5 take every branch of the squaring loop; the images
+    # are arbitrary polynomials, zero among them, in their own variable count
+    monos = st.tuples(*[st.integers(0, 5)] * nvars)
+    p = data.draw(st.dictionaries(monos, oracle_coeffs, max_size=3).map(
+        lambda d: Poly.from_dict(nvars, d)))
+    images = [data.draw(oracle_polys(out_nvars, max_size=3)) for _ in range(nvars)]
+    result = p.substitute(images)
+    assert_canonical(result)
+    assert result.nvars == out_nvars
+    expect = to_sympy(p).xreplace({g: to_sympy(q) for g, q in zip(_gens(nvars), images)})
+    assert result == from_sympy(expect, out_nvars)

@@ -115,6 +115,9 @@ def test_enumerate_weyl_respects_bound():
 def test_rank_bound():
     with pytest.raises(ResourceLimitError):
         RootSystem("A", MAX_RANK + 1)
+    # the rank is refused before |W| = 300001! is computed or printed
+    with pytest.raises(ResourceLimitError, match="rank"):
+        check_weyl_order("A", 300_000)
     assert RootSystem("A", MAX_RANK).rank == MAX_RANK
 
 
