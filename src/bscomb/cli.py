@@ -15,12 +15,15 @@ import sys
 
 from . import formats, foldcat, gallery, gkm, nested, rootsys
 from .errors import (
+    MAX_LENGTH,
+    MAX_WEYL,
     BscombError,
     InvalidInputError,
     NotInSpanError,
     ParseError,
     ResourceLimitError,
     VerificationError,
+    check_bound,
 )
 
 EXIT_OK = 0
@@ -52,21 +55,6 @@ def _emit(args, doc: dict, text_lines: list[str]) -> None:
             print(line)
 
 
-def _parse_pair(text: str) -> tuple[int, int]:
-    try:
-        a, b = text.split("-")
-        return int(a), int(b)
-    except ValueError as exc:
-        raise ParseError(f"bad pair {text!r}; expected like 2-6") from exc
-
-
-def _check_length(args, *seqs) -> None:
-    """Apply --max-length; the library's own bound still applies after it."""
-    n = max(len(s) for s in seqs)
-    if n > args.max_length:
-        raise ResourceLimitError(f"sequence length {n} exceeds bound {args.max_length}")
-
-
 def _load_plan(arg: str) -> nested.NestedPlan:
     plan = formats.parse_plan(_read_doc(arg))
     violation = nested.validate(plan)
@@ -77,7 +65,7 @@ def _load_plan(arg: str) -> nested.NestedPlan:
 
 def cmd_gallery_type(args) -> int:
     s = formats.parse_sequence(args.sequence, args.max_weyl)
-    _check_length(args, s)
+    check_bound("sequence length", len(s), args.max_length)
     cert = gallery.is_gallery_type(s)
     if cert is None:
         _emit(args, {"gallery_type": False}, ["no labelled gallery exists"])
@@ -98,7 +86,7 @@ def cmd_gallery_type(args) -> int:
 
 def cmd_fixed_points(args) -> int:
     plan = _load_plan(args.plan)
-    _check_length(args, plan.seq)
+    check_bound("sequence length", len(plan.seq), args.max_length)
     points = nested.fixed_points(plan)
     bitstrings = [formats.serialize_bits(g) for g in points]
     doc = {"count": len(points), "galleries": bitstrings}
@@ -108,7 +96,7 @@ def cmd_fixed_points(args) -> int:
 
 def cmd_project(args) -> int:
     plan = _load_plan(args.plan)
-    pairs = [_parse_pair(t) for t in args.pairs.split(",")] if args.pairs else []
+    pairs = [formats.parse_pair(t) for t in args.pairs.split(",")] if args.pairs else []
     if not pairs:
         raise InvalidInputError("projection needs a nonempty selection F")
     F = nested.FSelection.of(plan, pairs)
@@ -119,7 +107,7 @@ def cmd_project(args) -> int:
     for r in base.pairs:
         lines.append(f"v^F{base.display(r)} = {base.labels[r]}")
     if args.check_fixed_points:
-        _check_length(args, plan.seq)
+        check_bound("sequence length", len(plan.seq), args.max_length)
         cert = nested.factor_fixed_points(plan, F)
         doc["fixed_point_count"] = cert.count
         lines.append(f"fixed points factor: verified ({cert.count} galleries)")
@@ -129,7 +117,7 @@ def cmd_project(args) -> int:
 
 def cmd_fibres(args) -> int:
     plan = _load_plan(args.plan)
-    targets = ([_parse_pair(args.pair)] if args.pair
+    targets = ([formats.parse_pair(args.pair)] if args.pair
                else [plan.display(r) for r in plan.pairs])
     display_to_internal = {plan.display(r): r for r in plan.pairs}
     docs, lines = [], []
@@ -147,7 +135,7 @@ def cmd_fibres(args) -> int:
 
 def cmd_basis(args) -> int:
     s = formats.parse_sequence(args.sequence)
-    _check_length(args, s)
+    check_bound("sequence length", len(s), args.max_length)
     elements = gkm.basis(s)
     docs, lines = [], []
     for e in elements:
@@ -162,7 +150,7 @@ def cmd_basis(args) -> int:
 
 def cmd_decompose(args) -> int:
     s = formats.parse_sequence(args.sequence)
-    _check_length(args, s)
+    check_bound("sequence length", len(s), args.max_length)
     g = formats.parse_fpfunction(s, _read_doc(args.function))
     coeffs = gkm.decompose(g, gkm.basis(s))
     table = {",".join(str(i) for i in sorted(J)) or "-": str(c)
@@ -174,7 +162,7 @@ def cmd_decompose(args) -> int:
 
 def _load_morphism(args) -> foldcat.Morphism:
     m = formats.parse_morphism(_read_doc(args.morphism))
-    _check_length(args, m.source, m.target)
+    check_bound("sequence length", max(len(m.source), len(m.target)), args.max_length)
     return m
 
 
@@ -192,7 +180,7 @@ def cmd_morphism_verify(args) -> int:
 def cmd_morphism_enumerate(args) -> int:
     source = formats.parse_sequence(args.source, args.max_weyl)
     target = formats.parse_sequence(args.target, args.max_weyl)
-    _check_length(args, source, target)
+    check_bound("sequence length", max(len(source), len(target)), args.max_length)
     found = foldcat.enumerate_morphisms(source, target)
     docs = formats.morphism_docs(source, target, found)
     lines = [f"{len(found)} morphisms"]
@@ -239,8 +227,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact Bott-Samelson gallery combinatorics.")
     parser.add_argument("--format", choices=("text", "structured"),
                         default="text")
-    parser.add_argument("--max-weyl", type=int, default=rootsys.MAX_WEYL)
-    parser.add_argument("--max-length", type=int, default=gallery.MAX_LENGTH)
+    # defaults from errors, which holds every bound, so a usage error runs no layer
+    parser.add_argument("--max-weyl", type=int, default=MAX_WEYL)
+    parser.add_argument("--max-length", type=int, default=MAX_LENGTH)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gallery-type", help="decide gallery type, print a certificate")

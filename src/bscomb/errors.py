@@ -1,4 +1,15 @@
-"""Exception hierarchy shared by all modules."""
+"""Exception hierarchy shared by all modules, and the resource bounds.
+
+Each exhaustive walk is bounded by one constant below and refuses through
+`check_bound`.  A caller (the CLI's --max-weyl and --max-length) may check
+a tighter bound first; it cannot loosen these.
+"""
+
+MAX_RANK = 30              # simple roots of a root system
+MAX_WEYL = 100_000         # |W| of a Weyl group enumerated in full
+MAX_LENGTH = 20            # positions of a sequence whose 2^n galleries are walked
+MAX_BASIS_LENGTH = 10      # positions of a sequence given a triangular basis
+MAX_MORPHISM_LENGTH = 12   # positions of a morphism's source or target
 
 
 class BscombError(Exception):
@@ -11,6 +22,12 @@ class InvalidInputError(BscombError):
 
 class ResourceLimitError(BscombError):
     """An enumeration would exceed a configured bound."""
+
+
+def check_bound(what: str, value: int, bound: int) -> None:
+    """Refuse value above bound: "<what> <value> exceeds bound <bound>"."""
+    if value > bound:
+        raise ResourceLimitError(f"{what} {value} exceeds bound {bound}")
 
 
 class ParseError(BscombError):

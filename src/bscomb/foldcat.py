@@ -20,11 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .errors import InvalidInputError, ResourceLimitError, VerificationError
+from .errors import MAX_MORPHISM_LENGTH, InvalidInputError, VerificationError, check_bound
 from .gallery import Bits, Gallery, ReflSeq, serialize_bits
 from .rootsys import WeylElement, enumerate_weyl
-
-MAX_MORPHISM_LENGTH = 12
 
 
 @dataclass(frozen=True)
@@ -42,14 +40,15 @@ class MorphismViolation:
 
 @dataclass(frozen=True)
 class Morphism:
-    """A triple (p, w, phi) with phi stored as a full table on Gamma(source)."""
+    """A triple (p, w, phi) with phi stored as a full table on Gamma(source);
+    `verified` is not a constructor argument: only `verify_morphism` sets it."""
 
     source: ReflSeq
     target: ReflSeq
     p: tuple[int, ...]
     w: WeylElement
     phi: dict[Bits, Bits] = field(hash=False)
-    verified: bool = field(default=False, compare=False)
+    verified: bool = field(default=False, init=False, compare=False)
 
     def __post_init__(self):
         if self.source.rs != self.target.rs:
@@ -103,8 +102,8 @@ def verify_morphism(m: Morphism) -> MorphismViolation | None:
     the target's twist entry p(i) with w's image of the source's entry i, up
     to sign.  On success the morphism's verified flag is set in place.
     """
-    if max(len(m.source), len(m.target)) > MAX_MORPHISM_LENGTH:
-        raise ResourceLimitError("sequence length exceeds morphism bound")
+    check_bound("morphism sequence length", max(len(m.source), len(m.target)),
+                MAX_MORPHISM_LENGTH)
     bad = _table_ok(m)
     if bad is not None:
         return bad
@@ -182,8 +181,7 @@ def enumerate_morphisms(s: ReflSeq, target: ReflSeq) -> list[Morphism]:
     if s.rs != target.rs:
         raise InvalidInputError("source and target are over different root systems")
     n, nt = len(s), len(target)
-    if max(n, nt) > MAX_MORPHISM_LENGTH:
-        raise ResourceLimitError("sequence length exceeds morphism bound")
+    check_bound("morphism sequence length", max(n, nt), MAX_MORPHISM_LENGTH)
     if n > nt:
         return []
     half = len(s.rs.roots) // 2

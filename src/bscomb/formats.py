@@ -3,9 +3,9 @@ polynomials, with one parser per grammar and one reader of numerals.
 
 Sequence documents look like "A2: s1 s2 s1" or "A2: [1,1] [1,0]"; Weyl
 elements are words in simple reflections ("s1 s2", "e"); galleries are
-bitstrings ("101", "-" for the empty gallery); plans and morphisms are
-JSON objects.  Serialization is canonical: identical objects produce
-byte-identical structured output.
+bitstrings ("101", "-" for the empty gallery); pairs of positions are
+"2-6"; plans and morphisms are JSON objects.  Serialization is canonical:
+identical objects produce byte-identical structured output.
 """
 
 from __future__ import annotations
@@ -162,6 +162,15 @@ def parse_poly(nvars: int, text: str) -> poly.Poly:
 
 def _pair_key(r: nested.Pair) -> str:
     return f"{r[0]}-{r[1]}"
+
+
+def parse_pair(text: str) -> nested.Pair:
+    """A pair "a-b" as `_pair_key` writes it, e.g. "2-6"."""
+    try:
+        a, b = text.split("-")
+        return _number(a), _number(b)
+    except (ValueError, ParseError) as exc:
+        raise ParseError(f"bad pair {text!r}; expected like 2-6") from exc
 
 
 def parse_plan(doc) -> nested.NestedPlan:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
 
-from .errors import InvalidInputError, ResourceLimitError
+from .errors import MAX_LENGTH, InvalidInputError, check_bound
 from .rootsys import (
     Reflection,
     RootSystem,
@@ -24,8 +24,6 @@ from .rootsys import (
     conjugate_reflection,
     enumerate_weyl,
 )
-
-MAX_LENGTH = 20
 
 Bits = tuple[bool, ...]
 
@@ -69,7 +67,7 @@ class ReflSeq:
         """The 2^n bit patterns of Gamma(s) in lexicographic order, as the
         keys of a dict (an ordered set); built once per sequence object, so
         tables keyed by them share the key tuples.  n <= MAX_LENGTH."""
-        check_length(len(self.entries))
+        check_bound("sequence length", len(self.entries), MAX_LENGTH)
         return dict.fromkeys(product((False, True), repeat=len(self.entries)))
 
     @cached_property
@@ -82,7 +80,7 @@ class ReflSeq:
         cross (times s_i), 2^n - 1 products in all rather than O(n) per
         gallery and index.  n <= MAX_LENGTH.
         """
-        check_length(len(self.entries))
+        check_bound("sequence length", len(self.entries), MAX_LENGTH)
         levels = [{(): self.rs.identity()}]
         for t in self.entries:
             ti = t.as_weyl()
@@ -96,8 +94,7 @@ class ReflSeq:
         rs.reflections of gamma^i s_i (gamma^i)^-1 = gamma^{i-1} s_i
         (gamma^{i-1})^-1, so it depends on bits[:i-1] alone.  Built once per
         sequence object by doubling over the bit tree, as `prefixes`;
-        `twist_seq` is the one-gallery form.  n <= MAX_LENGTH."""
-        check_length(len(self.entries))
+        `twist_seq` is the one-gallery form.  n <= MAX_LENGTH (`prefixes` checks)."""
         half = len(self.rs.roots) // 2
         level = {(): ()}
         for t, products in zip(self.entries, self.prefixes):
@@ -148,12 +145,6 @@ class Gallerification:
     x: WeylElement
     t: ReflSeq
     gamma: Gallery
-
-
-def check_length(n: int) -> None:
-    """Refuse a sequence whose 2^n galleries exceed the length bound."""
-    if n > MAX_LENGTH:
-        raise ResourceLimitError(f"sequence length {n} exceeds bound {MAX_LENGTH}")
 
 
 def galleries(s: ReflSeq) -> list[Gallery]:

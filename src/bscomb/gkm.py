@@ -17,16 +17,15 @@ from functools import cached_property
 
 from . import foldcat  # for an annotation; binding the lazy module runs nothing
 from .errors import (
+    MAX_BASIS_LENGTH,
     InvalidInputError,
     NotInSpanError,
-    ResourceLimitError,
     VerificationError,
+    check_bound,
 )
 from .gallery import Bits, ReflSeq
 from .poly import Poly, exact_divide, mul_add, root_poly, weyl_act
 from .rootsys import WeylElement
-
-MAX_BASIS_LENGTH = 10
 
 
 @dataclass(frozen=True)
@@ -152,8 +151,7 @@ def basis(s: ReflSeq) -> list[BasisElement]:
     over i in J.  Both facts are re-verified on construction.
     """
     n = len(s)
-    if n > MAX_BASIS_LENGTH:
-        raise ResourceLimitError(f"sequence length {n} exceeds basis bound")
+    check_bound("basis sequence length", n, MAX_BASIS_LENGTH)
     empty = ReflSeq(s.rs, ())
     level: dict[frozenset[int], FPFunction] = {
         frozenset(): constant(empty, 1)}

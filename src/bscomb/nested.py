@@ -15,12 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import InvalidInputError, PropertyViolationError
+from .errors import MAX_LENGTH, InvalidInputError, PropertyViolationError, check_bound
 from .gallery import (
     Bits,
     Gallerification,
     ReflSeq,
-    check_length,
     conjugate_reflection,
     is_gallery_type,
     serialize_bits,
@@ -149,16 +148,13 @@ def _conjugated(plan: NestedPlan, v: dict[int, WeylElement]) -> ReflSeq:
                    tuple(conjugate_reflection(w, entries[i - 1]) for i, w in v.items()))
 
 
-def project(plan: NestedPlan, F: FSelection) -> NestedPlan:
-    """The projected plan (s^F, R^F, v^F) on the surviving positions.
-
-    Positions are densely renumbered; original pair labels are retained in
-    `display_pairs`.  Endpoints are distinct and pairs nested or disjoint,
-    so a pair survives exactly when its first endpoint does.
-    """
-    _require_valid(plan)
-    F = FSelection.of(plan, F.pairs)
-    v = _contract(plan, 1, len(plan.seq), F.pairs)
+def _restrict(plan: NestedPlan, lo: int, hi: int, cut: tuple[Pair, ...]) -> NestedPlan:
+    """The contraction of lo..hi along `cut` as a plan on the surviving
+    positions, densely renumbered, with the original pair labels retained
+    in `display_pairs`.  Endpoints are distinct and pairs nested or
+    disjoint, so a pair of a valid plan survives exactly when its first
+    endpoint does, and its label v_r becomes v^(r1) v_r (v^(r2))^-1."""
+    v = _contract(plan, lo, hi, cut)
     renum = {pos: k for k, pos in enumerate(v, start=1)}
     pairs, labels, display = [], {}, {}
     for r in plan.pairs:
@@ -170,25 +166,23 @@ def project(plan: NestedPlan, F: FSelection) -> NestedPlan:
     return NestedPlan(_conjugated(plan, v), tuple(pairs), labels, display)
 
 
+def project(plan: NestedPlan, F: FSelection) -> NestedPlan:
+    """The projected plan (s^F, R^F, v^F): `_restrict` of 1..n with F cut out."""
+    _require_valid(plan)
+    F = FSelection.of(plan, F.pairs)
+    return _restrict(plan, 1, len(plan.seq), F.pairs)
+
+
 def fibre_data(plan: NestedPlan, f: Pair) -> NestedPlan:
     """The fibre plan over [f]: s restricted, pairs inside f, span adjoined.
 
     The span pair of the fibre is f itself with label v_f, so the fibre's
-    nested structure is closed.
+    nested structure is closed.  Nothing is cut, so nothing is conjugated.
     """
     _require_valid(plan)
     if f not in plan.pairs:
         raise InvalidInputError(f"{f} is not a pair of the plan")
-    lo, hi = f
-    seq = ReflSeq(plan.seq.rs, plan.seq.entries[lo - 1:hi])
-    pairs, labels, display = [], {}, {}
-    for r in plan.pairs:
-        if lo <= r[0] and r[1] <= hi:
-            image = (r[0] - lo + 1, r[1] - lo + 1)
-            pairs.append(image)
-            labels[image] = plan.labels[r]
-            display[image] = plan.display(r)
-    return NestedPlan(seq, tuple(pairs), labels, display)
+    return _restrict(plan, f[0], f[1], ())
 
 
 def fixed_points(plan: NestedPlan) -> list[Bits]:
@@ -203,7 +197,7 @@ def fixed_points(plan: NestedPlan) -> list[Bits]:
     _require_valid(plan)
     seq = plan.seq
     n = len(seq)
-    check_length(n)
+    check_bound("sequence length", n, MAX_LENGTH)
     steps = [t.as_weyl() for t in seq.entries]
     closes = {b: (a, plan.labels[(a, b)]) for a, b in plan.pairs}
     gamma = [seq.rs.identity()] * (n + 1)

@@ -21,10 +21,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import factorial
 
-from .errors import InvalidInputError, ResourceLimitError
-
-MAX_WEYL = 100_000
-MAX_RANK = 30
+from .errors import MAX_RANK, MAX_WEYL, InvalidInputError, check_bound
 
 Matrix = tuple[tuple[int, ...], ...]
 Perm = tuple[int, ...]
@@ -91,11 +88,8 @@ def closed_weyl_order(family: str, n: int) -> int:
 def check_weyl_order(family: str, rank: int, max_weyl: int = MAX_WEYL) -> None:
     """Refuse rank above MAX_RANK, then |W| above min(max_weyl, MAX_WEYL): a
     caller can only tighten it, and |W| is computed only for a rank within bound."""
-    if rank > MAX_RANK:
-        raise ResourceLimitError(f"rank {rank} exceeds bound {MAX_RANK}")
-    bound, order = min(max_weyl, MAX_WEYL), closed_weyl_order(family, rank)
-    if order > bound:
-        raise ResourceLimitError(f"|W| = {order} exceeds bound {bound}")
+    check_bound("rank", rank, MAX_RANK)
+    check_bound("|W| =", closed_weyl_order(family, rank), min(max_weyl, MAX_WEYL))
 
 
 class RootSystem:
@@ -107,8 +101,7 @@ class RootSystem:
     """
 
     def __init__(self, family: str, rank: int):
-        if rank > MAX_RANK:
-            raise ResourceLimitError(f"rank {rank} exceeds bound {MAX_RANK}")
+        check_bound("rank", rank, MAX_RANK)
         self.family = family
         self.rank = rank
         self.cartan = _cartan_matrix(family, rank)
@@ -153,10 +146,6 @@ class RootSystem:
         """s_beta(x) = x - <x, beta> beta."""
         p = self.pairing(x, beta)
         return tuple(xj - p * bj for xj, bj in zip(x, beta.coords))
-
-    @property
-    def weyl_order(self) -> int:
-        return closed_weyl_order(self.family, self.rank)
 
     # -- roots -------------------------------------------------------------
 
@@ -330,8 +319,8 @@ def enumerate_weyl(rs: RootSystem) -> list[WeylElement]:
     Deterministic order: breadth-first by word length, elements sorted by
     matrix within each level.  Cached on the root system.
     """
-    check_weyl_order(rs.family, rs.rank)
     if rs._weyl_cache is None:
+        check_weyl_order(rs.family, rs.rank)
         # u * s on raw perms, (us)[k] = u[s[k]]; only each new element is wrapped
         simples = [rs.simple_reflection(i).perm for i in range(1, rs.rank + 1)]
         level = [rs.identity()]

@@ -180,6 +180,18 @@ def test_fibres(capsys):
     assert doc["fibres"][0]["fibre"]["sequence"] == "s1 s2 s1 s2 s1"
 
 
+@pytest.mark.parametrize("argv", [
+    ["fibres", SL5, "--pair", "2-x"],
+    ["fibres", SL5, "--pair", "2-6-7"],
+    ["fibres", SL5, "--pair", "9" * 5000 + "-6"],
+    ["project", SL5, "--pairs", "2-6,1"],
+], ids=["fibres-letter", "fibres-triple", "fibres-5000-digits", "project-single"])
+def test_bad_pair_exit_code(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "bad pair" in err
+
+
 def test_basis(capsys):
     code, out, _ = run(capsys, "--format", "structured", "basis", "A2: s1")
     assert code == 0

@@ -65,6 +65,24 @@ def test_verify_rejects_broken_table(a1):
     assert not bad.verified
 
 
+def test_verified_flag_is_not_a_constructor_argument(a1):
+    # a caller cannot vouch for a table: built as verified, a phi that breaks
+    # the folding equation would pass verify_pointed on the pointed
+    # condition alone, and induced_map would pull back along it
+    s, target, e = simple_seq(a1, 1), simple_seq(a1, 1, 1), a1.identity()
+    phi = dict(subsequence_morphism(s, target, (1,)).phi)
+    phi[(True,)] = (False, True)
+    with pytest.raises(TypeError):
+        Morphism(s, target, (1,), e, phi, verified=True)
+    with pytest.raises(TypeError):
+        Morphism(s, target, (1,), e, phi, True)
+    bad = Morphism(s, target, (1,), e, phi)
+    assert not bad.verified
+    assert verify_pointed(PointedMorphism(bad, e, e)) == verify_morphism(bad)
+    assert verify_morphism(bad).condition == "folding-equation"
+    assert not bad.verified
+
+
 def test_enumerate_a1_example(a1):
     s = simple_seq(a1, 1)
     target = simple_seq(a1, 1, 1)

@@ -10,6 +10,7 @@ from bscomb.formats import (
     parse_bits,
     parse_fpfunction,
     parse_morphism,
+    parse_pair,
     parse_plan,
     parse_poly,
     parse_root_system,
@@ -93,6 +94,24 @@ def test_plan_round_trip():
     assert again.seq.entries == plan.seq.entries
     assert again.pairs == plan.pairs
     assert again.labels == plan.labels
+
+
+def test_pair_round_trip():
+    # plan documents write their label keys in the "a-b" pair grammar
+    plan = parse_plan({"root_system": "A4", "sequence": "s4 s1 s2 s1 s2 s1 s3 s4 s3 s4",
+                       "pairs": [[1, 10], [2, 6]],
+                       "labels": {"1-10": "s2 s3 s4", "2-6": "s2"}})
+    keys = plan_to_doc(plan)["labels"]
+    assert sorted(parse_pair(k) for k in keys) == sorted(plan.pairs)
+    for text in ("1-10", "2-6", "0-0", "12-345"):
+        assert "-".join(map(str, parse_pair(text))) == text
+
+
+@pytest.mark.parametrize("text", ["", "2", "2-", "-6", "2-6-7", "2--6", "a-b", "2-x",
+                                  "9" * 5000 + "-1"])
+def test_pair_errors(text):
+    with pytest.raises(ParseError, match="bad pair"):
+        parse_pair(text)
 
 
 def test_plan_missing_label():

@@ -10,9 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bscomb.errors import InvalidInputError, ResourceLimitError, VerificationError
+from bscomb.errors import MAX_LENGTH, InvalidInputError, ResourceLimitError, VerificationError
 from bscomb.gallery import (
-    MAX_LENGTH,
     Gallery,
     Gallerification,
     ReflSeq,

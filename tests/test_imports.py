@@ -58,6 +58,24 @@ assert not missing, missing
     assert executed(code) == {"bscomb", "bscomb.cli", "bscomb.errors"}
 
 
+@pytest.mark.parametrize("argv", [[], ["no-such-command"], ["--max-length", "x", "basis", "A1:"]],
+                         ids=["no-command", "unknown-command", "bad-flag-value"])
+def test_usage_error_executes_no_layer(argv):
+    # the flag defaults come from errors, so argparse's refusal runs no layer
+    code = """
+import contextlib, io, sys
+from bscomb import cli
+with contextlib.redirect_stderr(io.StringIO()):
+    try:
+        cli.main(sys.argv[1:])
+    except SystemExit as exc:
+        assert exc.code == 2, exc.code
+    else:
+        raise AssertionError("no usage error")
+""" + EXECUTED
+    assert executed(code, *argv) == {"bscomb", "bscomb.cli", "bscomb.errors"}
+
+
 @pytest.mark.parametrize("argv", [
     ["gallery-type", "A2: s1 s2"],
     ["--format", "structured", "gallery-type", "B3: [0,1,1] [1,1,1] [0,1,2] [1,2,2]"],

@@ -286,8 +286,9 @@ def _random_pairs(rng, n):
 
 
 # Reference gate for the one-pass contraction: the per-position `v_power`
-# projection, the accumulator `restricted_seq` and the Gallery-keyed
-# factoring, kept here as the slow paths the library's versions replace.
+# projection, the slice-and-filter fibre, the accumulator `restricted_seq`
+# and the Gallery-keyed factoring, kept here as the slow paths the library's
+# versions replace.
 
 
 def _reference_v_power(plan, F, i):
@@ -326,6 +327,19 @@ def _reference_project(plan, F):
     return NestedPlan(ReflSeq(plan.seq.rs, tuple(entries)), tuple(pairs), labels, display)
 
 
+def _reference_fibre_data(plan, f):
+    lo, hi = f
+    seq = ReflSeq(plan.seq.rs, plan.seq.entries[lo - 1:hi])
+    pairs, labels, display = [], {}, {}
+    for r in plan.pairs:
+        if lo <= r[0] and r[1] <= hi:
+            image = (r[0] - lo + 1, r[1] - lo + 1)
+            pairs.append(image)
+            labels[image] = plan.labels[r]
+            display[image] = plan.display(r)
+    return NestedPlan(seq, tuple(pairs), labels, display)
+
+
 def _reference_restricted_seq(plan, r):
     inner = [q for q in plan.pairs
              if r[0] <= q[0] and q[1] <= r[1] and q != r]
@@ -347,7 +361,7 @@ def _reference_restricted_seq(plan, r):
 def _reference_forward(plan, F, base_plan, source):
     """The Gallery-keyed factoring map of the plan's fixed points `source`
     onto the reference projection, with its three checks as asserts."""
-    fibre_plans = [fibre_data(plan, f) for f in F.pairs]
+    fibre_plans = [_reference_fibre_data(plan, f) for f in F.pairs]
     survivors = _reference_survivors(plan, F)
     base_set = {Gallery(base_plan.seq, b) for b in _reference_fixed_points(base_plan)}
     fibre_sets = [{Gallery(fp.seq, b) for b in _reference_fixed_points(fp)}
@@ -392,6 +406,7 @@ def _selections(plan):
 def _check_against_reference(plan, twice=False):
     for r in plan.pairs:
         assert restricted_seq(plan, r).entries == _reference_restricted_seq(plan, r)
+        assert _plan_fields(fibre_data(plan, r)) == _plan_fields(_reference_fibre_data(plan, r))
     source = _reference_fixed_points(plan)
     for F in _selections(plan):
         cert = factor_fixed_points(plan, F)
