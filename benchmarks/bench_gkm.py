@@ -1,5 +1,5 @@
 """Microbenchmarks for the gkm layer on a length-5 B2 sequence: generator,
-concentrate, basis, combine and decompose.
+concentrate, the concentration identity check, basis, combine and decompose.
 
 Run from the repository root:
 
@@ -15,7 +15,15 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from bscomb.gallery import ReflSeq
-from bscomb.gkm import FPFunction, basis, combine, concentrate, decompose, generator
+from bscomb.gkm import (
+    FPFunction,
+    basis,
+    combine,
+    concentrate,
+    concentration_identity_check,
+    decompose,
+    generator,
+)
 from bscomb.poly import Poly, root_poly
 from bscomb.rootsys import build_root_system
 
@@ -39,15 +47,30 @@ def test_generator(benchmark):
     benchmark.pedantic(generator, setup=lambda: ((_seq(), 3, w, c), {}), rounds=200)
 
 
+def _truncated_values(seed):
+    rng = random.Random(seed)
+    return {b: _poly(rng, 2, 4) for b in product((False, True), repeat=len(ENTRIES) - 1)}
+
+
 def test_concentrate(benchmark):
-    rng = random.Random(0)
-    values = {b: _poly(rng, 2, 4) for b in product((False, True), repeat=len(ENTRIES) - 1)}
+    values = _truncated_values(0)
 
     def setup():
         s = _seq()
         return (s, FPFunction(s.truncated(), values), True), {}
 
     benchmark.pedantic(concentrate, setup=setup, rounds=200)
+
+
+def test_concentration_identity_check(benchmark):
+    """Both sides of the identity for t = s_n, as the cohomology workload checks it."""
+    values = _truncated_values(3)
+
+    def setup():
+        s = _seq()
+        return (s, FPFunction(s.truncated(), values), True), {}
+
+    assert benchmark.pedantic(concentration_identity_check, setup=setup, rounds=100)
 
 
 def test_basis(benchmark):

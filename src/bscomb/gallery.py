@@ -59,9 +59,6 @@ class ReflSeq:
             raise InvalidInputError("cannot truncate an empty sequence")
         return ReflSeq(self.rs, self.entries[:-1])
 
-    def prefix_seq(self, k: int) -> "ReflSeq":
-        return ReflSeq(self.rs, self.entries[:k])
-
     @cached_property
     def patterns(self) -> dict[Bits, None]:
         """The 2^n bit patterns of Gamma(s) in lexicographic order, as the

@@ -88,8 +88,8 @@ def generator(s: ReflSeq, i: int, w: WeylElement, c: Poly) -> FPFunction:
     """
     if not 0 <= i <= len(s):
         raise InvalidInputError(f"generator index {i} out of range 0..{len(s)}")
-    table = s.prefixes[i]
-    return FPFunction(s, {b: weyl_act(table[b[:i]] * w, c) for b in s.patterns})
+    acted = {b: weyl_act(u * w, c) for b, u in s.prefixes[i].items()}
+    return FPFunction(s, {b: acted[b[:i]] for b in s.patterns})
 
 
 def copy(s: ReflSeq, g: FPFunction) -> FPFunction:
@@ -119,14 +119,15 @@ def concentrate(s: ReflSeq, g: FPFunction, cross: bool) -> FPFunction:
 
 def concentration_identity_check(s: ReflSeq, g: FPFunction, cross: bool) -> bool:
     """Verify nabla_t g = -1/2 (Sigma(s,n-1,1)*(t alpha_n)
-    + Sigma(s,n,1)*(alpha_n)) . Delta g pointwise."""
+    + Sigma(s,n,1)*(alpha_n)) . Delta g pointwise, in the form multiplied
+    by -2, which has the same solutions over Q and needs no fractions."""
     n = len(s)
     alpha = root_poly(s.rs, s[n].root)
     t_alpha = weyl_act(s[n].as_weyl(), alpha) if cross else alpha
     factor = (generator(s, n - 1, s.rs.identity(), t_alpha)
-              + generator(s, n, s.rs.identity(), alpha)) * Fraction(-1, 2)
+              + generator(s, n, s.rs.identity(), alpha))
     rhs = factor * copy(s, g)
-    return concentrate(s, g, cross).values == rhs.values
+    return (concentrate(s, g, cross) * -2).values == rhs.values
 
 
 @dataclass(frozen=True)
@@ -144,28 +145,36 @@ class BasisElement:
 
 def basis(s: ReflSeq) -> list[BasisElement]:
     """The 2^n triangular basis, ordered by (|J|, sorted J).
-    B_J is built from the unit on the empty sequence by copying at
-    positions outside J and concentrating at t = s_i for positions in J, so
-    B_J vanishes off {gamma : J subset supp(gamma)} and its value at
-    gamma_J is the product of the linear forms prefix(gamma_J, i)(-alpha_i)
-    over i in J.  Both facts are re-verified on construction.
+
+    B_J is built from the unit on the empty sequence by copying (Delta) at
+    positions outside J and concentrating (nabla_t, t = s_k) at positions
+    k in J.  The recursion runs on plain tables over s itself: level k
+    holds, for each J in {1..k}, a list of the values over the k-bit
+    patterns in lexicographic order (that of s.prefixes[k] and
+    s.patterns), and its crossing factors gamma^k(-alpha_k) are computed
+    once per level, not once per subset.  Only the 2^n finished tables
+    become `FPFunction`s.  B_J vanishes off
+    {gamma : J subset supp(gamma)} and its value at gamma_J is the product
+    of the linear forms prefix(gamma_J, i)(-alpha_i) over i in J; both
+    facts are re-verified on every element.
     """
     n = len(s)
     check_bound("basis sequence length", n, MAX_BASIS_LENGTH)
-    empty = ReflSeq(s.rs, ())
-    level: dict[frozenset[int], FPFunction] = {
-        frozenset(): constant(empty, 1)}
-    for k in range(1, n + 1):
-        sk = s.prefix_seq(k)
-        nxt: dict[frozenset[int], FPFunction] = {}
-        for J, f in level.items():
-            nxt[J] = copy(sk, f)
-            nxt[J | {k}] = concentrate(sk, f, True)
-        level = nxt
+    zero = Poly.zero(s.rs.rank)
+    level: dict[frozenset[int], list[Poly]] = {frozenset(): [Poly.const(s.rs.rank, 1)]}
     neg_alphas = [-root_poly(s.rs, t.root) for t in s.entries]
+    for k in range(1, n + 1):
+        # gamma^k(-alpha_k) for each crossing k-bit pattern, in pattern order
+        cross = [weyl_act(u, neg_alphas[k - 1]) for b, u in s.prefixes[k].items() if b[-1]]
+        nxt: dict[frozenset[int], list[Poly]] = {}
+        for J, f in level.items():
+            nxt[J] = [p for p in f for _ in (False, True)]
+            nxt[J | {k}] = [q for c, p in zip(cross, f)
+                            for q in (zero, c * p if p.terms else zero)]
+        level = nxt
     out = []
     for J in sorted(level, key=lambda J: (len(J), sorted(J))):
-        f = level[J]
+        f = FPFunction(s, dict(zip(s.patterns, level[J])))
         bits = tuple(i + 1 in J for i in range(n))
         lead = tuple(weyl_act(s.prefixes[i][bits[:i]], neg_alphas[i - 1]) for i in sorted(J))
         elem = BasisElement(J, f, lead)
@@ -188,7 +197,8 @@ def _verify_basis_element(s: ReflSeq, elem: BasisElement) -> None:
 def decompose(g: FPFunction,
               basis_elements: list[BasisElement] | None = None
               ) -> dict[frozenset[int], Poly]:
-    """Express g as sum c_J B_J; raises NotInSpanError when impossible.
+    """Express g as sum c_J B_J; raises NotInSpanError when impossible, and
+    InvalidInputError, before any division, for a basis of another sequence.
 
     The recursion runs over subsets in ascending cardinality; each step
     divides exactly by the product of the linear factors of B_J, and the
@@ -197,6 +207,8 @@ def decompose(g: FPFunction,
     s = g.seq
     if basis_elements is None:
         basis_elements = basis(s)
+    elif any(e.function.seq != s for e in basis_elements):
+        raise InvalidInputError("basis of a different sequence")
     elems = {e.subset: e for e in basis_elements}
     coeffs: dict[frozenset[int], Poly] = {}
     for J in sorted(elems, key=lambda J: (len(J), sorted(J))):
@@ -208,10 +220,7 @@ def decompose(g: FPFunction,
         if q is None:
             raise NotInSpanError(sorted(J), str(residue))
         coeffs[J] = q
-    recon = combine(basis_elements, coeffs)
-    if recon.seq != s:
-        raise InvalidInputError("functions over different sequences")
-    if recon.values != g.values:
+    if combine(basis_elements, coeffs).values != g.values:
         raise VerificationError("decomposition failed to reconstruct g")
     return coeffs
 

@@ -2,11 +2,15 @@
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from bscomb import gkm
 from bscomb.errors import InvalidInputError, NotInSpanError
-from bscomb.gallery import ReflSeq, galleries
+from bscomb.gallery import ReflSeq, galleries, prefix
 from bscomb.gkm import (
     BasisElement,
     FPFunction,
@@ -21,7 +25,7 @@ from bscomb.gkm import (
     induced_map,
 )
 from bscomb.foldcat import identity_morphism
-from bscomb.poly import Poly, exact_divide, simple_root_poly
+from bscomb.poly import Poly, exact_divide, root_poly, simple_root_poly, weyl_act
 from bscomb.rootsys import build_root_system
 
 from conftest import all_seqs, simple_seq
@@ -320,3 +324,189 @@ def test_decompose_failure_matches_reference(family, rank):
                 decompose(g, elements)
             assert (info.value.subset, str(info.value.remainder)) == expected
     assert failures >= 8
+
+
+def test_decompose_refuses_a_basis_of_another_sequence(a2):
+    s = simple_seq(a2, 1, 2)
+    g = combine(basis(s), {frozenset({1}): Poly.const(2, 1)})
+    # same length, other entries: the divisions would run and fail
+    with pytest.raises(InvalidInputError):
+        decompose(g, basis(simple_seq(a2, 2, 1)))
+    # other length: the bit patterns would not be keys of g
+    with pytest.raises(InvalidInputError):
+        decompose(g, basis(simple_seq(a2, 1)))
+    # an equal sequence built separately is the same sequence
+    assert decompose(g, basis(simple_seq(a2, 1, 2)))[frozenset({1})] == Poly.const(2, 1)
+
+
+# -- basis, generator and the identity check against the per-object recursion --
+
+def basis_reference(s):
+    """The recursion B_J is defined by, one validated FPFunction per step:
+    copy at positions outside J and concentrate at t = s_k inside, each
+    over its own prefix sequence."""
+    level = {frozenset(): constant(ReflSeq(s.rs, ()), 1)}
+    for k in range(1, len(s) + 1):
+        sk = ReflSeq(s.rs, s.entries[:k])
+        nxt = {}
+        for J, f in level.items():
+            nxt[J] = copy(sk, f)
+            nxt[J | {k}] = concentrate(sk, f, True)
+        level = nxt
+    neg_alphas = [-root_poly(s.rs, t.root) for t in s.entries]
+    out = []
+    for J in sorted(level, key=lambda J: (len(J), sorted(J))):
+        bits = tuple(i + 1 in J for i in range(len(s)))
+        lead = tuple(weyl_act(s.prefixes[i][bits[:i]], neg_alphas[i - 1]) for i in sorted(J))
+        out.append((J, level[J].values, lead))
+    return out
+
+
+def generator_reference(s, i, w, c):
+    """gamma -> (gamma^i w) . c with one Weyl product per gallery."""
+    table = s.prefixes[i]
+    return FPFunction(s, {b: weyl_act(table[b[:i]] * w, c) for b in s.patterns})
+
+
+def identity_check_reference(s, g, cross):
+    """nabla_t g = -1/2 (Sigma(s,n-1,1)*(t alpha_n) + Sigma(s,n,1)*(alpha_n)) . Delta g,
+    with the factor scaled by -1/2 as written.  Reads `gkm.concentrate` at
+    call time, as the library's check does, so both see a patched one."""
+    n = len(s)
+    alpha = root_poly(s.rs, s[n].root)
+    t_alpha = weyl_act(s[n].as_weyl(), alpha) if cross else alpha
+    factor = (generator(s, n - 1, s.rs.identity(), t_alpha)
+              + generator(s, n, s.rs.identity(), alpha)) * Fraction(-1, 2)
+    return gkm.concentrate(s, g, cross).values == (factor * copy(s, g)).values
+
+
+ORACLE_SYSTEMS = [build_root_system(f, r) for f, r in (("A", 2), ("B", 2), ("G", 2), ("B", 3))]
+
+
+@st.composite
+def sequences(draw, min_size=0, max_size=6):
+    """A sequence of arbitrary (not only simple) reflections in A2, B2, G2 or B3."""
+    rs = draw(st.sampled_from(ORACLE_SYSTEMS))
+    refls = [rs.reflection(r) for r in rs.roots if r.is_positive]
+    return ReflSeq(rs, tuple(draw(st.lists(st.sampled_from(refls),
+                                           min_size=min_size, max_size=max_size))))
+
+
+def nonsimple_seq(family, rank, n):
+    """A fixed sequence of length n that cycles through every positive root."""
+    rs = build_root_system(family, rank)
+    refls = [rs.reflection(r) for r in rs.roots if r.is_positive]
+    return ReflSeq(rs, tuple(refls[(3 * k + 1) % len(refls)] for k in range(n)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(sequences())
+@example(ReflSeq(build_root_system("A", 2), ()))
+@example(nonsimple_seq("B", 3, 6))
+@example(nonsimple_seq("G", 2, 6))
+def test_basis_matches_reference(s):
+    got = basis(s)
+    expected = basis_reference(s)
+    assert [e.subset for e in got] == [J for J, _, _ in expected]
+    for e, (_, values, lead) in zip(got, expected):
+        assert e.function.seq == s
+        assert list(e.function.values.items()) == list(values.items())
+        assert e.lead_factors == lead
+
+
+@settings(max_examples=60, deadline=None)
+@given(sequences(), st.randoms(use_true_random=False))
+@example(nonsimple_seq("B", 3, 6), random.Random(6))
+def test_generator_matches_reference(s, rng):
+    i = rng.randint(0, len(s))
+    w = s.rs.identity()
+    for _ in range(rng.randint(0, 6)):
+        w = w * s.rs.simple_reflection(rng.randint(1, s.rs.rank))
+    c = rand_frac_poly(rng, s.rs.rank)
+    got = generator(s, i, w, c)
+    assert list(got.values.items()) == list(generator_reference(s, i, w, c).values.items())
+
+
+def bump_one_value(concentrate_):
+    """concentrate with a constant added at its last gallery."""
+    def bumped(s, g, cross):
+        values = dict(concentrate_(s, g, cross).values)
+        last = next(reversed(values))
+        values[last] = values[last] + Poly.const(s.rs.rank, 1)
+        return FPFunction(s, values)
+    return bumped
+
+
+def flip_cross(concentrate_):
+    """concentrate at the other choice of t."""
+    return lambda s, g, cross: concentrate_(s, g, not cross)
+
+
+@settings(max_examples=40, deadline=None)
+@given(sequences(min_size=1), st.randoms(use_true_random=False))
+@example(nonsimple_seq("B", 3, 6), random.Random(7))
+def test_identity_check_matches_reference(s, rng):
+    # every value nonzero, so a concentration at the wrong t is visible
+    g = FPFunction(s.truncated(), {b: rand_frac_poly(rng, s.rs.rank, 1)
+                                   for b in s.truncated().patterns})
+    for cross in (False, True):
+        assert concentration_identity_check(s, g, cross)
+        assert identity_check_reference(s, g, cross)
+        for perturb in (bump_one_value, flip_cross):
+            with mock.patch.object(gkm, "concentrate", perturb(gkm.concentrate)):
+                assert not concentration_identity_check(s, g, cross)
+                assert not identity_check_reference(s, g, cross)
+
+
+# -- the paper's multiplicative generators and the GKM edge condition ----------
+
+def crossing_factor(gamma, i):
+    """x_i(gamma) = gamma^i(-alpha_i) if gamma crosses at i, else 0, read off
+    the root system's action on roots rather than on polynomials."""
+    s = gamma.seq
+    if not gamma.bits[i - 1]:
+        return Poly.zero(s.rs.rank)
+    return root_poly(s.rs, prefix(gamma, i).apply(-s[i].root))
+
+
+def edge_divisible(f):
+    """Whether f(gamma) - f(f_i gamma) is divisible by gamma^(i-1)(alpha_i)
+    for every gallery gamma and every fold f_i."""
+    s = f.seq
+    for gamma in galleries(s):
+        for i in range(1, len(s) + 1):
+            folded = gamma.bits[:i - 1] + (not gamma.bits[i - 1],) + gamma.bits[i:]
+            diff = f.values[gamma.bits] - f.values[folded]
+            ell = root_poly(s.rs, prefix(gamma, i - 1).apply(s[i].root))
+            if exact_divide(diff, [ell]) is None:
+                return False
+    return True
+
+
+@settings(max_examples=40, deadline=None)
+@given(sequences())
+@example(nonsimple_seq("B", 3, 6))
+@example(nonsimple_seq("G", 2, 6))
+def test_basis_is_product_of_generators(s):
+    # B_J = prod_{i in J} x_i: the classes x_i generate the basis multiplicatively
+    for e in basis(s):
+        for gamma in galleries(s):
+            product = Poly.const(s.rs.rank, 1)
+            for i in sorted(e.subset):
+                product = product * crossing_factor(gamma, i)
+            assert e.function.values[gamma.bits] == product
+
+
+@settings(max_examples=40, deadline=None)
+@given(sequences(max_size=5), st.randoms(use_true_random=False))
+@example(nonsimple_seq("B", 3, 5), random.Random(8))
+def test_combinations_satisfy_edge_condition(s, rng):
+    elements = basis(s)
+    g = combine(elements, {e.subset: rand_frac_poly(rng, s.rs.rank) for e in elements})
+    assert edge_divisible(g)
+    if len(s):
+        # necessary, not sufficient; but not vacuous: a point indicator fails it
+        one, zero = Poly.const(s.rs.rank, 1), Poly.zero(s.rs.rank)
+        bump = rng.choice(sorted(s.patterns))
+        assert not edge_divisible(FPFunction(s, {b: one if b == bump else zero
+                                                 for b in s.patterns}))
