@@ -73,7 +73,7 @@ def test_verify_pointed(benchmark, system):
         # x~ fitted at the all-stay gallery, so every gallery is checked
         return (PointedMorphism(m, x, m.w * x * m.w.inv() * image),), {}
 
-    benchmark.pedantic(verify_pointed, setup=setup, rounds=200)
+    assert benchmark.pedantic(verify_pointed, setup=setup, rounds=200) is None
 
 
 def test_enumerate_morphisms_long_target(benchmark):

@@ -1,6 +1,6 @@
 """Microbenchmarks for the gallery layer: the gallery-type search on a
-positive and a negative B3 sequence, and the prefix tables of a length-10
-B3 sequence.
+positive and a negative B3 sequence and on a negative length-9 D4 sequence,
+and the prefix tables of a length-10 B3 sequence.
 
 Run from the repository root:
 
@@ -13,7 +13,7 @@ import pytest
 
 from bscomb.formats import parse_sequence
 from bscomb.gallery import ReflSeq, is_gallery_type
-from bscomb.rootsys import RootSystem, build_root_system
+from bscomb.rootsys import RootSystem, build_root_system, enumerate_weyl
 
 RS = build_root_system("B", 3)
 SEARCH_CASES = {
@@ -23,13 +23,24 @@ SEARCH_CASES = {
     # at length 16 a walk restarted from every start chamber took seconds
     "negative-16": ("B3:" + " [0,0,1]" * 15 + " [0,1,1]", False),
 }
+# not of gallery type, so the walk leaves from each of the 192 start
+# chambers; negative D4 answers at certify's longest length, 9, set its
+# item tail, and this one was the slowest of 3,000 random draws
+TAIL_CASE = ("D4: [0,1,0,1] [0,1,0,1] [1,1,0,0] [0,1,1,0] [0,1,0,1] [1,1,0,0] "
+             "[1,1,0,1] [0,1,1,1] [0,1,1,1]")
 
 
-def _fresh(text):
-    """The sequence over a new root system, whose answer memo is empty."""
-    rs = RootSystem("B", 3)
-    entries = parse_sequence(text).entries
-    return (ReflSeq(rs, tuple(rs.reflections[t.index] for t in entries)),), {}
+def _fresh(text, warm=False):
+    """The sequence over a new root system, whose answer memo is empty; with
+    `warm` its Weyl group and reflection permutations are built untimed, so
+    the walk alone is timed."""
+    s = parse_sequence(text)
+    rs = RootSystem(s.rs.family, s.rs.rank)
+    if warm:
+        enumerate_weyl(rs)
+        for t in rs.reflections:
+            t.as_weyl()
+    return (ReflSeq(rs, tuple(rs.reflections[t.index] for t in s.entries)),), {}
 
 
 @pytest.mark.parametrize("name", SEARCH_CASES)
@@ -37,6 +48,12 @@ def test_is_gallery_type(benchmark, name):
     text, expected = SEARCH_CASES[name]
     cert = benchmark.pedantic(is_gallery_type, setup=lambda: _fresh(text), rounds=10)
     assert (cert is not None) == expected
+
+
+def test_is_gallery_type_negative_d4(benchmark):
+    cert = benchmark.pedantic(is_gallery_type, setup=lambda: _fresh(TAIL_CASE, warm=True),
+                              rounds=50)
+    assert cert is None
 
 
 def test_prefixes(benchmark):

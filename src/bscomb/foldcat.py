@@ -17,8 +17,10 @@ all-stay gallery and then verifies each one in full.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import combinations
+from types import MappingProxyType
 
 from .errors import MAX_MORPHISM_LENGTH, InvalidInputError, VerificationError, check_bound
 from .gallery import Bits, Gallery, ReflSeq, serialize_bits
@@ -41,17 +43,20 @@ class MorphismViolation:
 @dataclass(frozen=True)
 class Morphism:
     """A triple (p, w, phi) with phi stored as a full table on Gamma(source);
-    `verified` is not a constructor argument: only `verify_morphism` sets it."""
+    `verified` is not a constructor argument: only `verify_morphism` sets it.
+    phi is a read-only view of a private copy of the table it is given, so
+    a verified table cannot be edited afterwards."""
 
     source: ReflSeq
     target: ReflSeq
     p: tuple[int, ...]
     w: WeylElement
-    phi: dict[Bits, Bits] = field(hash=False)
+    phi: Mapping[Bits, Bits] = field(hash=False)
     verified: bool = field(default=False, init=False, compare=False)
 
     def __post_init__(self):
-        if self.source.rs != self.target.rs:
+        object.__setattr__(self, "phi", MappingProxyType(dict(self.phi)))
+        if self.source.rs is not self.target.rs and self.source.rs != self.target.rs:
             raise InvalidInputError("source and target are over different root systems")
         if self.w.rs is not self.source.rs and self.w.rs != self.source.rs:
             raise InvalidInputError("w is from a different root system")
@@ -211,10 +216,12 @@ def verify_pointed(pm: PointedMorphism) -> MorphismViolation | None:
         bad = verify_morphism(m)
         if bad is not None:
             return bad
-    # x~ v^-1 = w x u^-1 w^-1 holds exactly when v = w u c, c = x^-1 w^-1 x~
-    c = pm.x.inv() * m.w.inv() * pm.x_target
-    tgt = m.target.prefixes[len(m.target)]
+    # x~ v^-1 = w x u^-1 w^-1 holds exactly when v = w u c, c = x^-1 w^-1 x~;
+    # composed on root permutations, (w u c)[k] = w[u[c[k]]]
+    c = (pm.x.inv() * m.w.inv() * pm.x_target).perm
+    w = m.w.perm.__getitem__
+    phi, tgt = m.phi, m.target.prefixes[len(m.target)]
     for bits, u in m.source.prefixes[len(m.source)].items():
-        if tgt[m.phi[bits]] != m.w * u * c:
+        if tgt[phi[bits]].perm != tuple(map(w, map(u.perm.__getitem__, c))):
             return MorphismViolation("pointed-condition", bits)
     return None

@@ -205,33 +205,40 @@ def is_gallery_type(s: ReflSeq) -> Gallerification | None:
     found is deterministic.  x = u0^-1.  Whether a state (i, u) can be
     completed depends on nothing else, so a state that failed once is never
     walked again, from any start chamber: at most n*|W| states in all.
+    The walk composes raw root permutations, and only the certificate it
+    returns is wrapped in Weyl elements and reflection sequences.
     """
     memo, key = s.rs._gallery_type_memo, tuple(t.index for t in s.entries)
     if key in memo:
         return memo[key]
     table = s.rs.reflections
+    simple = [t.is_simple() for t in table]
     entries = s.entries
-    dead = set()
+    n = len(entries)
+    steps = [t.as_weyl().perm for t in entries]
+    dead = [set() for _ in range(n)]
 
-    def walk(i: int, u: WeylElement) -> tuple[tuple, Bits] | None:
-        """(t entries, bits) for positions i+1..n from chamber u, or None."""
-        if i == len(entries):
+    def walk(i: int, u: tuple[int, ...]) -> tuple[tuple, Bits] | None:
+        """(t entries, bits) for positions i+1..n from the chamber of the
+        permutation u, or None."""
+        if i == n:
             return (), ()
-        if (i, u.perm) in dead:
+        if u in dead[i]:
             return None
         # u^-1 s_i u = s_beta with beta = u^-1(root of s_i): beta's index is
         # the preimage under u's permutation, so u is never inverted
-        ti = table[u.perm.index(entries[i].index)]
-        if ti.is_simple():
+        k = u.index(entries[i].index)
+        if simple[k]:
             for cross in (False, True):
-                rest = walk(i + 1, entries[i].as_weyl() * u if cross else u)
+                # crossing is s_i u, and (s_i u)[k] = s_i[u[k]]
+                rest = walk(i + 1, tuple(map(steps[i].__getitem__, u)) if cross else u)
                 if rest is not None:
-                    return (ti, *rest[0]), (cross, *rest[1])
-        dead.add((i, u.perm))
+                    return (table[k], *rest[0]), (cross, *rest[1])
+        dead[i].add(u)
         return None
 
     for u0 in enumerate_weyl(s.rs):
-        found = walk(0, u0)
+        found = walk(0, u0.perm)
         if found is not None:
             t = ReflSeq(s.rs, found[0])
             cert = Gallerification(u0.inv(), t, Gallery(t, found[1]))

@@ -198,7 +198,8 @@ def decompose(g: FPFunction,
               basis_elements: list[BasisElement] | None = None
               ) -> dict[frozenset[int], Poly]:
     """Express g as sum c_J B_J; raises NotInSpanError when impossible, and
-    InvalidInputError, before any division, for a basis of another sequence.
+    InvalidInputError, before any division, for a basis of another sequence
+    or (from `combine`) an empty one.
 
     The recursion runs over subsets in ascending cardinality; each step
     divides exactly by the product of the linear factors of B_J, and the
@@ -228,7 +229,10 @@ def decompose(g: FPFunction,
 def combine(basis_elements: list[BasisElement],
             coeffs: dict[frozenset[int], Poly]) -> FPFunction:
     """sum c_J B_J, one mul_add per gallery over the nonzero entries of each
-    B_J: zeros are skipped, not assumed, so B_J need not be triangular."""
+    B_J: zeros are skipped, not assumed, so B_J need not be triangular.
+    The sequence is that of the first element, so an empty basis is refused."""
+    if not basis_elements:
+        raise InvalidInputError("empty basis")
     s = basis_elements[0].function.seq
     elems = {e.subset: e for e in basis_elements}
     pairs: dict[Bits, list[tuple[Poly, Poly]]] = {bits: [] for bits in s.patterns}

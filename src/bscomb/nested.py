@@ -193,14 +193,16 @@ def fixed_points(plan: NestedPlan) -> list[Bits]:
     walk over the bits, stay before cross, carries gamma^0..gamma^i and
     drops a branch at position b as soon as gamma^b != gamma^(a-1) v_(a,b).
     Endpoints are distinct, so at most one pair closes at each position.
+    The prefixes are raw root permutations, composed as (xy)[k] = x[y[k]];
+    only the bit patterns are returned.
     """
     _require_valid(plan)
     seq = plan.seq
     n = len(seq)
     check_bound("sequence length", n, MAX_LENGTH)
-    steps = [t.as_weyl() for t in seq.entries]
-    closes = {b: (a, plan.labels[(a, b)]) for a, b in plan.pairs}
-    gamma = [seq.rs.identity()] * (n + 1)
+    steps = [t.as_weyl().perm for t in seq.entries]
+    closes = {b: (a, plan.labels[(a, b)].perm) for a, b in plan.pairs}
+    gamma = [seq.rs.identity().perm] * (n + 1)
     bits = [False] * n
     out = []
 
@@ -209,9 +211,9 @@ def fixed_points(plan: NestedPlan) -> list[Bits]:
             out.append(tuple(bits))
             return
         closing = closes.get(i + 1)
-        want = gamma[closing[0] - 1] * closing[1] if closing else None
+        want = tuple(map(gamma[closing[0] - 1].__getitem__, closing[1])) if closing else None
         for cross in (False, True):
-            u = gamma[i] * steps[i] if cross else gamma[i]
+            u = tuple(map(gamma[i].__getitem__, steps[i])) if cross else gamma[i]
             if want is None or u == want:
                 bits[i] = cross
                 gamma[i + 1] = u

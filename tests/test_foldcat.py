@@ -4,6 +4,8 @@ import random
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bscomb.errors import InvalidInputError, VerificationError
 from bscomb.foldcat import (
@@ -81,6 +83,22 @@ def test_verified_flag_is_not_a_constructor_argument(a1):
     assert verify_pointed(PointedMorphism(bad, e, e)) == verify_morphism(bad)
     assert verify_morphism(bad).condition == "folding-equation"
     assert not bad.verified
+
+
+def test_phi_is_read_only(a1):
+    # an edit after verification would keep `verified` true over a table
+    # that breaks the folding equation
+    s, target, e = simple_seq(a1, 1), simple_seq(a1, 1, 1), a1.identity()
+    m = subsequence_morphism(s, target, (1,))
+    with pytest.raises(TypeError):
+        m.phi[(True,)] = (False, True)
+    assert m.phi[(True,)] == (True, False)
+    assert verify_pointed(PointedMorphism(m, e, e)) is None
+    # the table passed in is copied, so editing it later changes nothing
+    phi = dict(m.phi)
+    m = Morphism(s, target, (1,), e, phi)
+    phi[(True,)] = (False, True)
+    assert verify_morphism(m) is None and m.phi[(True,)] == (True, False)
 
 
 def test_enumerate_a1_example(a1):
@@ -219,6 +237,54 @@ def _reference_pointed(m, x, x_target):
         if lhs != rhs:
             return MorphismViolation("pointed-condition", gamma.bits)
     return None
+
+
+def _reference_pointed_loop(pm):
+    """verify_pointed as one Weyl product w u c per gallery: the reference
+    for the loop on root permutations."""
+    m = pm.morphism
+    if not m.verified:
+        bad = verify_morphism(m)
+        if bad is not None:
+            return bad
+    c = pm.x.inv() * m.w.inv() * pm.x_target
+    tgt = m.target.prefixes[len(m.target)]
+    for bits, u in m.source.prefixes[len(m.source)].items():
+        if tgt[m.phi[bits]] != m.w * u * c:
+            return MorphismViolation("pointed-condition", bits)
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([("A", 2), ("B", 2), ("G", 2)]), st.data())
+def test_pointed_matches_product_loop(system, data):
+    rs = build_root_system(*system)
+    refls = [rs.reflection(r) for r in rs.roots if r.is_positive]
+    order = enumerate_weyl(rs)
+    nt = data.draw(st.integers(0, 3), label="target length")
+    target = ReflSeq(rs, tuple(data.draw(st.lists(st.sampled_from(refls),
+                                                   min_size=nt, max_size=nt))))
+    # a subsequence of the target has a morphism into it, the embedding
+    keep = data.draw(st.lists(st.booleans(), min_size=nt, max_size=nt), label="p")
+    p = tuple(j for j in range(1, nt + 1) if keep[j - 1])
+    found = enumerate_morphisms(ReflSeq(rs, tuple(target[j] for j in p)), target)
+    m = found[data.draw(st.integers(0, len(found) - 1), label="morphism")]
+    x = data.draw(st.sampled_from(order), label="x")
+    image_max = m.target.prefixes[nt][m.phi[(False,) * len(p)]]
+    fitted = m.w * x * m.w.inv() * image_max
+    kind = data.draw(st.sampled_from(["fitted", "mutated", "random"]), label="x~")
+    if kind == "mutated":
+        fitted = fitted * data.draw(st.sampled_from(refls)).as_weyl()
+    elif kind == "random":
+        fitted = data.draw(st.sampled_from(order))
+    for morphism in (m, Morphism(m.source, target, m.p, m.w, m.phi)):
+        pm = PointedMorphism(morphism, x, fitted)
+        expect = _reference_pointed_loop(pm)
+        assert verify_pointed(pm) == expect
+        if kind == "fitted":
+            assert expect is None
+        elif kind == "mutated":
+            assert expect is not None and expect.condition == "pointed-condition"
 
 
 def _candidate_tables(s, target):

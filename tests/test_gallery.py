@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +25,14 @@ from bscomb.gallery import (
     twist_seq,
     verify_gallerification,
 )
-from bscomb.rootsys import build_root_system, conjugate_reflection, enumerate_weyl
+from bscomb.formats import parse_sequence
+from bscomb.rootsys import (
+    RootSystem,
+    WeylElement,
+    build_root_system,
+    conjugate_reflection,
+    enumerate_weyl,
+)
 
 from conftest import all_seqs, simple_seq
 
@@ -214,7 +222,8 @@ def _random_seqs(rs, max_length, count=500, seed=0):
 # every sequence of the given length up to 4; above that, seeded samples
 @pytest.mark.parametrize("system,length", [(("A", 2), 3), (("B", 2), 3), (("G", 2), 2),
                                            (("A", 3), 2), (("A", 2), 4), (("B", 2), 4),
-                                           (("A", 3), 9), (("B", 3), 9), (("D", 4), 9)])
+                                           (("A", 3), 9), (("B", 3), 9), (("D", 4), 9),
+                                           (("A", 4), 9), (("G", 2), 8)])
 def test_gallery_type_matches_reference(system, length):
     rs = build_root_system(*system)
     for s in all_seqs(rs, length) if length <= 4 else _random_seqs(rs, length):
@@ -224,6 +233,35 @@ def test_gallery_type_matches_reference(system, length):
             assert cert is None
         else:
             assert (cert.x, cert.t.entries, cert.gamma.bits) == expect
+
+
+def test_gallery_type_walk_multiplies_no_weyl_elements():
+    # the walk composes raw permutations: a negative answer at length 16
+    # visits hundreds of states and makes no Weyl product, and a positive
+    # one makes only those of its certificate check, one per crossing of
+    # twist_seq
+    rs = RootSystem("B", 3)  # a fresh system, whose answer memo is empty
+
+    def fresh(text):
+        return ReflSeq(rs, tuple(rs.reflections[t.index]
+                                 for t in parse_sequence(text).entries))
+
+    negative = fresh("B3:" + " [0,0,1]" * 15 + " [0,1,1]")
+    positive = fresh("B3: s[0,1,2] s[1,1,0] s3 s[1,2,2] s[0,1,2] s3 s[1,2,2] "
+                     "s[1,1,2] s[1,1,1] s2 s[1,1,2] s3")
+    calls = []
+    product = WeylElement.__mul__
+
+    def counted(self, other):
+        calls.append(other)
+        return product(self, other)
+
+    with mock.patch.object(WeylElement, "__mul__", counted):
+        assert is_gallery_type(negative) is None
+        assert calls == []
+        cert = is_gallery_type(positive)
+    assert cert is not None
+    assert 0 < len(calls) <= sum(cert.gamma.bits)
 
 
 def test_gallery_type_search_is_bounded_by_states():

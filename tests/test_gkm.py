@@ -339,6 +339,18 @@ def test_decompose_refuses_a_basis_of_another_sequence(a2):
     assert decompose(g, basis(simple_seq(a2, 1, 2)))[frozenset({1})] == Poly.const(2, 1)
 
 
+def test_decompose_refuses_an_empty_basis(a2):
+    with pytest.raises(InvalidInputError):
+        decompose(constant(simple_seq(a2, 1), 1), [])
+
+
+def test_combine_refuses_an_empty_basis(a2):
+    with pytest.raises(InvalidInputError):
+        combine([], {})
+    with pytest.raises(InvalidInputError):
+        combine([], {frozenset(): Poly.const(2, 1)})
+
+
 # -- basis, generator and the identity check against the per-object recursion --
 
 def basis_reference(s):
