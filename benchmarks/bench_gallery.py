@@ -30,16 +30,15 @@ TAIL_CASE = ("D4: [0,1,0,1] [0,1,0,1] [1,1,0,0] [0,1,1,0] [0,1,0,1] [1,1,0,0] "
              "[1,1,0,1] [0,1,1,1] [0,1,1,1]")
 
 
-def _fresh(text, warm=False):
-    """The sequence over a new root system, whose answer memo is empty; with
-    `warm` its Weyl group and reflection permutations are built untimed, so
-    the walk alone is timed."""
+def _fresh(text):
+    """The sequence over a new root system, whose answer memo is empty; its
+    Weyl group and reflection permutations are built untimed, so the walk
+    alone is timed."""
     s = parse_sequence(text)
     rs = RootSystem(s.rs.family, s.rs.rank)
-    if warm:
-        enumerate_weyl(rs)
-        for t in rs.reflections:
-            t.as_weyl()
+    enumerate_weyl(rs)
+    for t in rs.reflections:
+        t.as_weyl()
     return (ReflSeq(rs, tuple(rs.reflections[t.index] for t in s.entries)),), {}
 
 
@@ -51,7 +50,7 @@ def test_is_gallery_type(benchmark, name):
 
 
 def test_is_gallery_type_negative_d4(benchmark):
-    cert = benchmark.pedantic(is_gallery_type, setup=lambda: _fresh(TAIL_CASE, warm=True),
+    cert = benchmark.pedantic(is_gallery_type, setup=lambda: _fresh(TAIL_CASE),
                               rounds=50)
     assert cert is None
 

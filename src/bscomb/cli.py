@@ -34,16 +34,18 @@ EXIT_VERIFY = 4
 
 def _read_doc(arg: str):
     """A document argument: a filename if one exists, else inline JSON."""
-    if arg == "-":
-        text = sys.stdin.read()
-    elif os.path.exists(arg):
-        with open(arg) as fh:
-            text = fh.read()
-    else:
-        text = arg
     try:
+        if arg == "-":
+            text = sys.stdin.read()
+        elif os.path.exists(arg):
+            with open(arg) as fh:
+                text = fh.read()
+        else:
+            text = arg
         return json.loads(text)
-    except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
+    # a directory or unreadable file, undecodable bytes, a JSONDecodeError,
+    # or an integer too long to convert
+    except (OSError, ValueError) as exc:
         raise ParseError(f"bad JSON document {arg!r}: {exc}") from exc
 
 
@@ -205,12 +207,12 @@ def cmd_morphism_apply(args) -> int:
 def cmd_weyl_info(args) -> int:
     rs = formats.parse_root_system(args.root_system, args.max_weyl)
     elements = rootsys.enumerate_weyl(rs)
-    positive = [list(r.coords) for r in rs.roots if r.is_positive]
     doc = {
         "root_system": str(rs),
         "rank": rs.rank,
         "order": len(elements),
-        "positive_roots": sorted(positive),
+        # the positive half of rs.roots, already in sorted order
+        "positive_roots": [list(r.coords) for r in rs.roots[:len(rs.roots) // 2]],
         # breadth-first by length, so the unique longest element comes last
         "longest_element": str(elements[-1]),
     }

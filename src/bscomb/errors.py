@@ -1,8 +1,9 @@
 """Exception hierarchy shared by all modules, and the resource bounds.
 
-Each exhaustive walk is bounded by one constant below and refuses through
-`check_bound`.  A caller (the CLI's --max-weyl and --max-length) may check
-a tighter bound first; it cannot loosen these.
+Each exhaustive walk, and each polynomial expansion, is bounded by one
+constant below and refuses through `check_bound`.  A caller (the CLI's
+--max-weyl and --max-length) may check a tighter bound first; it cannot
+loosen these.
 """
 
 MAX_RANK = 30              # simple roots of a root system
@@ -10,6 +11,7 @@ MAX_WEYL = 100_000         # |W| of a Weyl group enumerated in full
 MAX_LENGTH = 20            # positions of a sequence whose 2^n galleries are walked
 MAX_BASIS_LENGTH = 10      # positions of a sequence given a triangular basis
 MAX_MORPHISM_LENGTH = 12   # positions of a morphism's source or target
+MAX_TERMS = 10_000         # terms of a polynomial product or quotient
 
 
 class BscombError(Exception):

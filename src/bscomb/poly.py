@@ -18,9 +18,9 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add, sub
+from operator import add, mul, sub
 
-from .errors import InvalidInputError
+from .errors import MAX_TERMS, InvalidInputError, check_bound
 from .rootsys import Root, RootSystem, WeylElement
 
 Monomial = tuple[int, ...]
@@ -154,7 +154,8 @@ class Poly:
         return _canon(self.nvars, {m: c * coeff for m, coeff in self.terms})
 
     def substitute(self, images: list["Poly"]) -> "Poly":
-        """Ring map sending generator j to images[j]; powers by repeated squaring."""
+        """Ring map sending generator j to images[j]; powers by repeated squaring,
+        refusing a product whose two term counts multiply past MAX_TERMS."""
         if len(images) != self.nvars:
             raise InvalidInputError("substitution must cover every variable")
         out_nvars = images[0].nvars if images else self.nvars
@@ -164,9 +165,12 @@ class Poly:
             for square, e in zip(images, mono):
                 while e:
                     if e & 1:
+                        check_bound("polynomial terms", len(term.terms) * len(square.terms),
+                                    MAX_TERMS)
                         term = term * square
                     e >>= 1
                     if e:
+                        check_bound("polynomial terms", len(square.terms) ** 2, MAX_TERMS)
                         square = square * square
             result = result + term
         return result
@@ -202,7 +206,7 @@ def divide_linear(p: Poly, ell: Poly) -> tuple[Poly, Poly]:
     polynomial.  One pass in descending pivot degree, over the degrees that
     have terms: a term of pivot degree k > 0 gives the quotient term that
     cancels it, and subtracting that term times the rest of ell only
-    touches degree k - 1.
+    touches degree k - 1.  A quotient past MAX_TERMS terms is refused.
     """
     if ell.degree() != 1 or any(sum(m) == 0 for m, _ in ell.terms):
         raise InvalidInputError("divisor must be a homogeneous linear form")
@@ -221,6 +225,7 @@ def divide_linear(p: Poly, ell: Poly) -> tuple[Poly, Poly]:
                 c = c // a if type(c) is int and type(a) is int and not c % a else Fraction(c, a)
                 level.append((tuple(map(sub, m, unit)), c))
         quotient.update(level)
+        check_bound("polynomial terms", len(quotient), MAX_TERMS)
         _mul_into(rest, level, others)
     return _canon(p.nvars, quotient), _canon(p.nvars, rest)
 
@@ -242,27 +247,18 @@ def simple_root_poly(rs: RootSystem, i: int) -> Poly:
 
 def root_poly(rs: RootSystem, root: Root) -> Poly:
     """Any root as a linear form in the fundamental-weight variables."""
-    coeffs = [sum(root.coords[i] * rs.cartan[i][j] for i in range(rs.rank))
-              for j in range(rs.rank)]
+    coeffs = [sum(map(mul, root.coords, col)) for col in zip(*rs.cartan)]
     return Poly.linear(rs.rank, coeffs)
 
 
 def weight_matrix(w: WeylElement) -> tuple[tuple[int, ...], ...]:
     """Integer matrix of w on fundamental-weight coordinates.
 
-    Entry (k, j), the coefficient of w_k in w(w_j), is <w_j, beta^vee> =
-    2 d_j beta_j / (beta, beta) with beta = w^-1(alpha_k), where
-    2 d_j = (alpha_j, alpha_j).
+    Entry (k, j), the coefficient of w_k in w(w_j), is <w_j, beta^vee> with
+    beta = w^-1(alpha_k): row k is the coroot of beta.
     """
-    rs = w.rs
-    winv = w.inv()
-    rows = []
-    for alpha in rs.simple_roots:
-        beta = winv.apply(alpha).coords
-        norm = rs.bilinear(beta, beta)
-        rows.append(tuple(rs.bilinear(a.coords, a.coords) * b // norm
-                          for a, b in zip(rs.simple_roots, beta)))
-    return tuple(rows)
+    rs, winv = w.rs, w.inv().perm
+    return tuple(rs.coroots[winv[rs._index[a.coords]]] for a in rs.simple_roots)
 
 
 def weyl_act(w: WeylElement, p: Poly) -> Poly:
@@ -272,8 +268,6 @@ def weyl_act(w: WeylElement, p: Poly) -> Poly:
     memo, key = w.rs._act_memo, (w.perm, p.terms)
     cached = memo.get(key)
     if cached is None:
-        m = weight_matrix(w)
-        images = [Poly.linear(w.rs.rank, [m[k][j] for k in range(w.rs.rank)])
-                  for j in range(w.rs.rank)]
+        images = [Poly.linear(w.rs.rank, col) for col in zip(*weight_matrix(w))]
         cached = memo[key] = p.substitute(images)
     return cached

@@ -2,15 +2,16 @@
 
 Roots are stored as integer coordinate tuples in the simple-root basis, so
 everything here is integer arithmetic: no floats, no Euclidean space.
-Pairings come from a table-driven Cartan matrix.  W acts faithfully on the
-finite root list, so a Weyl element is stored as the permutation it induces
-on `RootSystem.roots`: products, inverses and the action on a root are index
-lookups.  A reflection is one object per positive root, built with the
-system and indexed by root index, so beta and -beta share it and the
-conjugate w s_beta w^-1 = s_{w(beta)} is a table lookup at w's image of
-beta's index.  Chambers are represented by the Weyl elements u (the chamber
-u.Delta+), which turns geometric attachment tests into simplicity tests on
-conjugated reflections.
+Each root carries its coroot, and every pairing reads the Cartan matrix
+and that coroot.  W acts faithfully on the finite root list, so a Weyl
+element is stored as the permutation it induces on `RootSystem.roots`:
+products, inverses and the action on a root are index lookups.  A
+reflection is one object per positive root, built with the system and
+indexed by root index, so beta and -beta share it and the conjugate
+w s_beta w^-1 = s_{w(beta)} is a table lookup at w's image of beta's index.
+Chambers are represented by the Weyl elements u (the chamber u.Delta+),
+which turns geometric attachment tests into simplicity tests on conjugated
+reflections.
 
 Supported families: A (n>=1), B (n>=2), C (n>=2), D (n>=4), G (n=2).
 """
@@ -20,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import factorial
+from operator import mul
 
 from .errors import MAX_RANK, MAX_WEYL, InvalidInputError, check_bound
 
@@ -28,7 +30,7 @@ Perm = tuple[int, ...]
 
 
 def _cartan_matrix(family: str, rank: int) -> Matrix:
-    """Cartan matrix with entries C[i][j] = <alpha_i, alpha_j>."""
+    """Cartan matrix with entries C[i][j] = <alpha_i, alpha_j^vee>."""
     def chain(n):
         return [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(n)]
                 for i in range(n)]
@@ -53,15 +55,15 @@ def _cartan_matrix(family: str, rank: int) -> Matrix:
     return tuple(tuple(row) for row in c)
 
 
-def _symmetrizer(family: str, rank: int) -> tuple[int, ...]:
-    """Integers d_i with d_j*C[i][j] symmetric ((alpha_i, alpha_j) = d_j*C[i][j])."""
-    if family == "B":
-        return tuple([2] * (rank - 1) + [1])
-    if family == "C":
-        return tuple([1] * (rank - 1) + [2])
-    if family == "G":
-        return (1, 3)
-    return tuple([1] * rank)
+def _reflector(cartan: Matrix, root: tuple[int, ...], coroot: tuple[int, ...]):
+    """x -> x - <x, beta^vee> beta, with <x, beta^vee> = sum_ij x_i C[i][j] b_j
+    and C b computed once.  With the transposed matrix it reflects coroots."""
+    weights = [sum(map(mul, row, coroot)) for row in cartan]
+
+    def reflect(x: tuple[int, ...]) -> tuple[int, ...]:
+        p = sum(map(mul, x, weights))
+        return tuple(xj - p * bj for xj, bj in zip(x, root)) if p else x
+    return reflect
 
 
 @dataclass(frozen=True)
@@ -93,7 +95,7 @@ def check_weyl_order(family: str, rank: int, max_weyl: int = MAX_WEYL) -> None:
 
 
 class RootSystem:
-    """The full root datum of a finite family/rank: roots, pairings, Weyl group.
+    """The full root datum of a finite family/rank: roots, coroots, Weyl group.
 
     Construct via :func:`build_root_system`; instances compare by (family,
     rank).  A system owns the memo tables of pure functions of it (the Weyl
@@ -105,11 +107,9 @@ class RootSystem:
         self.family = family
         self.rank = rank
         self.cartan = _cartan_matrix(family, rank)
-        self._sym = _symmetrizer(family, rank)
-        self.simple_roots = tuple(
-            Root(tuple(1 if j == i else 0 for j in range(rank))) for i in range(rank)
-        )
-        self.roots = self._close_roots()
+        self.simple_roots = tuple(Root(tuple(int(j == i) for j in range(rank)))
+                                  for i in range(rank))
+        self.roots, self.coroots = self._close_roots()
         self._index = {r.coords: k for k, r in enumerate(self.roots)}
         letters = {a.coords: i for i, a in enumerate(self.simple_roots, start=1)}
         positive = [Reflection(self, k, r, letters.get(r.coords))
@@ -121,50 +121,41 @@ class RootSystem:
         self._gallery_type_memo: dict = {}
         self._act_memo: dict = {}
 
-    # -- scalar products ---------------------------------------------------
-
-    def bilinear(self, x: tuple[int, ...], y: tuple[int, ...]) -> int:
-        """(x, y) for the W-invariant integral form fixed by the symmetrizer."""
-        total = 0
-        for i, xi in enumerate(x):
-            if xi:
-                for j, yj in enumerate(y):
-                    if yj:
-                        total += xi * yj * self._sym[j] * self.cartan[i][j]
-        return total
+    def _root_index(self, root: Root) -> int:
+        """The index of root in `roots`; refuses a non-root."""
+        k = self._index.get(root.coords)
+        if k is None:
+            raise InvalidInputError(f"{root} is not a root of {self}")
+        return k
 
     def pairing(self, x: tuple[int, ...], beta: Root) -> int:
-        """<x, beta> = 2(x, beta)/(beta, beta); exact and integral."""
-        num = 2 * self.bilinear(x, beta.coords)
-        den = self.bilinear(beta.coords, beta.coords)
-        q, r = divmod(num, den)
-        if r:
-            raise InvalidInputError("pairing is not integral; beta is not a root")
-        return q
-
-    def _reflect(self, x: tuple[int, ...], beta: Root) -> tuple[int, ...]:
-        """s_beta(x) = x - <x, beta> beta."""
-        p = self.pairing(x, beta)
-        return tuple(xj - p * bj for xj, bj in zip(x, beta.coords))
+        """<x, beta^vee> = sum_ij x_i C[i][j] b_j for the coroot b of beta."""
+        b = self.coroots[self._root_index(beta)]
+        return sum(xi * sum(map(mul, row, b)) for xi, row in zip(x, self.cartan))
 
     # -- roots -------------------------------------------------------------
 
-    def _close_roots(self) -> tuple[Root, ...]:
-        seen = {a.coords for a in self.simple_roots}
-        frontier = [a.coords for a in self.simple_roots]
+    def _close_roots(self) -> tuple[tuple[Root, ...], tuple[tuple[int, ...], ...]]:
+        """The roots, positive half first, and the coroot of each (in
+        simple-coroot coordinates, alpha_j^vee = e_j), by closing the simple
+        roots under simple reflections: s_a(y) = y - <alpha_a, y> alpha_a^vee."""
+        simple = [a.coords for a in self.simple_roots]
+        moves = [(_reflector(self.cartan, a, a), _reflector(tuple(zip(*self.cartan)), a, a))
+                 for a in simple]
+        coroot = dict(zip(simple, simple))
+        frontier = simple
         while frontier:
             nxt = []
             for v in frontier:
-                for a in self.simple_roots:
-                    w = self._reflect(v, a)
-                    if w not in seen:
-                        seen.add(w)
+                for on_root, on_coroot in moves:
+                    w = on_root(v)
+                    if w not in coroot:
+                        coroot[w] = on_coroot(coroot[v])
                         nxt.append(w)
             frontier = nxt
-        seen |= {tuple(-c for c in v) for v in seen}
-        positives = sorted(v for v in seen if Root(v).is_positive)
-        return tuple(Root(v) for v in positives) + tuple(Root(tuple(-c for c in v))
-                                                         for v in positives)
+        positives = sorted(v for v in coroot if Root(v).is_positive)
+        roots = [Root(v) for v in positives] + [-Root(v) for v in positives]
+        return tuple(roots), tuple(coroot[r.coords] for r in roots)
 
     def is_root(self, root: Root) -> bool:
         return root.coords in self._index
@@ -183,10 +174,7 @@ class RootSystem:
 
     def reflection(self, root: Root) -> "Reflection":
         """s_beta = s_-beta, the table entry of either root; refuses a non-root."""
-        k = self._index.get(root.coords)
-        if k is None:
-            raise InvalidInputError(f"{root} is not a root of {self}")
-        return self.reflections[k]
+        return self.reflections[self._root_index(root)]
 
     def __eq__(self, other):
         return (isinstance(other, RootSystem)
@@ -237,21 +225,20 @@ class WeylElement:
 
     def apply(self, root: Root) -> Root:
         """The action w(beta); the result is again a root."""
-        k = self.rs._index.get(root.coords)
-        if k is None:
-            raise InvalidInputError(f"{root} is not a root of {self.rs}")
-        return self.rs.roots[self.perm[k]]
+        return self.rs.roots[self.perm[self.rs._root_index(root)]]
 
     def word(self) -> tuple[int, ...]:
         """A reduced word (1-based simple indices), recovered by descent exchange.
 
         Display aid only; equality of elements is permutation equality.
         """
+        # the positive roots are the first half of rs.roots
+        half, index = len(self.perm) // 2, self.rs._index
         letters: list[int] = []
         u = self
         while not u.is_identity():
             i = next(k for k, a in enumerate(self.rs.simple_roots, start=1)
-                     if not u.apply(a).is_positive)
+                     if u.perm[index[a.coords]] >= half)
             letters.append(i)
             u = u * self.rs.simple_reflection(i)
         return tuple(reversed(letters))
@@ -278,8 +265,8 @@ class Reflection:
     @cached_property
     def _weyl(self) -> WeylElement:
         rs = self.rs
-        perm = tuple(rs._index[rs._reflect(g.coords, self.root)] for g in rs.roots)
-        return WeylElement(rs, perm)
+        reflect = _reflector(rs.cartan, self.root.coords, rs.coroots[self.index])
+        return WeylElement(rs, tuple(rs._index[reflect(g.coords)] for g in rs.roots))
 
     def as_weyl(self) -> WeylElement:
         """s_alpha as a Weyl element; its permutation is built on first use."""
@@ -301,8 +288,7 @@ def build_root_system(family: str, rank: int) -> RootSystem:
     Roots come positive-first, each half sorted lexicographically by
     coordinates; the ordering is deterministic.
     """
-    rs = RootSystem(family, rank)
-    return rs
+    return RootSystem(family, rank)
 
 
 def conjugate_reflection(w: WeylElement, t: Reflection) -> Reflection:

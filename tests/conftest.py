@@ -1,7 +1,22 @@
+import resource
+
 import pytest
 
 from bscomb.gallery import ReflSeq
 from bscomb.rootsys import build_root_system
+
+MEMORY_CAP_BYTES = 2 * 1024 ** 3
+
+
+def cap_address_space():
+    """Lower this process's address-space limit to MEMORY_CAP_BYTES and
+    return the limits it had, so that a runaway expansion fails with
+    MemoryError instead of exhausting the host."""
+    limits = resource.getrlimit(resource.RLIMIT_AS)
+    cap = (MEMORY_CAP_BYTES if limits[1] == resource.RLIM_INFINITY
+           else min(MEMORY_CAP_BYTES, limits[1]))
+    resource.setrlimit(resource.RLIMIT_AS, (cap, limits[1]))
+    return limits
 
 
 def positive_root(root):

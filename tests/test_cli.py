@@ -12,6 +12,8 @@ from bscomb.cli import main
 from bscomb.formats import parse_weyl
 from bscomb.rootsys import build_root_system
 
+from conftest import cap_address_space
+
 SL5 = "data/sl5.plan"
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -130,6 +132,41 @@ def test_large_exponent_costs_its_terms_not_its_value(argv, expected):
     proc = subprocess.run([sys.executable, "-m", "bscomb.cli", *argv], cwd=ROOT, env=env,
                           capture_output=True, timeout=10)
     assert (proc.returncode, proc.stdout) == (0, expected)
+
+
+RANK2_MORPHISM = json.dumps({"source": "A2: s1", "target": "A2: s1 s1", "p": [2], "w": "s1",
+                             "phi": {"0": "10", "1": "11"}})
+
+
+@pytest.mark.parametrize("argv", [
+    ["morphism", "apply", RANK2_MORPHISM,
+     json.dumps({"values": {b: "w1^20000" for b in ("00", "01", "10", "11")}})],
+    ["morphism", "apply", RANK2_MORPHISM,
+     json.dumps({"values": {b: "w1^131072" for b in ("00", "01", "10", "11")}})],
+    ["decompose", "A2: s2", json.dumps({"values": {"0": "0", "1": "w2^1000000"}})],
+], ids=["apply-rank-2", "apply-power-of-two", "decompose-quotient"])
+def test_polynomial_expansion_is_bounded(argv):
+    # In rank 2 the image (-w1+w2)^N of w1^N has N+1 terms, and dividing
+    # w2^N by a linear form gives N quotient terms: each command stops at
+    # MAX_TERMS instead of expanding.  With N = 2^17 every product but the
+    # last squares a power, so the squares alone must be bounded.
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run([sys.executable, "-m", "bscomb.cli", *argv], cwd=ROOT, env=env,
+                          capture_output=True, timeout=10, preexec_fn=cap_address_space)
+    assert (proc.returncode, proc.stdout) == (3, b"")
+    assert b"polynomial terms" in proc.stderr
+
+
+def test_unreadable_document_is_a_parse_error(capsys, tmp_path):
+    # a directory, or bytes that are not text, where a document is expected
+    undecodable = tmp_path / "doc.json"
+    undecodable.write_bytes(b"\xff\xfe{")
+    for doc in (str(tmp_path), str(undecodable)):
+        for argv in (["fixed-points", doc], ["decompose", "A2: s1", doc],
+                     ["morphism", "verify", doc]):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert err.startswith("error: bad JSON document"), argv
 
 
 def test_fixed_points_at_length_bound():

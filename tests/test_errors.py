@@ -14,6 +14,7 @@ from bscomb.errors import ResourceLimitError
 from bscomb.foldcat import enumerate_morphisms
 from bscomb.gkm import basis
 from bscomb.nested import NestedPlan, fixed_points
+from bscomb.poly import Poly, divide_linear
 from bscomb.rootsys import RootSystem, build_root_system, enumerate_weyl
 
 from conftest import simple_seq
@@ -27,6 +28,7 @@ WEYL_RANK = next(r for r in count(1) if factorial(r + 1) > errors.MAX_WEYL)
 LENGTH = errors.MAX_LENGTH + 1
 BASIS_LENGTH = errors.MAX_BASIS_LENGTH + 1
 MORPHISM_LENGTH = errors.MAX_MORPHISM_LENGTH + 1
+TERMS = errors.MAX_TERMS + 1
 
 
 def a1_seq(n):
@@ -57,11 +59,19 @@ CASES = [
      lambda: enumerate_morphisms(a1_seq(1), a1_seq(MORPHISM_LENGTH)),
      ["morphism", "enumerate", "A1: s1", "A1:" + " s1" * MORPHISM_LENGTH],
      (["--max-length", "1"], f"sequence length {MORPHISM_LENGTH} exceeds bound 1")),
+    # w2^N over a linear form with pivot w2 gains one quotient term per
+    # pivot degree, N in all
+    (errors.MAX_TERMS, "polynomial terms", TERMS,
+     lambda: divide_linear(Poly.from_dict(2, {(0, TERMS): 1}), Poly.linear(2, [-1, 2])),
+     ["decompose", "A2: s2", json.dumps({"values": {"0": "0", "1": f"w2^{TERMS}"}})],
+     # there is no term flag, and --max-length 1 admits the sequence
+     (["--max-length", "1"], f"polynomial terms {TERMS} exceeds bound {errors.MAX_TERMS}")),
 ]
 
 
 @pytest.mark.parametrize("bound, what, value, call, argv, tight", CASES,
-                         ids=["rank", "weyl", "length", "basis-length", "morphism-length"])
+                         ids=["rank", "weyl", "length", "basis-length", "morphism-length",
+                              "terms"])
 def test_each_bound_refuses_alike(capsys, bound, what, value, call, argv, tight):
     message = f"{what} {value} exceeds bound {bound}"
     with pytest.raises(ResourceLimitError) as info:

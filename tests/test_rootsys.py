@@ -151,6 +151,8 @@ def test_bad_inputs():
     for coords in ((5, 0), (1, -1), (2, 2), (0, 0, 1)):
         with pytest.raises(InvalidInputError):
             a2.reflection(Root(coords))
+        with pytest.raises(InvalidInputError):
+            a2.pairing((1, 0), Root(coords))
 
 
 @pytest.mark.parametrize("family,rank", [("A", 2), ("B", 3), ("G", 2)])
@@ -323,3 +325,96 @@ def test_permutation_arithmetic_matches_matrices(data):
     conj = _mat_mul(_mat_mul(um, tm), _word_matrix(rs, uw[::-1]))
     assert conjugate_reflection(u, t).as_weyl().matrix == conj
     assert weight_matrix(u) == _word_weight_matrix(u)
+
+
+# Reference: the symmetrized construction the package used before it read
+# pairings from the coroot table.  (alpha_i, alpha_j) = d_j C[i][j] is a
+# W-invariant integral form, and <x, beta^vee> = 2(x, beta)/(beta, beta).
+
+REFERENCE_SYSTEMS = ([("A", n) for n in range(1, 8)] + [("B", n) for n in range(2, 6)]
+                     + [("C", n) for n in range(2, 6)] + [("D", n) for n in range(4, 7)]
+                     + [("G", 2)])
+
+
+def _reference_symmetrizer(family, rank):
+    if family == "B":
+        return [2] * (rank - 1) + [1]
+    if family == "C":
+        return [1] * (rank - 1) + [2]
+    return [1, 3] if family == "G" else [1] * rank
+
+
+def _reference_form(rs):
+    d = _reference_symmetrizer(rs.family, rs.rank)
+    return lambda x, y: sum(xi * yj * d[j] * rs.cartan[i][j]
+                            for i, xi in enumerate(x) for j, yj in enumerate(y))
+
+
+def _reference_reflect(form, x, beta):
+    p, r = divmod(2 * form(x, beta), form(beta, beta))
+    assert r == 0
+    return tuple(xj - p * bj for xj, bj in zip(x, beta))
+
+
+def _reference_roots(rs, form):
+    simple = [tuple(int(i == j) for j in range(rs.rank)) for i in range(rs.rank)]
+    seen, frontier = set(simple), list(simple)
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for a in simple:
+                w = _reference_reflect(form, v, a)
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+        frontier = nxt
+    positives = sorted(v for v in seen if next(c for c in v if c) > 0)
+    return positives + [tuple(-c for c in v) for v in positives]
+
+
+def _reference_coroot(form, beta):
+    """2 beta/(beta, beta) in simple-coroot coordinates: coordinate j is
+    beta_j (alpha_j, alpha_j)/(beta, beta)."""
+    norm = form(beta, beta)
+    out = []
+    for j, bj in enumerate(beta):
+        e = tuple(int(i == j) for i in range(len(beta)))
+        q, r = divmod(bj * form(e, e), norm)
+        assert r == 0
+        out.append(q)
+    return tuple(out)
+
+
+def _reference_weight_matrix(w, coroot):
+    """Row k is the coroot of w^-1(alpha_k), read from `coroot` by coordinates."""
+    winv = w.inv()
+    return tuple(coroot[winv.apply(a).coords] for a in w.rs.simple_roots)
+
+
+@pytest.mark.parametrize("family,rank", REFERENCE_SYSTEMS)
+def test_root_geometry_matches_symmetrized_form(family, rank):
+    rs = RootSystem(family, rank)
+    form = _reference_form(rs)
+    roots = _reference_roots(rs, form)
+    assert [r.coords for r in rs.roots] == roots
+    index = {v: k for k, v in enumerate(roots)}
+    for t in rs.reflections:
+        assert t.as_weyl().perm == tuple(index[_reference_reflect(form, v, t.root.coords)]
+                                         for v in roots)
+    # <alpha_i, beta^vee> = (C b)_i for every simple root pins the coroot b
+    # of each root, since C is invertible
+    coroot = {v: _reference_coroot(form, v) for v in roots}
+    for beta in rs.roots:
+        b = coroot[beta.coords]
+        assert [rs.pairing(a.coords, beta) for a in rs.simple_roots] == \
+            [sum(c * bj for c, bj in zip(row, b)) for row in rs.cartan]
+    if closed_weyl_order(family, rank) <= 6000:
+        for w in enumerate_weyl(rs):
+            assert weight_matrix(w) == _reference_weight_matrix(w, coroot)
+
+
+@pytest.mark.parametrize("family,rank", REFERENCE_SYSTEMS)
+def test_coroot_table_matches_symmetrized_form(family, rank):
+    rs = build_root_system(family, rank)
+    form = _reference_form(rs)
+    assert rs.coroots == tuple(_reference_coroot(form, r.coords) for r in rs.roots)
