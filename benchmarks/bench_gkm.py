@@ -1,5 +1,6 @@
 """Microbenchmarks for the gkm layer on a length-5 B2 sequence: generator,
-concentrate, the concentration identity check, basis, combine and decompose.
+concentrate, the concentration identity check, basis, combine and decompose;
+and a length-6 G2 basis and a rejected decomposition there.
 
 Run from the repository root:
 
@@ -14,6 +15,7 @@ import random
 from fractions import Fraction
 from itertools import combinations, product
 
+from bscomb.errors import NotInSpanError
 from bscomb.gallery import ReflSeq
 from bscomb.gkm import (
     FPFunction,
@@ -30,6 +32,9 @@ from bscomb.rootsys import build_root_system
 RS = build_root_system("B", 2)
 ROOTS = [r for r in RS.roots if r.is_positive]
 ENTRIES = tuple(RS.reflection(ROOTS[k]) for k in (0, 2, 1, 3, 0))
+G2 = build_root_system("G", 2)
+G2_ROOTS = [r for r in G2.roots if r.is_positive]
+G2_ENTRIES = tuple(G2.reflection(G2_ROOTS[k]) for k in (0, 3, 1, 5, 2, 4))
 
 
 def _seq():
@@ -98,3 +103,28 @@ def test_decompose(benchmark):
     g = combine(elements, coeffs)
     result = benchmark.pedantic(decompose, args=(g, elements), rounds=20)
     assert result == coeffs
+
+
+def test_basis_g2_length_6(benchmark):
+    # G2's 12 roots make many equal values B_J(gamma) among the 4^6 entries
+    result = benchmark.pedantic(basis, setup=lambda: ((ReflSeq(G2, G2_ENTRIES),), {}),
+                                rounds=10)
+    assert len(result) == 2 ** len(G2_ENTRIES)
+
+
+def test_decompose_rejects_a_delta(benchmark):
+    # the indicator of one gallery first fails at its support {2, 4, 5}
+    s = ReflSeq(G2, G2_ENTRIES)
+    elements = basis(s)
+    one, zero = Poly.const(G2.rank, 1), Poly.zero(G2.rank)
+    stop = (False, True, False, True, True, False)
+    delta = FPFunction(s, {b: one if b == stop else zero for b in s.patterns})
+
+    def rejected():
+        try:
+            decompose(delta, elements)
+        except NotInSpanError as exc:
+            return exc.subset
+        return None
+
+    assert benchmark.pedantic(rejected, rounds=50) == [2, 4, 5]

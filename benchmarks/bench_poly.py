@@ -1,6 +1,6 @@
 """Microbenchmarks for the poly layer: products, the multiply-accumulate
-`mul_add`, division by a linear form and the Weyl action, on rank-2 (B2)
-and rank-3 (B3) inputs.
+`mul_add`, division by a linear form, exact division by a product of
+linear forms and the Weyl action, on rank-2 (B2) and rank-3 (B3) inputs.
 
 Run from the repository root:
 
@@ -14,7 +14,15 @@ from fractions import Fraction
 
 import pytest
 
-from bscomb.poly import Poly, divide_linear, mul_add, root_poly, weyl_act
+from bscomb.poly import (
+    Poly,
+    divide_linear,
+    exact_divide,
+    linear_divisor,
+    mul_add,
+    root_poly,
+    weyl_act,
+)
 from bscomb.rootsys import RootSystem, WeylElement, build_root_system, enumerate_weyl
 
 SYSTEMS = [("B", 2), ("B", 3)]
@@ -59,6 +67,23 @@ def test_divide_linear(benchmark, system):
     # half of the dividends are exact multiples of the divisor
     work = [(p * ell if k % 2 else p, ell) for k, (p, _, ell, _) in enumerate(cases)]
     benchmark(lambda: [divide_linear(p, ell) for p, ell in work])
+
+
+@pytest.mark.parametrize("prepared", [False, True], ids=["forms", "prepared"])
+@pytest.mark.parametrize("system", SYSTEMS, ids=str)
+def test_exact_divide(benchmark, system, prepared):
+    # a decomposition step: a residue divided by three lead factors, given
+    # as linear forms that each division validates, or as `linear_divisor`s
+    # validated once, as a basis holds them; half the residues divide
+    _, cases = _cases(system)
+    work = []
+    for n, k in enumerate(range(0, len(cases) - 3, 4)):
+        forms = [cases[k + j][2] for j in (1, 2, 3)]
+        factors = [linear_divisor(ell) for ell in forms] if prepared else forms
+        p = cases[k][0] * forms[0] * forms[1] * forms[2]
+        work.append((p + cases[k][1] if n % 2 else p, factors))
+    quotients = benchmark(lambda: [exact_divide(p, factors) for p, factors in work])
+    assert sum(q is None for q in quotients) == len(work) // 2
 
 
 @pytest.mark.parametrize("system", SYSTEMS, ids=str)

@@ -13,18 +13,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 
 from . import foldcat  # for an annotation; binding the lazy module runs nothing
 from .errors import (
     MAX_BASIS_LENGTH,
+    MAX_TERMS,
     InvalidInputError,
     NotInSpanError,
     VerificationError,
     check_bound,
 )
 from .gallery import Bits, ReflSeq
-from .poly import Poly, exact_divide, mul_add, root_poly, weyl_act
+from .poly import Poly, exact_divide, linear_divisor, mul_add, root_poly, weyl_act
 from .rootsys import WeylElement
 
 
@@ -143,25 +144,50 @@ class BasisElement:
         return tuple(i + 1 in self.subset for i in range(len(self.function.seq)))
 
 
-def basis(s: ReflSeq) -> list[BasisElement]:
+class Basis(tuple):
+    """Elements, one per subset, in (|J|, sorted J) order, with the nonzero
+    (J, B_J(gamma)) at each gallery (`columns[bits]`) and each element's lead
+    factors (`divisors[k]`).  Zeros are found, not assumed, in a wrapped list."""
+
+    def __new__(cls, elements, divisors=None):
+        if not elements:
+            raise InvalidInputError("empty basis")
+        by_subset = {e.subset: e for e in elements}
+        self = super().__new__(cls, [by_subset[J] for J in
+                                     sorted(by_subset, key=lambda J: (len(J), sorted(J)))])
+        self.seq = s = elements[0].function.seq
+        self.columns = {bits: [] for bits in s.patterns}
+        for e in self:
+            for bits, p in e.function.values.items():
+                if p.terms:
+                    self.columns[bits].append((e.subset, p))
+        self.divisors = divisors or [e.lead_factors for e in self]
+        return self
+
+
+def basis(s: ReflSeq) -> Basis:
     """The 2^n triangular basis, ordered by (|J|, sorted J).
 
-    B_J is built from the unit on the empty sequence by copying (Delta) at
-    positions outside J and concentrating (nabla_t, t = s_k) at positions
-    k in J.  The recursion runs on plain tables over s itself: level k
-    holds, for each J in {1..k}, a list of the values over the k-bit
-    patterns in lexicographic order (that of s.prefixes[k] and
-    s.patterns), and its crossing factors gamma^k(-alpha_k) are computed
-    once per level, not once per subset.  Only the 2^n finished tables
-    become `FPFunction`s.  B_J vanishes off
-    {gamma : J subset supp(gamma)} and its value at gamma_J is the product
-    of the linear forms prefix(gamma_J, i)(-alpha_i) over i in J; both
-    facts are re-verified on every element.
+    B_J is built from the unit by copying (Delta) at positions outside J
+    and concentrating (nabla_t, t = s_k) at k in J, on plain tables over s:
+    level k holds, for each J in {1..k}, the values over the k-bit patterns
+    in lexicographic order, where a pattern's index is its bitmask.  Each
+    level's crossing factors gamma^k(-alpha_k) are computed once, and each
+    distinct (factor, value) product once per call.  Every element is
+    re-verified: it vanishes off {gamma : J subset supp(gamma)}, and its
+    value at gamma_J is the product of the forms prefix(gamma_J, i)(-alpha_i)
+    over i in J: the product for J - max J times one form, by plain `*`.
     """
     n = len(s)
     check_bound("basis sequence length", n, MAX_BASIS_LENGTH)
-    zero = Poly.zero(s.rs.rank)
-    level: dict[frozenset[int], list[Poly]] = {frozenset(): [Poly.const(s.rs.rank, 1)]}
+    one, zero = Poly.const(s.rs.rank, 1), Poly.zero(s.rs.rank)
+
+    @cache  # the product table, which lives for this call
+    def times(c: Poly, p: Poly) -> Poly:
+        check_bound("polynomial terms", len(c.terms) * len(p.terms), MAX_TERMS)
+        return c * p
+
+    level: dict[frozenset[int], list[Poly]] = {frozenset(): [one]}
     neg_alphas = [-root_poly(s.rs, t.root) for t in s.entries]
     for k in range(1, n + 1):
         # gamma^k(-alpha_k) for each crossing k-bit pattern, in pattern order
@@ -170,28 +196,23 @@ def basis(s: ReflSeq) -> list[BasisElement]:
         for J, f in level.items():
             nxt[J] = [p for p in f for _ in (False, True)]
             nxt[J | {k}] = [q for c, p in zip(cross, f)
-                            for q in (zero, c * p if p.terms else zero)]
+                            for q in (zero, times(c, p) if p.terms else zero)]
         level = nxt
-    out = []
+    lead = {frozenset(): ((), (), one)}  # J -> (lead factors, as divisors, product)
+    elements = []
     for J in sorted(level, key=lambda J: (len(J), sorted(J))):
-        f = FPFunction(s, dict(zip(s.patterns, level[J])))
-        bits = tuple(i + 1 in J for i in range(n))
-        lead = tuple(weyl_act(s.prefixes[i][bits[:i]], neg_alphas[i - 1]) for i in sorted(J))
-        elem = BasisElement(J, f, lead)
-        _verify_basis_element(s, elem)
-        out.append(elem)
-    return out
-
-
-def _verify_basis_element(s: ReflSeq, elem: BasisElement) -> None:
-    product = Poly.const(s.rs.rank, 1)
-    for ell in elem.lead_factors:
-        product = product * ell
-    if elem.function.values[elem.bits] != product:
-        raise VerificationError("basis element has the wrong leading value")
-    for bits, p in elem.function.values.items():
-        if not p.is_zero() and not all(bits[i - 1] for i in elem.subset):
+        if J:
+            k = max(J)
+            factors, divs, value = lead[J - {k}]
+            ell = weyl_act(s.prefixes[k][tuple(i + 1 in J for i in range(k))], neg_alphas[k - 1])
+            lead[J] = factors + (ell,), divs + (linear_divisor(ell),), value * ell
+        mask, values = sum(1 << (n - i) for i in J), level[J]
+        if values[mask] != lead[J][2]:
+            raise VerificationError("basis element has the wrong leading value")
+        if any(p.terms and r & mask != mask for r, p in enumerate(values)):
             raise VerificationError("basis element breaks triangularity")
+        elements.append(BasisElement(J, FPFunction(s, dict(zip(s.patterns, values))), lead[J][0]))
+    return Basis(elements, [lead[e.subset][1] for e in elements])
 
 
 def decompose(g: FPFunction,
@@ -199,7 +220,7 @@ def decompose(g: FPFunction,
               ) -> dict[frozenset[int], Poly]:
     """Express g as sum c_J B_J; raises NotInSpanError when impossible, and
     InvalidInputError, before any division, for a basis of another sequence
-    or (from `combine`) an empty one.
+    or an empty one.
 
     The recursion runs over subsets in ascending cardinality; each step
     divides exactly by the product of the linear factors of B_J, and the
@@ -208,40 +229,32 @@ def decompose(g: FPFunction,
     s = g.seq
     if basis_elements is None:
         basis_elements = basis(s)
-    elif any(e.function.seq != s for e in basis_elements):
+    elif any(e.function.seq is not s and e.function.seq != s for e in basis_elements):
         raise InvalidInputError("basis of a different sequence")
-    elems = {e.subset: e for e in basis_elements}
+    b = basis_elements if isinstance(basis_elements, Basis) else Basis(basis_elements)
     coeffs: dict[frozenset[int], Poly] = {}
-    for J in sorted(elems, key=lambda J: (len(J), sorted(J))):
-        elem = elems[J]
-        bits = elem.bits
-        residue = mul_add(g.values[bits], [(c, elems[Jp].function.values[bits])
-                                           for Jp, c in coeffs.items() if Jp < J], -1)
-        q = exact_divide(residue, list(elem.lead_factors))
+    for e, divisors in zip(b, b.divisors):
+        J, bits = e.subset, e.bits
+        residue = mul_add(g.values[bits], [(coeffs[Jp], p) for Jp, p in b.columns[bits]
+                                           if Jp < J], -1)
+        q = exact_divide(residue, divisors)
         if q is None:
             raise NotInSpanError(sorted(J), str(residue))
         coeffs[J] = q
-    if combine(basis_elements, coeffs).values != g.values:
+    if combine(b, coeffs).values != g.values:
         raise VerificationError("decomposition failed to reconstruct g")
     return coeffs
 
 
 def combine(basis_elements: list[BasisElement],
             coeffs: dict[frozenset[int], Poly]) -> FPFunction:
-    """sum c_J B_J, one mul_add per gallery over the nonzero entries of each
-    B_J: zeros are skipped, not assumed, so B_J need not be triangular.
-    The sequence is that of the first element, so an empty basis is refused."""
-    if not basis_elements:
-        raise InvalidInputError("empty basis")
-    s = basis_elements[0].function.seq
-    elems = {e.subset: e for e in basis_elements}
-    pairs: dict[Bits, list[tuple[Poly, Poly]]] = {bits: [] for bits in s.patterns}
-    for J, c in coeffs.items():
-        for bits, p in elems[J].function.values.items():
-            if p.terms and c.terms:
-                pairs[bits].append((c, p))
-    zero = Poly.zero(s.rs.rank)
-    return FPFunction(s, {bits: mul_add(zero, live) for bits, live in pairs.items()})
+    """sum c_J B_J, one mul_add per gallery over the nonzero B_J(gamma)."""
+    b = basis_elements if isinstance(basis_elements, Basis) else Basis(basis_elements)
+    if not coeffs.keys() <= {e.subset for e in b}:
+        raise InvalidInputError("coefficient of a subset outside the basis")
+    zero = Poly.zero(b.seq.rs.rank)
+    return FPFunction(b.seq, {bits: mul_add(zero, [(coeffs[J], p) for J, p in col if J in coeffs])
+                              for bits, col in b.columns.items()})
 
 
 def induced_map(m: foldcat.Morphism, g: FPFunction) -> FPFunction:

@@ -62,10 +62,15 @@ def mul_add(base: "Poly", pairs: Iterable[tuple["Poly", "Poly"]], sign: int = 1)
     every product term accumulated in one dict that is canonicalised once."""
     nvars = base.nvars
     d = dict(base.terms)
+    get = d.get
     for a, b in pairs:
         if a.nvars != nvars or b.nvars != nvars:
             raise InvalidInputError("polynomials in different variable counts")
-        _mul_into(d, a.terms if sign == 1 else [(m, sign * c) for m, c in a.terms], b.terms)
+        for m1, c1 in a.terms:
+            c1 *= sign
+            for m2, c2 in b.terms:
+                m = tuple(map(add, m1, m2))
+                d[m] = get(m, 0) + c1 * c2
     return _canon(nvars, d)
 
 
@@ -198,23 +203,25 @@ class Poly:
         return out
 
 
-def divide_linear(p: Poly, ell: Poly) -> tuple[Poly, Poly]:
-    """Divide p by a nonzero linear form; returns (quotient, remainder).
-
-    The pivot is the last variable of ell.  The remainder has degree zero
-    in it; p is divisible by ell exactly when the remainder is the zero
-    polynomial.  One pass in descending pivot degree, over the degrees that
-    have terms: a term of pivot degree k > 0 gives the quotient term that
-    cancels it, and subtracting that term times the rest of ell only
-    touches degree k - 1.  A quotient past MAX_TERMS terms is refused.
-    """
+def linear_divisor(ell: Poly) -> tuple:
+    """ell checked once as a divisor: (nvars, pivot, unit, coefficient, -rest)."""
     if ell.degree() != 1 or any(sum(m) == 0 for m, _ in ell.terms):
         raise InvalidInputError("divisor must be a homogeneous linear form")
-    if p.nvars != ell.nvars:
+    (unit, a), rest = ell.terms[0], ell.terms[1:]
+    return ell.nvars, unit.index(1), unit, a, tuple((m, -b) for m, b in rest)
+
+
+def divide_linear(p: Poly, ell: Poly | tuple) -> tuple[Poly, Poly]:
+    """Divide p by a nonzero linear form (a `Poly` or a `linear_divisor`);
+    returns (quotient, remainder), the remainder free of the pivot (ell's
+    last variable) and zero exactly when ell divides p.  One pass in descending pivot degree, over
+    the degrees that have terms: a term of pivot degree k > 0 gives the
+    quotient term that cancels it, and subtracting that term times the rest
+    of ell only touches degree k - 1.  A quotient past MAX_TERMS is refused.
+    """
+    nvars, pivot, unit, a, others = linear_divisor(ell) if isinstance(ell, Poly) else ell
+    if p.nvars != nvars:
         raise InvalidInputError("polynomials in different variable counts")
-    # ell's terms are sorted, so the first is the pivot variable's
-    (unit, a), others = ell.terms[0], [(m, -b) for m, b in ell.terms[1:]]
-    pivot = unit.index(1)
     rest = dict(p.terms)
     quotient: dict[Monomial, Coeff] = {}
     while rest and (k := max(m[pivot] for m in rest)) > 0:
@@ -227,15 +234,15 @@ def divide_linear(p: Poly, ell: Poly) -> tuple[Poly, Poly]:
         quotient.update(level)
         check_bound("polynomial terms", len(quotient), MAX_TERMS)
         _mul_into(rest, level, others)
-    return _canon(p.nvars, quotient), _canon(p.nvars, rest)
+    return _canon(nvars, quotient), _canon(nvars, rest) if any(rest.values()) else Poly(nvars)
 
 
-def exact_divide(p: Poly, factors: list[Poly]) -> Poly | None:
+def exact_divide(p: Poly, factors) -> Poly | None:
     """Divide p by a product of linear forms; None when any step is inexact."""
     q = p
     for ell in factors:
         q, rem = divide_linear(q, ell)
-        if not rem.is_zero():
+        if rem.terms:
             return None
     return q
 

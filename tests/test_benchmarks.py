@@ -1,8 +1,11 @@
 """The layer microbenchmarks under benchmarks/ still run: each is called
 once with timing switched off, so an API change that breaks one fails
-here rather than at the next measurement."""
+here rather than at the next measurement.  Every end-to-end record
+(BENCH_*.json, written by benchmarks/e2e.py) has the shape that script
+writes."""
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -23,3 +26,30 @@ def test_microbenchmarks_run():
          "--benchmark-disable", *files],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
+
+
+WORKLOADS = {"certify", "cohomology", "morphisms", "cli"}
+METRICS = {"setup_s", "items_per_s", "item_p50_ms", "item_tail_ms", "peak_rss_mb"}
+
+
+@pytest.mark.parametrize("path", sorted(glob(os.path.join(ROOT, "BENCH_*.json"))),
+                         ids=os.path.basename)
+def test_bench_record_has_every_key(path):
+    with open(path) as f:
+        doc = json.load(f)
+    host = doc["host"]
+    assert isinstance(host["nproc"], int) and host["python"]
+    assert {"PYTHONDONTWRITEBYTECODE", "pycache_written"} <= host["bytecode"].keys()
+    assert set(doc["sides"]) == {"parent", "change"}
+    for side in doc["sides"].values():
+        assert side["rev"] and side["commit"]
+        assert isinstance(side["src_lines"], int)
+        assert set(side["workloads"]) == WORKLOADS == set(side["calls"])
+        for run in side["workloads"].values():
+            assert set(run["metrics"]) == METRICS
+            assert run["digest"] and run["correct"] in (True, False)
+            assert isinstance(run["failed"], int)
+        for calls in side["calls"].values():
+            assert calls and all(name.endswith(".calls") for name in calls)
+        assert side["acceptance_s"] and all(
+            isinstance(t, float) for t in side["acceptance_s"].values())

@@ -144,12 +144,14 @@ RANK2_MORPHISM = json.dumps({"source": "A2: s1", "target": "A2: s1 s1", "p": [2]
     ["morphism", "apply", RANK2_MORPHISM,
      json.dumps({"values": {b: "w1^131072" for b in ("00", "01", "10", "11")}})],
     ["decompose", "A2: s2", json.dumps({"values": {"0": "0", "1": "w2^1000000"}})],
-], ids=["apply-rank-2", "apply-power-of-two", "decompose-quotient"])
+    ["basis", "D30: [" + "0," * 20 + "1,1,1,1,1,1,1,1,1,1] s1 s2 s3 s4 s5 s6 s7 s8 s9"],
+], ids=["apply-rank-2", "apply-power-of-two", "decompose-quotient", "basis-rank-30"])
 def test_polynomial_expansion_is_bounded(argv):
     # In rank 2 the image (-w1+w2)^N of w1^N has N+1 terms, and dividing
     # w2^N by a linear form gives N quotient terms: each command stops at
     # MAX_TERMS instead of expanding.  With N = 2^17 every product but the
-    # last squares a power, so the squares alone must be bounded.
+    # last squares a power, so the squares alone must be bounded.  A basis
+    # element in rank 30 is a product of linear forms of up to 30 terms.
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     proc = subprocess.run([sys.executable, "-m", "bscomb.cli", *argv], cwd=ROOT, env=env,
                           capture_output=True, timeout=10, preexec_fn=cap_address_space)

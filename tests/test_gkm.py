@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -9,9 +10,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bscomb import gkm
-from bscomb.errors import InvalidInputError, NotInSpanError
+from bscomb.errors import InvalidInputError, NotInSpanError, VerificationError
 from bscomb.gallery import ReflSeq, galleries, prefix
 from bscomb.gkm import (
+    Basis,
     BasisElement,
     FPFunction,
     basis,
@@ -25,7 +27,14 @@ from bscomb.gkm import (
     induced_map,
 )
 from bscomb.foldcat import identity_morphism
-from bscomb.poly import Poly, exact_divide, root_poly, simple_root_poly, weyl_act
+from bscomb.poly import (
+    Poly,
+    exact_divide,
+    linear_divisor,
+    root_poly,
+    simple_root_poly,
+    weyl_act,
+)
 from bscomb.rootsys import build_root_system
 
 from conftest import all_seqs, simple_seq
@@ -351,6 +360,14 @@ def test_combine_refuses_an_empty_basis(a2):
         combine([], {frozenset(): Poly.const(2, 1)})
 
 
+def test_combine_refuses_a_coefficient_outside_the_basis(a2):
+    elements = basis(simple_seq(a2, 1, 2))
+    with pytest.raises(InvalidInputError):
+        combine(elements, {frozenset({3}): Poly.const(2, 1)})
+    with pytest.raises(InvalidInputError):
+        combine(list(elements[:2]), {frozenset({2}): Poly.const(2, 1)})
+
+
 # -- basis, generator and the identity check against the per-object recursion --
 
 def basis_reference(s):
@@ -522,3 +539,180 @@ def test_combinations_satisfy_edge_condition(s, rng):
         bump = rng.choice(sorted(s.patterns))
         assert not edge_divisible(FPFunction(s, {b: one if b == bump else zero
                                                  for b in s.patterns}))
+
+
+# -- the tabled basis against the per-level recursion it replaces --------------
+
+def _reference_basis(s):
+    """The per-level recursion with one product per (subset, gallery) and
+    each element's lead value re-multiplied from its own factors."""
+    n = len(s)
+    zero = Poly.zero(s.rs.rank)
+    level = {frozenset(): [Poly.const(s.rs.rank, 1)]}
+    neg_alphas = [-root_poly(s.rs, t.root) for t in s.entries]
+    for k in range(1, n + 1):
+        cross = [weyl_act(u, neg_alphas[k - 1]) for b, u in s.prefixes[k].items() if b[-1]]
+        nxt = {}
+        for J, f in level.items():
+            nxt[J] = [p for p in f for _ in (False, True)]
+            nxt[J | {k}] = [q for c, p in zip(cross, f)
+                            for q in (zero, c * p if p.terms else zero)]
+        level = nxt
+    out = []
+    for J in sorted(level, key=lambda J: (len(J), sorted(J))):
+        f = FPFunction(s, dict(zip(s.patterns, level[J])))
+        bits = tuple(i + 1 in J for i in range(n))
+        lead = tuple(weyl_act(s.prefixes[i][bits[:i]], neg_alphas[i - 1]) for i in sorted(J))
+        elem = BasisElement(J, f, lead)
+        _reference_verify_basis_element(s, elem)
+        out.append(elem)
+    return out
+
+
+def _reference_verify_basis_element(s, elem):
+    product = Poly.const(s.rs.rank, 1)
+    for ell in elem.lead_factors:
+        product = product * ell
+    if elem.function.values[elem.bits] != product:
+        raise VerificationError("basis element has the wrong leading value")
+    for bits, p in elem.function.values.items():
+        if not p.is_zero() and not all(bits[i - 1] for i in elem.subset):
+            raise VerificationError("basis element breaks triangularity")
+
+
+def _reference_decompose(g, basis_elements):
+    """decompose over a plain list, reading each element's own table."""
+    s = g.seq
+    if any(e.function.seq != s for e in basis_elements):
+        raise InvalidInputError("basis of a different sequence")
+    elems = {e.subset: e for e in basis_elements}
+    coeffs = {}
+    for J in sorted(elems, key=lambda J: (len(J), sorted(J))):
+        bits = elems[J].bits
+        residue = g.values[bits]
+        for Jp, c in coeffs.items():
+            if Jp < J:
+                residue = residue - c * elems[Jp].function.values[bits]
+        q = exact_divide(residue, list(elems[J].lead_factors))
+        if q is None:
+            raise NotInSpanError(sorted(J), str(residue))
+        coeffs[J] = q
+    if not basis_elements:
+        raise InvalidInputError("empty basis")
+    if combine_reference(basis_elements, coeffs).values != g.values:
+        raise VerificationError("decomposition failed to reconstruct g")
+    return coeffs
+
+
+def _outcome(call, *args):
+    """A call's result, or its error as (type, subset, residue) or (type, message)."""
+    try:
+        return call(*args)
+    except NotInSpanError as exc:
+        return NotInSpanError, exc.subset, str(exc.remainder)
+    except (InvalidInputError, VerificationError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sequences())
+@example(ReflSeq(build_root_system("A", 2), ()))
+@example(nonsimple_seq("B", 3, 6))
+@example(nonsimple_seq("G", 2, 6))
+@example(simple_seq(build_root_system("G", 2), 1, 2, 1, 2, 1, 2))
+def test_basis_matches_per_level_recursion(s):
+    got = basis(s)
+    expected = _reference_basis(s)
+    assert isinstance(got, Basis) and isinstance(got, tuple)
+    assert [e.subset for e in got] == [e.subset for e in expected]
+    for e, ref in zip(got, expected):
+        assert e.function.seq == s
+        assert list(e.function.values.items()) == list(ref.function.values.items())
+        assert e.lead_factors == ref.lead_factors
+    # the tables: nonzero values per gallery, and the lead factors as divisors
+    assert got.columns == {bits: [(e.subset, e.function.values[bits]) for e in expected
+                                  if not e.function.values[bits].is_zero()]
+                           for bits in s.patterns}
+    assert got.divisors == [tuple(map(linear_divisor, e.lead_factors)) for e in expected]
+
+
+def test_basis_products_are_made_once_per_call():
+    # B_J(gamma) repeats across J and gamma; each distinct product is made
+    # once per call, and no table survives the call
+    s = nonsimple_seq("G", 2, 6)
+    calls = []
+    product = Poly.__mul__
+
+    def counting(p, q):
+        calls.append(1)
+        return product(p, q)
+
+    with mock.patch.object(Poly, "__mul__", counting):
+        basis(s)
+        first = len(calls)
+        basis(s)
+        again = len(calls) - first
+        _reference_basis(s)
+        reference = len(calls) - first - again
+    assert first == again
+    assert first < reference // 2
+
+
+def test_basis_refuses_a_wrong_lead_value(b2):
+    # the recursion's first crossing factor is off by a constant; the lead
+    # factors, made after the recursion, are right
+    s = simple_seq(b2, 1, 2, 1)
+    act, calls = gkm.weyl_act, []
+
+    def first_call_off(u, p):
+        calls.append(1)
+        q = act(u, p)
+        return q + Poly.const(2, 1) if len(calls) == 1 else q
+
+    with mock.patch.object(gkm, "weyl_act", first_call_off):
+        with pytest.raises(VerificationError, match="leading value"):
+            basis(s)
+
+
+def test_basis_refuses_a_value_off_its_support(b2):
+    # the recursion's zero is a one, so B_J is nonzero where a gallery stays
+    # at a position of J; the values at each gamma_J are unchanged
+    s = simple_seq(b2, 1, 2, 1)
+    ring = SimpleNamespace(const=Poly.const, zero=lambda nvars: Poly.const(nvars, 1))
+    with mock.patch.object(gkm, "Poly", ring):
+        with pytest.raises(VerificationError, match="triangularity"):
+            basis(s)
+
+
+@pytest.mark.parametrize("family,rank", REFERENCE_SYSTEMS)
+def test_plain_lists_and_hand_built_elements_match_reference(family, rank):
+    # a list (not a Basis) is wrapped, and an element need not be triangular
+    # or have lead factors that divide: results and errors are the parent's
+    rs = build_root_system(family, rank)
+    rng = random.Random(f"plain {family}{rank}")
+    kinds = set()
+    for s in reference_seqs(rs, rng):
+        elements = list(basis(s))
+        rng.shuffle(elements)
+        subset = frozenset(rng.sample(range(1, len(s) + 1), rng.randint(1, len(s))))
+        dense = BasisElement(subset, FPFunction(s, {b: rand_frac_poly(rng, rank, 1)
+                                                    for b in s.patterns}),
+                             tuple(e.lead_factors for e in elements if e.subset == subset)[0])
+        hand_built = [e for e in elements if e.subset != subset] + [dense]
+        # no lead factors, so nothing divides at subset; and a lead "factor"
+        # that is not linear, refused when its division is reached
+        ell = dense.lead_factors[0]
+        variants = [BasisElement(subset, dense.function, factors) for factors in ((), (ell * ell,))]
+        for elems in [elements, hand_built] + [hand_built[:-1] + [v] for v in variants]:
+            coeffs = {e.subset: rand_frac_poly(rng, rank) for e in elems}
+            g = combine(elems, coeffs)
+            assert g.values == combine_reference(elems, coeffs).values
+            bump = rng.choice(sorted(s.patterns))
+            candidates = [g, rand_fp(rng, s), FPFunction(
+                s, {b: p + Poly.const(rank, 1) if b == bump else p for b, p in g.values.items()})]
+            for f in candidates:
+                expected = _outcome(_reference_decompose, f, elems)
+                assert _outcome(decompose, f, elems) == expected
+                assert _outcome(decompose, f, Basis(elems)) == expected
+                kinds.add(expected[0] if isinstance(expected, tuple) else dict)
+    assert kinds == {dict, NotInSpanError, InvalidInputError, VerificationError}

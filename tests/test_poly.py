@@ -12,6 +12,7 @@ from bscomb.poly import (
     Poly,
     divide_linear,
     exact_divide,
+    linear_divisor,
     mul_add,
     root_poly,
     simple_root_poly,
@@ -72,6 +73,11 @@ def test_divide_requires_linear_form():
         divide_linear(p, p)
     with pytest.raises(InvalidInputError):
         divide_linear(p, Poly.linear(2, (1, 0)) + Poly.const(2, 1))
+    with pytest.raises(InvalidInputError):
+        linear_divisor(Poly.zero(2))
+    # a prepared divisor is checked against the dividend's variable count
+    with pytest.raises(InvalidInputError):
+        divide_linear(Poly.variable(3, 0), linear_divisor(Poly.linear(2, (1, 1))))
 
 
 def test_simple_root_embedding(a2):
@@ -243,6 +249,7 @@ def test_divide_linear_matches_sympy(nvars, negative_pivot, integral, data):
     Q, R = sympy.div(to_sympy(p), to_sympy(ell), *order, domain="QQ")
     assert q == from_sympy(Q.as_expr(), nvars)
     assert r == from_sympy(R.as_expr(), nvars)
+    assert divide_linear(p, linear_divisor(ell)) == (q, r)
 
 
 @settings(max_examples=60, deadline=None)
@@ -287,6 +294,7 @@ def test_exact_divide_matches_sympy(nvars, exact, data):
     if not exact:
         p = p + data.draw(oracle_polys(nvars))
     quotient = exact_divide(p, factors)
+    assert exact_divide(p, [linear_divisor(ell) for ell in factors]) == quotient
     gens = _gens(nvars)
     product = sympy.Mul(*[to_sympy(ell) for ell in factors])
     Q, R = sympy.div(to_sympy(p), product, *gens, domain="QQ")
