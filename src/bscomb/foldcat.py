@@ -23,7 +23,7 @@ from itertools import combinations
 from types import MappingProxyType
 
 from .errors import MAX_MORPHISM_LENGTH, InvalidInputError, VerificationError, check_bound
-from .gallery import Bits, Gallery, ReflSeq, serialize_bits
+from .gallery import Bits, ReflSeq, serialize_bits
 from .rootsys import WeylElement, enumerate_weyl
 
 
@@ -67,17 +67,6 @@ class Morphism:
             raise InvalidInputError("p maps outside the target positions")
         if any(a >= b for a, b in zip(self.p, self.p[1:])):
             raise InvalidInputError("p must be strictly increasing")
-
-    def apply(self, gamma: Gallery) -> Gallery:
-        if gamma.seq != self.source:
-            raise InvalidInputError("gallery does not live over the source")
-        image = self.phi.get(gamma.bits)
-        if image is None:
-            raise InvalidInputError("phi table is not total")
-        return Gallery(self.target, image)
-
-    def key(self) -> tuple:
-        return (self.p, self.w.perm, tuple(sorted(self.phi.items())))
 
 
 @dataclass(frozen=True)
@@ -126,10 +115,6 @@ def verify_morphism(m: Morphism) -> MorphismViolation | None:
                 return MorphismViolation("folding-equation", bits, i)
     object.__setattr__(m, "verified", True)
     return None
-
-
-def identity_morphism(s: ReflSeq) -> Morphism:
-    return subsequence_morphism(s, s, tuple(range(1, len(s) + 1)))
 
 
 def subsequence_morphism(s: ReflSeq, target: ReflSeq,

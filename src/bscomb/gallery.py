@@ -176,11 +176,6 @@ def conj_seq(s: ReflSeq, w: WeylElement) -> ReflSeq:
     return ReflSeq(s.rs, tuple(conjugate_reflection(w, t) for t in s.entries))
 
 
-def conj_gallery(gamma: Gallery, w: WeylElement) -> Gallery:
-    """gamma^w over s^w; the bit pattern is unchanged."""
-    return Gallery(conj_seq(gamma.seq, w), gamma.bits)
-
-
 def twist_seq(s: ReflSeq, gamma: Gallery) -> ReflSeq:
     """s^(gamma) with entry i equal to gamma^i s_i (gamma^i)^-1."""
     if gamma.seq != s:

@@ -69,18 +69,6 @@ class FPFunction:
 
     __rmul__ = __mul__
 
-    def is_zero(self) -> bool:
-        return all(p.is_zero() for p in self.values.values())
-
-    def degree(self) -> int:
-        """Maximal cohomological degree: 2 x polynomial degree; -2 if zero."""
-        return 2 * max((p.degree() for p in self.values.values()), default=-1)
-
-
-def constant(s: ReflSeq, c) -> FPFunction:
-    p = c if isinstance(c, Poly) else Poly.const(s.rs.rank, c)
-    return FPFunction(s, dict.fromkeys(s.patterns, p))
-
 
 def generator(s: ReflSeq, i: int, w: WeylElement, c: Poly) -> FPFunction:
     """The restriction of the generator class: gamma -> (gamma^i w) . c.
@@ -147,21 +135,11 @@ class BasisElement:
 class Basis(tuple):
     """Elements, one per subset, in (|J|, sorted J) order, with the nonzero
     (J, B_J(gamma)) at each gallery (`columns[bits]`) and each element's lead
-    factors (`divisors[k]`).  Zeros are found, not assumed, in a wrapped list."""
+    factors as linear divisors (`divisors[k]`).  Only `basis` builds one."""
 
-    def __new__(cls, elements, divisors=None):
-        if not elements:
-            raise InvalidInputError("empty basis")
-        by_subset = {e.subset: e for e in elements}
-        self = super().__new__(cls, [by_subset[J] for J in
-                                     sorted(by_subset, key=lambda J: (len(J), sorted(J)))])
-        self.seq = s = elements[0].function.seq
-        self.columns = {bits: [] for bits in s.patterns}
-        for e in self:
-            for bits, p in e.function.values.items():
-                if p.terms:
-                    self.columns[bits].append((e.subset, p))
-        self.divisors = divisors or [e.lead_factors for e in self]
+    def __new__(cls, seq: ReflSeq, elements, columns, divisors):
+        self = super().__new__(cls, elements)
+        self.seq, self.columns, self.divisors = seq, columns, divisors
         return self
 
 
@@ -179,6 +157,7 @@ def basis(s: ReflSeq) -> Basis:
     re-verified: it vanishes off {gamma : J subset supp(gamma)}, and its
     value at gamma_J is the product of the forms prefix(gamma_J, i)(-alpha_i)
     over i in J: the product for J - max J times one form, by plain `*`.
+    The same pass over the values fills the basis's columns.
     """
     n = len(s)
     check_bound("basis sequence length", n, MAX_BASIS_LENGTH)
@@ -205,7 +184,9 @@ def basis(s: ReflSeq) -> Basis:
                             for q in (zero, times(c, p) if p.terms else zero)]
         level = nxt
     lead = {frozenset(): ((), (), one)}  # J -> (lead factors, as divisors, product)
-    elements = []
+    columns = {bits: [] for bits in s.patterns}
+    by_mask = list(columns.values())
+    elements, divisors = [], []
     for J in sorted(level, key=lambda J: (len(J), sorted(J))):
         if J:
             k = max(J)
@@ -215,29 +196,32 @@ def basis(s: ReflSeq) -> Basis:
         mask, values = sum(1 << (n - i) for i in J), level[J]
         if values[mask] != lead[J][2]:
             raise VerificationError("basis element has the wrong leading value")
-        if any(p.terms and r & mask != mask for r, p in enumerate(values)):
-            raise VerificationError("basis element breaks triangularity")
+        for r, p in enumerate(values):
+            if p.terms:
+                if r & mask != mask:
+                    raise VerificationError("basis element breaks triangularity")
+                by_mask[r].append((J, p))
         elements.append(BasisElement(J, FPFunction(s, dict(zip(s.patterns, values))), lead[J][0]))
-    return Basis(elements, [lead[e.subset][1] for e in elements])
+        divisors.append(lead[J][1])
+    return Basis(s, elements, columns, divisors)
 
 
-def decompose(g: FPFunction,
-              basis_elements: list[BasisElement] | None = None
-              ) -> dict[frozenset[int], Poly]:
-    """Express g as sum c_J B_J; raises NotInSpanError when impossible, and
-    InvalidInputError, before any division, for a basis of another sequence
-    or an empty one.
+def decompose(g: FPFunction, b: Basis | None = None) -> dict[frozenset[int], Poly]:
+    """Express g as sum c_J B_J over `basis(g.seq)` or the given `Basis`;
+    raises NotInSpanError when impossible, and InvalidInputError, before any
+    division, for anything but a `Basis` of g's sequence.
 
     The recursion runs over subsets in ascending cardinality; each step
     divides exactly by the product of the linear factors of B_J, and the
     result is re-verified by reconstruction.
     """
     s = g.seq
-    if basis_elements is None:
-        basis_elements = basis(s)
-    elif any(e.function.seq is not s and e.function.seq != s for e in basis_elements):
+    if b is None:
+        b = basis(s)
+    elif not isinstance(b, Basis):
+        raise InvalidInputError("not a Basis; build one with gkm.basis")
+    elif b.seq is not s and b.seq != s:
         raise InvalidInputError("basis of a different sequence")
-    b = basis_elements if isinstance(basis_elements, Basis) else Basis(basis_elements)
     coeffs: dict[frozenset[int], Poly] = {}
     for e, divisors in zip(b, b.divisors):
         J, bits = e.subset, e.bits
@@ -252,10 +236,11 @@ def decompose(g: FPFunction,
     return coeffs
 
 
-def combine(basis_elements: list[BasisElement],
-            coeffs: dict[frozenset[int], Poly]) -> FPFunction:
-    """sum c_J B_J, one mul_add per gallery over the nonzero B_J(gamma)."""
-    b = basis_elements if isinstance(basis_elements, Basis) else Basis(basis_elements)
+def combine(b: Basis, coeffs: dict[frozenset[int], Poly]) -> FPFunction:
+    """sum c_J B_J over a `Basis`, one mul_add per gallery over the nonzero
+    B_J(gamma); refuses anything but a `Basis`."""
+    if not isinstance(b, Basis):
+        raise InvalidInputError("not a Basis; build one with gkm.basis")
     if not coeffs.keys() <= {e.subset for e in b}:
         raise InvalidInputError("coefficient of a subset outside the basis")
     zero = Poly.zero(b.seq.rs.rank)

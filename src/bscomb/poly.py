@@ -104,11 +104,6 @@ class Poly:
         return Poly(nvars, (((0,) * nvars, c),))
 
     @staticmethod
-    def variable(nvars: int, j: int) -> "Poly":
-        """The generator w_{j+1} (0-based j)."""
-        return Poly(nvars, ((_units(nvars)[j], 1),))
-
-    @staticmethod
     def linear(nvars: int, coeffs) -> "Poly":
         """sum c_j w_{j+1} over one coefficient per variable."""
         coeffs = tuple(coeffs)
@@ -116,9 +111,6 @@ class Poly:
             raise InvalidInputError(f"a linear form in {nvars} variables needs "
                                     f"{nvars} coefficients, not {len(coeffs)}")
         return Poly.from_dict(nvars, dict(zip(_units(nvars), coeffs)))
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def degree(self) -> int:
         """Total polynomial degree; -1 for the zero polynomial."""
@@ -255,11 +247,6 @@ def exact_divide(p: Poly, factors) -> Poly | None:
         if rem.terms:
             return None
     return q
-
-
-def simple_root_poly(rs: RootSystem, i: int) -> Poly:
-    """alpha_i (1-based) in the fundamental-weight variables."""
-    return Poly.linear(rs.rank, rs.cartan[i - 1])
 
 
 def root_poly(rs: RootSystem, root: Root) -> Poly:

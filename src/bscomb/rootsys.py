@@ -128,11 +128,6 @@ class RootSystem:
             raise InvalidInputError(f"{root} is not a root of {self}")
         return k
 
-    def pairing(self, x: tuple[int, ...], beta: Root) -> int:
-        """<x, beta^vee> = sum_ij x_i C[i][j] b_j for the coroot b of beta."""
-        b = self.coroots[self._root_index(beta)]
-        return sum(xi * sum(map(mul, row, b)) for xi, row in zip(x, self.cartan))
-
     # -- roots -------------------------------------------------------------
 
     def _close_roots(self) -> tuple[tuple[Root, ...], tuple[tuple[int, ...], ...]]:

@@ -14,7 +14,6 @@ from bscomb.foldcat import (
     PointedMorphism,
     compose,
     enumerate_morphisms,
-    identity_morphism,
     subsequence_morphism,
     verify_morphism,
     verify_pointed,
@@ -27,10 +26,10 @@ from conftest import all_seqs, simple_seq
 
 def test_identity_morphism(a2):
     s = simple_seq(a2, 1, 2)
-    m = identity_morphism(s)
+    m = subsequence_morphism(s, s, (1, 2))
     assert m.verified
     for g in galleries(s):
-        assert m.apply(g).bits == g.bits
+        assert m.phi[g.bits] == g.bits
 
 
 def test_subsequence_morphism(a2):
@@ -117,16 +116,19 @@ def test_enumerate_includes_subsequence_and_identity(a2):
     target = simple_seq(a2, 2, 1)
     found = enumerate_morphisms(s, target)
     sub = subsequence_morphism(s, target, (2,))
-    assert any(m.key() == sub.key() for m in found)
-    ident = identity_morphism(s)
-    assert any(m.key() == ident.key() for m in enumerate_morphisms(s, s))
+    key = (sub.p, sub.w, tuple(sorted(sub.phi.items())))
+    assert any((m.p, m.w, tuple(sorted(m.phi.items()))) == key for m in found)
+    ident = subsequence_morphism(s, s, (1,))
+    key = (ident.p, ident.w, tuple(sorted(ident.phi.items())))
+    assert any((m.p, m.w, tuple(sorted(m.phi.items()))) == key
+               for m in enumerate_morphisms(s, s))
 
 
 def test_enumerate_deterministic(a2):
     s = simple_seq(a2, 1)
     target = simple_seq(a2, 1, 2)
-    first = [m.key() for m in enumerate_morphisms(s, target)]
-    second = [m.key() for m in enumerate_morphisms(s, target)]
+    first = [(m.p, m.w, tuple(sorted(m.phi.items()))) for m in enumerate_morphisms(s, target)]
+    second = [(m.p, m.w, tuple(sorted(m.phi.items()))) for m in enumerate_morphisms(s, target)]
     assert first == second
     assert len(set(first)) == len(first)
 
@@ -166,12 +168,12 @@ def test_compose_rejects_invalid_composite(a2):
     bad = Morphism(s, s, (1,), a2.simple_reflection(2),
                    {g.bits: g.bits for g in galleries(s)})
     with pytest.raises(VerificationError):
-        compose(identity_morphism(s), bad)
+        compose(subsequence_morphism(s, s, (1,)), bad)
 
 
 def test_pointed_identity(a2):
     s = simple_seq(a2, 1, 2)
-    m = identity_morphism(s)
+    m = subsequence_morphism(s, s, (1, 2))
     e = a2.identity()
     assert verify_pointed(PointedMorphism(m, e, e)) is None
 
@@ -367,10 +369,11 @@ def test_enumerate_matches_generate_and_test(a1, a2):
     pairs += [(s, t) for s, t in _reference_pairs() if s.rs.family == "B"]
     found = 0
     for s, target in pairs:
-        expect = [Morphism(s, target, p, w, phi).key()
+        expect = [(p, w, tuple(sorted(phi.items())))
                   for p, w, phi in _candidate_tables(s, target)
                   if _reference_verify(Morphism(s, target, p, w, phi)) is None]
-        assert [m.key() for m in enumerate_morphisms(s, target)] == expect, (s, target)
+        assert [(m.p, m.w, tuple(sorted(m.phi.items())))
+                for m in enumerate_morphisms(s, target)] == expect, (s, target)
         found += len(expect)
     assert found > 10000
 

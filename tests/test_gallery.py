@@ -16,7 +16,6 @@ from bscomb.gallery import (
     Gallery,
     Gallerification,
     ReflSeq,
-    conj_gallery,
     conj_seq,
     fold,
     galleries,
@@ -149,7 +148,7 @@ def test_twist_of_conjugate(data):
     w = data.draw(st.sampled_from(enumerate_weyl(rs)))
     bits = tuple(data.draw(st.booleans()) for _ in range(3))
     g = Gallery(s, bits)
-    lhs = twist_seq(conj_seq(s, w), conj_gallery(g, w))
+    lhs = twist_seq(conj_seq(s, w), Gallery(conj_seq(s, w), g.bits))
     rhs = conj_seq(twist_seq(s, g), w)
     assert lhs.entries == rhs.entries
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bscomb import gkm
+from bscomb import gkm, poly
 from bscomb.errors import (
     InvalidInputError,
     NotInSpanError,
@@ -25,19 +25,17 @@ from bscomb.gkm import (
     combine,
     concentrate,
     concentration_identity_check,
-    constant,
     copy,
     decompose,
     generator,
     induced_map,
 )
-from bscomb.foldcat import identity_morphism
+from bscomb.foldcat import subsequence_morphism
 from bscomb.poly import (
     Poly,
     exact_divide,
     linear_divisor,
     root_poly,
-    simple_root_poly,
     weyl_act,
 )
 from bscomb.rootsys import build_root_system
@@ -60,7 +58,7 @@ def rand_fp(rng, s):
 
 def test_generator_constant_cases(a2):
     s = simple_seq(a2, 1, 2)
-    c = simple_root_poly(a2, 1)
+    c = root_poly(a2, a2.simple_roots[0])
     g = generator(s, 0, a2.identity(), c)
     assert all(p == c for p in g.values.values())
     unit = generator(s, 2, a2.simple_reflection(1), Poly.const(2, 1))
@@ -69,7 +67,7 @@ def test_generator_constant_cases(a2):
 
 def test_generator_single_letter(a2):
     s = simple_seq(a2, 1)
-    a1 = simple_root_poly(a2, 1)
+    a1 = root_poly(a2, a2.simple_roots[0])
     g = generator(s, 1, a2.identity(), a1)
     assert g.values[(False,)] == a1
     assert g.values[(True,)] == -a1
@@ -77,7 +75,8 @@ def test_generator_single_letter(a2):
 
 def test_copy_constant(a2):
     s = simple_seq(a2, 1, 2)
-    g = copy(s, constant(s.truncated(), 7))
+    g = copy(s, FPFunction(s.truncated(), dict.fromkeys(s.truncated().patterns,
+                                                         Poly.const(2, 7))))
     assert all(p == Poly.const(2, 7) for p in g.values.values())
     # value depends only on the truncation
     for bits in ((False,), (True,)):
@@ -86,18 +85,20 @@ def test_copy_constant(a2):
 
 def test_concentrate_example(a2):
     s = simple_seq(a2, 1, 2)
-    a1, a2p = simple_root_poly(a2, 1), simple_root_poly(a2, 2)
-    nab = concentrate(s, constant(s.truncated(), 1), True)
+    a1, a2p = root_poly(a2, a2.simple_roots[0]), root_poly(a2, a2.simple_roots[1])
+    nab = concentrate(s, FPFunction(s.truncated(), dict.fromkeys(s.truncated().patterns,
+                                                                 Poly.const(2, 1))), True)
     assert nab.values[(False, True)] == a2p
     assert nab.values[(True, True)] == a1 + a2p
-    assert nab.values[(False, False)].is_zero()
-    assert nab.values[(True, False)].is_zero()
+    assert not nab.values[(False, False)].terms
+    assert not nab.values[(True, False)].terms
 
 
 def test_concentrate_degree_shift(a2):
     s = simple_seq(a2, 2, 1)
-    g = constant(s.truncated(), 3)
-    assert concentrate(s, g, True).degree() == g.degree() + 2
+    g = FPFunction(s.truncated(), dict.fromkeys(s.truncated().patterns, Poly.const(2, 3)))
+    degrees = [p.degree() for p in concentrate(s, g, True).values.values()]
+    assert max(degrees) == max(p.degree() for p in g.values.values()) + 1
 
 
 def test_concentration_identity(a2, b2):
@@ -119,8 +120,8 @@ def test_basis_single_letter(a2):
     empty = by_subset[frozenset()]
     assert all(p == Poly.const(2, 1) for p in empty.function.values.values())
     top = by_subset[frozenset({1})]
-    assert top.function.values[(False,)].is_zero()
-    assert top.function.values[(True,)] == simple_root_poly(a2, 1)
+    assert not top.function.values[(False,)].terms
+    assert top.function.values[(True,)] == root_poly(a2, a2.simple_roots[0])
 
 
 def test_basis_triangularity(a2):
@@ -129,13 +130,13 @@ def test_basis_triangularity(a2):
         for bits, p in e.function.values.items():
             support = {i for i, b in enumerate(bits, start=1) if b}
             if not e.subset <= support:
-                assert p.is_zero()
+                assert not p.terms
         lead = e.function.values[e.bits]
         product = Poly.const(2, 1)
         for ell in e.lead_factors:
             product = product * ell
         assert lead == product
-        assert not lead.is_zero()
+        assert lead.terms
 
 
 def test_basis_count(a2):
@@ -155,14 +156,14 @@ def test_decompose_round_trip(a2):
 
 def test_decompose_zero(a2):
     s = simple_seq(a2, 2, 1)
-    out = decompose(constant(s, 0))
-    assert all(c.is_zero() for c in out.values())
+    out = decompose(FPFunction(s, dict.fromkeys(s.patterns, Poly.zero(2))))
+    assert all(not c.terms for c in out.values())
 
 
 def test_decompose_shifted_example(a2):
     s = simple_seq(a2, 1)
     elements = basis(s)
-    a2p = simple_root_poly(a2, 2)
+    a2p = root_poly(a2, a2.simple_roots[1])
     g = combine(elements, {frozenset(): Poly.const(2, 3),
                            frozenset({1}): a2p})
     out = decompose(g, elements)
@@ -180,9 +181,9 @@ def test_indicator_not_in_span(a2):
 def test_generators_span_products(a2):
     # products of generator classes decompose in the basis
     s = simple_seq(a2, 1, 2)
-    a1 = simple_root_poly(a2, 1)
+    a1 = root_poly(a2, a2.simple_roots[0])
     g1 = generator(s, 1, a2.identity(), a1)
-    g2 = generator(s, 2, a2.identity(), simple_root_poly(a2, 2))
+    g2 = generator(s, 2, a2.identity(), root_poly(a2, a2.simple_roots[1]))
     decompose(g1 * g2)
     decompose(g1 * g1 + 2 * g2)
 
@@ -190,7 +191,7 @@ def test_generators_span_products(a2):
 def test_induced_map_identity(a2):
     rng = random.Random(5)
     s = simple_seq(a2, 1, 2)
-    m = identity_morphism(s)
+    m = subsequence_morphism(s, s, tuple(range(1, len(s) + 1)))
     g = rand_fp(rng, s)
     assert induced_map(m, g).values == g.values
 
@@ -201,7 +202,7 @@ def test_induced_map_requires_verified(a2):
     phi = {g.bits: g.bits for g in galleries(s)}
     m = Morphism(s, s, (1,), a2.identity(), phi)
     with pytest.raises(InvalidInputError):
-        induced_map(m, constant(s, 1))
+        induced_map(m, FPFunction(s, dict.fromkeys(s.patterns, Poly.const(2, 1))))
 
 
 def test_fpfunction_table_must_be_total(a2):
@@ -297,21 +298,6 @@ def test_combine_matches_reference(family, rank):
             assert got.values == combine_reference(elements, coeffs).values
 
 
-def test_combine_does_not_assume_triangularity(b2):
-    # a hand-built element that is nonzero off {gamma : J subset supp(gamma)}
-    rng = random.Random(41)
-    s = simple_seq(b2, 1, 2, 1)
-    elements = basis(s)
-    dense = BasisElement(frozenset({1, 2}),
-                         FPFunction(s, {b: rand_frac_poly(rng, 2, 1) for b in s.patterns}),
-                         ())
-    assert any(not p.is_zero() and not (b[0] and b[1])
-               for b, p in dense.function.values.items())
-    elements = [e for e in elements if e.subset != dense.subset] + [dense]
-    coeffs = {e.subset: rand_frac_poly(rng, 2, 1) for e in elements}
-    assert combine(elements, coeffs).values == combine_reference(elements, coeffs).values
-
-
 @pytest.mark.parametrize("family,rank", REFERENCE_SYSTEMS)
 def test_decompose_failure_matches_reference(family, rank):
     rs = build_root_system(family, rank)
@@ -344,33 +330,80 @@ def test_decompose_refuses_a_basis_of_another_sequence(a2):
     s = simple_seq(a2, 1, 2)
     g = combine(basis(s), {frozenset({1}): Poly.const(2, 1)})
     # same length, other entries: the divisions would run and fail
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match="^basis of a different sequence$"):
         decompose(g, basis(simple_seq(a2, 2, 1)))
     # other length: the bit patterns would not be keys of g
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match="^basis of a different sequence$"):
         decompose(g, basis(simple_seq(a2, 1)))
     # an equal sequence built separately is the same sequence
     assert decompose(g, basis(simple_seq(a2, 1, 2)))[frozenset({1})] == Poly.const(2, 1)
 
 
+NOT_A_BASIS = "^not a Basis; build one with gkm.basis$"
+
+
 def test_decompose_refuses_an_empty_basis(a2):
-    with pytest.raises(InvalidInputError):
-        decompose(constant(simple_seq(a2, 1), 1), [])
+    s = simple_seq(a2, 1)
+    with pytest.raises(InvalidInputError, match=NOT_A_BASIS):
+        decompose(FPFunction(s, dict.fromkeys(s.patterns, Poly.const(2, 1))), [])
 
 
 def test_combine_refuses_an_empty_basis(a2):
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match=NOT_A_BASIS):
         combine([], {})
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match=NOT_A_BASIS):
         combine([], {frozenset(): Poly.const(2, 1)})
 
 
 def test_combine_refuses_a_coefficient_outside_the_basis(a2):
-    elements = basis(simple_seq(a2, 1, 2))
-    with pytest.raises(InvalidInputError):
-        combine(elements, {frozenset({3}): Poly.const(2, 1)})
-    with pytest.raises(InvalidInputError):
-        combine(list(elements[:2]), {frozenset({2}): Poly.const(2, 1)})
+    outside = "^coefficient of a subset outside the basis$"
+    with pytest.raises(InvalidInputError, match=outside):
+        combine(basis(simple_seq(a2, 1, 2)), {frozenset({3}): Poly.const(2, 1)})
+    # every subset of a shorter sequence's basis is a subset here, not the converse
+    with pytest.raises(InvalidInputError, match=outside):
+        combine(basis(simple_seq(a2, 1)), {frozenset({2}): Poly.const(2, 1)})
+
+
+def test_combine_and_decompose_refuse_a_plain_list(b2):
+    # only `basis` builds a Basis: its own elements in a list, elements built
+    # by hand, and an empty list are refused, and decompose divides nothing
+    s = simple_seq(b2, 1, 2, 1)
+    elements = basis(s)
+    coeffs = {e.subset: Poly.const(2, 1) for e in elements}
+    g = combine(elements, coeffs)
+    hand_built = [BasisElement(J, FPFunction(s, values), lead)
+                  for J, values, lead in basis_reference(s)]
+    divide, calls = poly.divide_linear, []
+
+    def counting(p, d):
+        calls.append(1)
+        return divide(p, d)
+
+    with mock.patch.object(poly, "divide_linear", counting):
+        for plain in (list(elements), hand_built, []):
+            with pytest.raises(InvalidInputError, match=NOT_A_BASIS):
+                combine(plain, coeffs)
+            with pytest.raises(InvalidInputError, match=NOT_A_BASIS):
+                decompose(g, plain)
+        assert not calls
+        assert decompose(g, elements) == coeffs
+    assert calls  # the count sees a decomposition's divisions
+
+
+def test_decompose_refuses_a_wrong_reconstruction(a2):
+    # every division is exact, but the recombination is off by a constant
+    s = simple_seq(a2, 1, 2)
+    elements = basis(s)
+    g = combine(elements, {frozenset({1}): Poly.const(2, 1)})
+    combine_, one = gkm.combine, Poly.const(2, 1)
+
+    def off(b, coeffs):
+        f = combine_(b, coeffs)
+        return FPFunction(f.seq, {bits: p + one for bits, p in f.values.items()})
+
+    with mock.patch.object(gkm, "combine", off):
+        with pytest.raises(VerificationError, match="^decomposition failed to reconstruct g$"):
+            decompose(g, elements)
 
 
 # -- basis, generator and the identity check against the per-object recursion --
@@ -379,7 +412,7 @@ def basis_reference(s):
     """The recursion B_J is defined by, one validated FPFunction per step:
     copy at positions outside J and concentrate at t = s_k inside, each
     over its own prefix sequence."""
-    level = {frozenset(): constant(ReflSeq(s.rs, ()), 1)}
+    level = {frozenset(): FPFunction(ReflSeq(s.rs, ()), {(): Poly.const(s.rs.rank, 1)})}
     for k in range(1, len(s) + 1):
         sk = ReflSeq(s.rs, s.entries[:k])
         nxt = {}
@@ -581,42 +614,8 @@ def _reference_verify_basis_element(s, elem):
     if elem.function.values[elem.bits] != product:
         raise VerificationError("basis element has the wrong leading value")
     for bits, p in elem.function.values.items():
-        if not p.is_zero() and not all(bits[i - 1] for i in elem.subset):
+        if p.terms and not all(bits[i - 1] for i in elem.subset):
             raise VerificationError("basis element breaks triangularity")
-
-
-def _reference_decompose(g, basis_elements):
-    """decompose over a plain list, reading each element's own table."""
-    s = g.seq
-    if any(e.function.seq != s for e in basis_elements):
-        raise InvalidInputError("basis of a different sequence")
-    elems = {e.subset: e for e in basis_elements}
-    coeffs = {}
-    for J in sorted(elems, key=lambda J: (len(J), sorted(J))):
-        bits = elems[J].bits
-        residue = g.values[bits]
-        for Jp, c in coeffs.items():
-            if Jp < J:
-                residue = residue - c * elems[Jp].function.values[bits]
-        q = exact_divide(residue, list(elems[J].lead_factors))
-        if q is None:
-            raise NotInSpanError(sorted(J), str(residue))
-        coeffs[J] = q
-    if not basis_elements:
-        raise InvalidInputError("empty basis")
-    if combine_reference(basis_elements, coeffs).values != g.values:
-        raise VerificationError("decomposition failed to reconstruct g")
-    return coeffs
-
-
-def _outcome(call, *args):
-    """A call's result, or its error as (type, subset, residue) or (type, message)."""
-    try:
-        return call(*args)
-    except NotInSpanError as exc:
-        return NotInSpanError, exc.subset, str(exc.remainder)
-    except (InvalidInputError, VerificationError) as exc:
-        return type(exc), str(exc)
 
 
 @settings(max_examples=60, deadline=None)
@@ -636,7 +635,7 @@ def test_basis_matches_per_level_recursion(s):
         assert e.lead_factors == ref.lead_factors
     # the tables: nonzero values per gallery, and the lead factors as divisors
     assert got.columns == {bits: [(e.subset, e.function.values[bits]) for e in expected
-                                  if not e.function.values[bits].is_zero()]
+                                  if e.function.values[bits].terms]
                            for bits in s.patterns}
     assert got.divisors == [tuple(map(linear_divisor, e.lead_factors)) for e in expected]
 
@@ -728,37 +727,3 @@ def test_basis_refuses_a_value_off_its_support(b2):
     with mock.patch.object(gkm, "Poly", ring):
         with pytest.raises(VerificationError, match="triangularity"):
             basis(s)
-
-
-@pytest.mark.parametrize("family,rank", REFERENCE_SYSTEMS)
-def test_plain_lists_and_hand_built_elements_match_reference(family, rank):
-    # a list (not a Basis) is wrapped, and an element need not be triangular
-    # or have lead factors that divide: results and errors are the parent's
-    rs = build_root_system(family, rank)
-    rng = random.Random(f"plain {family}{rank}")
-    kinds = set()
-    for s in reference_seqs(rs, rng):
-        elements = list(basis(s))
-        rng.shuffle(elements)
-        subset = frozenset(rng.sample(range(1, len(s) + 1), rng.randint(1, len(s))))
-        dense = BasisElement(subset, FPFunction(s, {b: rand_frac_poly(rng, rank, 1)
-                                                    for b in s.patterns}),
-                             tuple(e.lead_factors for e in elements if e.subset == subset)[0])
-        hand_built = [e for e in elements if e.subset != subset] + [dense]
-        # no lead factors, so nothing divides at subset; and a lead "factor"
-        # that is not linear, refused when its division is reached
-        ell = dense.lead_factors[0]
-        variants = [BasisElement(subset, dense.function, factors) for factors in ((), (ell * ell,))]
-        for elems in [elements, hand_built] + [hand_built[:-1] + [v] for v in variants]:
-            coeffs = {e.subset: rand_frac_poly(rng, rank) for e in elems}
-            g = combine(elems, coeffs)
-            assert g.values == combine_reference(elems, coeffs).values
-            bump = rng.choice(sorted(s.patterns))
-            candidates = [g, rand_fp(rng, s), FPFunction(
-                s, {b: p + Poly.const(rank, 1) if b == bump else p for b, p in g.values.items()})]
-            for f in candidates:
-                expected = _outcome(_reference_decompose, f, elems)
-                assert _outcome(decompose, f, elems) == expected
-                assert _outcome(decompose, f, Basis(elems)) == expected
-                kinds.add(expected[0] if isinstance(expected, tuple) else dict)
-    assert kinds == {dict, NotInSpanError, InvalidInputError, VerificationError}
