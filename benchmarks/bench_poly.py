@@ -1,6 +1,7 @@
 """Microbenchmarks for the poly layer: products, the multiply-accumulate
 `mul_add`, division by a linear form, exact division by a product of
-linear forms and the Weyl action, on rank-2 (B2) and rank-3 (B3) inputs.
+linear forms prepared once (a lead value of degree 3 or 5) and the Weyl
+action, on rank-2 (B2) and rank-3 (B3) inputs.
 
 Run from the repository root:
 
@@ -69,20 +70,21 @@ def test_divide_linear(benchmark, system):
     benchmark(lambda: [divide_linear(p, ell) for p, ell in work])
 
 
-@pytest.mark.parametrize("prepared", [False, True], ids=["forms", "prepared"])
+@pytest.mark.parametrize("degree", [3, 5], ids=lambda d: f"degree{d}")
 @pytest.mark.parametrize("system", SYSTEMS, ids=str)
-def test_exact_divide(benchmark, system, prepared):
-    # a decomposition step: a residue divided by three lead factors, given
-    # as linear forms that each division validates, or as `linear_divisor`s
-    # validated once, as a basis holds them; half the residues divide
+def test_exact_divide(benchmark, system, degree):
+    # a decomposition step: a residue divided by a lead value, the product
+    # of `degree` linear forms prepared once as a basis holds it (degree 5
+    # is the lead value of a 5-subset); half the residues divide
     _, cases = _cases(system)
     work = []
-    for n, k in enumerate(range(0, len(cases) - 3, 4)):
-        forms = [cases[k + j][2] for j in (1, 2, 3)]
-        factors = [linear_divisor(ell) for ell in forms] if prepared else forms
-        p = cases[k][0] * forms[0] * forms[1] * forms[2]
-        work.append((p + cases[k][1] if n % 2 else p, factors))
-    quotients = benchmark(lambda: [exact_divide(p, factors) for p, factors in work])
+    for n, k in enumerate(range(0, len(cases) - degree, degree + 1)):
+        divisor = None
+        for j in range(1, degree + 1):
+            divisor = linear_divisor(cases[k + j][2], divisor)
+        p = cases[k][0] * divisor.product
+        work.append((p + cases[k][1] if n % 2 else p, divisor))
+    quotients = benchmark(lambda: [exact_divide(p, divisor) for p, divisor in work])
     assert sum(q is None for q in quotients) == len(work) // 2
 
 

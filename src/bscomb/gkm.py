@@ -73,11 +73,13 @@ class FPFunction:
 def generator(s: ReflSeq, i: int, w: WeylElement, c: Poly) -> FPFunction:
     """The restriction of the generator class: gamma -> (gamma^i w) . c.
 
-    i = 0 plays the role of -infinity, where the prefix is trivial.
+    i = 0 plays the role of -infinity, where the prefix is trivial.  Acts
+    by w once, then by each prefix: (gamma^i w) . c = gamma^i . (w . c).
     """
     if not 0 <= i <= len(s):
         raise InvalidInputError(f"generator index {i} out of range 0..{len(s)}")
-    acted = {b: weyl_act(u * w, c) for b, u in s.prefixes[i].items()}
+    wc = weyl_act(w, c)
+    acted = {b: weyl_act(u, wc) for b, u in s.prefixes[i].items()}
     return FPFunction(s, {b: acted[b[:i]] for b in s.patterns})
 
 
@@ -109,14 +111,15 @@ def concentrate(s: ReflSeq, g: FPFunction, cross: bool) -> FPFunction:
 def concentration_identity_check(s: ReflSeq, g: FPFunction, cross: bool) -> bool:
     """Verify nabla_t g = -1/2 (Sigma(s,n-1,1)*(t alpha_n)
     + Sigma(s,n,1)*(alpha_n)) . Delta g pointwise, in the form multiplied
-    by -2, which has the same solutions over Q and needs no fractions."""
+    by -2, which has the same solutions over Q and needs no fractions: one
+    gallery at a time, stopping at the first that differs."""
     n = len(s)
     alpha = root_poly(s.rs, s[n].root)
     t_alpha = weyl_act(s[n].as_weyl(), alpha) if cross else alpha
-    factor = (generator(s, n - 1, s.rs.identity(), t_alpha)
-              + generator(s, n, s.rs.identity(), alpha))
-    rhs = factor * copy(s, g)
-    return (concentrate(s, g, cross) * -2).values == rhs.values
+    before = generator(s, n - 1, s.rs.identity(), t_alpha).values
+    last = generator(s, n, s.rs.identity(), alpha).values
+    nabla, delta = concentrate(s, g, cross).values, copy(s, g).values
+    return all(nabla[b] * -2 == (before[b] + last[b]) * delta[b] for b in s.patterns)
 
 
 @dataclass(frozen=True)
@@ -134,8 +137,9 @@ class BasisElement:
 
 class Basis(tuple):
     """Elements, one per subset, in (|J|, sorted J) order, with the nonzero
-    (J, B_J(gamma)) at each gallery (`columns[bits]`) and each element's lead
-    factors as linear divisors (`divisors[k]`).  Only `basis` builds one."""
+    (J, B_J(gamma)) at each gallery (`columns[bits]`) and, for each nonempty
+    J in that order, its lead value B_J(gamma_J) as one prepared divisor
+    (`divisors[k]` for element k + 1).  Only `basis` builds one."""
 
     def __new__(cls, seq: ReflSeq, elements, columns, divisors):
         self = super().__new__(cls, elements)
@@ -156,8 +160,10 @@ def basis(s: ReflSeq) -> Basis:
     distinct product is made once per call.  Every element is
     re-verified: it vanishes off {gamma : J subset supp(gamma)}, and its
     value at gamma_J is the product of the forms prefix(gamma_J, i)(-alpha_i)
-    over i in J: the product for J - max J times one form, by plain `*`.
-    The same pass over the values fills the basis's columns.
+    over i in J.  That product is prepared as a divisor along the subset
+    lattice: the divisor of J is that of J - max J times one new form,
+    which `linear_divisor` validates, and its product is made by one plain
+    `*`.  The same pass over the values fills the basis's columns.
     """
     n = len(s)
     check_bound("basis sequence length", n, MAX_BASIS_LENGTH)
@@ -183,18 +189,19 @@ def basis(s: ReflSeq) -> Basis:
             nxt[J | {k}] = [q for c, p in zip(cross, f)
                             for q in (zero, times(c, p) if p.terms else zero)]
         level = nxt
-    lead = {frozenset(): ((), (), one)}  # J -> (lead factors, as divisors, product)
+    lead = {frozenset(): ((), None)}  # J -> (lead factors, their product as a divisor)
     columns = {bits: [] for bits in s.patterns}
     by_mask = list(columns.values())
     elements, divisors = [], []
     for J in sorted(level, key=lambda J: (len(J), sorted(J))):
         if J:
             k = max(J)
-            factors, divs, value = lead[J - {k}]
+            factors, divisor = lead[J - {k}]
             ell = weyl_act(s.prefixes[k][tuple(i + 1 in J for i in range(k))], neg_alphas[k - 1])
-            lead[J] = factors + (ell,), divs + (linear_divisor(ell),), value * ell
+            lead[J] = factors + (ell,), linear_divisor(ell, divisor)
+            divisors.append(lead[J][1])
         mask, values = sum(1 << (n - i) for i in J), level[J]
-        if values[mask] != lead[J][2]:
+        if values[mask] != (divisors[-1].product if J else one):
             raise VerificationError("basis element has the wrong leading value")
         for r, p in enumerate(values):
             if p.terms:
@@ -202,7 +209,6 @@ def basis(s: ReflSeq) -> Basis:
                     raise VerificationError("basis element breaks triangularity")
                 by_mask[r].append((J, p))
         elements.append(BasisElement(J, FPFunction(s, dict(zip(s.patterns, values))), lead[J][0]))
-        divisors.append(lead[J][1])
     return Basis(s, elements, columns, divisors)
 
 
@@ -211,9 +217,11 @@ def decompose(g: FPFunction, b: Basis | None = None) -> dict[frozenset[int], Pol
     raises NotInSpanError when impossible, and InvalidInputError, before any
     division, for anything but a `Basis` of g's sequence.
 
-    The recursion runs over subsets in ascending cardinality; each step
-    divides exactly by the product of the linear factors of B_J, and the
-    result is re-verified by reconstruction.
+    The recursion runs over subsets in ascending cardinality.  c_empty is
+    g(gamma_empty), since B_empty = 1; for each nonempty J, the residue at
+    gamma_J is divided once, exactly, by the lead value B_J(gamma_J) that
+    `basis` prepared (`Basis.divisors`).  The result is re-verified by
+    reconstruction.
     """
     s = g.seq
     if b is None:
@@ -222,12 +230,12 @@ def decompose(g: FPFunction, b: Basis | None = None) -> dict[frozenset[int], Pol
         raise InvalidInputError("not a Basis; build one with gkm.basis")
     elif b.seq is not s and b.seq != s:
         raise InvalidInputError("basis of a different sequence")
-    coeffs: dict[frozenset[int], Poly] = {}
-    for e, divisors in zip(b, b.divisors):
+    coeffs = {b[0].subset: g.values[b[0].bits]}
+    for e, divisor in zip(b[1:], b.divisors):
         J, bits = e.subset, e.bits
         residue = mul_add(g.values[bits], [(coeffs[Jp], p) for Jp, p in b.columns[bits]
                                            if Jp < J], -1)
-        q = exact_divide(residue, divisors)
+        q = exact_divide(residue, divisor)
         if q is None:
             raise NotInSpanError(sorted(J), str(residue))
         coeffs[J] = q

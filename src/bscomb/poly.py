@@ -4,8 +4,9 @@ Variables are the fundamental weights w1..wr of a root system; the
 cohomological degree of a class is twice the polynomial degree.  Simple
 roots embed linearly via the Cartan matrix (alpha_i = sum_j C[i][j] w_j),
 which makes the Weyl action an integral linear substitution.  Division is
-only ever by linear forms, implemented by univariate long division in a
-pivot variable with a remainder test; no Groebner machinery.
+only ever by a product of linear forms, prepared once (`linear_divisor`):
+one pass of multivariate long division in the order that ranks the last
+variable highest, with a remainder test; no Groebner machinery.
 
 A coefficient is stored as an `int` when it is integral and as a
 `Fraction` only otherwise, so that the common integral case runs on
@@ -19,7 +20,8 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from operator import add, mul, sub
+from heapq import heapify, heappop, heappush
+from operator import add, ge, mul, sub
 
 from .errors import MAX_TERMS, InvalidInputError, check_bound
 from .rootsys import Root, RootSystem, WeylElement
@@ -205,48 +207,88 @@ class Poly:
         return out
 
 
-def linear_divisor(ell: Poly) -> tuple:
-    """ell checked once as a divisor: (nvars, pivot, unit, coefficient, -rest)."""
+@dataclass(frozen=True, slots=True)
+class Divisor:
+    """A product of homogeneous linear forms, prepared for `divide_linear`:
+    its leading term (monomial `lead`, coefficient `coeff`) in the order that
+    ranks the last variable highest, `pivot` the last variable of `lead`, and
+    the other terms negated (`others`)."""
+
+    product: Poly
+    pivot: int
+    lead: Monomial
+    coeff: Coeff
+    others: tuple[tuple[Monomial, Coeff], ...]
+
+
+def linear_divisor(ell: Poly, times: Divisor | None = None) -> Divisor:
+    """ell checked once as a homogeneous linear form and prepared as a
+    divisor: ell itself, or the product of `times` and ell, made by one `*`.
+
+    A product of linear forms has its leading term first in sorted order:
+    every other term moves exponent from later variables to earlier ones."""
     if ell.degree() != 1 or any(sum(m) == 0 for m, _ in ell.terms):
         raise InvalidInputError("divisor must be a homogeneous linear form")
-    (unit, a), rest = ell.terms[0], ell.terms[1:]
-    return ell.nvars, unit.index(1), unit, a, tuple((m, -b) for m, b in rest)
+    product = ell if times is None else times.product * ell
+    (lead, a), rest = product.terms[0], product.terms[1:]
+    pivot = max(j for j, e in enumerate(lead) if e)
+    return Divisor(product, pivot, lead, a, tuple((m, -b) for m, b in rest))
 
 
-def divide_linear(p: Poly, ell: Poly | tuple) -> tuple[Poly, Poly]:
-    """Divide p by a nonzero linear form (a `Poly` or a `linear_divisor`);
-    returns (quotient, remainder), the remainder free of the pivot (ell's
-    last variable) and zero exactly when ell divides p.  One pass in descending pivot degree, over
-    the degrees that have terms: a term of pivot degree k > 0 gives the
-    quotient term that cancels it, and subtracting that term times the rest
-    of ell only touches degree k - 1.  A quotient past MAX_TERMS is refused.
+def divide_linear(p: Poly, divisor: Poly | Divisor) -> tuple[Poly, Poly]:
+    """Divide p by a product of linear forms (a linear form as a `Poly`, or
+    a `linear_divisor`); returns (quotient, remainder), the remainder with
+    no term divisible by the divisor's leading term in the order that ranks
+    the last variable highest, and zero exactly when the divisor divides p.
+    For a single linear form that term is in its last variable, the pivot.
+
+    One pass over a heap of the remaining terms, in descending pivot degree
+    and, within one degree, in ascending lex order (first variable first):
+    a term divisible by the leading term gives the quotient term that
+    cancels it, and subtracting that term times the other terms of the
+    divisor only adds terms the heap takes later, since each other term of
+    a product of linear forms moves exponent from later variables to
+    earlier ones.  So each term is taken once, and the result is the
+    unique quotient and remainder of the division algorithm in that order.
+    A quotient past MAX_TERMS is refused, checked after each pivot degree.
     """
-    nvars, pivot, unit, a, others = linear_divisor(ell) if isinstance(ell, Poly) else ell
-    if p.nvars != nvars:
+    d = linear_divisor(divisor) if isinstance(divisor, Poly) else divisor
+    nvars, pivot, lead, a, top = p.nvars, d.pivot, d.lead, d.coeff, d.lead[d.pivot]
+    if d.product.nvars != nvars:
         raise InvalidInputError("polynomials in different variable counts")
     rest = dict(p.terms)
+    heap = [(-m[pivot], m) for m in rest]
+    heapify(heap)
     quotient: dict[Monomial, Coeff] = {}
-    while rest and (k := max(m[pivot] for m in rest)) > 0:
-        level = []
-        for m in [m for m in rest if m[pivot] == k]:
-            c = rest.pop(m)
-            if c:
-                c = c // a if type(c) is int and type(a) is int and not c % a else Fraction(c, a)
-                level.append((tuple(map(sub, m, unit)), c))
-        quotient.update(level)
-        check_bound("polynomial terms", len(quotient), MAX_TERMS)
-        _mul_into(rest, level, others)
+    level = None
+    while heap:
+        m = heappop(heap)[1]
+        if m[pivot] != level:
+            check_bound("polynomial terms", len(quotient), MAX_TERMS)
+            if (level := m[pivot]) < top:
+                break
+        c = rest[m]
+        if c and all(map(ge, m, lead)):
+            del rest[m]
+            c = c // a if type(c) is int and type(a) is int and not c % a else Fraction(c, a)
+            q = tuple(map(sub, m, lead))
+            quotient[q] = c
+            for t, b in d.others:
+                t = tuple(map(add, q, t))
+                if t in rest:
+                    rest[t] += c * b
+                else:
+                    rest[t] = c * b
+                    heappush(heap, (-t[pivot], t))
+    check_bound("polynomial terms", len(quotient), MAX_TERMS)
     return _canon(nvars, quotient), _canon(nvars, rest) if any(rest.values()) else Poly(nvars)
 
 
-def exact_divide(p: Poly, factors) -> Poly | None:
-    """Divide p by a product of linear forms; None when any step is inexact."""
-    q = p
-    for ell in factors:
-        q, rem = divide_linear(q, ell)
-        if rem.terms:
-            return None
-    return q
+def exact_divide(p: Poly, divisor: Poly | Divisor) -> Poly | None:
+    """p divided by a linear form or a prepared product of linear forms
+    (`linear_divisor`), in one `divide_linear`; None when it is inexact."""
+    q, rem = divide_linear(p, divisor)
+    return None if rem.terms else q
 
 
 def root_poly(rs: RootSystem, root: Root) -> Poly:

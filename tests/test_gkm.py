@@ -33,12 +33,13 @@ from bscomb.gkm import (
 from bscomb.foldcat import subsequence_morphism
 from bscomb.poly import (
     Poly,
+    divide_linear,
     exact_divide,
     linear_divisor,
     root_poly,
     weyl_act,
 )
-from bscomb.rootsys import build_root_system
+from bscomb.rootsys import WeylElement, build_root_system
 
 from conftest import all_seqs, simple_seq
 
@@ -236,6 +237,15 @@ def combine_reference(basis_elements, coeffs):
     return FPFunction(s, values)
 
 
+def divide_by_factors(p, factors):
+    """p divided by each linear form in turn; None at the first inexact step."""
+    for ell in factors:
+        p, rem = divide_linear(p, ell)
+        if rem.terms:
+            return None
+    return p
+
+
 def first_failure_reference(g, basis_elements):
     """(subset, residue string) where the term-by-term residue chain of
     decompose first fails to divide, or None when g is in the span."""
@@ -247,7 +257,7 @@ def first_failure_reference(g, basis_elements):
         for Jp, c in coeffs.items():
             if Jp < J:
                 residue = residue - c * elems[Jp].function.values[bits]
-        q = exact_divide(residue, list(elems[J].lead_factors))
+        q = divide_by_factors(residue, elems[J].lead_factors)
         if q is None:
             return sorted(J), str(residue)
         coeffs[J] = q
@@ -390,6 +400,27 @@ def test_combine_and_decompose_refuse_a_plain_list(b2):
     assert calls  # the count sees a decomposition's divisions
 
 
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_decompose_divides_once_per_nonempty_subset(b2, n):
+    # one division by each lead value, none by B_empty = 1: 2^n - 1 in all,
+    # where dividing by one lead factor at a time makes n 2^(n-1)
+    s = simple_seq(b2, *[1 + k % 2 for k in range(n)])
+    elements = basis(s)
+    rng = random.Random(n)
+    coeffs = {e.subset: rand_frac_poly(rng, 2, 1) for e in elements}
+    g = combine(elements, coeffs)
+    divide, calls = poly.divide_linear, []
+
+    def counting(p, d):
+        calls.append(d)
+        return divide(p, d)
+
+    with mock.patch.object(poly, "divide_linear", counting):
+        assert decompose(g, elements) == coeffs
+    assert len(calls) == 2 ** n - 1
+    assert calls == list(elements.divisors)
+
+
 def test_decompose_refuses_a_wrong_reconstruction(a2):
     # every division is exact, but the recombination is off by a constant
     s = simple_seq(a2, 1, 2)
@@ -494,6 +525,25 @@ def test_generator_matches_reference(s, rng):
     assert list(got.values.items()) == list(generator_reference(s, i, w, c).values.items())
 
 
+def test_generator_acts_by_w_once():
+    # (gamma^i w) . c = gamma^i . (w . c): no Weyl product per prefix
+    s = nonsimple_seq("B", 3, 5)
+    s.prefixes  # the prefix tables are built, and their products made, here
+    w = s.rs.simple_reflection(1) * s.rs.simple_reflection(3)
+    c = root_poly(s.rs, s.rs.simple_roots[1])
+    product, calls = WeylElement.__mul__, []
+
+    def counting(u, v):
+        calls.append(1)
+        return product(u, v)
+
+    with mock.patch.object(WeylElement, "__mul__", counting):
+        got = [generator(s, i, u, c) for i in range(len(s) + 1) for u in (s.rs.identity(), w)]
+    assert not calls
+    assert got == [generator_reference(s, i, u, c)
+                   for i in range(len(s) + 1) for u in (s.rs.identity(), w)]
+
+
 def bump_one_value(concentrate_):
     """concentrate with a constant added at its last gallery."""
     def bumped(s, g, cross):
@@ -545,7 +595,7 @@ def edge_divisible(f):
             folded = gamma.bits[:i - 1] + (not gamma.bits[i - 1],) + gamma.bits[i:]
             diff = f.values[gamma.bits] - f.values[folded]
             ell = root_poly(s.rs, prefix(gamma, i - 1).apply(s[i].root))
-            if exact_divide(diff, [ell]) is None:
+            if exact_divide(diff, ell) is None:
                 return False
     return True
 
@@ -637,7 +687,14 @@ def test_basis_matches_per_level_recursion(s):
     assert got.columns == {bits: [(e.subset, e.function.values[bits]) for e in expected
                                   if e.function.values[bits].terms]
                            for bits in s.patterns}
-    assert got.divisors == [tuple(map(linear_divisor, e.lead_factors)) for e in expected]
+    divisors = []
+    for e in expected[1:]:
+        divisor = None
+        for ell in e.lead_factors:
+            divisor = linear_divisor(ell, divisor)
+        divisors.append(divisor)
+        assert divisor.product == e.function.values[e.bits]
+    assert got.divisors == divisors
 
 
 def test_basis_products_are_made_once_per_call():
@@ -705,18 +762,19 @@ def test_basis_checks_a_level_before_its_products():
 
 def test_basis_refuses_a_wrong_lead_value(b2):
     # the recursion's first crossing factor is off by a constant; the lead
-    # factors, made after the recursion, are right
-    s = simple_seq(b2, 1, 2, 1)
-    act, calls = gkm.weyl_act, []
+    # factors, made after the recursion, are right; in length 1 only the
+    # lead value of {1}, a single form, shows it
+    for s in (simple_seq(b2, 1, 2, 1), simple_seq(b2, 1)):
+        act, calls = gkm.weyl_act, []
 
-    def first_call_off(u, p):
-        calls.append(1)
-        q = act(u, p)
-        return q + Poly.const(2, 1) if len(calls) == 1 else q
+        def first_call_off(u, p):
+            calls.append(1)
+            q = act(u, p)
+            return q + Poly.const(2, 1) if len(calls) == 1 else q
 
-    with mock.patch.object(gkm, "weyl_act", first_call_off):
-        with pytest.raises(VerificationError, match="leading value"):
-            basis(s)
+        with mock.patch.object(gkm, "weyl_act", first_call_off):
+            with pytest.raises(VerificationError, match="leading value"):
+                basis(s)
 
 
 def test_basis_refuses_a_value_off_its_support(b2):

@@ -1,13 +1,17 @@
 """Exact polynomial arithmetic, division by linear forms, and the W-action."""
 
+from collections import Counter
 from fractions import Fraction
+from itertools import accumulate
+from unittest import mock
 
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bscomb.errors import InvalidInputError
+from bscomb import poly
+from bscomb.errors import InvalidInputError, ResourceLimitError
 from bscomb.poly import (
     Poly,
     divide_linear,
@@ -64,8 +68,9 @@ def test_exact_divide_product():
     a = Poly.linear(2, (2, -1))
     b = Poly.linear(2, (-1, 2))
     p = a * b * (a + b)
-    assert exact_divide(p, [a, b]) == a + b
-    assert exact_divide(p + Poly.const(2, 1), [a]) is None
+    assert exact_divide(p, linear_divisor(b, linear_divisor(a))) == a + b
+    assert exact_divide(p, a) == b * (a + b)
+    assert exact_divide(p + Poly.const(2, 1), a) is None
 
 
 def test_divide_requires_linear_form():
@@ -79,6 +84,36 @@ def test_divide_requires_linear_form():
     # a prepared divisor is checked against the dividend's variable count
     with pytest.raises(InvalidInputError):
         divide_linear(Poly.linear(3, (1, 0, 0)), linear_divisor(Poly.linear(2, (1, 1))))
+
+
+def test_product_divisor_checks_each_form():
+    ell = Poly.linear(2, (1, 1))
+    for bad in (ell * ell, ell + Poly.const(2, 1), Poly.zero(2)):
+        with pytest.raises(InvalidInputError, match="^divisor must be a homogeneous linear form$"):
+            linear_divisor(bad, linear_divisor(ell))
+    with pytest.raises(InvalidInputError, match="^polynomials in different variable counts$"):
+        linear_divisor(Poly.linear(3, (1, 0, 0)), linear_divisor(ell))
+
+
+@pytest.mark.parametrize("forms", [[(-1, 2)], [(-1, 2), (1, 1)]], ids=["form", "product"])
+def test_quotient_is_bounded_after_each_pivot_degree(forms):
+    # two dividend terms of each pivot degree, so each degree adds at least
+    # two quotient terms: the refusal counts the quotient after the first
+    # degree that takes it past the bound, not after one term or all of them
+    p = Poly.from_dict(2, {(0, 60): 1, (1, 60): 1})
+    divisor = None
+    for coeffs in forms:
+        divisor = linear_divisor(Poly.linear(2, coeffs), divisor)
+    q, _ = divide_linear(p, divisor)
+    # a quotient term comes from the pivot degree of its own times the lead's
+    per_degree = Counter(m[1] for m, _ in q.terms)
+    counts = accumulate(per_degree[k] for k in sorted(per_degree, reverse=True))
+    expected = next(c for c in counts if c > 20)
+    assert expected > 21
+    with mock.patch.object(poly, "MAX_TERMS", 20):
+        with pytest.raises(ResourceLimitError,
+                           match=f"^polynomial terms {expected} exceeds bound 20$"):
+            divide_linear(p, divisor)
 
 
 def test_simple_root_embedding(a2):
@@ -303,6 +338,14 @@ def test_mul_add_edge_cases():
         mul_add(Poly.linear(3, (1, 0, 0)), [(w1, w2)])
 
 
+def product_divisor(factors):
+    """The prepared divisor of a product of linear forms, one form at a time."""
+    divisor = None
+    for ell in factors:
+        divisor = linear_divisor(ell, divisor)
+    return divisor
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from([2, 3]), st.booleans(), st.data())
 def test_exact_divide_matches_sympy(nvars, exact, data):
@@ -313,8 +356,11 @@ def test_exact_divide_matches_sympy(nvars, exact, data):
         p = p * ell
     if not exact:
         p = p + data.draw(oracle_polys(nvars))
-    quotient = exact_divide(p, factors)
-    assert exact_divide(p, [linear_divisor(ell) for ell in factors]) == quotient
+    quotient = exact_divide(p, product_divisor(factors))
+    # the same product prepared in the other order is the same divisor
+    assert product_divisor(factors[::-1]) == product_divisor(factors)
+    if len(factors) == 1:
+        assert exact_divide(p, factors[0]) == quotient
     gens = _gens(nvars)
     product = sympy.Mul(*[to_sympy(ell) for ell in factors])
     Q, R = sympy.div(to_sympy(p), product, *gens, domain="QQ")
@@ -326,6 +372,43 @@ def test_exact_divide_matches_sympy(nvars, exact, data):
         assert quotient is None
     if exact:
         assert quotient == base
+
+
+def pivoted_linear(nvars):
+    """A linear form whose last variable is drawn, so that the forms of a
+    product often end in different variables; then other terms of the
+    product share the leading term's pivot degree, and the leading term is
+    not a power of one variable."""
+    return st.integers(0, nvars - 1).flatmap(lambda pivot: st.tuples(
+        st.lists(oracle_coeffs, min_size=pivot, max_size=pivot),
+        oracle_coeffs.filter(bool),
+    ).map(lambda t: Poly.linear(nvars, t[0] + [t[1]] + [0] * (nvars - pivot - 1))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([2, 3, 4]), st.booleans(), st.data())
+def test_divide_by_product_matches_sympy(nvars, exact, data):
+    factors = data.draw(st.lists(pivoted_linear(nvars), min_size=1, max_size=3))
+    divisor = product_divisor(factors)
+    p = data.draw(oracle_polys(nvars)) * divisor.product
+    if not exact:
+        p = p + data.draw(oracle_polys(nvars))
+    q, r = divide_linear(p, divisor)
+    assert_canonical(q)
+    assert_canonical(r)
+    # The division algorithm in lex order with the variables reversed:
+    # `sympy.reduced` runs it term by term.  `sympy.div` divides
+    # recursively in its first variable and stops at the first leading
+    # coefficient that does not divide, so it agrees only on exact quotients.
+    order = _gens(nvars)[::-1]
+    Q, R = sympy.reduced(to_sympy(p), [to_sympy(divisor.product)], *order,
+                         order="lex", domain="QQ")
+    assert q == from_sympy(sum(Q, sympy.Integer(0)), nvars)  # Q is empty when p is 0
+    assert r == from_sympy(R, nvars)
+    if exact:
+        Q, R = sympy.div(to_sympy(p), to_sympy(divisor.product), *order, domain="QQ")
+        assert (q, r) == (from_sympy(Q.as_expr(), nvars), Poly.zero(nvars))
+        assert R.is_zero
 
 
 @settings(max_examples=40, deadline=None)
