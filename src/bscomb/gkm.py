@@ -192,16 +192,15 @@ def basis(s: ReflSeq) -> Basis:
     lead = {frozenset(): ((), None)}  # J -> (lead factors, their product as a divisor)
     columns = {bits: [] for bits in s.patterns}
     by_mask = list(columns.values())
-    elements, divisors = [], []
+    elements = []
     for J in sorted(level, key=lambda J: (len(J), sorted(J))):
         if J:
             k = max(J)
             factors, divisor = lead[J - {k}]
             ell = weyl_act(s.prefixes[k][tuple(i + 1 in J for i in range(k))], neg_alphas[k - 1])
             lead[J] = factors + (ell,), linear_divisor(ell, divisor)
-            divisors.append(lead[J][1])
         mask, values = sum(1 << (n - i) for i in J), level[J]
-        if values[mask] != (divisors[-1].product if J else one):
+        if values[mask] != (lead[J][1].product if J else one):
             raise VerificationError("basis element has the wrong leading value")
         for r, p in enumerate(values):
             if p.terms:
@@ -209,7 +208,7 @@ def basis(s: ReflSeq) -> Basis:
                     raise VerificationError("basis element breaks triangularity")
                 by_mask[r].append((J, p))
         elements.append(BasisElement(J, FPFunction(s, dict(zip(s.patterns, values))), lead[J][0]))
-    return Basis(s, elements, columns, divisors)
+    return Basis(s, elements, columns, [lead[e.subset][1] for e in elements[1:]])
 
 
 def decompose(g: FPFunction, b: Basis | None = None) -> dict[frozenset[int], Poly]:

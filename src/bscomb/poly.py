@@ -250,7 +250,10 @@ def divide_linear(p: Poly, divisor: Poly | Divisor) -> tuple[Poly, Poly]:
     a product of linear forms moves exponent from later variables to
     earlier ones.  So each term is taken once, and the result is the
     unique quotient and remainder of the division algorithm in that order.
-    A quotient past MAX_TERMS is refused, checked after each pivot degree.
+    A quotient past MAX_TERMS is refused, checked after each pivot degree
+    and whenever a subtraction adds a term to the current degree, which a
+    product of linear forms in three or more variables can do again and
+    again within one degree.
     """
     d = linear_divisor(divisor) if isinstance(divisor, Poly) else divisor
     nvars, pivot, lead, a, top = p.nvars, d.pivot, d.lead, d.coeff, d.lead[d.pivot]
@@ -280,6 +283,8 @@ def divide_linear(p: Poly, divisor: Poly | Divisor) -> tuple[Poly, Poly]:
                 else:
                     rest[t] = c * b
                     heappush(heap, (-t[pivot], t))
+                    if t[pivot] == level:  # never for one form; can repeat for products
+                        check_bound("polynomial terms", len(quotient), MAX_TERMS)
     check_bound("polynomial terms", len(quotient), MAX_TERMS)
     return _canon(nvars, quotient), _canon(nvars, rest) if any(rest.values()) else Poly(nvars)
 

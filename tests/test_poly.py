@@ -116,6 +116,19 @@ def test_quotient_is_bounded_after_each_pivot_degree(forms):
             divide_linear(p, divisor)
 
 
+def test_quotient_is_bounded_within_one_pivot_degree():
+    # w2^N*w3 over (-2w1+w2)(-w1-w2+w3), lead w2*w3: each quotient term adds
+    # a divisible term of the same pivot degree, so the degree never ends
+    # by itself; the refusal comes as soon as the quotient passes the bound
+    divisor = linear_divisor(Poly.linear(3, (-1, -1, 1)),
+                             linear_divisor(Poly.linear(3, (-2, 1, 0))))
+    assert (divisor.lead, divisor.pivot) == ((0, 1, 1), 2)
+    p = Poly.from_dict(3, {(0, 10**12, 1): 1})
+    with mock.patch.object(poly, "MAX_TERMS", 20):
+        with pytest.raises(ResourceLimitError, match="^polynomial terms 21 exceeds bound 20$"):
+            divide_linear(p, divisor)
+
+
 def test_simple_root_embedding(a2):
     assert root_poly(a2, a2.simple_roots[0]) == Poly.linear(2, (2, -1))
     assert root_poly(a2, a2.simple_roots[1]) == Poly.linear(2, (-1, 2))
