@@ -24,7 +24,7 @@ from bscomb.poly import (
     root_poly,
     weyl_act,
 )
-from bscomb.rootsys import RootSystem, WeylElement, build_root_system, enumerate_weyl
+from bscomb.rootsys import build_root_system, enumerate_weyl
 
 SYSTEMS = [("B", 2), ("B", 3)]
 
@@ -89,19 +89,6 @@ def test_exact_divide(benchmark, system, degree):
 
 
 @pytest.mark.parametrize("system", SYSTEMS, ids=str)
-def test_weyl_act_uncached(benchmark, system):
-    _, cases = _cases(system)
-
-    def fresh():
-        """The cases' elements over a new root system, whose action memo is empty."""
-        rs = RootSystem(*system)
-        return ([(WeylElement(rs, w.perm), p) for p, _, _, w in cases],), {}
-
-    benchmark.pedantic(lambda work: [weyl_act(w, p) for w, p in work],
-                       setup=fresh, rounds=30)
-
-
-@pytest.mark.parametrize("system", SYSTEMS, ids=str)
-def test_weyl_act_cached(benchmark, system):
+def test_weyl_act(benchmark, system):
     _, cases = _cases(system)
     benchmark(lambda: [weyl_act(w, p) for p, _, _, w in cases])

@@ -4,20 +4,24 @@ Classes are functions from the gallery set Gamma(s) to the polynomial ring
 S = Sym of the rational weight lattice, with W acting by linear
 substitution.  The module provides the generator classes, the copy and
 concentration operators, a triangular basis of 2^n elements indexed by
-subsets of positions, and exact decomposition in its span.  Each value of
-a combination sum c_J B_J, and each residue of a decomposition, is one
-multiply-accumulate (`poly.mul_add`) over the nonzero values of the B_J.
+subsets of positions, and exact decomposition in its span.  Where W acts
+on a root, as in the basis, the concentration and its identity, the
+image is read from the system's root forms (`poly.root_forms`); only
+`generator` and `induced_map` act on general polynomials (`weyl_act`).
+Each value of a combination sum c_J B_J, and each residue of a
+decomposition, is one multiply-accumulate (`poly.mul_add`) over the
+nonzero values of the B_J.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache
 
 from . import foldcat  # for an annotation; binding the lazy module runs nothing
 from .errors import (
     MAX_BASIS_LENGTH,
+    MAX_LEVEL_TERMS,
     MAX_TERMS,
     InvalidInputError,
     NotInSpanError,
@@ -25,7 +29,7 @@ from .errors import (
     check_bound,
 )
 from .gallery import Bits, ReflSeq
-from .poly import Poly, exact_divide, linear_divisor, mul_add, root_poly, weyl_act
+from .poly import Poly, exact_divide, linear_divisor, mul_add, root_forms, weyl_act
 from .rootsys import WeylElement
 
 
@@ -42,32 +46,6 @@ class FPFunction:
         for p in self.values.values():
             if p.nvars != self.seq.rs.rank:
                 raise InvalidInputError("value in the wrong polynomial ring")
-
-    def __add__(self, other: "FPFunction") -> "FPFunction":
-        if other.seq != self.seq:
-            raise InvalidInputError("functions over different sequences")
-        return FPFunction(self.seq, {b: p + other.values[b]
-                                     for b, p in self.values.items()})
-
-    def __sub__(self, other: "FPFunction") -> "FPFunction":
-        if other.seq != self.seq:
-            raise InvalidInputError("functions over different sequences")
-        return FPFunction(self.seq, {b: p - other.values[b]
-                                     for b, p in self.values.items()})
-
-    def __mul__(self, other):
-        """Pointwise product with a function, or scaling by S / a rational."""
-        if isinstance(other, FPFunction):
-            if other.seq != self.seq:
-                raise InvalidInputError("functions over different sequences")
-            return FPFunction(self.seq, {b: p * other.values[b]
-                                         for b, p in self.values.items()})
-        if isinstance(other, (Poly, int, Fraction)):
-            return FPFunction(self.seq, {b: p * other
-                                         for b, p in self.values.items()})
-        return NotImplemented
-
-    __rmul__ = __mul__
 
 
 def generator(s: ReflSeq, i: int, w: WeylElement, c: Poly) -> FPFunction:
@@ -100,10 +78,9 @@ def concentrate(s: ReflSeq, g: FPFunction, cross: bool) -> FPFunction:
     if g.seq != s.truncated():
         raise InvalidInputError("function is not over the truncation of s")
     n = len(s)
-    neg_alpha = -root_poly(s.rs, s[n].root)
-    zero = Poly.zero(s.rs.rank)
-    table = s.prefixes[n]
-    return FPFunction(s, {b: weyl_act(table[b], neg_alpha) * g.values[b[:-1]]
+    forms, neg = root_forms(s.rs), s[n].index + len(s.rs.roots) // 2  # -alpha_n
+    zero, table = Poly.zero(s.rs.rank), s.prefixes[n]
+    return FPFunction(s, {b: forms[table[b].perm[neg]] * g.values[b[:-1]]
                           if b[-1] == cross and g.values[b[:-1]].terms else zero
                           for b in s.patterns})
 
@@ -112,27 +89,24 @@ def concentration_identity_check(s: ReflSeq, g: FPFunction, cross: bool) -> bool
     """Verify nabla_t g = -1/2 (Sigma(s,n-1,1)*(t alpha_n)
     + Sigma(s,n,1)*(alpha_n)) . Delta g pointwise, in the form multiplied
     by -2, which has the same solutions over Q and needs no fractions: one
-    gallery at a time, stopping at the first that differs."""
-    n = len(s)
-    alpha = root_poly(s.rs, s[n].root)
-    t_alpha = weyl_act(s[n].as_weyl(), alpha) if cross else alpha
-    before = generator(s, n - 1, s.rs.identity(), t_alpha).values
-    last = generator(s, n, s.rs.identity(), alpha).values
+    gallery at a time, stopping at the first that differs.  Both Sigma
+    values at gamma are roots, gamma^(n-1)(t alpha_n) with t alpha_n =
+    -alpha_n when t = s_n, and gamma^n(alpha_n), read from `root_forms`."""
+    k, forms = s[len(s)].index, root_forms(s.rs)  # alpha_n
+    tk = k + len(s.rs.roots) // 2 if cross else k  # t alpha_n
+    before, last = s.prefixes[-2], s.prefixes[-1]
     nabla, delta = concentrate(s, g, cross).values, copy(s, g).values
-    return all(nabla[b] * -2 == (before[b] + last[b]) * delta[b] for b in s.patterns)
+    return all(nabla[b] * -2 == (forms[before[b[:-1]].perm[tk]] + forms[last[b].perm[k]])
+               * delta[b] for b in s.patterns)
 
 
 @dataclass(frozen=True)
 class BasisElement:
-    """B_J with its leading value at gamma_J (bits) pre-factored into linear forms."""
+    """B_J with gamma_J (bits), the gallery that crosses exactly at J."""
 
     subset: frozenset[int]
     function: FPFunction
-    lead_factors: tuple[Poly, ...]
-
-    @cached_property
-    def bits(self) -> Bits:
-        return tuple(i + 1 in self.subset for i in range(len(self.function.seq)))
+    bits: Bits
 
 
 class Basis(tuple):
@@ -154,61 +128,65 @@ def basis(s: ReflSeq) -> Basis:
     and concentrating (nabla_t, t = s_k) at k in J, on plain tables over s:
     level k holds, for each J in {1..k}, the values over the k-bit patterns
     in lexicographic order, where a pattern's index is its bitmask.  Each
-    level's crossing factors gamma^k(-alpha_k) are computed once, every
-    (factor, nonzero value) pair of the level is checked against MAX_TERMS,
-    in (J, pattern) order, before any of its products is made, and each
-    distinct product is made once per call.  Every element is
-    re-verified: it vanishes off {gamma : J subset supp(gamma)}, and its
-    value at gamma_J is the product of the forms prefix(gamma_J, i)(-alpha_i)
-    over i in J.  That product is prepared as a divisor along the subset
-    lattice: the divisor of J is that of J - max J times one new form,
-    which `linear_divisor` validates, and its product is made by one plain
-    `*`.  The same pass over the values fills the basis's columns.
+    crossing factor gamma^k(-alpha_k) is a root, read from `root_forms`.
+    Every (factor, nonzero value) pair of a level is checked against
+    MAX_TERMS, in (J, pattern) order, and the sum over the pairs against
+    MAX_LEVEL_TERMS, before any of its products is made; each distinct
+    product is made once per call.  Every element is re-verified: it
+    vanishes off {gamma : J subset supp(gamma)}, and its value at gamma_J
+    is the product of the forms prefix(gamma_J, i)(-alpha_i) over i in J.
+    That product is prepared as a divisor along the subset lattice: the
+    divisor of J is that of J - max J times one new form, which
+    `linear_divisor` validates, and its product is made by one plain `*`.
+    The same pass over the values fills the basis's columns.
     """
     n = len(s)
     check_bound("basis sequence length", n, MAX_BASIS_LENGTH)
     one, zero = Poly.const(s.rs.rank, 1), Poly.zero(s.rs.rank)
+    # -alpha_k as an index: rs.roots[i + N] = -rs.roots[i] for N positive roots
+    forms, neg = root_forms(s.rs), [t.index + len(s.rs.roots) // 2 for t in s.entries]
 
     @cache  # the product table, which lives for this call
     def times(c: Poly, p: Poly) -> Poly:
         return c * p
 
     level: dict[frozenset[int], list[Poly]] = {frozenset(): [one]}
-    neg_alphas = [-root_poly(s.rs, t.root) for t in s.entries]
     for k in range(1, n + 1):
         # gamma^k(-alpha_k) for each crossing k-bit pattern, in pattern order
-        cross = [weyl_act(u, neg_alphas[k - 1]) for b, u in s.prefixes[k].items() if b[-1]]
-        sizes = [len(c.terms) for c in cross]
-        for f in level.values():  # the level's bound, before any of its products
+        cross = [forms[u.perm[neg[k - 1]]] for b, u in s.prefixes[k].items() if b[-1]]
+        sizes, total = [len(c.terms) for c in cross], 0
+        for f in level.values():  # the level's bounds, before any of its products
             for a, p in zip(sizes, f):
                 if p.terms:
                     check_bound("polynomial terms", a * len(p.terms), MAX_TERMS)
+                    total += a * len(p.terms)
+        check_bound("basis level polynomial terms", total, MAX_LEVEL_TERMS)
         nxt: dict[frozenset[int], list[Poly]] = {}
         for J, f in level.items():
             nxt[J] = [p for p in f for _ in (False, True)]
             nxt[J | {k}] = [q for c, p in zip(cross, f)
                             for q in (zero, times(c, p) if p.terms else zero)]
         level = nxt
-    lead = {frozenset(): ((), None)}  # J -> (lead factors, their product as a divisor)
+    lead = {frozenset(): None}  # J -> its lead value, prepared as a divisor
     columns = {bits: [] for bits in s.patterns}
     by_mask = list(columns.values())
     elements = []
     for J in sorted(level, key=lambda J: (len(J), sorted(J))):
+        bits = tuple(i + 1 in J for i in range(n))
         if J:
             k = max(J)
-            factors, divisor = lead[J - {k}]
-            ell = weyl_act(s.prefixes[k][tuple(i + 1 in J for i in range(k))], neg_alphas[k - 1])
-            lead[J] = factors + (ell,), linear_divisor(ell, divisor)
+            lead[J] = linear_divisor(forms[s.prefixes[k][bits[:k]].perm[neg[k - 1]]],
+                                     lead[J - {k}])
         mask, values = sum(1 << (n - i) for i in J), level[J]
-        if values[mask] != (lead[J][1].product if J else one):
+        if values[mask] != (lead[J].product if J else one):
             raise VerificationError("basis element has the wrong leading value")
         for r, p in enumerate(values):
             if p.terms:
                 if r & mask != mask:
                     raise VerificationError("basis element breaks triangularity")
                 by_mask[r].append((J, p))
-        elements.append(BasisElement(J, FPFunction(s, dict(zip(s.patterns, values))), lead[J][0]))
-    return Basis(s, elements, columns, [lead[e.subset][1] for e in elements[1:]])
+        elements.append(BasisElement(J, FPFunction(s, dict(zip(s.patterns, values))), bits))
+    return Basis(s, elements, columns, [lead[e.subset] for e in elements[1:]])
 
 
 def decompose(g: FPFunction, b: Basis | None = None) -> dict[frozenset[int], Poly]:

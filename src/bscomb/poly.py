@@ -312,8 +312,17 @@ def weight_matrix(w: WeylElement) -> tuple[tuple[int, ...], ...]:
     return tuple(rs.coroots[winv[rs._index[a.coords]]] for a in rs.simple_roots)
 
 
+def root_forms(rs: RootSystem) -> tuple[Poly, ...]:
+    """Every root as a linear form, indexed like rs.roots and built once per
+    system.  Since w . root_poly(beta) = root_poly(w(beta)), the action of w
+    on root k is the form at w.perm[k]: a lookup, with no substitution."""
+    if rs._root_forms is None:
+        rs._root_forms = tuple(root_poly(rs, r) for r in rs.roots)
+    return rs._root_forms
+
+
 def weyl_act(w: WeylElement, p: Poly) -> Poly:
-    """The ring automorphism of S induced by w on weights, memoised on w.rs.
+    """The ring automorphism of S induced by w on weights.
 
     Only the variables that occur in p get their image w(w_j), column j of
     `weight_matrix(w)`, each in O(rank); `substitute` never reads the image
@@ -321,12 +330,7 @@ def weyl_act(w: WeylElement, p: Poly) -> Poly:
     rank = w.rs.rank
     if p.nvars != rank:
         raise InvalidInputError("polynomial variable count does not match rank")
-    memo, key = w.rs._act_memo, (w.perm, p.terms)
-    cached = memo.get(key)
-    if cached is None:
-        rows, zero = weight_matrix(w), Poly.zero(rank)
-        used = {j for m, _ in p.terms for j, e in enumerate(m) if e}
-        images = [Poly.linear(rank, [row[j] for row in rows]) if j in used else zero
-                  for j in range(rank)]
-        cached = memo[key] = p.substitute(images)
-    return cached
+    rows, zero = weight_matrix(w), Poly.zero(rank)
+    used = {j for m, _ in p.terms for j, e in enumerate(m) if e}
+    return p.substitute([Poly.linear(rank, [row[j] for row in rows]) if j in used else zero
+                         for j in range(rank)])

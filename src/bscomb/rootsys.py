@@ -98,8 +98,10 @@ class RootSystem:
     """The full root datum of a finite family/rank: roots, coroots, Weyl group.
 
     Construct via :func:`build_root_system`; instances compare by (family,
-    rank).  A system owns the memo tables of pure functions of it (the Weyl
-    list, gallery-type answers, Weyl actions); a fresh one starts empty.
+    rank).  A system owns the tables of pure functions of it, each filled
+    on first use: the Weyl list, one linear form per root
+    (`poly.root_forms`), and the gallery-type answers, one per distinct
+    sequence asked, kept as long as the system.  A fresh one starts empty.
     """
 
     def __init__(self, family: str, rank: int):
@@ -119,7 +121,7 @@ class RootSystem:
         self._identity = WeylElement(self, tuple(range(len(self.roots))))
         self._weyl_cache: list["WeylElement"] | None = None
         self._gallery_type_memo: dict = {}
-        self._act_memo: dict = {}
+        self._root_forms: tuple | None = None
 
     def _root_index(self, root: Root) -> int:
         """The index of root in `roots`; refuses a non-root."""

@@ -147,8 +147,9 @@ RANK2_MORPHISM = json.dumps({"source": "A2: s1", "target": "A2: s1 s1", "p": [2]
     ["basis", "D30: [" + "0," * 20 + "1,1,1,1,1,1,1,1,1,1] s1 s2 s3 s4 s5 s6 s7 s8 s9"],
     ["decompose", "A3: s1 s2",
      json.dumps({"values": {"00": "0", "01": "0", "10": "0", "11": "w2^1000000000000*w3"}})],
+    ["basis", "A8: s1 s2 s3 s4 s5 s6 s7 s8 s1 s2"],
 ], ids=["apply-rank-2", "apply-power-of-two", "decompose-quotient", "basis-rank-30",
-        "decompose-product-one-degree"])
+        "decompose-product-one-degree", "basis-level-A8"])
 def test_polynomial_expansion_is_bounded(argv):
     # In rank 2 the image (-w1+w2)^N of w1^N has N+1 terms, and dividing
     # w2^N by a linear form gives N quotient terms: each command stops at
@@ -156,7 +157,8 @@ def test_polynomial_expansion_is_bounded(argv):
     # last squares a power, so the squares alone must be bounded.  A basis
     # element in rank 30 is a product of linear forms of up to 30 terms.
     # Dividing w2^N*w3 by the A3 lead value (-2w1+w2)(-w1-w2+w3) adds a
-    # divisible term within one pivot degree at every step.
+    # divisible term within one pivot degree at every step.  Every product
+    # of the A8 basis is small, but a level of it holds over 10^5 terms.
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     proc = subprocess.run([sys.executable, "-m", "bscomb.cli", *argv], cwd=ROOT, env=env,
                           capture_output=True, timeout=10, preexec_fn=cap_address_space)

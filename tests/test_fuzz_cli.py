@@ -8,7 +8,7 @@ empty standard input under a per-example alarm and address-space cap.  The run m
 or 4 without an exception and within the alarm; when it exits 0 in
 structured format, its stdout must parse as JSON.  A second test puts a
 power w_j^N, N up to 10^12, into one value of each function document, a
-rank-2 `morphism apply` among them.  The examples are derandomized, so the
+rank-2 `morphism apply` among them, and in rank 3 also w_j^N*w_k.  The examples are derandomized, so the
 gate runs the same inputs every time.
 """
 
@@ -34,6 +34,8 @@ MORPHISM = json.dumps({"source": "A1: s1", "target": "A1: s1 s1", "p": [2], "w":
                        "phi": {"0": "10", "1": "11"}})
 RANK2_MORPHISM = json.dumps({"source": "A2: s1", "target": "A2: s1 s1", "p": [2], "w": "s1",
                              "phi": {"0": "10", "1": "11"}})
+RANK3_MORPHISM = json.dumps({"source": "A3: s2", "target": "A3: s2 s2", "p": [2], "w": "s2",
+                             "phi": {"0": "10", "1": "11"}})
 
 # one valid command per subcommand; each runs in both formats
 SEEDS = {
@@ -44,6 +46,9 @@ SEEDS = {
     "basis": ["basis", "B2: s1 s2"],
     "decompose": ["decompose", "A2: s1 s2", json.dumps(
         {"values": {b: "w1 + 3*w2^2" for b in ("00", "01", "10", "11")}})],
+    # the value at 11, whose lead value is a product of two forms, comes first
+    "decompose-rank-3": ["decompose", "A3: s1 s2", json.dumps(
+        {"values": {b: "w1 + 3*w2^2 - w3" for b in ("11", "00", "01", "10")}})],
     "morphism-verify": ["morphism", "verify", MORPHISM],
     "morphism-enumerate": ["morphism", "enumerate", "A2: s1", "A2: s1 s2"],
     "morphism-apply": ["morphism", "apply", MORPHISM,
@@ -51,6 +56,8 @@ SEEDS = {
     # the two values that phi reads come first
     "morphism-apply-rank-2": ["morphism", "apply", RANK2_MORPHISM,
                               '{"values": {"10": "w1*w2", "11": "w2", "00": "0", "01": "w1"}}'],
+    "morphism-apply-rank-3": ["morphism", "apply", RANK3_MORPHISM,
+                              '{"values": {"10": "w2*w3", "11": "w1", "00": "0", "01": "w3"}}'],
     "weyl-info": ["weyl", "info", "--root-system", "G2"],
 }
 # argument values that a mutation leaves alone: subcommand names and flags
@@ -75,6 +82,10 @@ TOKEN = re.compile(r"[A-Za-z]+\d*(?:\^\d+)?|\d+(?:/\d+)?")
 # exponents for a function value: huge ones that a rank-2 Weyl action or a
 # division expands term by term, and small ones
 EXPONENTS = [100000, 10 ** 6, 10 ** 12, 2, 64]
+# in rank 3 a value becomes w_j^N*w_k instead; the first pair and the first
+# exponent, which Hypothesis tries first, make w2^(10^12)*w3, whose division
+# by the A3 lead value (-2w1+w2)(-w1-w2+w3) once ran without end
+RANK3_PAIRS = [(2, 3), (1, 2), (1, 3), (2, 1), (3, 1), (3, 2)]
 ALARM_S = 5
 
 
@@ -184,17 +195,24 @@ def test_mutated_command_exits_cleanly(name, data):
         json.loads(out)
 
 
-@pytest.mark.parametrize("name", ["decompose", "morphism-apply", "morphism-apply-rank-2"])
+@pytest.mark.parametrize("name", ["decompose", "morphism-apply", "morphism-apply-rank-2",
+                                  "decompose-rank-3", "morphism-apply-rank-3"])
 @settings(max_examples=12, derandomize=True, database=None, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_large_exponent_in_a_function_value_ends(name, data):
     # one value of the function document becomes w_j^N; in rank 2 the Weyl
-    # action and the division expand such a power term by term
+    # action and the division expand such a power term by term.  In rank 3
+    # it is w_j^N*w_k, which a product of linear forms in three variables
+    # divides with new terms inside one pivot degree
     *argv, function = SEEDS[name]
     doc = json.loads(function)
     key = data.draw(st.sampled_from(list(doc["values"])))
-    power = f"w{data.draw(st.integers(1, 2))}^{data.draw(st.sampled_from(EXPONENTS))}"
+    if name.endswith("rank-3"):
+        j, k = data.draw(st.sampled_from(RANK3_PAIRS))
+        power = f"w{j}^{data.draw(st.sampled_from(sorted(EXPONENTS, reverse=True)))}*w{k}"
+    else:
+        power = f"w{data.draw(st.integers(1, 2))}^{data.draw(st.sampled_from(EXPONENTS))}"
     doc["values"][key] = power
     code, _ = run_cli(argv + [json.dumps(doc)])
     assert code in (0, 2, 3, 4), (key, power)

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from operator import mul
 from types import SimpleNamespace
 from unittest import mock
 
@@ -55,6 +56,23 @@ def rand_poly(rng, rank, max_deg=2):
 def rand_fp(rng, s):
     return FPFunction(s, {g.bits: rand_poly(rng, s.rs.rank)
                           for g in galleries(s)})
+
+
+def pointwise(op, *fs):
+    """gamma -> op(f_1(gamma), ..., f_k(gamma)) over the first function's sequence."""
+    s = fs[0].seq
+    return FPFunction(s, {b: op(*(f.values[b] for f in fs)) for b in s.patterns})
+
+
+def lead_products(s, reference):
+    """J -> the product of B_J's lead factors, from `basis_reference(s)`."""
+    out = {}
+    for J, _, lead in reference:
+        product = Poly.const(s.rs.rank, 1)
+        for ell in lead:
+            product = product * ell
+        out[J] = product
+    return out
 
 
 def test_generator_constant_cases(a2):
@@ -127,16 +145,15 @@ def test_basis_single_letter(a2):
 
 def test_basis_triangularity(a2):
     s = simple_seq(a2, 1, 2, 1)
+    products = lead_products(s, basis_reference(s))
     for e in basis(s):
         for bits, p in e.function.values.items():
             support = {i for i, b in enumerate(bits, start=1) if b}
             if not e.subset <= support:
                 assert not p.terms
+        assert e.bits == tuple(i in e.subset for i in range(1, len(s) + 1))
         lead = e.function.values[e.bits]
-        product = Poly.const(2, 1)
-        for ell in e.lead_factors:
-            product = product * ell
-        assert lead == product
+        assert lead == products[e.subset]
         assert lead.terms
 
 
@@ -185,8 +202,8 @@ def test_generators_span_products(a2):
     a1 = root_poly(a2, a2.simple_roots[0])
     g1 = generator(s, 1, a2.identity(), a1)
     g2 = generator(s, 2, a2.identity(), root_poly(a2, a2.simple_roots[1]))
-    decompose(g1 * g2)
-    decompose(g1 * g1 + 2 * g2)
+    decompose(pointwise(mul, g1, g2))
+    decompose(pointwise(lambda p, q: p * p + q * 2, g1, g2))
 
 
 def test_induced_map_identity(a2):
@@ -248,8 +265,10 @@ def divide_by_factors(p, factors):
 
 def first_failure_reference(g, basis_elements):
     """(subset, residue string) where the term-by-term residue chain of
-    decompose first fails to divide, or None when g is in the span."""
+    decompose first fails to divide, one lead factor of `basis_reference`
+    at a time, or None when g is in the span."""
     elems = {e.subset: e for e in basis_elements}
+    leads = {J: lead for J, _, lead in basis_reference(g.seq)}
     coeffs = {}
     for J in sorted(elems, key=lambda J: (len(J), sorted(J))):
         bits = elems[J].bits
@@ -257,7 +276,7 @@ def first_failure_reference(g, basis_elements):
         for Jp, c in coeffs.items():
             if Jp < J:
                 residue = residue - c * elems[Jp].function.values[bits]
-        q = divide_by_factors(residue, elems[J].lead_factors)
+        q = divide_by_factors(residue, leads[J])
         if q is None:
             return sorted(J), str(residue)
         coeffs[J] = q
@@ -381,8 +400,8 @@ def test_combine_and_decompose_refuse_a_plain_list(b2):
     elements = basis(s)
     coeffs = {e.subset: Poly.const(2, 1) for e in elements}
     g = combine(elements, coeffs)
-    hand_built = [BasisElement(J, FPFunction(s, values), lead)
-                  for J, values, lead in basis_reference(s)]
+    hand_built = [BasisElement(J, FPFunction(s, values), e.bits)
+                  for (J, values, _), e in zip(basis_reference(s), elements)]
     divide, calls = poly.divide_linear, []
 
     def counting(p, d):
@@ -473,9 +492,10 @@ def identity_check_reference(s, g, cross):
     n = len(s)
     alpha = root_poly(s.rs, s[n].root)
     t_alpha = weyl_act(s[n].as_weyl(), alpha) if cross else alpha
-    factor = (generator(s, n - 1, s.rs.identity(), t_alpha)
-              + generator(s, n, s.rs.identity(), alpha)) * Fraction(-1, 2)
-    return gkm.concentrate(s, g, cross).values == (factor * copy(s, g)).values
+    factor = pointwise(lambda p, q: (p + q) * Fraction(-1, 2),
+                       generator(s, n - 1, s.rs.identity(), t_alpha),
+                       generator(s, n, s.rs.identity(), alpha))
+    return gkm.concentrate(s, g, cross).values == pointwise(mul, factor, copy(s, g)).values
 
 
 ORACLE_SYSTEMS = [build_root_system(f, r) for f, r in (("A", 2), ("B", 2), ("G", 2), ("B", 3))]
@@ -506,10 +526,13 @@ def test_basis_matches_reference(s):
     got = basis(s)
     expected = basis_reference(s)
     assert [e.subset for e in got] == [J for J, _, _ in expected]
-    for e, (_, values, lead) in zip(got, expected):
+    for e, (J, values, _) in zip(got, expected):
         assert e.function.seq == s
         assert list(e.function.values.items()) == list(values.items())
-        assert e.lead_factors == lead
+        assert e.bits == tuple(i in J for i in range(1, len(s) + 1))
+    # each lead value, prepared as a divisor, is the product of its factors
+    products = lead_products(s, expected)
+    assert [d.product for d in got.divisors] == [products[e.subset] for e in got[1:]]
 
 
 @settings(max_examples=60, deadline=None)
@@ -632,14 +655,15 @@ def test_combinations_satisfy_edge_condition(s, rng):
 # -- the tabled basis against the per-level recursion it replaces --------------
 
 def _reference_basis(s):
-    """The per-level recursion with one product per (subset, gallery) and
-    each element's lead value re-multiplied from its own factors."""
+    """The per-level recursion with one product per (subset, gallery), each
+    crossing factor and lead factor read off the action on roots, and each
+    element's lead value re-multiplied from its own factors: a list of
+    (element, lead factors)."""
     n = len(s)
     zero = Poly.zero(s.rs.rank)
     level = {frozenset(): [Poly.const(s.rs.rank, 1)]}
-    neg_alphas = [-root_poly(s.rs, t.root) for t in s.entries]
     for k in range(1, n + 1):
-        cross = [weyl_act(u, neg_alphas[k - 1]) for b, u in s.prefixes[k].items() if b[-1]]
+        cross = [root_poly(s.rs, u.apply(-s[k].root)) for b, u in s.prefixes[k].items() if b[-1]]
         nxt = {}
         for J, f in level.items():
             nxt[J] = [p for p in f for _ in (False, True)]
@@ -650,16 +674,17 @@ def _reference_basis(s):
     for J in sorted(level, key=lambda J: (len(J), sorted(J))):
         f = FPFunction(s, dict(zip(s.patterns, level[J])))
         bits = tuple(i + 1 in J for i in range(n))
-        lead = tuple(weyl_act(s.prefixes[i][bits[:i]], neg_alphas[i - 1]) for i in sorted(J))
-        elem = BasisElement(J, f, lead)
-        _reference_verify_basis_element(s, elem)
-        out.append(elem)
+        lead = tuple(root_poly(s.rs, s.prefixes[i][bits[:i]].apply(-s[i].root))
+                     for i in sorted(J))
+        elem = BasisElement(J, f, bits)
+        _reference_verify_basis_element(s, elem, lead)
+        out.append((elem, lead))
     return out
 
 
-def _reference_verify_basis_element(s, elem):
+def _reference_verify_basis_element(s, elem, lead):
     product = Poly.const(s.rs.rank, 1)
-    for ell in elem.lead_factors:
+    for ell in lead:
         product = product * ell
     if elem.function.values[elem.bits] != product:
         raise VerificationError("basis element has the wrong leading value")
@@ -678,22 +703,22 @@ def test_basis_matches_per_level_recursion(s):
     got = basis(s)
     expected = _reference_basis(s)
     assert isinstance(got, Basis) and isinstance(got, tuple)
-    assert [e.subset for e in got] == [e.subset for e in expected]
-    for e, ref in zip(got, expected):
+    assert [e.subset for e in got] == [ref.subset for ref, _ in expected]
+    for e, (ref, _) in zip(got, expected):
         assert e.function.seq == s
         assert list(e.function.values.items()) == list(ref.function.values.items())
-        assert e.lead_factors == ref.lead_factors
+        assert e.bits == ref.bits
     # the tables: nonzero values per gallery, and the lead factors as divisors
-    assert got.columns == {bits: [(e.subset, e.function.values[bits]) for e in expected
-                                  if e.function.values[bits].terms]
+    assert got.columns == {bits: [(ref.subset, ref.function.values[bits])
+                                  for ref, _ in expected if ref.function.values[bits].terms]
                            for bits in s.patterns}
     divisors = []
-    for e in expected[1:]:
+    for ref, lead in expected[1:]:
         divisor = None
-        for ell in e.lead_factors:
+        for ell in lead:
             divisor = linear_divisor(ell, divisor)
         divisors.append(divisor)
-        assert divisor.product == e.function.values[e.bits]
+        assert divisor.product == ref.function.values[ref.bits]
     assert got.divisors == divisors
 
 
@@ -701,7 +726,6 @@ def test_basis_products_are_made_once_per_call():
     # B_J(gamma) repeats across J and gamma; each distinct product is made
     # once per call, and no table survives the call
     s = nonsimple_seq("G", 2, 6)
-    _reference_basis(s)  # the action memo is warm, so no count below includes its products
     calls = []
     product = Poly.__mul__
 
@@ -744,7 +768,8 @@ def test_basis_checks_a_level_before_its_products():
     bound = max(max(level) for level in counts[:-1])
     over = [c for c in counts[-1] if c > bound]
     assert over and over[0] < max(over)
-    basis(s)  # every crossing factor is now in the action memo, so no product below is its
+    # the crossing factors are read from the root table, so every product
+    # counted below is one of the recursion's
     made, product = [], Poly.__mul__
 
     def counting(p, q):
@@ -760,19 +785,48 @@ def test_basis_checks_a_level_before_its_products():
     assert set(made) == {pair for level in pairs[:-1] for pair in level}
 
 
-def test_basis_refuses_a_wrong_lead_value(b2):
-    # the recursion's first crossing factor is off by a constant; the lead
-    # factors, made after the recursion, are right; in length 1 only the
-    # lead value of {1}, a single form, shows it
-    for s in (simple_seq(b2, 1, 2, 1), simple_seq(b2, 1)):
-        act, calls = gkm.weyl_act, []
+def test_basis_checks_a_level_total_before_its_products():
+    # every pair is within MAX_TERMS, but the terms of level 4's pair
+    # products sum past a bound that the sums of levels 1..3 meet: the
+    # refusal names that sum, and no product of level 4 is made
+    s = nonsimple_seq("B", 3, 4)
+    pairs = [level_pairs(s, k) for k in range(1, len(s) + 1)]
+    totals = [sum(len(c.terms) * len(p.terms) for c, p in level) for level in pairs]
+    bound = totals[-1] - 1
+    assert max(totals[:-1]) <= bound
+    made, product = [], Poly.__mul__
 
-        def first_call_off(u, p):
+    def counting(p, q):
+        made.append((p, q))
+        return product(p, q)
+
+    with mock.patch.object(gkm, "MAX_LEVEL_TERMS", bound), \
+            mock.patch.object(Poly, "__mul__", counting):
+        with pytest.raises(ResourceLimitError, match=f"^basis level polynomial terms "
+                                                     f"{totals[-1]} exceeds bound {bound}$"):
+            basis(s)
+    assert set(made) == {pair for level in pairs[:-1] for pair in level}
+
+
+def test_basis_refuses_a_wrong_lead_value(b2):
+    # the recursion's first product is off by a constant, so its value at
+    # gamma_{1} is; the lead values, made by `linear_divisor` from the root
+    # table, are right, and the support is unchanged, so only the lead
+    # comparison sees it; in length 1 that product is the whole of B_{1}
+    cache_ = gkm.cache
+
+    def first_product_off(f):
+        calls = []
+
+        def off(c, p):
             calls.append(1)
-            q = act(u, p)
+            q = f(c, p)
             return q + Poly.const(2, 1) if len(calls) == 1 else q
 
-        with mock.patch.object(gkm, "weyl_act", first_call_off):
+        return cache_(off)
+
+    for s in (simple_seq(b2, 1, 2, 1), simple_seq(b2, 1)):
+        with mock.patch.object(gkm, "cache", first_product_off):
             with pytest.raises(VerificationError, match="leading value"):
                 basis(s)
 

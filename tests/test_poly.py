@@ -18,11 +18,12 @@ from bscomb.poly import (
     exact_divide,
     linear_divisor,
     mul_add,
+    root_forms,
     root_poly,
     weight_matrix,
     weyl_act,
 )
-from bscomb.rootsys import build_root_system, enumerate_weyl
+from bscomb.rootsys import RootSystem, build_root_system, enumerate_weyl
 
 from conftest import simple_seq
 
@@ -143,12 +144,26 @@ def test_weyl_act_on_roots(a2):
     assert weyl_act(a2.identity(), a1) == a1
 
 
-@pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2), ("G", 2)])
+@pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2), ("G", 2), ("B", 3)])
 def test_weyl_act_matches_root_action(family, rank):
+    # and the root table agrees: w . root k is the form at w.perm[k]
     rs = build_root_system(family, rank)
+    table = root_forms(rs)
+    assert len(table) == len(rs.roots)
     for w in enumerate_weyl(rs):
-        for root in rs.roots:
-            assert weyl_act(w, root_poly(rs, root)) == root_poly(rs, w.apply(root))
+        for k, root in enumerate(rs.roots):
+            image = weyl_act(w, root_poly(rs, root))
+            assert image == root_poly(rs, w.apply(root))
+            assert image == table[w.perm[k]]
+
+
+def test_root_forms_are_built_once_per_system():
+    rs = RootSystem("B", 3)
+    with mock.patch.object(poly, "root_poly", wraps=poly.root_poly) as made:
+        table = root_forms(rs)
+        assert root_forms(rs) is table
+    assert made.call_count == len(table) == len(rs.roots)
+    assert list(table) == [root_poly(rs, r) for r in rs.roots]
 
 
 @pytest.mark.parametrize("family,rank,letters", [

@@ -1,5 +1,6 @@
 """Root systems, Weyl elements, and reflections."""
 
+import copy
 import hashlib
 
 import pytest
@@ -18,7 +19,7 @@ from bscomb.rootsys import (
     conjugate_reflection,
     enumerate_weyl,
 )
-from bscomb.poly import root_poly, weight_matrix, weyl_act
+from bscomb.poly import Poly, weight_matrix, weyl_act
 
 from conftest import positive_root
 
@@ -126,15 +127,23 @@ def test_memo_tables_belong_to_their_system():
     # a simple sequence conjugated by w: of gallery type with x != e
     entries = [conjugate_reflection(w, shared.reflections[i]).root for i in (0, 1, 0, 4)]
     seq = ReflSeq(shared, tuple(shared.reflection(r) for r in entries))
-    p = root_poly(shared, shared.roots[5])
-    cert, image = is_gallery_type(seq), weyl_act(w, p)
+    cert = is_gallery_type(seq)
     assert not cert.x.is_identity()
-    assert (fresh._gallery_type_memo, fresh._act_memo) == ({}, {})
+    assert (fresh._gallery_type_memo, fresh._root_forms) == ({}, None)
     fresh_seq = ReflSeq(fresh, tuple(fresh.reflection(r) for r in entries))
     fresh_cert = is_gallery_type(fresh_seq)
     assert ((fresh_cert.x, fresh_cert.t.entries, fresh_cert.gamma.bits)
             == (cert.x, cert.t.entries, cert.gamma.bits))
-    assert weyl_act(WeylElement(fresh, w.perm), p) == image
+    # the Weyl action keeps nothing: 2,000 distinct polynomials leave every
+    # attribute of the system as it was
+    before = [{name: copy.copy(value) for name, value in vars(rs).items()}
+              for rs in (shared, fresh)]
+    polys = [Poly.linear(3, (k, k % 7 - 3, 1)) * Poly.linear(3, (1, 0, k % 5))
+             for k in range(2000)]
+    assert len({p.terms for p in polys}) == len(polys)
+    for p in polys:
+        assert weyl_act(w, p) == weyl_act(WeylElement(fresh, w.perm), p)
+    assert [vars(shared), vars(fresh)] == before
     # a repeat is a hit on the system's own table
     assert is_gallery_type(fresh_seq) is fresh_cert
 
