@@ -1,6 +1,7 @@
-"""Microbenchmarks for the gallery layer: the gallery-type search on a
+"""Microbenchmarks for the gallery layer: the gallery-type decision on a
 positive and a negative B3 sequence and on a negative length-9 D4 sequence,
-and the prefix tables of a length-10 B3 sequence.
+that D4 decision as the first call on a new system, and the prefix tables
+of a length-10 B3 sequence.
 
 Run from the repository root:
 
@@ -12,7 +13,7 @@ Tier-1 does not collect this file (`testpaths = ["tests"]`).
 import pytest
 
 from bscomb.formats import parse_sequence
-from bscomb.gallery import ReflSeq, is_gallery_type
+from bscomb.gallery import ReflSeq, _attached, is_gallery_type
 from bscomb.rootsys import RootSystem, build_root_system, enumerate_weyl
 
 RS = build_root_system("B", 3)
@@ -23,23 +24,31 @@ SEARCH_CASES = {
     # at length 16 a walk restarted from every start chamber took seconds
     "negative-16": ("B3:" + " [0,0,1]" * 15 + " [0,1,1]", False),
 }
-# not of gallery type, so the walk leaves from each of the 192 start
-# chambers; negative D4 answers at certify's longest length, 9, set its
-# item tail, and this one was the slowest of 3,000 random draws
+# not of gallery type; negative D4 answers at certify's longest length, 9,
+# set its item tail, and this one was the slowest of 3,000 random draws
+# for the depth-first search that the backward pass replaced
 TAIL_CASE = ("D4: [0,1,0,1] [0,1,0,1] [1,1,0,0] [0,1,1,0] [0,1,0,1] [1,1,0,0] "
              "[1,1,0,1] [0,1,1,1] [0,1,1,1]")
 
 
-def _fresh(text):
-    """The sequence over a new root system, whose answer memo is empty; its
-    Weyl group and reflection permutations are built untimed, so the walk
-    alone is timed."""
+def _cold(text):
+    """The sequence over a new root system, with nothing built."""
     s = parse_sequence(text)
     rs = RootSystem(s.rs.family, s.rs.rank)
-    enumerate_weyl(rs)
-    for t in rs.reflections:
-        t.as_weyl()
     return (ReflSeq(rs, tuple(rs.reflections[t.index] for t in s.entries)),), {}
+
+
+def _fresh(text):
+    """The sequence over a new root system, whose answer memo is empty; its
+    Weyl group with the right-simple table, its reflection permutations and
+    the attached chambers of every reflection are built untimed, so the
+    pass alone is timed."""
+    (s,), _ = _cold(text)
+    enumerate_weyl(s.rs)
+    for t in s.rs.reflections:
+        t.as_weyl()
+        _attached(s.rs, t.index)
+    return (s,), {}
 
 
 @pytest.mark.parametrize("name", SEARCH_CASES)
@@ -52,6 +61,13 @@ def test_is_gallery_type(benchmark, name):
 def test_is_gallery_type_negative_d4(benchmark):
     cert = benchmark.pedantic(is_gallery_type, setup=lambda: _fresh(TAIL_CASE),
                               rounds=50)
+    assert cert is None
+
+
+def test_is_gallery_type_negative_d4_cold(benchmark):
+    # the first call on a new system also enumerates W and builds the
+    # attached tables of the sequence's reflections
+    cert = benchmark.pedantic(is_gallery_type, setup=lambda: _cold(TAIL_CASE), rounds=20)
     assert cert is None
 
 

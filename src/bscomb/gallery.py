@@ -3,11 +3,11 @@
 A sequence of reflections s on positions 1..n carries the set Gamma(s) of
 2^n galleries: one bit per position, bit i set meaning gamma_i = s_i and
 clear meaning gamma_i = 1.  Folding operators flip single bits, prefix
-products gamma^i live in W, and a depth-first search over chambers decides
+products gamma^i live in W, and one backward pass over chambers decides
 whether the wall sequence of s can be realized by a labelled gallery,
 returning a certificate (x, t, gamma) with t^(gamma) = s^x when it can.
-The search remembers the (position, chamber) states it has seen fail, so it
-visits at most n*|W| of them whatever the start chamber.
+The pass reads the system's right-simple table and one table of attached
+chambers per reflection, and does O(|W|) set work per position.
 """
 
 from __future__ import annotations
@@ -189,59 +189,64 @@ def twist_seq(s: ReflSeq, gamma: Gallery) -> ReflSeq:
     return ReflSeq(s.rs, tuple(entries))
 
 
-def is_gallery_type(s: ReflSeq) -> Gallerification | None:
-    """Search for a gallerification of s; None if no labelled gallery exists.
+def _attached(rs: RootSystem, r: int) -> dict[int, int]:
+    """{k: j} over the chambers u = enumerate_weyl(rs)[k] attached to the wall
+    of rs.reflections[r], those with u^-1(beta_r) = +-alpha_j.  Built on
+    first use and kept on the system."""
+    table = rs._attached.get(r)
+    if table is None:
+        letters = [t.letter for t in rs.reflections]
+        table = rs._attached[r] = {k: j for k, u in enumerate(enumerate_weyl(rs))
+                                   if (j := letters[u.perm.index(r)])}
+    return table
 
-    States are chambers u.Delta+ encoded by Weyl elements u.  At position i
-    the current chamber must be attached to the wall of s_i, which makes
-    t_i = u^-1 s_i u simple; the walk then stays (gamma_i = 1) or crosses
-    (u -> s_i u, gamma_i = t_i).  Start chambers are explored in
-    enumerate_weyl order and stay before cross, so the first certificate
-    found is deterministic.  x = u0^-1.  Whether a state (i, u) can be
-    completed depends on nothing else, so a state that failed once is never
-    walked again, from any start chamber: at most n*|W| states in all.
-    The walk composes raw root permutations, and only the certificate it
-    returns is wrapped in Weyl elements and reflection sequences.
+
+def is_gallery_type(s: ReflSeq) -> Gallerification | None:
+    """The first gallerification of s, or None if no labelled gallery exists.
+
+    States are chambers u.Delta+ encoded by Weyl elements u, numbered in
+    enumerate_weyl order.  At position i the current chamber must be
+    attached to the wall of s_i, which makes t_i = u^-1 s_i u = s_j simple;
+    the gallery then stays (gamma_i = 1) or crosses to s_i u = u s_j
+    (gamma_i = t_i), again attached.  One backward pass finds alive[i], the
+    chambers from which positions i+1..n can be completed: alive[n] is
+    every chamber, and alive[i] is A with each u s_j for u in A, where
+    A = alive[i+1] intersected with the chambers attached at i.  The
+    answer is None once some alive[i] is empty.  Otherwise the certificate
+    starts at the first chamber u0 of alive[0], x = u0^-1, and stays
+    wherever it can: the first certificate of a search over start chambers
+    in enumerate_weyl order, stay before cross.  Only the certificate is
+    built of Weyl elements and reflection sequences.
     """
     memo, key = s.rs._gallery_type_memo, tuple(t.index for t in s.entries)
     if key in memo:
         return memo[key]
-    table = s.rs.reflections
-    simple = [t.is_simple() for t in table]
-    entries = s.entries
-    n = len(entries)
-    steps = [t.as_weyl().perm for t in entries]
-    dead = [set() for _ in range(n)]
-
-    def walk(i: int, u: tuple[int, ...]) -> tuple[tuple, Bits] | None:
-        """(t entries, bits) for positions i+1..n from the chamber of the
-        permutation u, or None."""
-        if i == n:
-            return (), ()
-        if u in dead[i]:
+    rs = s.rs
+    order = enumerate_weyl(rs)
+    right, rank = rs._weyl_right, rs.rank
+    walls = [_attached(rs, r) for r in key]
+    alive = [range(len(order))]
+    for wall in reversed(walls):
+        a = wall.keys() & alive[-1]
+        if not a:
+            memo[key] = None
             return None
-        # u^-1 s_i u = s_beta with beta = u^-1(root of s_i): beta's index is
-        # the preimage under u's permutation, so u is never inverted
-        k = u.index(entries[i].index)
-        if simple[k]:
-            for cross in (False, True):
-                # crossing is s_i u, and (s_i u)[k] = s_i[u[k]]
-                rest = walk(i + 1, tuple(map(steps[i].__getitem__, u)) if cross else u)
-                if rest is not None:
-                    return (table[k], *rest[0]), (cross, *rest[1])
-        dead[i].add(u)
-        return None
-
-    for u0 in enumerate_weyl(s.rs):
-        found = walk(0, u0.perm)
-        if found is not None:
-            t = ReflSeq(s.rs, found[0])
-            cert = Gallerification(u0.inv(), t, Gallery(t, found[1]))
-            verify_gallerification(s, cert)
-            memo[key] = cert
-            return cert
-    memo[key] = None
-    return None
+        alive.append(a.union([right[u * rank + wall[u] - 1] for u in a]))
+    alive.reverse()
+    k = min(alive[0])
+    u0, simple = order[k], [rs.reflection(a) for a in rs.simple_roots]
+    entries, bits = [], []
+    for wall, ahead in zip(walls, alive[1:]):
+        j, cross = wall[k], k not in ahead
+        entries.append(simple[j - 1])
+        bits.append(cross)
+        if cross:
+            k = right[k * rank + j - 1]
+    t = ReflSeq(rs, tuple(entries))
+    cert = Gallerification(u0.inv(), t, Gallery(t, tuple(bits)))
+    verify_gallerification(s, cert)
+    memo[key] = cert
+    return cert
 
 
 def verify_gallerification(s: ReflSeq, cert: Gallerification) -> None:

@@ -99,9 +99,12 @@ class RootSystem:
 
     Construct via :func:`build_root_system`; instances compare by (family,
     rank).  A system owns the tables of pure functions of it, each filled
-    on first use: the Weyl list, one linear form per root
-    (`poly.root_forms`), and the gallery-type answers, one per distinct
-    sequence asked, kept as long as the system.  A fresh one starts empty.
+    on first use and kept as long as the system: the Weyl list with the
+    index of each u * s_j (`enumerate_weyl`, rank*|W| entries), the
+    chambers attached to each reflection's wall (`gallery.is_gallery_type`,
+    one table per reflection asked, rank*|W| entries over all of them),
+    one linear form per root (`poly.root_forms`), and the gallery-type
+    answers, one per distinct sequence asked.  A fresh one starts empty.
     """
 
     def __init__(self, family: str, rank: int):
@@ -120,6 +123,8 @@ class RootSystem:
         self.reflections = tuple(positive + positive)
         self._identity = WeylElement(self, tuple(range(len(self.roots))))
         self._weyl_cache: list["WeylElement"] | None = None
+        self._weyl_right: list[int] | None = None
+        self._attached: dict[int, dict[int, int]] = {}
         self._gallery_type_memo: dict = {}
         self._root_forms: tuple | None = None
 
@@ -300,26 +305,33 @@ def enumerate_weyl(rs: RootSystem) -> list[WeylElement]:
 
     |W| is bounded by MAX_WEYL before any element is built.
     Deterministic order: breadth-first by word length, elements sorted by
-    matrix within each level.  Cached on the root system.
+    matrix within each level.  Cached on the root system, with the products
+    the closure makes anyway: `rs._weyl_right[k * rank + j - 1]` is the
+    index of order[k] * s_j, rank*|W| integers kept as long as the system.
     """
     if rs._weyl_cache is None:
         check_weyl_order(rs.family, rs.rank)
-        # u * s on raw perms, (us)[k] = u[s[k]]; only each new element is wrapped
+        # u * s on raw perms, (us)[k] = u[s[k]]; only each new element is wrapped.
+        # A product first met on this level's pass is numbered ~p, its place
+        # p in nxt, until the next level is sorted
         simples = [rs.simple_reflection(i).perm for i in range(1, rs.rank + 1)]
         level = [rs.identity()]
-        seen = {level[0].perm}
-        order = list(level)
+        index = {level[0].perm: 0}
+        order, right = list(level), []
         while level:
-            nxt = []
+            nxt, row = [], []
             for u in level:
                 get = u.perm.__getitem__
                 for s in simples:
                     v = tuple(map(get, s))
-                    if v not in seen:
-                        seen.add(v)
+                    k = index.setdefault(v, ~len(nxt))
+                    if k == ~len(nxt):
                         nxt.append(WeylElement(rs, v))
+                    row.append(k)
             level = sorted(nxt, key=lambda w: w.matrix)
+            index.update((w.perm, k) for k, w in enumerate(level, len(order)))
             order.extend(level)
-        rs._weyl_cache = order
+            final = [index[w.perm] for w in nxt]
+            right += [k if k >= 0 else final[~k] for k in row]
+        rs._weyl_cache, rs._weyl_right = order, right
     return list(rs._weyl_cache)
-

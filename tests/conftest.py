@@ -19,6 +19,11 @@ def cap_address_space():
     return limits
 
 
+# systems small enough to check a table at every (chamber, reflection) pair
+TABLE_SYSTEMS = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),
+                 ("C", 3), ("D", 4), ("G", 2)]
+
+
 def positive_root(root):
     """The sign rule, independent of the reflection table: flip a root whose
     first nonzero coordinate is negative."""

@@ -134,6 +134,30 @@ def test_large_exponent_costs_its_terms_not_its_value(argv, expected):
     assert (proc.returncode, proc.stdout) == (0, expected)
 
 
+A6_POSITIVE = "A6: s[0,0,1,1,0,0] s2 s[0,0,0,1,1,1] s[0,1,1,1,1,0] s[1,1,1,1,1,1] s4"
+A6_NEGATIVE = ("A6: s[0,1,1,1,1,0] s[1,1,1,1,1,1] s[0,0,1,1,0,0] s[0,0,1,1,1,1] "
+               "s[0,1,1,1,1,0] s[0,0,1,1,1,0]")
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["gallery-type", A6_POSITIVE],
+     b"gallery type: yes\nx = s3 s4 s5 s6 s4 s2 s3 s2\nt = s4 s5 s2 s6 s1 s3\n"
+     b"gamma = 101000\n"),
+    (["gallery-type", A6_NEGATIVE], b"no labelled gallery exists\n"),
+    (["--format", "structured", "gallery-type", A6_POSITIVE],
+     b'{"gallery_type":true,"gamma":"101000","t":"s4 s5 s2 s6 s1 s3",'
+     b'"x":"s3 s4 s5 s6 s4 s2 s3 s2"}\n'),
+    (["--format", "structured", "gallery-type", A6_NEGATIVE], b'{"gallery_type":false}\n'),
+], ids=["positive-text", "negative-text", "positive-structured", "negative-structured"])
+def test_gallery_type_in_a_large_group(argv, expected):
+    # |W(A6)| = 5,040: a cold run builds the group and its tables, and
+    # prints the same certificate as the depth-first search it replaced
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run([sys.executable, "-m", "bscomb.cli", *argv], cwd=ROOT, env=env,
+                          capture_output=True, timeout=30, preexec_fn=cap_address_space)
+    assert (proc.returncode, proc.stdout) == (0, expected)
+
+
 RANK2_MORPHISM = json.dumps({"source": "A2: s1", "target": "A2: s1 s1", "p": [2], "w": "s1",
                              "phi": {"0": "10", "1": "11"}})
 

@@ -16,6 +16,7 @@ from bscomb.gallery import (
     Gallery,
     Gallerification,
     ReflSeq,
+    _attached,
     conj_seq,
     fold,
     galleries,
@@ -33,7 +34,7 @@ from bscomb.rootsys import (
     enumerate_weyl,
 )
 
-from conftest import all_seqs, simple_seq
+from conftest import TABLE_SYSTEMS, all_seqs, simple_seq
 
 
 def test_gallery_count(a2):
@@ -210,6 +211,42 @@ def _reference_gallery_type(s):
     return None
 
 
+@pytest.mark.parametrize("system", TABLE_SYSTEMS, ids=lambda s: "".join(map(str, s)))
+def test_attached_tables_match_conjugation(system):
+    # chamber k is in the table of t exactly when u^-1 t u is simple, and
+    # then its entry is that simple reflection's letter
+    rs = build_root_system(*system)
+    order = enumerate_weyl(rs)
+    for t in rs.reflections[:len(rs.reflections) // 2]:
+        letters = [conjugate_reflection(u.inv(), t).letter for u in order]
+        assert _attached(rs, t.index) == {k: j for k, j in enumerate(letters) if j is not None}
+
+
+@st.composite
+def fresh_sequences(draw):
+    """A sequence of length 0..12 over a new root system: uniform
+    reflections, or one built from a certificate (x, t, gamma) as
+    s = (t^(gamma))^(x^-1), so of gallery type."""
+    rs = RootSystem(*draw(st.sampled_from([("A", 3), ("B", 3), ("D", 4), ("G", 2)])))
+    n = draw(st.integers(0, 12))
+    if draw(st.booleans()):
+        refls = rs.reflections[:len(rs.reflections) // 2]
+        return ReflSeq(rs, tuple(draw(st.sampled_from(refls)) for _ in range(n)))
+    simple = [rs.reflection(a) for a in rs.simple_roots]
+    t = ReflSeq(rs, tuple(draw(st.sampled_from(simple)) for _ in range(n)))
+    gamma = Gallery(t, tuple(draw(st.booleans()) for _ in range(n)))
+    x = draw(st.sampled_from(enumerate_weyl(rs)))
+    return conj_seq(twist_seq(t, gamma), x.inv())
+
+
+@settings(max_examples=150, deadline=None)
+@given(fresh_sequences())
+def test_gallery_type_on_fresh_systems_matches_reference(s):
+    cert = is_gallery_type(s)
+    found = None if cert is None else (cert.x, cert.t.entries, cert.gamma.bits)
+    assert found == _reference_gallery_type(s)
+
+
 def _random_seqs(rs, max_length, count=500, seed=0):
     """Seeded sequences of reflections, of every length 0..max_length."""
     rng = random.Random(seed)
@@ -235,10 +272,9 @@ def test_gallery_type_matches_reference(system, length):
 
 
 def test_gallery_type_walk_multiplies_no_weyl_elements():
-    # the walk composes raw permutations: a negative answer at length 16
-    # visits hundreds of states and makes no Weyl product, and a positive
-    # one makes only those of its certificate check, one per crossing of
-    # twist_seq
+    # the pass reads integer tables of chamber indices: a negative answer
+    # at length 16 makes no Weyl product, and a positive one makes only
+    # those of its certificate check, one per crossing of twist_seq
     rs = RootSystem("B", 3)  # a fresh system, whose answer memo is empty
 
     def fresh(text):

@@ -21,7 +21,7 @@ from bscomb.rootsys import (
 )
 from bscomb.poly import Poly, weight_matrix, weyl_act
 
-from conftest import positive_root
+from conftest import TABLE_SYSTEMS, positive_root
 
 # (family, rank) -> (number of roots, |W|), classical values
 KNOWN_SIZES = {
@@ -129,11 +129,17 @@ def test_memo_tables_belong_to_their_system():
     seq = ReflSeq(shared, tuple(shared.reflection(r) for r in entries))
     cert = is_gallery_type(seq)
     assert not cert.x.is_identity()
+    walls = {t.index for t in seq.entries}
+    assert walls <= shared._attached.keys() and shared._weyl_right is not None
     assert (fresh._gallery_type_memo, fresh._root_forms) == ({}, None)
+    assert (fresh._weyl_cache, fresh._weyl_right, fresh._attached) == (None, None, {})
     fresh_seq = ReflSeq(fresh, tuple(fresh.reflection(r) for r in entries))
     fresh_cert = is_gallery_type(fresh_seq)
     assert ((fresh_cert.x, fresh_cert.t.entries, fresh_cert.gamma.bits)
             == (cert.x, cert.t.entries, cert.gamma.bits))
+    # the fresh system rebuilt the tables it needed, equal to the shared ones
+    assert fresh._weyl_right == shared._weyl_right
+    assert fresh._attached == {r: shared._attached[r] for r in walls}
     # the Weyl action keeps nothing: 2,000 distinct polynomials leave every
     # attribute of the system as it was
     before = [{name: copy.copy(value) for name, value in vars(rs).items()}
@@ -205,6 +211,16 @@ def test_group_action_axiom(data):
     v = data.draw(st.sampled_from(order))
     root = data.draw(st.sampled_from(rs.roots))
     assert (u * v).apply(root) == u.apply(v.apply(root))
+
+
+@pytest.mark.parametrize("family,rank", TABLE_SYSTEMS)
+def test_right_simple_table_matches_products(family, rank):
+    rs = build_root_system(family, rank)
+    order = enumerate_weyl(rs)
+    assert len(rs._weyl_right) == rank * len(order)
+    for k, u in enumerate(order):
+        for j in range(1, rank + 1):
+            assert order[rs._weyl_right[k * rank + j - 1]] == u * rs.simple_reflection(j)
 
 
 def test_enumerate_weyl_deterministic(a3):
