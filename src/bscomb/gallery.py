@@ -105,12 +105,6 @@ class ReflSeq:
     def all_simple(self) -> bool:
         return all(t.is_simple() for t in self.entries)
 
-    def __str__(self):
-        return " ".join(str(t) for t in self.entries) if self.entries else "(empty)"
-
-    def __hash__(self):
-        return hash(self.entries)
-
 
 @dataclass(frozen=True)
 class Gallery:
@@ -122,12 +116,6 @@ class Gallery:
     def __post_init__(self):
         if len(self.bits) != len(self.seq):
             raise InvalidInputError("gallery length does not match its sequence")
-
-    def __str__(self):
-        return serialize_bits(self.bits)
-
-    def __hash__(self):
-        return hash(self.bits)
 
 
 def serialize_bits(bits: Bits) -> str:

@@ -96,7 +96,7 @@ def concentration_identity_check(s: ReflSeq, g: FPFunction, cross: bool) -> bool
     tk = k + len(s.rs.roots) // 2 if cross else k  # t alpha_n
     before, last = s.prefixes[-2], s.prefixes[-1]
     nabla, delta = concentrate(s, g, cross).values, copy(s, g).values
-    return all(nabla[b] * -2 == (forms[before[b[:-1]].perm[tk]] + forms[last[b].perm[k]])
+    return all(nabla[b].scale(-2) == (forms[before[b[:-1]].perm[tk]] + forms[last[b].perm[k]])
                * delta[b] for b in s.patterns)
 
 
@@ -189,10 +189,10 @@ def basis(s: ReflSeq) -> Basis:
     return Basis(s, elements, columns, [lead[e.subset] for e in elements[1:]])
 
 
-def decompose(g: FPFunction, b: Basis | None = None) -> dict[frozenset[int], Poly]:
-    """Express g as sum c_J B_J over `basis(g.seq)` or the given `Basis`;
-    raises NotInSpanError when impossible, and InvalidInputError, before any
-    division, for anything but a `Basis` of g's sequence.
+def decompose(g: FPFunction, b: Basis) -> dict[frozenset[int], Poly]:
+    """Express g as sum c_J B_J over the `Basis` b; raises NotInSpanError
+    when impossible, and InvalidInputError, before any division, for
+    anything but a `Basis` of g's sequence.
 
     The recursion runs over subsets in ascending cardinality.  c_empty is
     g(gamma_empty), since B_empty = 1; for each nonempty J, the residue at
@@ -201,11 +201,9 @@ def decompose(g: FPFunction, b: Basis | None = None) -> dict[frozenset[int], Pol
     reconstruction.
     """
     s = g.seq
-    if b is None:
-        b = basis(s)
-    elif not isinstance(b, Basis):
+    if not isinstance(b, Basis):
         raise InvalidInputError("not a Basis; build one with gkm.basis")
-    elif b.seq is not s and b.seq != s:
+    if b.seq is not s and b.seq != s:
         raise InvalidInputError("basis of a different sequence")
     coeffs = {b[0].subset: g.values[b[0].bits]}
     for e, divisor in zip(b[1:], b.divisors):

@@ -57,18 +57,10 @@ def _units(nvars: int) -> tuple[Monomial, ...]:
     return tuple(tuple(int(k == j) for k in range(nvars)) for j in range(nvars))
 
 
-def _mul_into(d: dict[Monomial, Coeff], p_terms, q_terms) -> None:
-    """Add p * q into the term dict d, one product term at a time."""
-    get = d.get
-    for m1, c1 in p_terms:
-        for m2, c2 in q_terms:
-            m = tuple(map(add, m1, m2))
-            d[m] = get(m, 0) + c1 * c2
-
-
 def mul_add(base: "Poly", pairs: Iterable[tuple["Poly", "Poly"]], sign: int = 1) -> "Poly":
     """base + sign * (sum of a * b over the pairs), for sign 1 or -1, with
-    every product term accumulated in one dict that is canonicalised once."""
+    every product term accumulated in one dict that is canonicalised once.
+    The one product kernel: `Poly.__mul__` is this over a zero base."""
     nvars = base.nvars
     d = dict(base.terms)
     get = d.get
@@ -133,28 +125,11 @@ class Poly:
             d[m] = get(m, 0) + c
         return _canon(self.nvars, d)
 
-    def __neg__(self) -> "Poly":
-        return Poly(self.nvars, tuple((m, -c) for m, c in self.terms))
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
-
     def __mul__(self, other):
+        """The product with another `Poly`; a rational scalar goes through `scale`."""
         if not isinstance(other, Poly):
-            if isinstance(other, (int, Fraction)):
-                return self.scale(other)
             return NotImplemented
-        if self.nvars != other.nvars:
-            raise InvalidInputError("polynomials in different variable counts")
-        if not self.terms:
-            return self
-        if not other.terms:
-            return other
-        d: dict[Monomial, Coeff] = {}
-        _mul_into(d, self.terms, other.terms)
-        return _canon(self.nvars, d)
-
-    __rmul__ = __mul__
+        return mul_add(Poly(self.nvars), ((self, other),))
 
     def scale(self, c) -> "Poly":
         c = _coeff(c)
@@ -235,9 +210,9 @@ def linear_divisor(ell: Poly, times: Divisor | None = None) -> Divisor:
     return Divisor(product, pivot, lead, a, tuple((m, -b) for m, b in rest))
 
 
-def divide_linear(p: Poly, divisor: Poly | Divisor) -> tuple[Poly, Poly]:
-    """Divide p by a product of linear forms (a linear form as a `Poly`, or
-    a `linear_divisor`); returns (quotient, remainder), the remainder with
+def divide_linear(p: Poly, divisor: Divisor) -> tuple[Poly, Poly]:
+    """Divide p by a product of linear forms prepared by `linear_divisor`,
+    which validates each form; returns (quotient, remainder), the remainder with
     no term divisible by the divisor's leading term in the order that ranks
     the last variable highest, and zero exactly when the divisor divides p.
     For a single linear form that term is in its last variable, the pivot.
@@ -255,7 +230,7 @@ def divide_linear(p: Poly, divisor: Poly | Divisor) -> tuple[Poly, Poly]:
     product of linear forms in three or more variables can do again and
     again within one degree.
     """
-    d = linear_divisor(divisor) if isinstance(divisor, Poly) else divisor
+    d = divisor
     nvars, pivot, lead, a, top = p.nvars, d.pivot, d.lead, d.coeff, d.lead[d.pivot]
     if d.product.nvars != nvars:
         raise InvalidInputError("polynomials in different variable counts")
@@ -289,9 +264,9 @@ def divide_linear(p: Poly, divisor: Poly | Divisor) -> tuple[Poly, Poly]:
     return _canon(nvars, quotient), _canon(nvars, rest) if any(rest.values()) else Poly(nvars)
 
 
-def exact_divide(p: Poly, divisor: Poly | Divisor) -> Poly | None:
-    """p divided by a linear form or a prepared product of linear forms
-    (`linear_divisor`), in one `divide_linear`; None when it is inexact."""
+def exact_divide(p: Poly, divisor: Divisor) -> Poly | None:
+    """p divided by a product of linear forms prepared by `linear_divisor`,
+    in one `divide_linear`; None when it is inexact."""
     q, rem = divide_linear(p, divisor)
     return None if rem.terms else q
 

@@ -14,7 +14,7 @@ from bscomb.errors import ResourceLimitError
 from bscomb.foldcat import enumerate_morphisms
 from bscomb.gkm import basis
 from bscomb.nested import NestedPlan, fixed_points
-from bscomb.poly import Poly, divide_linear
+from bscomb.poly import Poly, divide_linear, linear_divisor
 from bscomb.rootsys import RootSystem, build_root_system, enumerate_weyl
 
 from conftest import simple_seq
@@ -62,7 +62,8 @@ CASES = [
     # w2^N over a linear form with pivot w2 gains one quotient term per
     # pivot degree, N in all
     (errors.MAX_TERMS, "polynomial terms", TERMS,
-     lambda: divide_linear(Poly.from_dict(2, {(0, TERMS): 1}), Poly.linear(2, [-1, 2])),
+     lambda: divide_linear(Poly.from_dict(2, {(0, TERMS): 1}),
+                           linear_divisor(Poly.linear(2, [-1, 2]))),
      ["decompose", "A2: s2", json.dumps({"values": {"0": "0", "1": f"w2^{TERMS}"}})],
      # there is no term flag, and --max-length 1 admits the sequence
      (["--max-length", "1"], f"polynomial terms {TERMS} exceeds bound {errors.MAX_TERMS}")),

@@ -42,6 +42,18 @@ def test_gallery_count(a2):
     assert len(galleries(s)) == 8
 
 
+def test_sequences_and_galleries_hash_as_they_compare():
+    # the dataclass hash is made of the fields that equality compares
+    shared, fresh = build_root_system("B", 3), RootSystem("B", 3)
+    s, t = simple_seq(shared, 1, 2, 3, 2), simple_seq(fresh, 1, 2, 3, 2)
+    assert s == t and hash(s) == hash(t)
+    assert len({s, t, simple_seq(fresh, 1, 2, 3)}) == 2
+    # a gallery compares by its bits alone, whichever equal sequence it is over
+    points = {Gallery(s, b) for b in s.patterns} | {Gallery(t, b) for b in t.patterns}
+    assert len(points) == 16
+    assert {g.bits for g in points} == set(s.patterns)
+
+
 def test_prefix_products(a2):
     s = simple_seq(a2, 1, 2)
     g = Gallery(s, (True, True))

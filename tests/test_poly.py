@@ -35,8 +35,8 @@ polys = st.dictionaries(monomials, coefficients, max_size=5).map(
 
 def test_zero_is_canonical():
     p = Poly.from_dict(2, {(1, 0): Fraction(2)})
-    assert not (p - p).terms
-    assert p - p == Poly.zero(2)
+    assert not (p + p.scale(-1)).terms
+    assert p + p.scale(-1) == Poly.zero(2)
     assert str(Poly.zero(2)) == "0"
 
 
@@ -55,11 +55,22 @@ def test_ring_axioms(p, q, r):
     assert (p * q) * r == p * (q * r)
 
 
+def test_operators_take_only_polynomials():
+    # a scalar goes through `scale`, a negation through `scale(-1)`
+    p, q = Poly.linear(2, (1, 0)), Poly.linear(2, (0, 1))
+    for op in (lambda: p * 2, lambda: 2 * p, lambda: p * Fraction(1, 2), lambda: -p,
+               lambda: p - q):
+        with pytest.raises(TypeError):
+            op()
+    with pytest.raises(InvalidInputError, match="^polynomials in different variable counts$"):
+        p * Poly.linear(3, (1, 0, 0))
+
+
 @settings(max_examples=60, deadline=None)
 @given(polys)
 def test_divide_linear_reconstructs(p):
     ell = Poly.linear(2, (2, -1))
-    q, r = divide_linear(p, ell)
+    q, r = divide_linear(p, linear_divisor(ell))
     assert q * ell + r == p
     # remainder is free of the pivot variable (w2 for this divisor)
     assert all(m[1] == 0 for m, _ in r.terms)
@@ -70,16 +81,16 @@ def test_exact_divide_product():
     b = Poly.linear(2, (-1, 2))
     p = a * b * (a + b)
     assert exact_divide(p, linear_divisor(b, linear_divisor(a))) == a + b
-    assert exact_divide(p, a) == b * (a + b)
-    assert exact_divide(p + Poly.const(2, 1), a) is None
+    assert exact_divide(p, linear_divisor(a)) == b * (a + b)
+    assert exact_divide(p + Poly.const(2, 1), linear_divisor(a)) is None
 
 
 def test_divide_requires_linear_form():
     p = Poly.linear(2, (1, 0)) * Poly.linear(2, (1, 0))
     with pytest.raises(InvalidInputError):
-        divide_linear(p, p)
+        linear_divisor(p)
     with pytest.raises(InvalidInputError):
-        divide_linear(p, Poly.linear(2, (1, 0)) + Poly.const(2, 1))
+        linear_divisor(Poly.linear(2, (1, 0)) + Poly.const(2, 1))
     with pytest.raises(InvalidInputError):
         linear_divisor(Poly.zero(2))
     # a prepared divisor is checked against the dividend's variable count
@@ -139,7 +150,7 @@ def test_weyl_act_on_roots(a2):
     s1 = a2.simple_reflection(1)
     a1 = root_poly(a2, a2.simple_roots[0])
     a2poly = root_poly(a2, a2.simple_roots[1])
-    assert weyl_act(s1, a1) == -a1
+    assert weyl_act(s1, a1) == a1.scale(-1)
     assert weyl_act(s1, a2poly) == a1 + a2poly
     assert weyl_act(a2.identity(), a1) == a1
 
@@ -189,7 +200,7 @@ def test_weyl_act_is_action(b2):
 def test_weyl_act_is_ring_map(a2):
     w = a2.simple_reflection(1) * a2.simple_reflection(2)
     p = Poly.linear(2, (1, 2))
-    q = Poly.linear(2, (1, 0)) * Poly.linear(2, (1, 0)) - Poly.const(2, 7)
+    q = Poly.linear(2, (1, 0)) * Poly.linear(2, (1, 0)) + Poly.const(2, -7)
     assert weyl_act(w, p * q) == weyl_act(w, p) * weyl_act(w, q)
     assert weyl_act(w, p + q) == weyl_act(w, p) + weyl_act(w, q)
 
@@ -231,9 +242,9 @@ def test_linear_needs_one_coefficient_per_variable(coeffs):
 
 def test_str_of_fractional_terms():
     w2 = Poly.linear(2, (0, 1))
-    assert str(w2 * Fraction(-1, 2)) == "-1/2*w2"
+    assert str(w2.scale(Fraction(-1, 2))) == "-1/2*w2"
     assert str(Poly.linear(2, (3, Fraction(-1, 2)))) == "3*w1 - 1/2*w2"
-    assert str(w2 * Fraction(-1, 2) + w2 * Fraction(3, 2)) == "w2"
+    assert str(w2.scale(Fraction(-1, 2)) + w2.scale(Fraction(3, 2))) == "w2"
     assert str(Poly.const(2, Fraction(6, 4))) == "3/2"
 
 
@@ -288,25 +299,25 @@ def test_ring_ops_match_sympy(nvars, data):
     q = data.draw(oracle_polys(nvars))
     c = data.draw(oracle_coeffs)
     P, Q, C = to_sympy(p), to_sympy(q), sympy.Rational(c.numerator, c.denominator)
-    for result, expect in [(p + q, P + Q), (p - q, P - Q), (p * q, P * Q),
-                           (p.scale(c), P * C), (p * c, P * C)]:
+    for result, expect in [(p + q, P + Q), (p + q.scale(-1), P - Q), (p * q, P * Q),
+                           (p.scale(c), P * C)]:
         assert_canonical(result)
         assert result == from_sympy(expect, nvars)
         assert str(result) == str(from_sympy(expect, nvars))
 
 
 def test_divide_linear_integral_operands_give_exact_fractions():
-    q, r = divide_linear(Poly.linear(2, (1, 1)), Poly.linear(2, (0, 3)))
+    q, r = divide_linear(Poly.linear(2, (1, 1)), linear_divisor(Poly.linear(2, (0, 3))))
     assert q == Poly.const(2, Fraction(1, 3))
     assert r == Poly.linear(2, (1, 0))
     assert type(q.terms[0][1]) is Fraction
     # a negative pivot coefficient, and an exact integral quotient stays an int
-    q, r = divide_linear(Poly.linear(2, (1, 1)), Poly.linear(2, (0, -3)))
+    q, r = divide_linear(Poly.linear(2, (1, 1)), linear_divisor(Poly.linear(2, (0, -3))))
     assert q == Poly.const(2, Fraction(-1, 3))
     assert r == Poly.linear(2, (1, 0))
-    q, r = divide_linear(Poly.linear(2, (4, 6)), Poly.linear(2, (2, -3)))
+    q, r = divide_linear(Poly.linear(2, (4, 6)), linear_divisor(Poly.linear(2, (2, -3))))
     assert q == Poly.const(2, -2)
-    assert r == Poly.linear(2, (1, 0)) * 8
+    assert r == Poly.linear(2, (8, 0))
     assert type(q.terms[0][1]) is int
 
 
@@ -322,7 +333,7 @@ def test_divide_linear_matches_sympy(nvars, negative_pivot, integral, data):
     a = -abs(a) if negative_pivot else abs(a)
     cs = data.draw(st.lists(coeffs, min_size=nvars, max_size=nvars))
     ell = Poly.linear(nvars, cs[:pivot] + [a] + [0] * (nvars - pivot - 1))
-    q, r = divide_linear(p, ell)
+    q, r = divide_linear(p, linear_divisor(ell))
     assert_canonical(q)
     assert_canonical(r)
     # lex order with the pivot variable first makes sympy's remainder free
@@ -332,7 +343,6 @@ def test_divide_linear_matches_sympy(nvars, negative_pivot, integral, data):
     Q, R = sympy.div(to_sympy(p), to_sympy(ell), *order, domain="QQ")
     assert q == from_sympy(Q.as_expr(), nvars)
     assert r == from_sympy(R.as_expr(), nvars)
-    assert divide_linear(p, linear_divisor(ell)) == (q, r)
 
 
 @settings(max_examples=60, deadline=None)
@@ -387,8 +397,6 @@ def test_exact_divide_matches_sympy(nvars, exact, data):
     quotient = exact_divide(p, product_divisor(factors))
     # the same product prepared in the other order is the same divisor
     assert product_divisor(factors[::-1]) == product_divisor(factors)
-    if len(factors) == 1:
-        assert exact_divide(p, factors[0]) == quotient
     gens = _gens(nvars)
     product = sympy.Mul(*[to_sympy(ell) for ell in factors])
     Q, R = sympy.div(to_sympy(p), product, *gens, domain="QQ")
