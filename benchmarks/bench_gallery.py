@@ -39,10 +39,10 @@ def _cold(text):
 
 
 def _fresh(text):
-    """The sequence over a new root system, whose answer memo is empty; its
-    Weyl group with the right-simple table, its reflection permutations and
-    the attached chambers of every reflection are built untimed, so the
-    pass alone is timed."""
+    """The sequence over a new root system, whose Weyl group with the
+    right-simple table, reflection permutations and attached-chamber
+    tables of every reflection are built untimed, so the pass alone is
+    timed."""
     (s,), _ = _cold(text)
     enumerate_weyl(s.rs)
     for t in s.rs.reflections:

@@ -290,18 +290,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, InvalidInputError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ResourceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except (NotInSpanError, VerificationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
     except BscombError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        if isinstance(exc, ResourceLimitError):
+            return EXIT_RESOURCE
+        return EXIT_VERIFY if isinstance(exc, (NotInSpanError, VerificationError)) else EXIT_PARSE
 
 
 if __name__ == "__main__":

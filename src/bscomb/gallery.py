@@ -6,8 +6,9 @@ clear meaning gamma_i = 1.  Folding operators flip single bits, prefix
 products gamma^i live in W, and one backward pass over chambers decides
 whether the wall sequence of s can be realized by a labelled gallery,
 returning a certificate (x, t, gamma) with t^(gamma) = s^x when it can.
-The pass reads the system's right-simple table and one table of attached
-chambers per reflection, and does O(|W|) set work per position.
+The pass reads one table per reflection, from each chamber attached to
+its wall to the chamber across it, does O(|W|) set work per position, and
+keeps no answer between calls.
 """
 
 from __future__ import annotations
@@ -178,13 +179,15 @@ def twist_seq(s: ReflSeq, gamma: Gallery) -> ReflSeq:
 
 
 def _attached(rs: RootSystem, r: int) -> dict[int, int]:
-    """{k: j} over the chambers u = enumerate_weyl(rs)[k] attached to the wall
-    of rs.reflections[r], those with u^-1(beta_r) = +-alpha_j.  Built on
-    first use and kept on the system."""
+    """{k: k'} over the chambers u = enumerate_weyl(rs)[k] attached to the wall
+    of rs.reflections[r], those with u^-1(beta_r) = +-alpha_j, where k' is the
+    index of the chamber across that wall, s_r u = u s_j, read from the
+    right-simple table.  Built on first use and kept on the system."""
     table = rs._attached.get(r)
     if table is None:
-        letters = [t.letter for t in rs.reflections]
-        table = rs._attached[r] = {k: j for k, u in enumerate(enumerate_weyl(rs))
+        order = enumerate_weyl(rs)  # fills rs._weyl_right
+        right, rank, letters = rs._weyl_right, rs.rank, [t.letter for t in rs.reflections]
+        table = rs._attached[r] = {k: right[k * rank + j - 1] for k, u in enumerate(order)
                                    if (j := letters[u.perm.index(r)])}
     return table
 
@@ -195,45 +198,40 @@ def is_gallery_type(s: ReflSeq) -> Gallerification | None:
     States are chambers u.Delta+ encoded by Weyl elements u, numbered in
     enumerate_weyl order.  At position i the current chamber must be
     attached to the wall of s_i, which makes t_i = u^-1 s_i u = s_j simple;
-    the gallery then stays (gamma_i = 1) or crosses to s_i u = u s_j
-    (gamma_i = t_i), again attached.  One backward pass finds alive[i], the
-    chambers from which positions i+1..n can be completed: alive[n] is
-    every chamber, and alive[i] is A with each u s_j for u in A, where
-    A = alive[i+1] intersected with the chambers attached at i.  The
-    answer is None once some alive[i] is empty.  Otherwise the certificate
-    starts at the first chamber u0 of alive[0], x = u0^-1, and stays
-    wherever it can: the first certificate of a search over start chambers
-    in enumerate_weyl order, stay before cross.  Only the certificate is
-    built of Weyl elements and reflection sequences.
+    the gallery then stays (gamma_i = 1) or crosses to its partner s_i u =
+    u s_j (gamma_i = t_i), again attached.  One backward pass finds
+    alive[i], the chambers from which positions i+1..n can be completed:
+    alive[n] is every chamber, and alive[i] is A with the partner of each
+    chamber in A, where A = alive[i+1] intersected with the chambers
+    attached at i.  The answer is None once some alive[i] is empty.
+    Otherwise the certificate starts at the first chamber u0 of alive[0],
+    x = u0^-1, and stays wherever it can: the first certificate of a search
+    over start chambers in enumerate_weyl order, stay before cross.  Only
+    the certificate is built of Weyl elements and reflection sequences, and
+    it is verified before it is returned; nothing is kept between calls.
     """
-    memo, key = s.rs._gallery_type_memo, tuple(t.index for t in s.entries)
-    if key in memo:
-        return memo[key]
     rs = s.rs
     order = enumerate_weyl(rs)
-    right, rank = rs._weyl_right, rs.rank
-    walls = [_attached(rs, r) for r in key]
+    walls = [_attached(rs, t.index) for t in s.entries]
     alive = [range(len(order))]
     for wall in reversed(walls):
         a = wall.keys() & alive[-1]
         if not a:
-            memo[key] = None
             return None
-        alive.append(a.union([right[u * rank + wall[u] - 1] for u in a]))
+        alive.append(a.union(map(wall.__getitem__, a)))
     alive.reverse()
     k = min(alive[0])
-    u0, simple = order[k], [rs.reflection(a) for a in rs.simple_roots]
-    entries, bits = [], []
-    for wall, ahead in zip(walls, alive[1:]):
-        j, cross = wall[k], k not in ahead
-        entries.append(simple[j - 1])
+    u0, entries, bits = order[k], [], []
+    for si, wall, ahead in zip(s.entries, walls, alive[1:]):
+        cross = k not in ahead
+        # t_i = s_{u^-1(beta_i)}, and both halves of the roots share one reflection
+        entries.append(rs.reflections[order[k].perm.index(si.index)])
         bits.append(cross)
         if cross:
-            k = right[k * rank + j - 1]
+            k = wall[k]
     t = ReflSeq(rs, tuple(entries))
     cert = Gallerification(u0.inv(), t, Gallery(t, tuple(bits)))
     verify_gallerification(s, cert)
-    memo[key] = cert
     return cert
 
 

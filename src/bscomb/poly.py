@@ -87,7 +87,9 @@ class Poly:
         return _canon(nvars, {m: _coeff(c) for m, c in d.items()})
 
     @staticmethod
+    @cache
     def zero(nvars: int) -> "Poly":
+        """The zero polynomial, built once per variable count, as `_units`."""
         return Poly(nvars, ())
 
     @staticmethod
@@ -129,7 +131,7 @@ class Poly:
         """The product with another `Poly`; a rational scalar goes through `scale`."""
         if not isinstance(other, Poly):
             return NotImplemented
-        return mul_add(Poly(self.nvars), ((self, other),))
+        return mul_add(Poly.zero(self.nvars), ((self, other),))
 
     def scale(self, c) -> "Poly":
         c = _coeff(c)
@@ -261,7 +263,7 @@ def divide_linear(p: Poly, divisor: Divisor) -> tuple[Poly, Poly]:
                     if t[pivot] == level:  # never for one form; can repeat for products
                         check_bound("polynomial terms", len(quotient), MAX_TERMS)
     check_bound("polynomial terms", len(quotient), MAX_TERMS)
-    return _canon(nvars, quotient), _canon(nvars, rest) if any(rest.values()) else Poly(nvars)
+    return _canon(nvars, quotient), _canon(nvars, rest) if any(rest.values()) else Poly.zero(nvars)
 
 
 def exact_divide(p: Poly, divisor: Divisor) -> Poly | None:

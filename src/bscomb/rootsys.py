@@ -101,10 +101,10 @@ class RootSystem:
     rank).  A system owns the tables of pure functions of it, each filled
     on first use and kept as long as the system: the Weyl list with the
     index of each u * s_j (`enumerate_weyl`, rank*|W| entries), the
-    chambers attached to each reflection's wall (`gallery.is_gallery_type`,
-    one table per reflection asked, rank*|W| entries over all of them),
-    one linear form per root (`poly.root_forms`), and the gallery-type
-    answers, one per distinct sequence asked.  A fresh one starts empty.
+    chambers attached to each reflection's wall with the chamber across it
+    (`gallery._attached`, one table per reflection asked, rank*|W| entries
+    over all of them), and one linear form per root (`poly.root_forms`).
+    No table grows with the queries asked.  A fresh one starts empty.
     """
 
     def __init__(self, family: str, rank: int):
@@ -125,7 +125,6 @@ class RootSystem:
         self._weyl_cache: list["WeylElement"] | None = None
         self._weyl_right: list[int] | None = None
         self._attached: dict[int, dict[int, int]] = {}
-        self._gallery_type_memo: dict = {}
         self._root_forms: tuple | None = None
 
     def _root_index(self, root: Root) -> int:

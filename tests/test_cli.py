@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from bscomb import cli, errors
 from bscomb.cli import main
 from bscomb.formats import parse_weyl
 from bscomb.rootsys import build_root_system
@@ -97,6 +98,26 @@ def test_resource_limit_exit_code(capsys):
                  ["gallery-type", "A10000: s1"]):
         code, out, _ = run(capsys, *argv)
         assert (code, out) == (3, ""), argv
+
+
+@pytest.mark.parametrize("error,expected", [
+    (errors.ParseError("bad token"), 2),
+    (errors.InvalidInputError("bad pair"), 2),
+    (errors.PropertyViolationError("property fails"), 2),
+    (errors.BscombError("unclassified"), 2),
+    (errors.ResourceLimitError("rank 31 exceeds bound 30"), 3),
+    (errors.NotInSpanError(frozenset({1}), None), 4),
+    (errors.VerificationError("not a morphism"), 4),
+], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v))
+def test_error_class_exit_code(capsys, monkeypatch, error, expected):
+    # each class of the package's errors, raised from a command, maps to
+    # its exit code and one error line on standard error
+    def fail(args):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_weyl_info", fail)
+    code, out, err = run(capsys, "weyl", "info", "--root-system", "A2")
+    assert (code, out, err) == (expected, "", f"error: {error}\n")
 
 
 @pytest.mark.parametrize("argv", [

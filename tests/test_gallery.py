@@ -1,5 +1,6 @@
 """Galleries, foldings, and gallery-type certificates."""
 
+import copy
 import os
 import random
 import subprocess
@@ -225,13 +226,19 @@ def _reference_gallery_type(s):
 
 @pytest.mark.parametrize("system", TABLE_SYSTEMS, ids=lambda s: "".join(map(str, s)))
 def test_attached_tables_match_conjugation(system):
-    # chamber k is in the table of t exactly when u^-1 t u is simple, and
-    # then its entry is that simple reflection's letter
+    # chamber k is in the table of t exactly when u^-1 t u = s_j is simple,
+    # and then its entry is the chamber across the wall, t u = u s_j, whose
+    # own entry leads back to k
     rs = build_root_system(*system)
     order = enumerate_weyl(rs)
     for t in rs.reflections[:len(rs.reflections) // 2]:
+        table = _attached(rs, t.index)
         letters = [conjugate_reflection(u.inv(), t).letter for u in order]
-        assert _attached(rs, t.index) == {k: j for k, j in enumerate(letters) if j is not None}
+        assert table.keys() == {k for k, j in enumerate(letters) if j is not None}
+        for k, partner in table.items():
+            u = order[k]
+            assert order[partner] == t.as_weyl() * u == u * rs.simple_reflection(letters[k])
+            assert table[partner] == k
 
 
 @st.composite
@@ -287,7 +294,7 @@ def test_gallery_type_walk_multiplies_no_weyl_elements():
     # the pass reads integer tables of chamber indices: a negative answer
     # at length 16 makes no Weyl product, and a positive one makes only
     # those of its certificate check, one per crossing of twist_seq
-    rs = RootSystem("B", 3)  # a fresh system, whose answer memo is empty
+    rs = RootSystem("B", 3)  # a fresh system, with no table built yet
 
     def fresh(text):
         return ReflSeq(rs, tuple(rs.reflections[t.index]
@@ -309,6 +316,33 @@ def test_gallery_type_walk_multiplies_no_weyl_elements():
         cert = is_gallery_type(positive)
     assert cert is not None
     assert 0 < len(calls) <= sum(cert.gamma.bits)
+
+
+def test_gallery_type_keeps_no_answers():
+    # once every wall's table is built, 2,000 distinct sequences asked of
+    # the shared D4, about half of gallery type, leave every attribute of
+    # the system as it was: it holds structure tables, not answers
+    rs = build_root_system("D", 4)
+    positives = rs.reflections[:len(rs.reflections) // 2]
+    for t in positives:
+        _attached(rs, t.index)
+    before = {name: copy.copy(value) for name, value in vars(rs).items()}
+    rng = random.Random(24)
+    simple, order = [rs.reflection(a) for a in rs.simple_roots], enumerate_weyl(rs)
+    seqs = {}
+    while len(seqs) < 2000:
+        n = rng.randint(4, 12)
+        if rng.random() < 0.5:
+            s = ReflSeq(rs, tuple(rng.choice(positives) for _ in range(n)))
+        else:
+            t = ReflSeq(rs, tuple(rng.choice(simple) for _ in range(n)))
+            gamma = Gallery(t, tuple(rng.random() < 0.5 for _ in range(n)))
+            s = conj_seq(twist_seq(t, gamma), rng.choice(order).inv())
+        seqs[s.entries] = s
+    found = sum(is_gallery_type(s) is not None for s in seqs.values())
+    assert 900 <= found < 2000
+    assert vars(rs) == before
+    assert len(rs._attached) <= len(positives)
 
 
 def test_gallery_type_search_is_bounded_by_states():

@@ -121,7 +121,7 @@ def test_rank_bound():
 
 def test_memo_tables_belong_to_their_system():
     # answers on the registry's B3 leave a new B3's tables empty, and the
-    # new system computes the same answers for itself
+    # new system builds the same tables and answers for itself
     shared, fresh = build_root_system("B", 3), RootSystem("B", 3)
     w = enumerate_weyl(shared)[17]
     # a simple sequence conjugated by w: of gallery type with x != e
@@ -131,8 +131,8 @@ def test_memo_tables_belong_to_their_system():
     assert not cert.x.is_identity()
     walls = {t.index for t in seq.entries}
     assert walls <= shared._attached.keys() and shared._weyl_right is not None
-    assert (fresh._gallery_type_memo, fresh._root_forms) == ({}, None)
-    assert (fresh._weyl_cache, fresh._weyl_right, fresh._attached) == (None, None, {})
+    assert (fresh._weyl_cache, fresh._weyl_right, fresh._attached, fresh._root_forms) == (
+        None, None, {}, None)
     fresh_seq = ReflSeq(fresh, tuple(fresh.reflection(r) for r in entries))
     fresh_cert = is_gallery_type(fresh_seq)
     assert ((fresh_cert.x, fresh_cert.t.entries, fresh_cert.gamma.bits)
@@ -150,8 +150,11 @@ def test_memo_tables_belong_to_their_system():
     for p in polys:
         assert weyl_act(w, p) == weyl_act(WeylElement(fresh, w.perm), p)
     assert [vars(shared), vars(fresh)] == before
-    # a repeat is a hit on the system's own table
-    assert is_gallery_type(fresh_seq) is fresh_cert
+    # a repeat is decided again, to the same certificate
+    repeat = is_gallery_type(fresh_seq)
+    assert repeat is not fresh_cert
+    assert ((repeat.x, repeat.t.entries, repeat.gamma.bits)
+            == (fresh_cert.x, fresh_cert.t.entries, fresh_cert.gamma.bits))
 
 
 def test_bad_inputs():
