@@ -68,11 +68,10 @@ def _load_plan(arg: str) -> nested.NestedPlan:
 def cmd_gallery_type(args) -> int:
     s = formats.parse_sequence(args.sequence, args.max_weyl)
     check_bound("sequence length", len(s), args.max_length)
-    cert = gallery.is_gallery_type(s)
+    cert = gallery.is_gallery_type(s)  # verified before it is returned
     if cert is None:
         _emit(args, {"gallery_type": False}, ["no labelled gallery exists"])
         return EXIT_OK
-    gallery.verify_gallerification(s, cert)
     doc = {
         "gallery_type": True,
         "x": str(cert.x),

@@ -78,33 +78,26 @@ class PointedMorphism:
     x_target: WeylElement
 
 
-def _table_ok(m: Morphism) -> MorphismViolation | None:
-    n, nt = len(m.source), len(m.target)
-    expected = 1 << n
-    if len(m.phi) != expected:
-        return MorphismViolation("phi-total", ())
-    for bits, image in m.phi.items():
-        if len(bits) != n or len(image) != nt:
-            return MorphismViolation("phi-shape", bits)
-    return None
-
-
 def verify_morphism(m: Morphism) -> MorphismViolation | None:
     """Check both defining equations exhaustively; None means verified.
 
     w s_beta w^-1 = s_{w(beta)}, so the wall equation at (gamma, i) compares
     the target's twist entry p(i) with w's image of the source's entry i, up
-    to sign.  On success the morphism's verified flag is set in place.
+    to sign.  phi's keys must be the source's patterns (else phi-total), and
+    each image is checked for the target's length (else phi-shape) when the
+    pass reaches its gallery.  On success the verified flag is set in place.
     """
     check_bound("morphism sequence length", max(len(m.source), len(m.target)),
                 MAX_MORPHISM_LENGTH)
-    bad = _table_ok(m)
-    if bad is not None:
-        return bad
-    phi, tgt, perm = m.phi, m.target.twists, m.w.perm
+    phi, rows = m.phi, m.source.twists
+    if phi.keys() != rows.keys():
+        return MorphismViolation("phi-total", ())
+    tgt, perm, nt = m.target.twists, m.w.perm, len(m.target)
     half = len(perm) // 2
-    for bits, src in m.source.twists.items():
+    for bits, src in rows.items():
         image = phi[bits]
+        if len(image) != nt:
+            return MorphismViolation("phi-shape", bits)
         row = tgt[image]
         for i, j in enumerate(m.p, start=1):
             if row[j - 1] != perm[src[i - 1]] % half:

@@ -33,6 +33,11 @@ def _expect(value, kind: str, what: str):
     return value
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: JSON true and false decode to bool, an int subclass."""
+    return type(value) is int
+
+
 def _number(text: str, kind=int):
     """int or Fraction of text; ParseError for a numeral it refuses (over 4,300 digits)."""
     try:
@@ -188,7 +193,7 @@ def parse_plan(doc) -> nested.NestedPlan:
     pairs = []
     for item in _expect(doc["pairs"], "array", "plan pairs"):
         if (not isinstance(item, (list, tuple)) or len(item) != 2
-                or not all(isinstance(c, int) for c in item)):
+                or not all(map(_is_int, item))):
             raise ParseError(f"bad pair {item!r}")
         pairs.append((item[0], item[1]))
     texts = _expect(doc["labels"], "object", "plan labels")
@@ -224,7 +229,7 @@ def parse_morphism(doc) -> foldcat.Morphism:
             raise ParseError(f"morphism document missing {key!r}")
     source, target = parse_sequence(doc["source"]), parse_sequence(doc["target"])
     p = tuple(_expect(doc["p"], "array", "p"))
-    if not all(isinstance(j, int) for j in p):
+    if not all(map(_is_int, p)):
         raise ParseError("p must be a list of integers")
     w = parse_weyl(source.rs, doc["w"])
     phi = {parse_bits(src_text, len(source)): parse_bits(tgt_text, len(target))

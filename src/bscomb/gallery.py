@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
 
-from .errors import MAX_LENGTH, InvalidInputError, check_bound
+from .errors import MAX_LENGTH, InvalidInputError, VerificationError, check_bound
 from .rootsys import (
     Reflection,
     RootSystem,
@@ -165,16 +165,16 @@ def conj_seq(s: ReflSeq, w: WeylElement) -> ReflSeq:
     return ReflSeq(s.rs, tuple(conjugate_reflection(w, t) for t in s.entries))
 
 
-def twist_seq(s: ReflSeq, gamma: Gallery) -> ReflSeq:
-    """s^(gamma) with entry i equal to gamma^i s_i (gamma^i)^-1."""
-    if gamma.seq != s:
-        raise InvalidInputError("gallery does not live over this sequence")
+def twist_seq(s: ReflSeq, bits: Bits) -> ReflSeq:
+    """s^(gamma) for the gallery of s with pattern bits: entry i is gamma^i s_i (gamma^i)^-1."""
+    if len(bits) != len(s):
+        raise InvalidInputError("gallery length does not match its sequence")
     entries = []
     w = s.rs.identity()
-    for i in range(1, len(s) + 1):
-        if gamma.bits[i - 1]:
-            w = w * s[i].as_weyl()
-        entries.append(conjugate_reflection(w, s[i]))
+    for t, bit in zip(s.entries, bits):
+        if bit:
+            w = w * t.as_weyl()
+        entries.append(conjugate_reflection(w, t))
     return ReflSeq(s.rs, tuple(entries))
 
 
@@ -237,9 +237,7 @@ def is_gallery_type(s: ReflSeq) -> Gallerification | None:
 
 def verify_gallerification(s: ReflSeq, cert: Gallerification) -> None:
     """Check t^(gamma) = s^x entrywise; raise if the certificate is unsound."""
-    from .errors import VerificationError
-
-    lhs = twist_seq(cert.t, cert.gamma)
+    lhs = twist_seq(cert.t, cert.gamma.bits)
     rhs = conj_seq(s, cert.x)
     if lhs.entries != rhs.entries:
         raise VerificationError("gallerification fails t^(gamma) = s^x")

@@ -99,12 +99,13 @@ class RootSystem:
 
     Construct via :func:`build_root_system`; instances compare by (family,
     rank).  A system owns the tables of pure functions of it, each filled
-    on first use and kept as long as the system: the Weyl list with the
-    index of each u * s_j (`enumerate_weyl`, rank*|W| entries), the
-    chambers attached to each reflection's wall with the chamber across it
-    (`gallery._attached`, one table per reflection asked, rank*|W| entries
-    over all of them), and one linear form per root (`poly.root_forms`).
-    No table grows with the queries asked.  A fresh one starts empty.
+    on first use and kept as long as the system: the Weyl order, returned
+    uncopied, and the index of each u * s_j (`enumerate_weyl`, tuples of
+    rank*|W| entries), the chambers attached to each reflection's wall with
+    the chamber across it (`gallery._attached`, one table per reflection
+    asked, rank*|W| entries over all of them), and one linear form per root
+    (`poly.root_forms`).  No table grows with the queries asked.  A fresh
+    one starts empty.
     """
 
     def __init__(self, family: str, rank: int):
@@ -122,8 +123,8 @@ class RootSystem:
         # roots[k + N] = -roots[k], so both halves share the reflection objects
         self.reflections = tuple(positive + positive)
         self._identity = WeylElement(self, tuple(range(len(self.roots))))
-        self._weyl_cache: list["WeylElement"] | None = None
-        self._weyl_right: list[int] | None = None
+        self._weyl_cache: tuple["WeylElement", ...] | None = None
+        self._weyl_right: tuple[int, ...] | None = None
         self._attached: dict[int, dict[int, int]] = {}
         self._root_forms: tuple | None = None
 
@@ -299,13 +300,14 @@ def conjugate_reflection(w: WeylElement, t: Reflection) -> Reflection:
     return w.rs.reflections[w.perm[t.index]]
 
 
-def enumerate_weyl(rs: RootSystem) -> list[WeylElement]:
+def enumerate_weyl(rs: RootSystem) -> tuple[WeylElement, ...]:
     """All Weyl elements, by closure under simple reflections.
 
     |W| is bounded by MAX_WEYL before any element is built.
     Deterministic order: breadth-first by word length, elements sorted by
-    matrix within each level.  Cached on the root system, with the products
-    the closure makes anyway: `rs._weyl_right[k * rank + j - 1]` is the
+    matrix within each level.  Built once and kept on the root system as a
+    tuple that every call returns uncopied, with the products the closure
+    makes anyway: the tuple `rs._weyl_right` holds at k * rank + j - 1 the
     index of order[k] * s_j, rank*|W| integers kept as long as the system.
     """
     if rs._weyl_cache is None:
@@ -332,5 +334,5 @@ def enumerate_weyl(rs: RootSystem) -> list[WeylElement]:
             order.extend(level)
             final = [index[w.perm] for w in nxt]
             right += [k if k >= 0 else final[~k] for k in row]
-        rs._weyl_cache, rs._weyl_right = order, right
-    return list(rs._weyl_cache)
+        rs._weyl_cache, rs._weyl_right = tuple(order), tuple(right)
+    return rs._weyl_cache

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from bscomb import cli, errors
+from bscomb import cli, errors, formats, gallery
 from bscomb.cli import main
 from bscomb.formats import parse_weyl
 from bscomb.rootsys import build_root_system
@@ -38,6 +38,35 @@ def test_gallery_type_structured(capsys):
     doc = json.loads(out)
     assert doc["gallery_type"] is True
     assert set(doc) == {"gallery_type", "x", "t", "gamma"}
+
+
+def test_gallery_type_verifies_each_certificate_once(capsys, monkeypatch):
+    # is_gallery_type verifies the certificate it returns; the command
+    # prints it without a second check
+    calls, verify = [], gallery.verify_gallerification
+
+    def counted(s, cert):
+        calls.append(cert)
+        return verify(s, cert)
+
+    monkeypatch.setattr(gallery, "verify_gallerification", counted)
+    for fmt in ("text", "structured"):
+        for seq in ("A2: [1,1] [1,0]", "A2: s1 s2", "A2:"):
+            calls.clear()
+            code, out, _ = run(capsys, "--format", fmt, "gallery-type", seq)
+            assert (code, len(calls)) == (0, 1), (fmt, seq)
+            assert formats.serialize_bits(calls[0].gamma.bits) in out
+
+
+def test_gallery_type_refuses_unverified_certificate(capsys, monkeypatch):
+    def fail(s, cert):
+        raise errors.VerificationError("gallerification fails t^(gamma) = s^x")
+
+    monkeypatch.setattr(gallery, "verify_gallerification", fail)
+    for fmt in ("text", "structured"):
+        code, out, err = run(capsys, "--format", fmt, "gallery-type", "A2: s1 s2")
+        assert (code, out) == (4, ""), fmt
+        assert err.startswith("error: gallerification fails"), fmt
 
 
 def test_gallery_type_empty_sequence(capsys):
@@ -74,7 +103,12 @@ def test_parse_error_exit_code(capsys, monkeypatch):
                  ["fixed-points", json.dumps(dict(plan, sequence=5))],
                  ["fixed-points", json.dumps(dict(plan, pairs=5))],
                  ["decompose", "A2: s1", '{"values": {"0": "1/0", "1": "3"}}'],
-                 ["fixed-points", "-"]):
+                 ["fixed-points", "-"],
+                 # JSON true and false decode to bools, which Python counts as ints
+                 ["fibres", json.dumps(dict(plan, sequence="s1 s1", pairs=[[True, 2]],
+                                            labels={"True-2": "e"}))],
+                 ["morphism", "verify", json.dumps(dict(morphism, target="A1: s1", p=[True],
+                                                        w="e", phi={"0": "0", "1": "1"}))]):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert "error" in err, argv

@@ -66,6 +66,38 @@ def test_verify_rejects_broken_table(a1):
     assert not bad.verified
 
 
+def test_phi_keys_must_be_the_source_galleries(a1):
+    # a key of the wrong length, with the right number of keys, leaves a
+    # gallery of the source without an image: phi-total, as for a missing
+    # or an extra key
+    s, target, e = simple_seq(a1, 1), simple_seq(a1, 1, 1), a1.identity()
+    good = dict(subsequence_morphism(s, target, (1,)).phi)
+    for phi in ({(False,): good[(False,)], (True, False): good[(True,)]},
+                {(False,): good[(False,)]},
+                {**good, (True, True): (True, True)}):
+        m = Morphism(s, target, (1,), e, phi)
+        assert verify_morphism(m) == MorphismViolation("phi-total", ()) == _reference_verify(m)
+        assert not m.verified
+
+
+def test_phi_shape_is_found_in_pattern_order(a2):
+    # images of the wrong length are reported at the first such gallery in
+    # pattern order, whatever order the table was written in; one that an
+    # earlier gallery folds onto breaks that gallery's folding equation first
+    s = simple_seq(a2, 1, 2)
+    good = subsequence_morphism(s, s, (1, 2)).phi
+    first, last = (False, False), (True, True)
+    backwards = {bits: good[bits] for bits in reversed(list(s.patterns))}
+    cases = [({**backwards, first: (False,)}, MorphismViolation("phi-shape", first)),
+             ({**backwards, last: (True,), first: (False, False, False)},
+              MorphismViolation("phi-shape", first)),
+             ({**backwards, last: (True,)}, MorphismViolation("folding-equation", (False, True), 1))]
+    for phi, expect in cases:
+        m = Morphism(s, s, (1, 2), a2.identity(), phi)
+        assert verify_morphism(m) == expect == _reference_verify(m)
+        assert not m.verified
+
+
 def test_verified_flag_is_not_a_constructor_argument(a1):
     # a caller cannot vouch for a table: built as verified, a phi that breaks
     # the folding equation would pass verify_pointed on the pointed
@@ -206,17 +238,19 @@ def test_p_must_increase(a2):
 
 def _reference_verify(m):
     """verify_morphism as one twisted sequence per gallery, from twist_seq
-    and prefix: the reference for the first violation reported."""
+    and prefix: the reference for the first violation reported.  phi must
+    be defined on exactly the galleries of the source; then, gallery by
+    gallery in pattern order, its image must have the target's length
+    before the equations there are read."""
     n, nt = len(m.source), len(m.target)
-    if len(m.phi) != 1 << n:
+    if set(m.phi) != {gamma.bits for gamma in galleries(m.source)}:
         return MorphismViolation("phi-total", ())
-    for bits, image in m.phi.items():
-        if len(bits) != n or len(image) != nt:
-            return MorphismViolation("phi-shape", bits)
     for gamma in galleries(m.source):
-        src = twist_seq(m.source, gamma)
+        src = twist_seq(m.source, gamma.bits)
         image = m.phi[gamma.bits]
-        tgt = twist_seq(m.target, Gallery(m.target, image))
+        if len(image) != nt:
+            return MorphismViolation("phi-shape", gamma.bits)
+        tgt = twist_seq(m.target, image)
         for i in range(1, n + 1):
             j = m.p[i - 1]
             if tgt[j] != conjugate_reflection(m.w, src[i]):

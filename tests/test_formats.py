@@ -121,6 +121,22 @@ def test_plan_missing_label():
         parse_plan(doc)
 
 
+@pytest.mark.parametrize("pairs", [[[True, 2]], [[1, False]], [[True, False]]])
+def test_plan_pairs_refuse_booleans(pairs):
+    doc = {"root_system": "A2", "sequence": "s1 s1", "pairs": pairs,
+           "labels": {f"{a}-{b}": "e" for a, b in pairs}}
+    with pytest.raises(ParseError, match="bad pair"):
+        parse_plan(doc)
+
+
+@pytest.mark.parametrize("p", [[True], [False]])
+def test_morphism_positions_refuse_booleans(p):
+    doc = {"source": "A1: s1", "target": "A1: s1", "p": p, "w": "e",
+           "phi": {"0": "0", "1": "1"}}
+    with pytest.raises(ParseError, match="p must be a list of integers"):
+        parse_morphism(doc)
+
+
 def test_morphism_round_trip(a1):
     s = simple_seq(a1, 1)
     target = simple_seq(a1, 1, 1)

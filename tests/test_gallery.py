@@ -96,11 +96,18 @@ def test_folding_orbit_is_everything(a2):
 def test_twist_matches_conjugated_walk(a2):
     s = simple_seq(a2, 1, 2, 1)
     for g in galleries(s):
-        t = twist_seq(s, g)
+        t = twist_seq(s, g.bits)
         # entry i is a conjugate of s_i, so it has the same length signature
         for i in range(1, 4):
             assert t[i].as_weyl() == (
                 prefix(g, i) * s[i].as_weyl() * prefix(g, i).inv())
+
+
+@pytest.mark.parametrize("bits", [(), (True,), (False, True), (True, False, True, False)])
+def test_twist_refuses_pattern_of_other_length(a2, bits):
+    s = simple_seq(a2, 1, 2, 1)
+    with pytest.raises(InvalidInputError, match="gallery length"):
+        twist_seq(s, bits)
 
 
 def test_conj_seq_identity(a2):
@@ -161,9 +168,8 @@ def test_twist_of_conjugate(data):
     s = data.draw(st.sampled_from(seqs))
     w = data.draw(st.sampled_from(enumerate_weyl(rs)))
     bits = tuple(data.draw(st.booleans()) for _ in range(3))
-    g = Gallery(s, bits)
-    lhs = twist_seq(conj_seq(s, w), Gallery(conj_seq(s, w), g.bits))
-    rhs = conj_seq(twist_seq(s, g), w)
+    lhs = twist_seq(conj_seq(s, w), bits)
+    rhs = conj_seq(twist_seq(s, bits), w)
     assert lhs.entries == rhs.entries
 
 
@@ -193,7 +199,7 @@ def test_twist_table_matches_twist_seq(system):
             assert list(s.twists) == list(s.patterns)
             for bits, row in s.twists.items():
                 named = tuple(rs.reflections[k] for k in row)
-                assert named == twist_seq(s, Gallery(s, bits)).entries
+                assert named == twist_seq(s, bits).entries
 
 
 def test_tables_respect_length_bound(a1):
@@ -253,9 +259,9 @@ def fresh_sequences(draw):
         return ReflSeq(rs, tuple(draw(st.sampled_from(refls)) for _ in range(n)))
     simple = [rs.reflection(a) for a in rs.simple_roots]
     t = ReflSeq(rs, tuple(draw(st.sampled_from(simple)) for _ in range(n)))
-    gamma = Gallery(t, tuple(draw(st.booleans()) for _ in range(n)))
+    bits = tuple(draw(st.booleans()) for _ in range(n))
     x = draw(st.sampled_from(enumerate_weyl(rs)))
-    return conj_seq(twist_seq(t, gamma), x.inv())
+    return conj_seq(twist_seq(t, bits), x.inv())
 
 
 @settings(max_examples=150, deadline=None)
@@ -336,8 +342,8 @@ def test_gallery_type_keeps_no_answers():
             s = ReflSeq(rs, tuple(rng.choice(positives) for _ in range(n)))
         else:
             t = ReflSeq(rs, tuple(rng.choice(simple) for _ in range(n)))
-            gamma = Gallery(t, tuple(rng.random() < 0.5 for _ in range(n)))
-            s = conj_seq(twist_seq(t, gamma), rng.choice(order).inv())
+            bits = tuple(rng.random() < 0.5 for _ in range(n))
+            s = conj_seq(twist_seq(t, bits), rng.choice(order).inv())
         seqs[s.entries] = s
     found = sum(is_gallery_type(s) is not None for s in seqs.values())
     assert 900 <= found < 2000

@@ -226,6 +226,14 @@ def test_right_simple_table_matches_products(family, rank):
             assert order[rs._weyl_right[k * rank + j - 1]] == u * rs.simple_reflection(j)
 
 
+def test_enumerate_weyl_returns_its_stored_tuple():
+    # the order is built once per system and handed out uncopied
+    rs = RootSystem("B", 3)
+    order = enumerate_weyl(rs)
+    assert type(order) is tuple and type(rs._weyl_right) is tuple
+    assert enumerate_weyl(rs) is order is rs._weyl_cache
+
+
 def test_enumerate_weyl_deterministic(a3):
     assert enumerate_weyl(a3) == enumerate_weyl(a3)
     # identity first, then by increasing length
