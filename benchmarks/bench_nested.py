@@ -1,8 +1,11 @@
 """Microbenchmarks for the nested layer: fixed_points and
-factor_fixed_points on the SL5 plan (length 10, pairs (1, 10) and (2, 6))
-and on a length-16 A4 plan with the single pair (3, 14); project along
-(2, 6) and restricted_seq at (1, 10), the two uses of the one contraction,
-on the SL5 plan.
+factor_fixed_points on the SL5 plan (length 10, pairs (1, 10) and (2, 6)),
+on a length-16 A4 plan with the single pair (3, 14), on a length-9 D4 plan
+with the pair (8, 9) shaped like the plan items that set the `certify`
+item tail (128 of its 512 galleries satisfy it), and on the length-20 A4
+plan with the single pair (1, 20), where a level is wider than the sweep
+keeps at once; project along (2, 6) and restricted_seq at (1, 10), the two
+uses of the one contraction, on the SL5 plan.
 
 Run from the repository root:
 
@@ -13,7 +16,7 @@ Tier-1 does not collect this file (`testpaths = ["tests"]`).
 
 import pytest
 
-from bscomb.gallery import ReflSeq
+from bscomb.formats import parse_sequence, parse_weyl
 from bscomb.nested import (
     FSelection,
     NestedPlan,
@@ -22,28 +25,24 @@ from bscomb.nested import (
     project,
     restricted_seq,
 )
-from bscomb.rootsys import build_root_system
-
-RS = build_root_system("A", 4)
 
 
-def _word(*letters):
-    w = RS.identity()
-    for i in letters:
-        w = w * RS.simple_reflection(i)
-    return w
-
-
-def _seq(*letters):
-    return ReflSeq(RS, tuple(RS.reflection(RS.simple_roots[i - 1]) for i in letters))
+def _plan(sequence, labels):
+    """A plan from a sequence document and {pair: Weyl word}."""
+    seq = parse_sequence(sequence)
+    return NestedPlan(seq, tuple(labels),
+                      {r: parse_weyl(seq.rs, w) for r, w in labels.items()})
 
 
 PLANS = {
-    "sl5": NestedPlan(_seq(4, 1, 2, 1, 2, 1, 3, 4, 3, 4), ((1, 10), (2, 6)),
-                      {(1, 10): _word(2, 3, 4), (2, 6): _word(2)}),
-    "len16": NestedPlan(_seq(*[1, 2, 3, 4] * 4), ((3, 14),), {(3, 14): RS.identity()}),
+    "sl5": _plan("A4: s4 s1 s2 s1 s2 s1 s3 s4 s3 s4",
+                 {(1, 10): "s2 s3 s4", (2, 6): "s2"}),
+    "len16": _plan("A4:" + " s1 s2 s3 s4" * 4, {(3, 14): "e"}),
+    "d4tail": _plan("D4: s[0,1,1,0] s[0,1,1,1] s4 s3 s1 s[1,1,0,1] s4 s[1,1,0,1] s[0,1,0,1]",
+                    {(8, 9): "s1 s2 s4 s2 s1"}),
+    "len20": _plan("A4:" + " s1 s2 s3 s4" * 5, {(1, 20): "e"}),
 }
-SELECTIONS = {"sl5": [(2, 6)], "len16": [(3, 14)]}
+SELECTIONS = {"sl5": [(2, 6)], "len16": [(3, 14)], "d4tail": [(8, 9)], "len20": [(1, 20)]}
 
 
 @pytest.mark.parametrize("name", PLANS)

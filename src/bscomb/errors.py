@@ -12,6 +12,7 @@ MAX_LENGTH = 20            # positions of a sequence whose 2^n galleries are wal
 MAX_BASIS_LENGTH = 10      # positions of a sequence given a triangular basis
 MAX_MORPHISM_LENGTH = 12   # positions of a morphism's source or target
 MAX_TERMS = 10_000         # terms of a polynomial product or quotient
+MAX_CANDIDATES = 20_000    # (p, w, seed) candidates of one morphism enumeration
 MAX_LEVEL_TERMS = 100_000  # product terms of one level of a triangular basis
 
 

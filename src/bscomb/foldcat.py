@@ -17,12 +17,19 @@ all-stay gallery and then verifies each one in full.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import combinations
 from types import MappingProxyType
 
-from .errors import MAX_MORPHISM_LENGTH, InvalidInputError, VerificationError, check_bound
+from .errors import (
+    MAX_CANDIDATES,
+    MAX_MORPHISM_LENGTH,
+    InvalidInputError,
+    VerificationError,
+    check_bound,
+)
 from .gallery import Bits, ReflSeq, serialize_bits
 from .rootsys import WeylElement, enumerate_weyl
 
@@ -160,6 +167,7 @@ def enumerate_morphisms(s: ReflSeq, target: ReflSeq) -> list[Morphism]:
     root of s_i to +-(the seed's twist entry p(i)).  So w is keyed by those
     images, seeds by their entries at p, and only matching pairs are verified
     in full.  Order: p lexicographic, then w in enumerate_weyl order, then seed.
+    More than MAX_CANDIDATES matching pairs are refused before any is built.
     """
     if s.rs != target.rs:
         raise InvalidInputError("source and target are over different root systems")
@@ -170,11 +178,19 @@ def enumerate_morphisms(s: ReflSeq, target: ReflSeq) -> list[Morphism]:
     half = len(s.rs.roots) // 2
     keyed = [(tuple(w.perm[t.index] % half for t in s.entries), w)
              for w in enumerate_weyl(s.rs)]
-    out = []
+    w_count = Counter(key for key, _ in keyed)
+    # a (p, w, seed) whose keys match is a candidate; the buckets that can
+    # match are kept, and the candidates counted and bounded before any is built
+    plans = []
     for p in combinations(range(1, nt + 1), n):
         buckets: dict[tuple[int, ...], list[Bits]] = {}
         for seed, row in target.twists.items():
             buckets.setdefault(tuple(row[j - 1] for j in p), []).append(seed)
+        plans.append((p, {key: seeds for key, seeds in buckets.items() if key in w_count}))
+    check_bound("morphism candidates", sum(w_count[key] * len(seeds) for _, buckets in plans
+                                           for key, seeds in buckets.items()), MAX_CANDIDATES)
+    out = []
+    for p, buckets in plans:
         for key, w in keyed:
             for seed in buckets.get(key, ()):
                 m = Morphism(s, target, p, w, _propagated_table(s, p, seed))

@@ -20,9 +20,13 @@ from .errors import InvalidInputError, ParseError
 from .gallery import Bits, ReflSeq, serialize_bits
 from .rootsys import Root, RootSystem, WeylElement, build_root_system, check_weyl_order
 
-_RS_RE = re.compile(r"([ABCDG])(\d+)")
-_LETTER_RE = re.compile(r"s(\d+)")
-_ROOT_RE = re.compile(r"s?\[([-\d,\s]*)\]")
+# the one numeral of every grammar: ASCII digits without a leading zero,
+# as str(int) writes them, so each numeral reads back as it is written
+_NUM = "(?:0|[1-9][0-9]*)"
+_RS_RE = re.compile(rf"([ABCDG])({_NUM})")
+_LETTER_RE = re.compile(rf"s({_NUM})")
+_ROOT_RE = re.compile(rf"s?\[(-?{_NUM}(?:,-?{_NUM})*)\]")
+_PAIR_RE = re.compile(rf"({_NUM})-({_NUM})")
 _JSON_TYPES = {"string": str, "array": (list, tuple), "object": dict}
 
 
@@ -129,8 +133,8 @@ def parse_bits(text: str, n: int) -> Bits:
 
 
 # a term is [coefficient][*][monomial], the monomial factors joined by "*"
-_TERM_RE = re.compile(r"(\d+(?:/0*[1-9]\d*)?)?\*?(.*)")
-_FACTOR_RE = re.compile(r"w(\d+)(?:\^(\d+))?")
+_TERM_RE = re.compile(rf"({_NUM}(?:/[1-9][0-9]*)?)?\*?(.*)")
+_FACTOR_RE = re.compile(rf"w({_NUM})(?:\^({_NUM}))?")
 
 
 def parse_poly(nvars: int, text: str) -> poly.Poly:
@@ -170,11 +174,13 @@ def _pair_key(r: nested.Pair) -> str:
 
 
 def parse_pair(text: str) -> nested.Pair:
-    """A pair "a-b" as `_pair_key` writes it, e.g. "2-6"."""
+    """A pair "a-b" exactly as `_pair_key` writes it, e.g. "2-6"."""
+    m = _PAIR_RE.fullmatch(text)
     try:
-        a, b = text.split("-")
-        return _number(a), _number(b)
-    except (ValueError, ParseError) as exc:
+        if m is None:
+            raise ParseError("not two numerals joined by '-'")
+        return _number(m[1]), _number(m[2])
+    except ParseError as exc:
         raise ParseError(f"bad pair {text!r}; expected like 2-6") from exc
 
 

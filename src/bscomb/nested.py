@@ -185,41 +185,69 @@ def fibre_data(plan: NestedPlan, f: Pair) -> NestedPlan:
     return _restrict(plan, f[0], f[1], ())
 
 
+# live prefixes of one level before the sweep takes its entries one at a
+# time: memory stays O(n * _WIDTH) while a level still shares its crossings
+_WIDTH = 1024
+_STAY, _CROSS = (False,), (True,)
+
+
 def fixed_points(plan: NestedPlan) -> list[Bits]:
     """Gamma(s, v): the bit patterns of the galleries satisfying all
     interval constraints, in lexicographic order.
 
-    The product over [a, b] is (gamma^(a-1))^-1 gamma^b, so a depth-first
-    walk over the bits, stay before cross, carries gamma^0..gamma^i and
-    drops a branch at position b as soon as gamma^b != gamma^(a-1) v_(a,b).
-    Endpoints are distinct, so at most one pair closes at each position.
-    The prefixes are raw root permutations, composed as (xy)[k] = x[y[k]];
-    only the bit patterns are returned.
+    A live prefix of i bits carries (gamma^i)^-1 as its images of the rank
+    simple roots (root indices), which determine it.  Crossing s_i gives
+    (gamma^i)^-1 = s_i (gamma^(i-1))^-1, so the images are mapped through
+    s_i's root permutation.  Pair (a, b) holds exactly when (gamma^b)^-1 =
+    v_(a,b)^-1 (gamma^(a-1))^-1: that target is pushed on the prefix's
+    stack when a opens and compared and popped when b closes, which works
+    because pairs are nested or disjoint.  Endpoints are distinct, so at
+    most one pair opens and one closes at each position.
+
+    Every live prefix is extended one position at a time, stay before
+    cross, and each distinct crossing is computed once per level.  A
+    level wider than _WIDTH is swept one entry at a time, in order, so at
+    most n levels of bounded width are held.  Nothing enumerates W and
+    nothing is kept on the system.
     """
     _require_valid(plan)
     seq = plan.seq
     n = len(seq)
     check_bound("sequence length", n, MAX_LENGTH)
     steps = [t.as_weyl().perm for t in seq.entries]
-    closes = {b: (a, plan.labels[(a, b)].perm) for a, b in plan.pairs}
-    gamma = [seq.rs.identity().perm] * (n + 1)
-    bits = [False] * n
-    out = []
+    opens = {a - 1: plan.labels[(a, b)].inv().perm for a, b in plan.pairs}
+    closes = {b - 1 for _, b in plan.pairs}
+    # an entry is (bits, images, stack), a stack being None or (target, stack)
+    start = ((), tuple(seq.rs.reflection(a).index for a in seq.rs.simple_roots), None)
+    out: list[Bits] = []
 
-    def walk(i: int) -> None:
-        if i == n:
-            out.append(tuple(bits))
-            return
-        closing = closes.get(i + 1)
-        want = tuple(map(gamma[closing[0] - 1].__getitem__, closing[1])) if closing else None
-        for cross in (False, True):
-            u = tuple(map(gamma[i].__getitem__, steps[i])) if cross else gamma[i]
-            if want is None or u == want:
-                bits[i] = cross
-                gamma[i + 1] = u
-                walk(i + 1)
+    def sweep(level: list, i: int) -> None:
+        while i < n:
+            if len(level) > _WIDTH:
+                for entry in level:
+                    sweep([entry], i)
+                return
+            step, target, closing = steps[i].__getitem__, opens.get(i), i in closes
+            crossed, nxt = {}, []
+            for bits, u, stack in level:
+                if target is not None:
+                    stack = (tuple(map(target.__getitem__, u)), stack)
+                if closing:
+                    want, stack = stack
+                    if u == want:
+                        nxt.append((bits + _STAY, u, stack))
+                        continue
+                c = crossed.get(u)
+                if c is None:
+                    c = crossed[u] = tuple(map(step, u))
+                if not closing:
+                    nxt += ((bits + _STAY, u, stack), (bits + _CROSS, c, stack))
+                elif c == want:
+                    nxt.append((bits + _CROSS, c, stack))
+            level, i = nxt, i + 1
+        out.extend(bits for bits, _, _ in level)
 
-    walk(0)
+    sweep([start], 0)
     return out
 
 

@@ -5,8 +5,11 @@ import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bscomb import cli, errors, formats, gallery
 from bscomb.cli import main
@@ -259,13 +262,34 @@ def test_unreadable_document_is_a_parse_error(capsys, tmp_path):
 
 def test_fixed_points_at_length_bound():
     # 2^20 galleries with one constraint that only the full product can
-    # check: the walk keeps prefix products along one branch at a time.
+    # check.  The sweep holds at most one level of bounded width per
+    # position, so the child, which prints its own peak RSS, stays small.
+    # On Linux ru_maxrss keeps the peak of the process that forked the child
+    # across exec, so the child reads the high-water mark of its own memory
+    # (VmHWM, in KiB) instead.
     plan = json.dumps({"root_system": "A4", "sequence": "s1 s2 s3 s4 " * 5,
                        "pairs": [[1, 20]], "labels": {"1-20": "e"}})
+    child = ("import sys\n"
+             "from bscomb.cli import main\n"
+             "code = main(sys.argv[1:])\n"
+             "with open('/proc/self/status') as fh:\n"
+             "    print(next(line for line in fh if line.startswith('VmHWM:')), file=sys.stderr)\n"
+             "sys.exit(code)\n")
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
-    proc = subprocess.run([sys.executable, "-m", "bscomb.cli", "fixed-points", plan],
+    proc = subprocess.run([sys.executable, "-c", child, "fixed-points", plan],
                           cwd=ROOT, env=env, capture_output=True, timeout=15)
     assert proc.returncode == 0
+    kib = int(proc.stderr.split()[-2])
+    assert kib < 64 * 1024
+
+
+def test_fixed_points_a9(capsys):
+    # |W(A9)| = 3,628,800 is above MAX_WEYL: the fixed points never need W
+    plan = json.dumps({"root_system": "A9", "sequence": "s1 s2 s3 s4 s5 s6 s7 s8 s9 s1",
+                       "pairs": [[1, 9]], "labels": {"1-9": "s1 s2 s3 s4 s5 s6 s7 s8 s9"}})
+    code, out, _ = run(capsys, "--format", "structured", "fixed-points", plan)
+    assert code == 0
+    assert json.loads(out) == {"count": 2, "galleries": ["1111111110", "1111111111"]}
 
 
 def test_project_sl5(capsys):
@@ -310,7 +334,11 @@ def test_fibres(capsys):
     ["fibres", SL5, "--pair", "2-6-7"],
     ["fibres", SL5, "--pair", "9" * 5000 + "-6"],
     ["project", SL5, "--pairs", "2-6,1"],
-], ids=["fibres-letter", "fibres-triple", "fibres-5000-digits", "project-single"])
+    ["project", SL5, "--pairs", "1-1_0"],
+    ["project", SL5, "--pairs", " +1-10"],
+    ["fibres", SL5, "--pair", "02-6"],
+], ids=["fibres-letter", "fibres-triple", "fibres-5000-digits", "project-single",
+        "project-underscore", "project-sign", "fibres-leading-zero"])
 def test_bad_pair_exit_code(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
@@ -361,6 +389,21 @@ def test_morphism_enumerate(capsys):
                        "morphism", "enumerate", "A1: s1", "A1: s1 s1")
     assert code == 0
     assert json.loads(out)["count"] == 16
+
+
+@pytest.mark.parametrize("source, target, count", [
+    ("A3: s1 s1 s1", "A3:" + " s1" * 9, 172_032),
+    ("A5: s1 s1 s1 s1", "A5:" + " s1" * 12, 97_320_960),
+], ids=["A3", "A5"])
+def test_morphism_candidates_are_bounded(source, target, count):
+    # repeated letters make almost every (p, w, seed) a candidate: they are
+    # counted and refused before any is built or verified
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run([sys.executable, "-m", "bscomb.cli", "morphism", "enumerate",
+                           source, target], cwd=ROOT, env=env, capture_output=True, timeout=10)
+    assert (proc.returncode, proc.stdout) == (3, b"")
+    assert proc.stderr.decode() == (f"error: morphism candidates {count} exceeds bound "
+                                    f"{errors.MAX_CANDIDATES}\n")
 
 
 def test_morphism_enumerate_refuses_mixed_root_systems(capsys):
@@ -437,3 +480,48 @@ def test_structured_output_deterministic(capsys):
     _, out2, _ = run(capsys, "--format", "structured", "project", SL5,
                      "--pairs", "2-6")
     assert out1 == out2
+
+
+SL5_DOC = json.dumps({"root_system": "A4", "sequence": "s4 s1 s2 s1 s2 s1 s3 s4 s3 s4",
+                      "pairs": [[1, 10], [2, 6]], "labels": {"1-10": "s2 s3 s4", "2-6": "s2"}})
+A1_MORPHISM = json.dumps({"source": "A1: s1", "target": "A1: s1 s1", "p": [2], "w": "s1",
+                          "phi": {"0": "10", "1": "11"}})
+# valid commands whose arguments hold every kind of numeral: ranks, letters,
+# root coordinates, pairs, JSON positions, bit patterns, and the
+# coefficients, denominators, variables and exponents of polynomials
+NUMERAL_COMMANDS = [
+    ["gallery-type", "A2: s1 s[1,1]"],
+    ["weyl", "info", "--root-system", "G2"],
+    ["fixed-points", SL5_DOC],
+    ["project", SL5_DOC, "--pairs", "2-6"],
+    ["fibres", SL5_DOC, "--pair", "2-6"],
+    ["basis", "B2: s1 s2"],
+    ["decompose", "A2: s1", json.dumps({"values": dict.fromkeys(["0", "1"], "3*w1^2 - 1/2*w2")})],
+    ["morphism", "verify", A1_MORPHISM],
+    ["morphism", "enumerate", "A2: s1", "A2: s1 s2"],
+    ["morphism", "apply", A1_MORPHISM, json.dumps({"values": {
+        "00": "w1^2", "01": "w1^2", "10": "7/3", "11": "7/3"}})],
+]
+NON_ASCII_DIGITS = st.characters(categories=["Nd"]).filter(lambda c: not c.isascii())
+
+
+@pytest.mark.parametrize("argv", NUMERAL_COMMANDS, ids=lambda argv: argv[0])
+def test_numeral_commands_are_valid(capsys, argv):
+    assert run(capsys, *argv)[0] == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_non_ascii_digit_is_a_parse_error(data):
+    # any one ASCII digit of any argument value, replaced by a decimal digit
+    # of another script, makes the command a parse error
+    argv = data.draw(st.sampled_from(NUMERAL_COMMANDS), label="command")
+    spots = [(i, k) for i, arg in enumerate(argv) for k, c in enumerate(arg)
+             if c in "0123456789"]
+    i, k = data.draw(st.sampled_from(spots), label="digit")
+    digit = data.draw(NON_ASCII_DIGITS, label="replacement")
+    argv = argv[:i] + [argv[i][:k] + digit + argv[i][k + 1:]] + argv[i + 1:]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert (code, out.getvalue()) == (2, ""), argv

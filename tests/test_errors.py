@@ -29,6 +29,8 @@ LENGTH = errors.MAX_LENGTH + 1
 BASIS_LENGTH = errors.MAX_BASIS_LENGTH + 1
 MORPHISM_LENGTH = errors.MAX_MORPHISM_LENGTH + 1
 TERMS = errors.MAX_TERMS + 1
+# s1 into s1^12 in A1: every position p, both w and every seed are candidates
+CANDIDATES = errors.MAX_MORPHISM_LENGTH * 2 * 2 ** errors.MAX_MORPHISM_LENGTH
 
 
 def a1_seq(n):
@@ -59,6 +61,11 @@ CASES = [
      lambda: enumerate_morphisms(a1_seq(1), a1_seq(MORPHISM_LENGTH)),
      ["morphism", "enumerate", "A1: s1", "A1:" + " s1" * MORPHISM_LENGTH],
      (["--max-length", "1"], f"sequence length {MORPHISM_LENGTH} exceeds bound 1")),
+    (errors.MAX_CANDIDATES, "morphism candidates", CANDIDATES,
+     lambda: enumerate_morphisms(a1_seq(1), a1_seq(errors.MAX_MORPHISM_LENGTH)),
+     ["morphism", "enumerate", "A1: s1", "A1:" + " s1" * errors.MAX_MORPHISM_LENGTH],
+     (["--max-length", "1"],
+      f"sequence length {errors.MAX_MORPHISM_LENGTH} exceeds bound 1")),
     # w2^N over a linear form with pivot w2 gains one quotient term per
     # pivot degree, N in all
     (errors.MAX_TERMS, "polynomial terms", TERMS,
@@ -72,7 +79,7 @@ CASES = [
 
 @pytest.mark.parametrize("bound, what, value, call, argv, tight", CASES,
                          ids=["rank", "weyl", "length", "basis-length", "morphism-length",
-                              "terms"])
+                              "candidates", "terms"])
 def test_each_bound_refuses_alike(capsys, bound, what, value, call, argv, tight):
     message = f"{what} {value} exceeds bound {bound}"
     with pytest.raises(ResourceLimitError) as info:

@@ -1,9 +1,13 @@
 """Parsing and canonical serialization."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bscomb.errors import ParseError
+from bscomb.foldcat import enumerate_morphisms, verify_morphism
 from bscomb.formats import (
+    _pair_key,
     dumps,
     fpfunction_to_doc,
     morphism_docs,
@@ -20,9 +24,11 @@ from bscomb.formats import (
     serialize_bits,
     serialize_sequence,
 )
-from bscomb.foldcat import verify_morphism
+from bscomb.gallery import ReflSeq
 from bscomb.gkm import FPFunction
+from bscomb.nested import NestedPlan
 from bscomb.poly import Poly
+from bscomb.rootsys import build_root_system
 
 from conftest import simple_seq
 
@@ -108,7 +114,8 @@ def test_pair_round_trip():
 
 
 @pytest.mark.parametrize("text", ["", "2", "2-", "-6", "2-6-7", "2--6", "a-b", "2-x",
-                                  "9" * 5000 + "-1"])
+                                  "9" * 5000 + "-1", "02-6", "2-06", "+2-6", " 2-6",
+                                  "2-6 ", "1-1_0", "\u0662-6"])
 def test_pair_errors(text):
     with pytest.raises(ParseError, match="bad pair"):
         parse_pair(text)
@@ -162,3 +169,75 @@ def test_fpfunction_round_trip(a2):
 
 def test_dumps_canonical():
     assert dumps({"b": 1, "a": [2, 3]}) == '{"a":[2,3],"b":1}'
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.from_regex(r"[0-9]{1,3}-[0-9]{1,3}", fullmatch=True))
+def test_pair_reads_back_exactly(text):
+    # a pair is accepted exactly when it is written as `_pair_key` writes it
+    canonical = all(str(int(side)) == side for side in text.split("-"))
+    if canonical:
+        assert _pair_key(parse_pair(text)) == text
+    else:
+        with pytest.raises(ParseError, match="bad pair"):
+            parse_pair(text)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: parse_root_system("A02"),
+    lambda: parse_sequence("A2: s01"),
+    lambda: parse_sequence("A2: s[01,1]"),
+    lambda: parse_poly(2, "w01"),
+    lambda: parse_poly(2, "w1^02"),
+    lambda: parse_poly(2, "03*w1"),
+    lambda: parse_poly(2, "3/06"),
+], ids=["rank", "letter", "coordinate", "variable", "exponent", "coefficient",
+        "denominator"])
+def test_leading_zero_is_refused(call):
+    with pytest.raises(ParseError):
+        call()
+
+
+SYSTEMS = [("A", 1), ("A", 2), ("B", 2), ("G", 2), ("A", 3), ("B", 3), ("C", 3), ("D", 4)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(SYSTEMS), st.data())
+def test_serializers_round_trip(system, data):
+    # every document the serializers write parses back to an equal value
+    rs = build_root_system(*system)
+    refls = [rs.reflection(r) for r in rs.roots if r.is_positive]
+    entries = data.draw(st.lists(st.sampled_from(refls), max_size=3), label="sequence")
+    s = ReflSeq(rs, tuple(entries))
+    assert parse_sequence(serialize_sequence(s)) == s
+
+    letters = data.draw(st.lists(st.integers(1, rs.rank), max_size=6), label="word")
+    w = rs.identity()
+    for i in letters:
+        w = w * rs.simple_reflection(i)
+    assert parse_weyl(rs, str(w)) == w
+
+    def polys():
+        monomials = st.tuples(*[st.integers(0, 10 ** 6)] * rs.rank)
+        return st.dictionaries(monomials, st.fractions(), max_size=4).map(
+            lambda d: Poly.from_dict(rs.rank, d))
+    p = data.draw(polys(), label="poly")
+    assert parse_poly(rs.rank, str(p)) == p
+    g = FPFunction(s, {bits: data.draw(polys()) for bits in s.patterns})
+    assert parse_fpfunction(s, fpfunction_to_doc(g)).values == g.values
+
+    n = len(s)
+    pairs = ((1, n),) * (n > 0) + ((2, 2),) * (n == 3)
+    plan = NestedPlan(s, pairs, {r: w for r in pairs})
+    again = parse_plan(plan_to_doc(plan))
+    assert (again.seq, again.pairs, again.labels) == (plan.seq, plan.pairs, plan.labels)
+    for r in pairs:
+        assert parse_pair(_pair_key(r)) == r
+
+    target = ReflSeq(rs, tuple(entries + data.draw(st.lists(st.sampled_from(refls),
+                                                              max_size=1), label="extra")))
+    ms = enumerate_morphisms(s, target)
+    for m, doc in zip(ms, morphism_docs(s, target, ms)):
+        again = parse_morphism(doc)
+        assert (again.source, again.target, again.p, again.w, dict(again.phi)) == \
+            (m.source, m.target, m.p, m.w, dict(m.phi))

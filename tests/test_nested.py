@@ -2,9 +2,13 @@
 
 import random
 from itertools import combinations, product
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bscomb import nested
 from bscomb.errors import InvalidInputError, PropertyViolationError
 from bscomb.gallery import Gallery, ReflSeq, conjugate_reflection, is_gallery_type
 from bscomb.nested import (
@@ -283,6 +287,60 @@ def _random_pairs(rng, n):
                     or (r[0] <= q[0] and q[1] <= r[1])) for q in pairs):
             pairs.append(r)
     return tuple(pairs)
+
+
+def _perm_walk_fixed_points(plan):
+    """The depth-first walk the level sweep replaced, kept as a reference:
+    stay before cross, carrying every prefix gamma^0..gamma^i as a raw root
+    permutation, (xy)[k] = x[y[k]], and dropping a branch at position b as
+    soon as gamma^b != gamma^(a-1) v_(a,b)."""
+    seq = plan.seq
+    n = len(seq)
+    steps = [t.as_weyl().perm for t in seq.entries]
+    closes = {b: (a, plan.labels[(a, b)].perm) for a, b in plan.pairs}
+    gamma = [seq.rs.identity().perm] * (n + 1)
+    bits = [False] * n
+    out = []
+
+    def walk(i):
+        if i == n:
+            out.append(tuple(bits))
+            return
+        closing = closes.get(i + 1)
+        want = tuple(map(gamma[closing[0] - 1].__getitem__, closing[1])) if closing else None
+        for cross in (False, True):
+            u = tuple(map(gamma[i].__getitem__, steps[i])) if cross else gamma[i]
+            if want is None or u == want:
+                bits[i] = cross
+                gamma[i + 1] = u
+                walk(i + 1)
+
+    walk(0)
+    return out
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from([("A", 3), ("B", 3), ("D", 4)]), st.integers(0, 12),
+       st.sampled_from([1, 3, nested._WIDTH]), st.data())
+def test_sweep_matches_perm_walk(system, n, width, data):
+    # A level wider than the sweep's width is split: with the library width
+    # that happens from length 12, and narrower widths split at every length.
+    rs = build_root_system(*system)
+    refls = [rs.reflection(r) for r in rs.roots if r.is_positive]
+    seq = ReflSeq(rs, tuple(data.draw(st.lists(st.sampled_from(refls),
+                                                min_size=n, max_size=n), label="seq")))
+    pairs = _random_pairs(random.Random(data.draw(st.integers(0, 2 ** 32), label="pairs")),
+                          n) if n else ()
+    # labels read off one gallery, so the set is never empty, or drawn from W
+    bits = data.draw(st.lists(st.booleans(), min_size=n, max_size=n), label="gallery")
+    if data.draw(st.booleans(), label="read off"):
+        labels = _interval_products(seq, pairs, bits)
+    else:
+        labels = tuple(data.draw(st.sampled_from(enumerate_weyl(rs))) for _ in pairs)
+    plan = NestedPlan(seq, tuple(pairs), dict(zip(pairs, labels)))
+    with mock.patch.object(nested, "_WIDTH", width):
+        got = fixed_points(plan)
+    assert got == _perm_walk_fixed_points(plan)
 
 
 # Reference gate for the one-pass contraction: the per-position `v_power`
