@@ -1,9 +1,12 @@
-"""Start-up microbenchmarks: `import bscomb`, `import bscomb.cli`, and one
-command per subcommand, each measurement in a fresh interpreter.
+"""Start-up microbenchmarks: `import bscomb`, `import bscomb.cli`, the cold
+load of each layer, and one command per subcommand, each measurement in a
+fresh interpreter.
 
 A command pays interpreter start-up, the import of the layers it uses and
-its own work; the two imports show the fixed part.  Run from the
-repository root:
+its own work; the two imports show the fixed part, and each layer's load
+(`import bscomb.<layer>` and one attribute read, which runs the lazily
+registered layer and the layers it imports) shows what that layer adds.
+Run from the repository root:
 
     python -m pytest benchmarks/bench_cli.py
 
@@ -23,7 +26,13 @@ MORPHISM = json.dumps({"source": "A1: s1", "target": "A1: s1 s1", "p": [2], "w":
                        "phi": {"0": "10", "1": "11"}})
 CLASS = json.dumps({"values": {"00": "w1", "01": "w1", "10": "0", "11": "0"}})
 
-IMPORTS = {"bscomb": "import bscomb", "bscomb.cli": "import bscomb.cli"}
+# one public name per layer; reading it runs the layer
+LAYER_NAMES = {"errors": "check_bound", "rootsys": "build_root_system",
+               "gallery": "is_gallery_type", "poly": "Poly", "gkm": "basis",
+               "nested": "fixed_points", "foldcat": "enumerate_morphisms", "formats": "dumps"}
+IMPORTS = {"bscomb": "import bscomb", "bscomb.cli": "import bscomb.cli",
+           **{f"bscomb.{layer}": f"import bscomb.{layer}; bscomb.{layer}.{name}"
+              for layer, name in LAYER_NAMES.items()}}
 
 COMMANDS = {
     "gallery-type": ["gallery-type", "B3: s1 s2 s3 s2 s1"],

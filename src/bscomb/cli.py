@@ -11,12 +11,14 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from . import formats, foldcat, gallery, gkm, nested, rootsys
 from .errors import (
     MAX_LENGTH,
     MAX_WEYL,
+    NUMERAL,
     BscombError,
     InvalidInputError,
     NotInSpanError,
@@ -30,6 +32,14 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_RESOURCE = 3
 EXIT_VERIFY = 4
+
+
+def numeral(text: str) -> int:
+    """A bound flag's value, by the grammar's numeral rule (`errors.NUMERAL`);
+    argparse turns the ValueError into a usage error."""
+    if re.fullmatch(NUMERAL, text) is None:
+        raise ValueError(text)
+    return int(text)
 
 
 def _read_doc(arg: str):
@@ -229,8 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("text", "structured"),
                         default="text")
     # defaults from errors, which holds every bound, so a usage error runs no layer
-    parser.add_argument("--max-weyl", type=int, default=MAX_WEYL)
-    parser.add_argument("--max-length", type=int, default=MAX_LENGTH)
+    parser.add_argument("--max-weyl", type=numeral, default=MAX_WEYL)
+    parser.add_argument("--max-length", type=numeral, default=MAX_LENGTH)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gallery-type", help="decide gallery type, print a certificate")

@@ -1,10 +1,14 @@
-"""Exception hierarchy shared by all modules, and the resource bounds.
+"""Exception hierarchy shared by all modules, the resource bounds, the
+numeral rule, and the base of the library's immutable value types.
 
 Each exhaustive walk, and each polynomial expansion, is bounded by one
 constant below and refuses through `check_bound`.  A caller (the CLI's
 --max-weyl and --max-length) may check a tighter bound first; it cannot
-loosen these.
+loosen these.  Every layer imports this module, and the CLI loads it even
+for a usage error, so what lives here adds no module to any command.
 """
+
+from operator import attrgetter
 
 MAX_RANK = 30              # simple roots of a root system
 MAX_WEYL = 100_000         # |W| of a Weyl group enumerated in full
@@ -12,8 +16,61 @@ MAX_LENGTH = 20            # positions of a sequence whose 2^n galleries are wal
 MAX_BASIS_LENGTH = 10      # positions of a sequence given a triangular basis
 MAX_MORPHISM_LENGTH = 12   # positions of a morphism's source or target
 MAX_TERMS = 10_000         # terms of a polynomial product or quotient
-MAX_CANDIDATES = 20_000    # (p, w, seed) candidates of one morphism enumeration
+MAX_CANDIDATE_GALLERIES = 100_000  # morphism candidates times the 2^n galleries each verifies
 MAX_LEVEL_TERMS = 100_000  # product terms of one level of a triangular basis
+
+
+# the one numeral of every grammar and of the CLI's bound flags: ASCII
+# digits without a leading zero, as str(int) writes them
+NUMERAL = "(?:0|[1-9][0-9]*)"
+
+
+class Value:
+    """Base of the library's immutable value types.
+
+    A subclass names its fields in `__slots__`, with "__dict__" where a
+    `cached_property` needs one, and its `__init__` sets each field once,
+    through `object.__setattr__`.  Equality and the hash read one tuple of
+    fields, the class's key: every field, or those the class statement
+    names (`compare=`), so the hash is the hash of that tuple.  A field
+    cannot be set or deleted afterwards; `copy` restores fields through
+    `__setstate__`, and so do `deepcopy` and `pickle` where every field
+    pickles (a `Morphism`'s phi view does not).
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, compare=None):
+        names = compare or [name for name in cls.__slots__ if name != "__dict__"]
+        # an attrgetter is not a descriptor, so self._key(v) reads v's key;
+        # of one name it returns the bare field, hashed as a 1-tuple
+        cls._key, cls._one = attrgetter(*names), len(names) == 1
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        key = self._key(self)
+        return hash((key,) if self._one else key)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state):
+        # (the __dict__ or None, the slots), as object.__getstate__ gives them
+        for part in state:
+            for name, value in (part or {}).items():
+                object.__setattr__(self, name, value)
+
+    def __repr__(self):
+        fields = (f"{name}={getattr(self, name)!r}" for name in self.__slots__
+                  if name != "__dict__")
+        return f"{type(self).__name__}({', '.join(fields)})"
 
 
 class BscombError(Exception):

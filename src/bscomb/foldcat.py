@@ -19,14 +19,14 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from itertools import combinations
 from types import MappingProxyType
 
 from .errors import (
-    MAX_CANDIDATES,
+    MAX_CANDIDATE_GALLERIES,
     MAX_MORPHISM_LENGTH,
     InvalidInputError,
+    Value,
     VerificationError,
     check_bound,
 )
@@ -34,35 +34,38 @@ from .gallery import Bits, ReflSeq, serialize_bits
 from .rootsys import WeylElement, enumerate_weyl
 
 
-@dataclass(frozen=True)
-class MorphismViolation:
+class MorphismViolation(Value):
     """First failed check of verify_morphism or verify_pointed."""
 
-    condition: str
-    bits: Bits
-    position: int | None = None
+    __slots__ = ("condition", "bits", "position")
+
+    def __init__(self, condition: str, bits: Bits, position: int | None = None):
+        object.__setattr__(self, "condition", condition)
+        object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "position", position)
 
     def __str__(self):
         where = f" at position {self.position}" if self.position is not None else ""
         return f"{self.condition} fails at gallery {serialize_bits(self.bits)}{where}"
 
 
-@dataclass(frozen=True)
-class Morphism:
+class Morphism(Value, compare=("source", "target", "p", "w", "phi")):
     """A triple (p, w, phi) with phi stored as a full table on Gamma(source);
-    `verified` is not a constructor argument: only `verify_morphism` sets it.
-    phi is a read-only view of a private copy of the table it is given, so
-    a verified table cannot be edited afterwards."""
+    `verified` is neither a constructor argument nor compared: it starts
+    False and only `verify_morphism` sets it.  phi is compared but not
+    hashed, and is a read-only view of a private copy of the table it is
+    given, so a verified table cannot be edited afterwards."""
 
-    source: ReflSeq
-    target: ReflSeq
-    p: tuple[int, ...]
-    w: WeylElement
-    phi: Mapping[Bits, Bits] = field(hash=False)
-    verified: bool = field(default=False, init=False, compare=False)
+    __slots__ = ("source", "target", "p", "w", "phi", "verified")
 
-    def __post_init__(self):
-        object.__setattr__(self, "phi", MappingProxyType(dict(self.phi)))
+    def __init__(self, source: ReflSeq, target: ReflSeq, p: tuple[int, ...],
+                 w: WeylElement, phi: Mapping[Bits, Bits]):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "phi", MappingProxyType(dict(phi)))
+        object.__setattr__(self, "verified", False)
         if self.source.rs is not self.target.rs and self.source.rs != self.target.rs:
             raise InvalidInputError("source and target are over different root systems")
         if self.w.rs is not self.source.rs and self.w.rs != self.source.rs:
@@ -75,14 +78,19 @@ class Morphism:
         if any(a >= b for a, b in zip(self.p, self.p[1:])):
             raise InvalidInputError("p must be strictly increasing")
 
+    def __hash__(self):
+        return hash((self.source, self.target, self.p, self.w))
 
-@dataclass(frozen=True)
-class PointedMorphism:
+
+class PointedMorphism(Value):
     """A morphism between pointed sequences (s, x) -> (s~, x~)."""
 
-    morphism: Morphism
-    x: WeylElement
-    x_target: WeylElement
+    __slots__ = ("morphism", "x", "x_target")
+
+    def __init__(self, morphism: Morphism, x: WeylElement, x_target: WeylElement):
+        object.__setattr__(self, "morphism", morphism)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "x_target", x_target)
 
 
 def verify_morphism(m: Morphism) -> MorphismViolation | None:
@@ -167,7 +175,8 @@ def enumerate_morphisms(s: ReflSeq, target: ReflSeq) -> list[Morphism]:
     root of s_i to +-(the seed's twist entry p(i)).  So w is keyed by those
     images, seeds by their entries at p, and only matching pairs are verified
     in full.  Order: p lexicographic, then w in enumerate_weyl order, then seed.
-    More than MAX_CANDIDATES matching pairs are refused before any is built.
+    Each candidate is verified over the 2^n galleries of s, and more than
+    MAX_CANDIDATE_GALLERIES candidates times 2^n are refused before any is built.
     """
     if s.rs != target.rs:
         raise InvalidInputError("source and target are over different root systems")
@@ -187,8 +196,9 @@ def enumerate_morphisms(s: ReflSeq, target: ReflSeq) -> list[Morphism]:
         for seed, row in target.twists.items():
             buckets.setdefault(tuple(row[j - 1] for j in p), []).append(seed)
         plans.append((p, {key: seeds for key, seeds in buckets.items() if key in w_count}))
-    check_bound("morphism candidates", sum(w_count[key] * len(seeds) for _, buckets in plans
-                                           for key, seeds in buckets.items()), MAX_CANDIDATES)
+    check_bound("morphism candidate galleries", 2 ** n * sum(
+        w_count[key] * len(seeds) for _, buckets in plans for key, seeds in buckets.items()),
+        MAX_CANDIDATE_GALLERIES)
     out = []
     for p, buckets in plans:
         for key, w in keyed:

@@ -16,17 +16,15 @@ from functools import cache
 
 # read as modules, so that parsing a sequence runs none of these layers
 from . import foldcat, gkm, nested, poly
-from .errors import InvalidInputError, ParseError
+from .errors import NUMERAL, InvalidInputError, ParseError
 from .gallery import Bits, ReflSeq, serialize_bits
 from .rootsys import Root, RootSystem, WeylElement, build_root_system, check_weyl_order
 
-# the one numeral of every grammar: ASCII digits without a leading zero,
-# as str(int) writes them, so each numeral reads back as it is written
-_NUM = "(?:0|[1-9][0-9]*)"
-_RS_RE = re.compile(rf"([ABCDG])({_NUM})")
-_LETTER_RE = re.compile(rf"s({_NUM})")
-_ROOT_RE = re.compile(rf"s?\[(-?{_NUM}(?:,-?{_NUM})*)\]")
-_PAIR_RE = re.compile(rf"({_NUM})-({_NUM})")
+# every numeral is one errors.NUMERAL, so each reads back as it is written
+_RS_RE = re.compile(rf"([ABCDG])({NUMERAL})")
+_LETTER_RE = re.compile(rf"s({NUMERAL})")
+_ROOT_RE = re.compile(rf"s?\[(-?{NUMERAL}(?:,-?{NUMERAL})*)\]")
+_PAIR_RE = re.compile(rf"({NUMERAL})-({NUMERAL})")
 _JSON_TYPES = {"string": str, "array": (list, tuple), "object": dict}
 
 
@@ -133,8 +131,8 @@ def parse_bits(text: str, n: int) -> Bits:
 
 
 # a term is [coefficient][*][monomial], the monomial factors joined by "*"
-_TERM_RE = re.compile(rf"({_NUM}(?:/[1-9][0-9]*)?)?\*?(.*)")
-_FACTOR_RE = re.compile(rf"w({_NUM})(?:\^({_NUM}))?")
+_TERM_RE = re.compile(rf"({NUMERAL}(?:/[1-9][0-9]*)?)?\*?(.*)")
+_FACTOR_RE = re.compile(rf"w({NUMERAL})(?:\^({NUMERAL}))?")
 
 
 def parse_poly(nvars: int, text: str) -> poly.Poly:

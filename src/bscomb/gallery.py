@@ -13,11 +13,10 @@ keeps no answer between calls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
 
-from .errors import MAX_LENGTH, InvalidInputError, VerificationError, check_bound
+from .errors import MAX_LENGTH, InvalidInputError, Value, VerificationError, check_bound
 from .rootsys import (
     Reflection,
     RootSystem,
@@ -29,18 +28,18 @@ from .rootsys import (
 Bits = tuple[bool, ...]
 
 
-@dataclass(frozen=True)
-class ReflSeq:
+class ReflSeq(Value):
     """An ordered sequence of reflections on positions 1..n.
 
     Equal and hashed by (root system, entries).  A plan that renumbers
     positions keeps the original pair labels itself (`NestedPlan.display_pairs`).
     """
 
-    rs: RootSystem
-    entries: tuple[Reflection, ...]
+    __slots__ = ("rs", "entries", "__dict__")
 
-    def __post_init__(self):
+    def __init__(self, rs: RootSystem, entries: tuple[Reflection, ...]):
+        object.__setattr__(self, "rs", rs)
+        object.__setattr__(self, "entries", entries)
         for t in self.entries:
             if t.rs is not self.rs and t.rs != self.rs:
                 raise InvalidInputError("sequence entry from a different root system")
@@ -107,14 +106,15 @@ class ReflSeq:
         return all(t.is_simple() for t in self.entries)
 
 
-@dataclass(frozen=True)
-class Gallery:
-    """An element of Gamma(s): bit i set means gamma_i = s_i."""
+class Gallery(Value, compare=("bits",)):
+    """An element of Gamma(s): bit i set means gamma_i = s_i.  Equal and
+    hashed by its bits alone, whichever equal sequence it is over."""
 
-    seq: ReflSeq = field(compare=False)
-    bits: Bits = field(compare=True)
+    __slots__ = ("seq", "bits")
 
-    def __post_init__(self):
+    def __init__(self, seq: ReflSeq, bits: Bits):
+        object.__setattr__(self, "seq", seq)
+        object.__setattr__(self, "bits", bits)
         if len(self.bits) != len(self.seq):
             raise InvalidInputError("gallery length does not match its sequence")
 
@@ -124,13 +124,15 @@ def serialize_bits(bits: Bits) -> str:
     return "".join("1" if b else "0" for b in bits) or "-"
 
 
-@dataclass(frozen=True)
-class Gallerification:
+class Gallerification(Value):
     """Certificate that a sequence is of gallery type: t^(gamma) = s^x."""
 
-    x: WeylElement
-    t: ReflSeq
-    gamma: Gallery
+    __slots__ = ("x", "t", "gamma")
+
+    def __init__(self, x: WeylElement, t: ReflSeq, gamma: Gallery):
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "gamma", gamma)
 
 
 def galleries(s: ReflSeq) -> list[Gallery]:

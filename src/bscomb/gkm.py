@@ -15,7 +15,6 @@ nonzero values of the B_J.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache
 
 from . import foldcat  # for an annotation; binding the lazy module runs nothing
@@ -25,6 +24,7 @@ from .errors import (
     MAX_TERMS,
     InvalidInputError,
     NotInSpanError,
+    Value,
     VerificationError,
     check_bound,
 )
@@ -33,19 +33,24 @@ from .poly import Poly, exact_divide, linear_divisor, mul_add, root_forms, weyl_
 from .rootsys import WeylElement
 
 
-@dataclass(frozen=True)
-class FPFunction:
-    """A function Gamma(s) -> S, stored as a total table keyed by bits."""
+class FPFunction(Value, compare=("values",)):
+    """A function Gamma(s) -> S, stored as a total table keyed by bits.
+    Equal by its table alone; the table is not hashed, so every function
+    hashes alike."""
 
-    seq: ReflSeq = field(compare=False)
-    values: dict[Bits, Poly] = field(hash=False)
+    __slots__ = ("seq", "values")
 
-    def __post_init__(self):
+    def __init__(self, seq: ReflSeq, values: dict[Bits, Poly]):
+        object.__setattr__(self, "seq", seq)
+        object.__setattr__(self, "values", values)
         if self.values.keys() != self.seq.patterns.keys():
             raise InvalidInputError("table does not cover Gamma(s) exactly")
         for p in self.values.values():
             if p.nvars != self.seq.rs.rank:
                 raise InvalidInputError("value in the wrong polynomial ring")
+
+    def __hash__(self):
+        return hash(())
 
 
 def generator(s: ReflSeq, i: int, w: WeylElement, c: Poly) -> FPFunction:
@@ -100,13 +105,15 @@ def concentration_identity_check(s: ReflSeq, g: FPFunction, cross: bool) -> bool
                * delta[b] for b in s.patterns)
 
 
-@dataclass(frozen=True)
-class BasisElement:
+class BasisElement(Value):
     """B_J with gamma_J (bits), the gallery that crosses exactly at J."""
 
-    subset: frozenset[int]
-    function: FPFunction
-    bits: Bits
+    __slots__ = ("subset", "function", "bits")
+
+    def __init__(self, subset: frozenset[int], function: FPFunction, bits: Bits):
+        object.__setattr__(self, "subset", subset)
+        object.__setattr__(self, "function", function)
+        object.__setattr__(self, "bits", bits)
 
 
 class Basis(tuple):

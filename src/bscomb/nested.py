@@ -13,9 +13,7 @@ bijection on bit patterns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .errors import MAX_LENGTH, InvalidInputError, PropertyViolationError, check_bound
+from .errors import MAX_LENGTH, InvalidInputError, PropertyViolationError, Value, check_bound
 from .gallery import (
     Bits,
     Gallerification,
@@ -29,35 +27,38 @@ from .rootsys import WeylElement
 Pair = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Value):
     """First violated nested-structure condition and the offending pairs."""
 
-    condition: str
-    pairs: tuple[Pair, ...]
+    __slots__ = ("condition", "pairs")
+
+    def __init__(self, condition: str, pairs: tuple[Pair, ...]):
+        object.__setattr__(self, "condition", condition)
+        object.__setattr__(self, "pairs", pairs)
 
     def __str__(self):
         return f"{self.condition}: {', '.join(map(str, self.pairs))}"
 
 
-@dataclass(frozen=True)
-class NestedPlan:
+class NestedPlan(Value, compare=("seq", "pairs", "labels", "display_pairs")):
     """A pair (R, v): interval constraints on a sequence, labelled in W.
 
     `pairs` are 1-based inclusive intervals in the operational numbering of
     `seq`; `display_pairs` keeps the original labels after renumbering.
-    `violation` is found once, at construction, and `validate` returns it.
+    `violation` is found once, at construction, and `validate` returns it;
+    it is not compared.  `labels` and `display_pairs` default to empty.
     """
 
-    seq: ReflSeq
-    pairs: tuple[Pair, ...]
-    labels: dict[Pair, WeylElement] = field(default_factory=dict)
-    display_pairs: dict[Pair, Pair] = field(default_factory=dict)
-    violation: Violation | None = field(init=False, repr=False, compare=False)
+    __slots__ = ("seq", "pairs", "labels", "display_pairs", "violation")
 
-    def __post_init__(self):
+    def __init__(self, seq: ReflSeq, pairs: tuple[Pair, ...],
+                 labels: dict[Pair, WeylElement] | None = None,
+                 display_pairs: dict[Pair, Pair] | None = None):
+        object.__setattr__(self, "seq", seq)
+        object.__setattr__(self, "pairs", tuple(sorted(pairs)))
+        object.__setattr__(self, "labels", {} if labels is None else labels)
+        object.__setattr__(self, "display_pairs", {} if display_pairs is None else display_pairs)
         n = len(self.seq)
-        object.__setattr__(self, "pairs", tuple(sorted(self.pairs)))
         for r in self.pairs:
             if not (1 <= r[0] <= n and 1 <= r[1] <= n):
                 raise InvalidInputError(f"pair {r} out of range 1..{n}")
@@ -102,16 +103,15 @@ def _require_valid(plan: NestedPlan) -> None:
         raise InvalidInputError(f"invalid nested structure ({plan.violation})")
 
 
-@dataclass(frozen=True)
-class FSelection:
+class FSelection(Value):
     """A nonempty subset F of the plan's pairs with pairwise disjoint intervals."""
 
-    pairs: tuple[Pair, ...]
+    __slots__ = ("pairs",)
 
-    def __post_init__(self):
-        if not self.pairs:
+    def __init__(self, pairs: tuple[Pair, ...]):
+        if not pairs:
             raise InvalidInputError("F must be nonempty")
-        ordered = tuple(sorted(self.pairs))
+        ordered = tuple(sorted(pairs))
         object.__setattr__(self, "pairs", ordered)
         for f, g in zip(ordered, ordered[1:]):
             if g[0] <= f[1]:
@@ -251,13 +251,16 @@ def fixed_points(plan: NestedPlan) -> list[Bits]:
     return out
 
 
-@dataclass(frozen=True)
-class FactorCertificate:
+class FactorCertificate(Value):
     """Verified bijection Gamma(s,v) <-> Gamma(s^F,v^F) x prod Gamma(s_f,v_f) on bits."""
 
-    base_plan: NestedPlan
-    fibre_plans: tuple[NestedPlan, ...]
-    forward: dict[Bits, tuple[Bits, tuple[Bits, ...]]]
+    __slots__ = ("base_plan", "fibre_plans", "forward")
+
+    def __init__(self, base_plan: NestedPlan, fibre_plans: tuple[NestedPlan, ...],
+                 forward: dict[Bits, tuple[Bits, tuple[Bits, ...]]]):
+        object.__setattr__(self, "base_plan", base_plan)
+        object.__setattr__(self, "fibre_plans", fibre_plans)
+        object.__setattr__(self, "forward", forward)
 
     @property
     def count(self) -> int:

@@ -17,13 +17,12 @@ result, and the sorted term tuple is canonical.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from heapq import heapify, heappop, heappush
 from operator import add, ge, mul, sub
 
-from .errors import MAX_TERMS, InvalidInputError, check_bound
+from .errors import MAX_TERMS, InvalidInputError, Value, check_bound
 from .rootsys import Root, RootSystem, WeylElement
 
 Monomial = tuple[int, ...]
@@ -75,12 +74,23 @@ def mul_add(base: "Poly", pairs: Iterable[tuple["Poly", "Poly"]], sign: int = 1)
     return _canon(nvars, d)
 
 
-@dataclass(frozen=True, slots=True)
-class Poly:
+class Poly(Value):
     """A polynomial in `nvars` variables; zero has no terms."""
 
-    nvars: int
-    terms: tuple[tuple[Monomial, Coeff], ...] = field(default=())
+    __slots__ = ("nvars", "terms")
+
+    def __init__(self, nvars: int, terms: tuple[tuple[Monomial, Coeff], ...] = ()):
+        object.__setattr__(self, "nvars", nvars)
+        object.__setattr__(self, "terms", terms)
+
+    # written out, not derived from the key: the basis compares and hashes values often
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.nvars == other.nvars and self.terms == other.terms
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.nvars, self.terms))
 
     @staticmethod
     def from_dict(nvars: int, d: dict[Monomial, Coeff]) -> "Poly":
@@ -184,18 +194,21 @@ class Poly:
         return out
 
 
-@dataclass(frozen=True, slots=True)
-class Divisor:
+class Divisor(Value):
     """A product of homogeneous linear forms, prepared for `divide_linear`:
     its leading term (monomial `lead`, coefficient `coeff`) in the order that
     ranks the last variable highest, `pivot` the last variable of `lead`, and
     the other terms negated (`others`)."""
 
-    product: Poly
-    pivot: int
-    lead: Monomial
-    coeff: Coeff
-    others: tuple[tuple[Monomial, Coeff], ...]
+    __slots__ = ("product", "pivot", "lead", "coeff", "others")
+
+    def __init__(self, product: Poly, pivot: int, lead: Monomial, coeff: Coeff,
+                 others: tuple[tuple[Monomial, Coeff], ...]):
+        object.__setattr__(self, "product", product)
+        object.__setattr__(self, "pivot", pivot)
+        object.__setattr__(self, "lead", lead)
+        object.__setattr__(self, "coeff", coeff)
+        object.__setattr__(self, "others", others)
 
 
 def linear_divisor(ell: Poly, times: Divisor | None = None) -> Divisor:

@@ -18,12 +18,11 @@ Supported families: A (n>=1), B (n>=2), C (n>=2), D (n>=4), G (n=2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import factorial
 from operator import mul
 
-from .errors import MAX_RANK, MAX_WEYL, InvalidInputError, check_bound
+from .errors import MAX_RANK, MAX_WEYL, InvalidInputError, Value, check_bound
 
 Matrix = tuple[tuple[int, ...], ...]
 Perm = tuple[int, ...]
@@ -66,11 +65,13 @@ def _reflector(cartan: Matrix, root: tuple[int, ...], coroot: tuple[int, ...]):
     return reflect
 
 
-@dataclass(frozen=True)
-class Root:
+class Root(Value):
     """A root in simple-root coordinates (all-nonnegative or all-nonpositive)."""
 
-    coords: tuple[int, ...]
+    __slots__ = ("coords",)
+
+    def __init__(self, coords: tuple[int, ...]):
+        object.__setattr__(self, "coords", coords)
 
     @property
     def is_positive(self) -> bool:
@@ -190,18 +191,18 @@ class RootSystem:
         return f"{self.family}{self.rank}"
 
 
-@dataclass(frozen=True)
-class WeylElement:
+class WeylElement(Value, compare=("perm",)):
     """A Weyl group element as the permutation it induces on the roots.
 
     perm[k] is the index in rs.roots of w(rs.roots[k]); since W acts
     faithfully on the roots, equality of elements is equality of perms.
     """
 
-    rs: RootSystem = field(compare=False)
-    perm: Perm = field(compare=True)
+    __slots__ = ("rs", "perm")
 
-    def __post_init__(self):
+    def __init__(self, rs: RootSystem, perm: Perm):
+        object.__setattr__(self, "rs", rs)
+        object.__setattr__(self, "perm", perm)
         if len(self.perm) != len(self.rs.roots):
             raise InvalidInputError("permutation size does not match the root count")
 
@@ -250,8 +251,7 @@ class WeylElement:
         return " ".join(f"s{i}" for i in w) if w else "e"
 
 
-@dataclass(frozen=True)
-class Reflection:
+class Reflection(Value, compare=("rs", "index")):
     """The reflection s_alpha for the positive root alpha = rs.roots[index].
 
     Its system builds one per positive root; reach it through
@@ -259,10 +259,13 @@ class Reflection:
     (root system, index).  `letter` is i when alpha = alpha_i, else None.
     """
 
-    rs: RootSystem
-    index: int
-    root: Root = field(compare=False)
-    letter: int | None = field(compare=False)
+    __slots__ = ("rs", "index", "root", "letter", "__dict__")
+
+    def __init__(self, rs: RootSystem, index: int, root: Root, letter: int | None):
+        object.__setattr__(self, "rs", rs)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "root", root)
+        object.__setattr__(self, "letter", letter)
 
     @cached_property
     def _weyl(self) -> WeylElement:

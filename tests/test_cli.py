@@ -392,18 +392,21 @@ def test_morphism_enumerate(capsys):
 
 
 @pytest.mark.parametrize("source, target, count", [
-    ("A3: s1 s1 s1", "A3:" + " s1" * 9, 172_032),
-    ("A5: s1 s1 s1 s1", "A5:" + " s1" * 12, 97_320_960),
-], ids=["A3", "A5"])
+    ("A3: s1 s1 s1", "A3:" + " s1" * 9, 172_032 * 2 ** 3),
+    ("A5: s1 s1 s1 s1", "A5:" + " s1" * 12, 97_320_960 * 2 ** 4),
+    ("A1:" + " s1" * 10, "A1:" + " s1" * 10, 2_048 * 2 ** 10),
+], ids=["A3", "A5", "A1-equal-lengths"])
 def test_morphism_candidates_are_bounded(source, target, count):
     # repeated letters make almost every (p, w, seed) a candidate: they are
-    # counted and refused before any is built or verified
+    # counted, each times the 2^n galleries it is verified over, and refused
+    # before any is built or verified.  Equal lengths leave few candidates
+    # but long verifications
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     proc = subprocess.run([sys.executable, "-m", "bscomb.cli", "morphism", "enumerate",
                            source, target], cwd=ROOT, env=env, capture_output=True, timeout=10)
     assert (proc.returncode, proc.stdout) == (3, b"")
-    assert proc.stderr.decode() == (f"error: morphism candidates {count} exceeds bound "
-                                    f"{errors.MAX_CANDIDATES}\n")
+    assert proc.stderr.decode() == (f"error: morphism candidate galleries {count} exceeds "
+                                    f"bound {errors.MAX_CANDIDATE_GALLERIES}\n")
 
 
 def test_morphism_enumerate_refuses_mixed_root_systems(capsys):

@@ -29,8 +29,9 @@ LENGTH = errors.MAX_LENGTH + 1
 BASIS_LENGTH = errors.MAX_BASIS_LENGTH + 1
 MORPHISM_LENGTH = errors.MAX_MORPHISM_LENGTH + 1
 TERMS = errors.MAX_TERMS + 1
-# s1 into s1^12 in A1: every position p, both w and every seed are candidates
-CANDIDATES = errors.MAX_MORPHISM_LENGTH * 2 * 2 ** errors.MAX_MORPHISM_LENGTH
+# s1 into s1^12 in A1: every position p, both w and every seed are
+# candidates, each verified over the 2 galleries of s1
+CANDIDATE_GALLERIES = errors.MAX_MORPHISM_LENGTH * 2 * 2 ** errors.MAX_MORPHISM_LENGTH * 2
 
 
 def a1_seq(n):
@@ -61,7 +62,7 @@ CASES = [
      lambda: enumerate_morphisms(a1_seq(1), a1_seq(MORPHISM_LENGTH)),
      ["morphism", "enumerate", "A1: s1", "A1:" + " s1" * MORPHISM_LENGTH],
      (["--max-length", "1"], f"sequence length {MORPHISM_LENGTH} exceeds bound 1")),
-    (errors.MAX_CANDIDATES, "morphism candidates", CANDIDATES,
+    (errors.MAX_CANDIDATE_GALLERIES, "morphism candidate galleries", CANDIDATE_GALLERIES,
      lambda: enumerate_morphisms(a1_seq(1), a1_seq(errors.MAX_MORPHISM_LENGTH)),
      ["morphism", "enumerate", "A1: s1", "A1:" + " s1" * errors.MAX_MORPHISM_LENGTH],
      (["--max-length", "1"],

@@ -51,6 +51,11 @@ SEEDS = {
         {"values": {b: "w1 + 3*w2^2 - w3" for b in ("11", "00", "01", "10")}})],
     "morphism-verify": ["morphism", "verify", MORPHISM],
     "morphism-enumerate": ["morphism", "enumerate", "A2: s1", "A2: s1 s2"],
+    # repeated letters make almost every (p, w, seed) a candidate: 20,480
+    # candidate galleries here, and 81,920 once the system mutates to B3,
+    # near the bound on them
+    "morphism-enumerate-repeated": ["morphism", "enumerate", "A2: s1 s1 s1",
+                                    "A2: s1 s1 s1 s1 s1 s1"],
     "morphism-apply": ["morphism", "apply", MORPHISM,
                        '{"values": {"00": "w1", "01": "3*w1^2", "10": "0", "11": "1/2"}}'],
     # the two values that phi reads come first

@@ -44,7 +44,7 @@ def test_gallery_count(a2):
 
 
 def test_sequences_and_galleries_hash_as_they_compare():
-    # the dataclass hash is made of the fields that equality compares
+    # a value hashes as the tuple of the fields that equality compares
     shared, fresh = build_root_system("B", 3), RootSystem("B", 3)
     s, t = simple_seq(shared, 1, 2, 3, 2), simple_seq(fresh, 1, 2, 3, 2)
     assert s == t and hash(s) == hash(t)

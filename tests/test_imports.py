@@ -16,6 +16,9 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 LAYERS = ("errors", "rootsys", "gallery", "poly", "gkm", "nested", "foldcat", "formats")
 
+MORPHISM = json.dumps({"source": "A1: s1", "target": "A1: s1 s1", "p": [2], "w": "s1",
+                       "phi": {"0": "10", "1": "11"}})
+
 EXECUTED = """
 import json, sys, types
 print(json.dumps(sorted(k for k, m in sys.modules.items()
@@ -58,10 +61,15 @@ assert not missing, missing
     assert executed(code) == {"bscomb", "bscomb.cli", "bscomb.errors"}
 
 
-@pytest.mark.parametrize("argv", [[], ["no-such-command"], ["--max-length", "x", "basis", "A1:"]],
-                         ids=["no-command", "unknown-command", "bad-flag-value"])
+@pytest.mark.parametrize("argv", [
+    [], ["no-such-command"], ["--max-length", "x", "basis", "A1:"],
+    ["--max-length", "\u0661_0", "basis", "A1:"], ["--max-weyl", " +1_00", "basis", "A1:"],
+    ["--max-length", "05", "basis", "A1:"], ["--max-weyl", "05", "basis", "A1:"],
+], ids=["no-command", "unknown-command", "bad-flag-value", "non-ascii-digit", "sign-underscore",
+        "leading-zero", "weyl-leading-zero"])
 def test_usage_error_executes_no_layer(argv):
-    # the flag defaults come from errors, so argparse's refusal runs no layer
+    # the flag defaults and the numeral rule come from errors, so argparse's
+    # refusal runs no layer
     code = """
 import contextlib, io, sys
 from bscomb import cli
@@ -94,6 +102,42 @@ def test_cohomology_commands_skip_nesting_and_morphisms(argv):
     modules = executed(RUN_COMMAND, *argv)
     assert "bscomb.gkm" in modules
     assert not modules & {"bscomb.nested", "bscomb.foldcat"}
+
+
+# one command per subcommand
+COMMANDS = {
+    "gallery-type": ["gallery-type", "A2: s1 s2"],
+    "fixed-points": ["fixed-points", "data/sl5.plan"],
+    "project": ["project", "data/sl5.plan", "--pairs", "2-6", "--check-fixed-points"],
+    "fibres": ["fibres", "data/sl5.plan"],
+    "basis": ["basis", "A2: s1 s2"],
+    "decompose": ["decompose", "A2: s1", '{"values": {"0": "3", "1": "3"}}'],
+    "morphism-verify": ["morphism", "verify", MORPHISM],
+    "morphism-enumerate": ["morphism", "enumerate", "A2: s1", "A2: s1 s2"],
+    "morphism-apply": ["morphism", "apply", MORPHISM,
+                       '{"values": {"00": "w1", "01": "w1", "10": "0", "11": "0"}}'],
+    "weyl-info": ["weyl", "info", "--root-system", "A2"],
+}
+SLOW_IMPORTS = """
+import sys
+assert not {"dataclasses", "inspect"} & set(sys.modules), sorted(sys.modules)
+"""
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_command_imports_no_dataclasses(name):
+    # the value types are plain classes: no command pays for dataclasses
+    python("-c", RUN_COMMAND + SLOW_IMPORTS, *COMMANDS[name])
+
+
+def test_loading_every_layer_imports_no_dataclasses():
+    code = f"""
+import bscomb, sys, types
+for layer in {LAYERS!r}:
+    vars(getattr(bscomb, layer))  # runs the lazily registered layer
+    assert type(sys.modules["bscomb." + layer]) is types.ModuleType, layer
+""" + SLOW_IMPORTS
+    python("-c", code)
 
 
 def test_run_as_module_is_quiet():

@@ -1,0 +1,119 @@
+"""The value types: immutable, copyable, equal and hashed by their key.
+
+Each row gives a value, one that differs from it only in fields that are
+not compared (or, where every field is compared, an equal rebuild), one
+that differs in a compared field, the compared fields and the hashed ones.
+A value hashes as the tuple of its hashed fields, and raises for it alike
+where that tuple holds a dict.
+"""
+
+import copy
+
+import pytest
+
+from bscomb.foldcat import Morphism, MorphismViolation, PointedMorphism, subsequence_morphism
+from bscomb.gallery import Gallerification, Gallery, is_gallery_type
+from bscomb.gkm import FPFunction, basis
+from bscomb.nested import FactorCertificate, FSelection, NestedPlan, Violation
+from bscomb.poly import Poly, linear_divisor
+from bscomb.rootsys import Reflection, Root, RootSystem, WeylElement, build_root_system
+
+from conftest import simple_seq
+
+RS, FRESH = build_root_system("A", 2), RootSystem("A", 2)
+S1, S2 = RS.simple_reflection(1), RS.simple_reflection(2)
+SEQ, SEQ_FRESH = simple_seq(RS, 1, 2), simple_seq(FRESH, 1, 2)
+CERT = is_gallery_type(simple_seq(RS, 1, 2, 1))
+X, Y = Poly.linear(2, [1, 0]), Poly.linear(2, [0, 1])
+ONE_POS, TWO_POS = simple_seq(RS, 1), simple_seq(RS, 1, 1)
+TABLE = {b: X for b in ONE_POS.patterns}
+PLAN = NestedPlan(SEQ, ((1, 2),), {(1, 2): S1 * S2})
+EMBED = subsequence_morphism(ONE_POS, TWO_POS, (2,))  # verified
+PHI = {(False,): (False, False), (True,): (False, True)}
+SWAPPED = {(False,): (False, True), (True,): (False, False)}
+B = basis(SEQ)
+
+VALUES = {
+    "Root": (Root((1, 0)), Root((1, 0)), Root((0, 1)), ["coords"], ["coords"]),
+    "WeylElement": (S1, WeylElement(FRESH, S1.perm), S2, ["perm"], ["perm"]),
+    "Reflection": (RS.reflections[0], Reflection(FRESH, 0, Root((9, 9)), None),
+                   RS.reflections[1], ["rs", "index"], ["rs", "index"]),
+    "ReflSeq": (SEQ, SEQ_FRESH, simple_seq(RS, 2, 1), ["rs", "entries"], ["rs", "entries"]),
+    "Gallery": (Gallery(SEQ, (True, False)), Gallery(simple_seq(RS, 2, 2), (True, False)),
+                Gallery(SEQ, (False, False)), ["bits"], ["bits"]),
+    "Gallerification": (CERT, Gallerification(CERT.x, CERT.t, CERT.gamma),
+                        Gallerification(CERT.x * S1, CERT.t, CERT.gamma),
+                        ["x", "t", "gamma"], ["x", "t", "gamma"]),
+    "Poly": (X, Poly(2, (((1, 0), 1),)), Y, ["nvars", "terms"], ["nvars", "terms"]),
+    "Divisor": (linear_divisor(X), linear_divisor(Poly.linear(2, [1, 0])), linear_divisor(Y),
+                ["product", "pivot", "lead", "coeff", "others"],
+                ["product", "pivot", "lead", "coeff", "others"]),
+    # the table is compared but not hashed
+    "FPFunction": (FPFunction(ONE_POS, TABLE), FPFunction(simple_seq(FRESH, 2), dict(TABLE)),
+                   FPFunction(ONE_POS, {b: Y for b in ONE_POS.patterns}), ["values"], []),
+    "BasisElement": (B[0], basis(SEQ_FRESH)[0], B[1], ["subset", "function", "bits"],
+                     ["subset", "function", "bits"]),
+    "Violation": (Violation("c", ((1, 2),)), Violation("c", ((1, 2),)),
+                  Violation("c", ((1, 3),)), ["condition", "pairs"], ["condition", "pairs"]),
+    # violation is not compared; the label tables make the hash raise
+    "NestedPlan": (PLAN, NestedPlan(SEQ_FRESH, ((1, 2),), {(1, 2): S1 * S2}, {}),
+                   NestedPlan(SEQ, ((1, 2),), {(1, 2): S2 * S1}),
+                   ["seq", "pairs", "labels", "display_pairs"],
+                   ["seq", "pairs", "labels", "display_pairs"]),
+    "FSelection": (FSelection(((3, 4), (1, 2))), FSelection(((1, 2), (3, 4))),
+                   FSelection(((1, 2),)), ["pairs"], ["pairs"]),
+    "FactorCertificate": (FactorCertificate(PLAN, (), {}), FactorCertificate(PLAN, (), {}),
+                          FactorCertificate(PLAN, (PLAN,), {}),
+                          ["base_plan", "fibre_plans", "forward"],
+                          ["base_plan", "fibre_plans", "forward"]),
+    "MorphismViolation": (MorphismViolation("wall-equation", (True,), 1),
+                          MorphismViolation("wall-equation", (True,), 1),
+                          MorphismViolation("wall-equation", (True,)),
+                          ["condition", "bits", "position"], ["condition", "bits", "position"]),
+    # verified is not compared, and phi is compared but not hashed
+    "Morphism": (EMBED, Morphism(ONE_POS, TWO_POS, (2,), RS.identity(), PHI),
+                 Morphism(ONE_POS, TWO_POS, (2,), RS.identity(), SWAPPED),
+                 ["source", "target", "p", "w", "phi"], ["source", "target", "p", "w"]),
+    "PointedMorphism": (PointedMorphism(EMBED, S1, S2),
+                        PointedMorphism(Morphism(ONE_POS, TWO_POS, (2,), RS.identity(), PHI),
+                                        S1, S2),
+                        PointedMorphism(EMBED, S2, S2),
+                        ["morphism", "x", "x_target"], ["morphism", "x", "x_target"]),
+}
+
+
+def fields(value):
+    return [name for name in type(value).__slots__ if name != "__dict__"]
+
+
+def hash_or_error(value):
+    try:
+        return hash(value)
+    except TypeError:
+        return TypeError
+
+
+@pytest.mark.parametrize("name", VALUES)
+def test_value_type(name):
+    value, same, other, compared, hashed = VALUES[name]
+    assert type(value).__name__ == name
+    for field in fields(value) + ["new_field"]:
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+    duplicate = copy.copy(value)
+    assert type(duplicate) is type(value) and duplicate == value
+    assert all(getattr(duplicate, f) is getattr(value, f) for f in fields(value))
+    assert value == same and not value != same
+    assert value != other and value != tuple(getattr(value, f) for f in compared)
+    assert hash_or_error(value) == hash_or_error(same) == hash_or_error(
+        tuple(getattr(value, f) for f in hashed))
+
+
+def test_verified_flag_is_set_only_by_verification():
+    unverified = Morphism(ONE_POS, TWO_POS, (2,), RS.identity(), PHI)
+    assert EMBED.verified and not unverified.verified
+    assert copy.copy(EMBED).verified
+    with pytest.raises(TypeError):
+        Morphism(ONE_POS, TWO_POS, (2,), RS.identity(), PHI, True)
