@@ -107,10 +107,8 @@ def cmd_fixed_points(args) -> int:
 
 def cmd_project(args) -> int:
     plan = _load_plan(args.plan)
-    pairs = [formats.parse_pair(t) for t in args.pairs.split(",")] if args.pairs else []
-    if not pairs:
-        raise InvalidInputError("projection needs a nonempty selection F")
-    F = nested.FSelection.of(plan, pairs)
+    F = nested.FSelection(tuple(formats.parse_pair(t) for t in args.pairs.split(","))
+                          if args.pairs else ())
     base = nested.project(plan, F)
     doc = {"base": formats.plan_to_doc(base)}
     lines = [f"s^F = {formats.serialize_sequence(base.seq)}",
@@ -128,17 +126,11 @@ def cmd_project(args) -> int:
 
 def cmd_fibres(args) -> int:
     plan = _load_plan(args.plan)
-    targets = ([formats.parse_pair(args.pair)] if args.pair
-               else [plan.display(r) for r in plan.pairs])
-    display_to_internal = {plan.display(r): r for r in plan.pairs}
     docs, lines = [], []
-    for shown in targets:
-        r = display_to_internal.get(shown)
-        if r is None:
-            raise InvalidInputError(f"{shown} is not a pair of the plan")
+    for r in [formats.parse_pair(args.pair)] if args.pair else plan.pairs:
         fib = nested.fibre_data(plan, r)
-        docs.append({"pair": list(shown), "fibre": formats.plan_to_doc(fib)})
-        lines.append(f"fibre at {shown}: {formats.serialize_sequence(fib.seq)}"
+        docs.append({"pair": list(r), "fibre": formats.plan_to_doc(fib)})
+        lines.append(f"fibre at {r}: {formats.serialize_sequence(fib.seq)}"
                      f" with label {plan.labels[r]}")
     _emit(args, {"fibres": docs}, lines)
     return EXIT_OK
@@ -150,8 +142,7 @@ def cmd_basis(args) -> int:
     elements = gkm.basis(s)
     docs, lines = [], []
     for e in elements:
-        func = {formats.serialize_bits(b): str(p)
-                for b, p in sorted(e.function.values.items())}
+        func = formats.fpfunction_to_doc(e.function)["values"]
         docs.append({"subset": sorted(e.subset), "values": func})
         lines.append(f"B_{sorted(e.subset)}:")
         lines.extend(f"  {b} -> {p}" for b, p in sorted(func.items()))

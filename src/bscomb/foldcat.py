@@ -128,6 +128,8 @@ def verify_morphism(m: Morphism) -> MorphismViolation | None:
 def subsequence_morphism(s: ReflSeq, target: ReflSeq,
                          p: tuple[int, ...]) -> Morphism:
     """The embedding with w = e placing gamma_i at p(i) and 1 elsewhere."""
+    if len(p) != len(s):
+        raise InvalidInputError("p must be defined on every source position")
     for i in range(1, len(s) + 1):
         if target[p[i - 1]] != s[i]:
             raise InvalidInputError(

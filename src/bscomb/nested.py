@@ -273,10 +273,9 @@ def factor_fixed_points(plan: NestedPlan, F: FSelection) -> FactorCertificate:
     A gallery maps to its bit restriction to the surviving positions (a
     gallery over s^F) together with its restrictions to each [f].  Raises
     PropertyViolationError if the map fails to be a bijection onto the
-    product, which would falsify the implementation.
+    product, which would falsify the implementation.  An invalid plan, or
+    an F outside it, is refused by `project`.
     """
-    _require_valid(plan)
-    F = FSelection.of(plan, F.pairs)
     base_plan = project(plan, F)
     fibre_plans = tuple(fibre_data(plan, f) for f in F.pairs)
     survivors = [i - 1 for i in _contract(plan, 1, len(plan.seq), F.pairs)]

@@ -94,6 +94,11 @@ class Poly(Value):
 
     @staticmethod
     def from_dict(nvars: int, d: dict[Monomial, Coeff]) -> "Poly":
+        """sum c * w^m over d, each monomial m being `nvars` exponents >= 0."""
+        for m in d:
+            if (type(m) is not tuple or len(m) != nvars
+                    or not all(type(e) is int and e >= 0 for e in m)):
+                raise InvalidInputError(f"monomial {m!r} is not {nvars} exponents >= 0")
         return _canon(nvars, {m: _coeff(c) for m, c in d.items()})
 
     @staticmethod

@@ -309,8 +309,21 @@ def test_project_with_fixed_point_check(capsys):
 
 
 def test_project_empty_f_rejected(capsys):
-    code, _, err = run(capsys, "project", SL5, "--pairs", "")
-    assert code == 2
+    # refused by FSelection itself, like any other malformed selection
+    code, out, err = run(capsys, "project", SL5, "--pairs", "")
+    assert (code, out, err) == (2, "", "error: F must be nonempty\n")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["fibres", SL5, "--pair", "9-9"], "(9, 9) is not a pair of the plan"),
+    (["project", SL5, "--pairs", "9-9"], "(9, 9) is not a pair of the plan"),
+    (["project", SL5, "--pairs", "2-6,9-9"], "(9, 9) is not a pair of the plan"),
+    (["project", SL5, "--pairs", "1-10,2-6"], "intervals (1, 10) and (2, 6) of F are not disjoint"),
+], ids=["fibres-outside", "project-outside", "project-one-outside", "project-overlapping"])
+def test_selection_refused_by_the_library(capsys, argv, message):
+    # the plan and selection checks are nested's; the CLI only reports them
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_fixed_points(capsys):

@@ -46,6 +46,13 @@ def test_subsequence_requires_matching_entries(a2):
         subsequence_morphism(simple_seq(a2, 1), simple_seq(a2, 2, 2), (1,))
 
 
+def test_subsequence_requires_p_on_every_source_position(a2):
+    # a short p is refused up front, with the Morphism constructor's own
+    # message, rather than indexed past its end
+    with pytest.raises(InvalidInputError, match="p must be defined on every source position"):
+        subsequence_morphism(simple_seq(a2, 1, 1), simple_seq(a2, 1, 1, 1), (1,))
+
+
 def test_empty_source_morphism(a2):
     s = simple_seq(a2)
     target = simple_seq(a2, 1, 2)

@@ -69,21 +69,28 @@ SEEDS = {
 FIXED = {"gallery-type", "fixed-points", "project", "fibres", "basis", "decompose",
          "morphism", "verify", "enumerate", "apply", "weyl", "info"}
 
-# replacements for one token: valid letters, roots, systems and values;
-# bad letters, ranks, families and numerals, non-ASCII digits among them;
-# and huge powers
-ATOMS = ["s1", "s2", "s3", "[1,1,0]", "[0,1]", "A2", "B3", "G2",
-         "w1", "w2", "2", "1/2", "e", "s0", "s9", "A0", "E6", "D3", "A30", "1/0", "w1^-1",
-         "w9", "٣", "null", "[1,-1]", "[0,0]", "9" * 30, "", "w1^100000", "w2^1000000"]
+# replacements for one token by the kind of token replaced, valid ones
+# first: letters and roots for a reflection or Weyl word letter, systems
+# for a system, variables for a variable, numerals for a numeral or bit
+# pattern; bad letters, ranks, families and numerals, non-ASCII digits
+# among them, and huge powers
+KINDS = [
+    (re.compile(r"s\d+|e|\[[-\d,]*\]"),
+     ["s1", "s2", "s3", "[1,1,0]", "[0,1]", "e", "s0", "s9", "[1,-1]", "[0,0]"]),
+    (re.compile(r"[A-Z]\d+"), ["A2", "B3", "G2", "A0", "E6", "D3", "A30"]),
+    (re.compile(r"w\d+(?:\^\d+)?"), ["w1", "w2", "w9", "w1^-1", "w1^100000", "w2^1000000"]),
+    (re.compile(r"\d+(?:/\d+)?"), ["2", "1/2", "10", "1/0", "٣", "9" * 30]),
+]
+ATOMS = [atom for _, atoms in KINDS for atom in atoms] + ["null", ""]
 # replacements for a whole argument: a plan file, a directory, standard
 # input, and documents of the wrong shape
 WHOLE = ["data/sl5.plan", ".", "tests", "-", "", "{}", "[]", "null", '{"values": {}}']
 # replacements for a JSON field
 JSON_VALUES = [None, 0, -1, 2.5, True, [], {}, "", "x", "w1^100000", [[1, 1]]]
 
-# a letter, system, variable (with its power) or numeral; punctuation is
-# left in place
-TOKEN = re.compile(r"[A-Za-z]+\d*(?:\^\d+)?|\d+(?:/\d+)?")
+# a root, letter, system, variable (with its power) or numeral; other
+# punctuation is left in place
+TOKEN = re.compile(r"\[[-\d,]*\]|[A-Za-z]+\d*(?:\^\d+)?|\d+(?:/\d+)?")
 # exponents for a function value: huge ones that a rank-2 Weyl action or a
 # division expands term by term, and small ones
 EXPONENTS = [100000, 10 ** 6, 10 ** 12, 2, 64]
@@ -98,13 +105,21 @@ class Hang(Exception):
     """The alarm fired: a command ran past its time budget."""
 
 
+def _atoms_for(token):
+    """The atoms of the token's kind, or all of them for a token of no kind."""
+    return next((atoms for kind, atoms in KINDS if kind.fullmatch(token)), ATOMS)
+
+
 def _mutate_text(data, text):
-    """One token of text replaced by an atom."""
+    """One token of text replaced by an atom: half the time one of the
+    token's own kind, so that the command gets past its parser, and
+    otherwise any atom, so that parse errors stay covered."""
     tokens = [m.span() for m in TOKEN.finditer(text)]
     if not tokens:
         return data.draw(st.sampled_from(ATOMS))
     lo, hi = data.draw(st.sampled_from(tokens))
-    return text[:lo] + data.draw(st.sampled_from(ATOMS)) + text[hi:]
+    atoms = _atoms_for(text[lo:hi]) if data.draw(st.booleans()) else ATOMS
+    return text[:lo] + data.draw(st.sampled_from(atoms)) + text[hi:]
 
 
 def _mutate_json(data, doc):

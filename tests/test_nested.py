@@ -115,6 +115,14 @@ def test_factor_fixed_points_sl5(sl5_plan):
     assert cert.count == len(fixed_points(sl5_plan))
 
 
+@pytest.mark.parametrize("call", [project, factor_fixed_points], ids=lambda f: f.__name__)
+def test_selection_outside_the_plan_refused(sl5_plan, call):
+    # factor_fixed_points leaves the membership check to its project call
+    with pytest.raises(InvalidInputError) as info:
+        call(sl5_plan, FSelection(((3, 5),)))
+    assert str(info.value) == "(3, 5) is not a pair of the plan"
+
+
 def test_factor_fixed_points_random_a3(a3):
     rng = random.Random(7)
     order = enumerate_weyl(a3)

@@ -234,6 +234,15 @@ def test_float_coefficient_rejected(build):
         build()
 
 
+@pytest.mark.parametrize("monomial", [(1,), (-1, 0), (1, 0, 5), (1.0, 0), (True, 0)],
+                         ids=["short", "negative", "long", "float", "bool"])
+def test_from_dict_refuses_malformed_monomial(monomial):
+    # a short monomial once broadcast into products, a negative exponent
+    # printed as a positive one, and a long one printed a variable w3
+    with pytest.raises(InvalidInputError, match="is not 2 exponents >= 0"):
+        Poly.from_dict(2, {monomial: 1})
+
+
 @pytest.mark.parametrize("coeffs", [(1,), (1, 0, 3)])
 def test_linear_needs_one_coefficient_per_variable(coeffs):
     with pytest.raises(InvalidInputError, match="2 coefficients"):
