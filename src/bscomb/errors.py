@@ -29,9 +29,14 @@ class Value:
     """Base of the library's immutable value types.
 
     A subclass names its fields in `__slots__`, with "__dict__" where a
-    `cached_property` needs one, and its `__init__` sets each field once,
-    through `object.__setattr__`.  Equality and the hash read one tuple of
-    fields, the class's key: every field, or those the class statement
+    `cached_property` needs one.  For each subclass one setter, `_fill`, is
+    written from those names, as `collections.namedtuple` writes its
+    `__new__`: `_fill(self, f1, ..., fk)` sets each field once, past the
+    `__setattr__` that refuses assignment.  A subclass without its own
+    `__init__` takes `_fill` as its constructor, so its signature lists
+    the fields in order; one that checks its arguments stores them in one
+    `self._fill(...)`.  Equality and the hash read one tuple of fields,
+    the class's key: every field, or those the class statement
     names (`compare=`), so the hash is the hash of that tuple.  A field
     cannot be set or deleted afterwards; `copy` restores fields through
     `__setstate__`, and so do `deepcopy` and `pickle` where every field
@@ -41,10 +46,18 @@ class Value:
     __slots__ = ()
 
     def __init_subclass__(cls, compare=None):
-        names = compare or [name for name in cls.__slots__ if name != "__dict__"]
+        fields = [name for name in cls.__slots__ if name != "__dict__"]
+        names = compare or fields
         # an attrgetter is not a descriptor, so self._key(v) reads v's key;
         # of one name it returns the bare field, hashed as a 1-tuple
         cls._key, cls._one = attrgetter(*names), len(names) == 1
+        body = "".join(f"\n    _set(self, {name!r}, {name})" for name in fields)
+        namespace = {"_set": object.__setattr__, "__name__": cls.__module__}
+        exec(f"def _fill(self, {', '.join(fields)}):{body}", namespace)
+        cls._fill = namespace["_fill"]
+        cls._fill.__qualname__ = f"{cls.__qualname__}._fill"
+        if "__init__" not in cls.__dict__:
+            cls.__init__ = cls._fill
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

@@ -40,9 +40,7 @@ class MorphismViolation(Value):
     __slots__ = ("condition", "bits", "position")
 
     def __init__(self, condition: str, bits: Bits, position: int | None = None):
-        object.__setattr__(self, "condition", condition)
-        object.__setattr__(self, "bits", bits)
-        object.__setattr__(self, "position", position)
+        self._fill(condition, bits, position)
 
     def __str__(self):
         where = f" at position {self.position}" if self.position is not None else ""
@@ -60,12 +58,7 @@ class Morphism(Value, compare=("source", "target", "p", "w", "phi")):
 
     def __init__(self, source: ReflSeq, target: ReflSeq, p: tuple[int, ...],
                  w: WeylElement, phi: Mapping[Bits, Bits]):
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "phi", MappingProxyType(dict(phi)))
-        object.__setattr__(self, "verified", False)
+        self._fill(source, target, p, w, MappingProxyType(dict(phi)), False)
         if self.source.rs is not self.target.rs and self.source.rs != self.target.rs:
             raise InvalidInputError("source and target are over different root systems")
         if self.w.rs is not self.source.rs and self.w.rs != self.source.rs:
@@ -86,11 +79,6 @@ class PointedMorphism(Value):
     """A morphism between pointed sequences (s, x) -> (s~, x~)."""
 
     __slots__ = ("morphism", "x", "x_target")
-
-    def __init__(self, morphism: Morphism, x: WeylElement, x_target: WeylElement):
-        object.__setattr__(self, "morphism", morphism)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "x_target", x_target)
 
 
 def verify_morphism(m: Morphism) -> MorphismViolation | None:

@@ -122,16 +122,18 @@ def serialize_sequence(s: ReflSeq) -> str:
 
 
 def parse_bits(text: str, n: int) -> Bits:
-    text = _expect(text, "string", "gallery bitstring").strip()
-    if text == "-" and n == 0:
-        return ()
-    if len(text) != n or any(c not in "01" for c in text):
+    """A bit pattern of length n exactly as `serialize_bits` writes it, so
+    that two document keys never name the same gallery."""
+    text = _expect(text, "string", "gallery bitstring")
+    bits = () if text == "-" else tuple(c == "1" for c in text)
+    if len(bits) != n or serialize_bits(bits) != text:
         raise ParseError(f"bad gallery bitstring {text!r} for length {n}")
-    return tuple(c == "1" for c in text)
+    return bits
 
 
-# a term is [coefficient][*][monomial], the monomial factors joined by "*"
-_TERM_RE = re.compile(rf"({NUMERAL}(?:/[1-9][0-9]*)?)?\*?(.*)")
+# a term is [coefficient[*]][monomial], the monomial factors joined by "*";
+# a "*" after the coefficient only joins it to a monomial
+_TERM_RE = re.compile(rf"(?:({NUMERAL}(?:/[1-9][0-9]*)?)(?:\*(?=w))?)?(.*)")
 _FACTOR_RE = re.compile(rf"w({NUMERAL})(?:\^({NUMERAL}))?")
 
 
@@ -207,6 +209,10 @@ def parse_plan(doc) -> nested.NestedPlan:
         if key not in texts:
             raise ParseError(f"plan labels missing pair {key}")
         labels[r] = parse_weyl(rs, texts[key])
+    keys = set(map(_pair_key, pairs))
+    for key in texts:
+        if key not in keys:
+            raise ParseError(f"label for unknown pair {key!r}")
     try:
         return nested.NestedPlan(seq, tuple(pairs), labels)
     except InvalidInputError as exc:

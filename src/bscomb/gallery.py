@@ -38,8 +38,7 @@ class ReflSeq(Value):
     __slots__ = ("rs", "entries", "__dict__")
 
     def __init__(self, rs: RootSystem, entries: tuple[Reflection, ...]):
-        object.__setattr__(self, "rs", rs)
-        object.__setattr__(self, "entries", entries)
+        self._fill(rs, entries)
         for t in self.entries:
             if t.rs is not self.rs and t.rs != self.rs:
                 raise InvalidInputError("sequence entry from a different root system")
@@ -113,8 +112,7 @@ class Gallery(Value, compare=("bits",)):
     __slots__ = ("seq", "bits")
 
     def __init__(self, seq: ReflSeq, bits: Bits):
-        object.__setattr__(self, "seq", seq)
-        object.__setattr__(self, "bits", bits)
+        self._fill(seq, bits)
         if len(self.bits) != len(self.seq):
             raise InvalidInputError("gallery length does not match its sequence")
 
@@ -128,11 +126,6 @@ class Gallerification(Value):
     """Certificate that a sequence is of gallery type: t^(gamma) = s^x."""
 
     __slots__ = ("x", "t", "gamma")
-
-    def __init__(self, x: WeylElement, t: ReflSeq, gamma: Gallery):
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "gamma", gamma)
 
 
 def galleries(s: ReflSeq) -> list[Gallery]:

@@ -41,8 +41,7 @@ class FPFunction(Value, compare=("values",)):
     __slots__ = ("seq", "values")
 
     def __init__(self, seq: ReflSeq, values: dict[Bits, Poly]):
-        object.__setattr__(self, "seq", seq)
-        object.__setattr__(self, "values", values)
+        self._fill(seq, values)
         if self.values.keys() != self.seq.patterns.keys():
             raise InvalidInputError("table does not cover Gamma(s) exactly")
         for p in self.values.values():
@@ -109,11 +108,6 @@ class BasisElement(Value):
     """B_J with gamma_J (bits), the gallery that crosses exactly at J."""
 
     __slots__ = ("subset", "function", "bits")
-
-    def __init__(self, subset: frozenset[int], function: FPFunction, bits: Bits):
-        object.__setattr__(self, "subset", subset)
-        object.__setattr__(self, "function", function)
-        object.__setattr__(self, "bits", bits)
 
 
 class Basis(tuple):

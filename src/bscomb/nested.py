@@ -32,10 +32,6 @@ class Violation(Value):
 
     __slots__ = ("condition", "pairs")
 
-    def __init__(self, condition: str, pairs: tuple[Pair, ...]):
-        object.__setattr__(self, "condition", condition)
-        object.__setattr__(self, "pairs", pairs)
-
     def __str__(self):
         return f"{self.condition}: {', '.join(map(str, self.pairs))}"
 
@@ -54,22 +50,20 @@ class NestedPlan(Value, compare=("seq", "pairs", "labels", "display_pairs")):
     def __init__(self, seq: ReflSeq, pairs: tuple[Pair, ...],
                  labels: dict[Pair, WeylElement] | None = None,
                  display_pairs: dict[Pair, Pair] | None = None):
-        object.__setattr__(self, "seq", seq)
-        object.__setattr__(self, "pairs", tuple(sorted(pairs)))
-        object.__setattr__(self, "labels", {} if labels is None else labels)
-        object.__setattr__(self, "display_pairs", {} if display_pairs is None else display_pairs)
-        n = len(self.seq)
-        for r in self.pairs:
+        pairs, labels = tuple(sorted(pairs)), {} if labels is None else labels
+        n = len(seq)
+        for r in pairs:
             if not (1 <= r[0] <= n and 1 <= r[1] <= n):
                 raise InvalidInputError(f"pair {r} out of range 1..{n}")
-            if r not in self.labels:
+            if r not in labels:
                 raise InvalidInputError(f"pair {r} has no label")
-        for r, w in self.labels.items():
-            if r not in self.pairs:
+        for r, w in labels.items():
+            if r not in pairs:
                 raise InvalidInputError(f"label for unknown pair {r}")
-            if w.rs != self.seq.rs:
+            if w.rs != seq.rs:
                 raise InvalidInputError("label from a different root system")
-        object.__setattr__(self, "violation", _first_violation(self.pairs))
+        self._fill(seq, pairs, labels, {} if display_pairs is None else display_pairs,
+                   _first_violation(pairs))
 
     def display(self, r: Pair) -> Pair:
         return self.display_pairs.get(r, r)
@@ -112,10 +106,10 @@ class FSelection(Value):
         if not pairs:
             raise InvalidInputError("F must be nonempty")
         ordered = tuple(sorted(pairs))
-        object.__setattr__(self, "pairs", ordered)
         for f, g in zip(ordered, ordered[1:]):
             if g[0] <= f[1]:
                 raise InvalidInputError(f"intervals {f} and {g} of F are not disjoint")
+        self._fill(ordered)
 
     @classmethod
     def of(cls, plan: NestedPlan, pairs) -> "FSelection":
@@ -255,12 +249,6 @@ class FactorCertificate(Value):
     """Verified bijection Gamma(s,v) <-> Gamma(s^F,v^F) x prod Gamma(s_f,v_f) on bits."""
 
     __slots__ = ("base_plan", "fibre_plans", "forward")
-
-    def __init__(self, base_plan: NestedPlan, fibre_plans: tuple[NestedPlan, ...],
-                 forward: dict[Bits, tuple[Bits, tuple[Bits, ...]]]):
-        object.__setattr__(self, "base_plan", base_plan)
-        object.__setattr__(self, "fibre_plans", fibre_plans)
-        object.__setattr__(self, "forward", forward)
 
     @property
     def count(self) -> int:

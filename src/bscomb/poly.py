@@ -75,13 +75,13 @@ def mul_add(base: "Poly", pairs: Iterable[tuple["Poly", "Poly"]], sign: int = 1)
 
 
 class Poly(Value):
-    """A polynomial in `nvars` variables; zero has no terms."""
+    """A polynomial in `nvars` variables; zero has no terms.
+
+    `Poly(nvars, terms)` checks nothing: it takes canonical terms, as
+    `_canon` writes them (sorted, nonzero, an integral coefficient as an
+    int).  `Poly.from_dict` is the checked constructor."""
 
     __slots__ = ("nvars", "terms")
-
-    def __init__(self, nvars: int, terms: tuple[tuple[Monomial, Coeff], ...] = ()):
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", terms)
 
     # written out, not derived from the key: the basis compares and hashes values often
     def __eq__(self, other):
@@ -206,14 +206,6 @@ class Divisor(Value):
     the other terms negated (`others`)."""
 
     __slots__ = ("product", "pivot", "lead", "coeff", "others")
-
-    def __init__(self, product: Poly, pivot: int, lead: Monomial, coeff: Coeff,
-                 others: tuple[tuple[Monomial, Coeff], ...]):
-        object.__setattr__(self, "product", product)
-        object.__setattr__(self, "pivot", pivot)
-        object.__setattr__(self, "lead", lead)
-        object.__setattr__(self, "coeff", coeff)
-        object.__setattr__(self, "others", others)
 
 
 def linear_divisor(ell: Poly, times: Divisor | None = None) -> Divisor:

@@ -70,9 +70,6 @@ class Root(Value):
 
     __slots__ = ("coords",)
 
-    def __init__(self, coords: tuple[int, ...]):
-        object.__setattr__(self, "coords", coords)
-
     @property
     def is_positive(self) -> bool:
         return next(c for c in self.coords if c != 0) > 0
@@ -201,8 +198,7 @@ class WeylElement(Value, compare=("perm",)):
     __slots__ = ("rs", "perm")
 
     def __init__(self, rs: RootSystem, perm: Perm):
-        object.__setattr__(self, "rs", rs)
-        object.__setattr__(self, "perm", perm)
+        self._fill(rs, perm)
         if len(self.perm) != len(self.rs.roots):
             raise InvalidInputError("permutation size does not match the root count")
 
@@ -260,12 +256,6 @@ class Reflection(Value, compare=("rs", "index")):
     """
 
     __slots__ = ("rs", "index", "root", "letter", "__dict__")
-
-    def __init__(self, rs: RootSystem, index: int, root: Root, letter: int | None):
-        object.__setattr__(self, "rs", rs)
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "root", root)
-        object.__setattr__(self, "letter", letter)
 
     @cached_property
     def _weyl(self) -> WeylElement:

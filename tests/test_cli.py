@@ -81,8 +81,10 @@ def test_gallery_type_empty_sequence(capsys):
 def test_parse_error_exit_code(capsys, monkeypatch):
     # a bad token, document fields of the wrong JSON type, a zero
     # denominator, bad JSON on standard input, a plan sequence that names
-    # its root system, and numerals too long to convert (Python refuses
-    # integer strings of more than 4,300 digits)
+    # its root system, numerals too long to convert (Python refuses
+    # integer strings of more than 4,300 digits), a label for a pair the
+    # plan lacks, and gallery keys not written as serialize_bits writes
+    # them, which could name one gallery twice
     monkeypatch.setattr(sys, "stdin", io.StringIO("{"))
     morphism = {"source": "A1: s1", "target": "A1: s1 s1",
                 "p": [2], "w": "s1", "phi": {"0": "10", "1": "11"}}
@@ -111,7 +113,16 @@ def test_parse_error_exit_code(capsys, monkeypatch):
                  ["fibres", json.dumps(dict(plan, sequence="s1 s1", pairs=[[True, 2]],
                                             labels={"True-2": "e"}))],
                  ["morphism", "verify", json.dumps(dict(morphism, target="A1: s1", p=[True],
-                                                        w="e", phi={"0": "0", "1": "1"}))]):
+                                                        w="e", phi={"0": "0", "1": "1"}))],
+                 ["fixed-points", json.dumps(dict(plan, labels={"9-9": "s1"}))],
+                 ["fixed-points", json.dumps(dict(plan, labels={"x": 5}))],
+                 ["morphism", "verify", json.dumps(dict(morphism, phi={"0": "00", "1": "01",
+                                                                        " 1": "11"}))],
+                 ["morphism", "verify", json.dumps(dict(morphism, phi={"0": "10", "1 ": "11"}))],
+                 ["morphism", "verify", json.dumps(dict(morphism, source="A1:", target="A1: s1",
+                                                        p=[], w="e", phi={"": "0"}))],
+                 ["decompose", "A2: s1", '{"values": {"0": "3", "1": "3", "1 ": "3"}}'],
+                 ["decompose", "A2:", '{"values": {"": "3"}}']):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert "error" in err, argv

@@ -74,6 +74,11 @@ def test_gallery_round_trip():
     assert serialize_bits(parse_bits("101", 3)) == "101"
     with pytest.raises(ParseError):
         parse_bits("10", 3)
+    # exactly as serialize_bits writes it, so no two texts name one gallery
+    assert parse_bits("-", 0) == ()
+    for text, n in (("", 0), (" -", 0), ("-", 1), (" 1", 1), ("1 ", 1), (" 10", 2), ("12", 2)):
+        with pytest.raises(ParseError):
+            parse_bits(text, n)
 
 
 def test_poly_round_trip():
@@ -86,7 +91,7 @@ def test_poly_round_trip():
         parse_poly(2, "3**w1")
     # the coefficient's "*" is optional, and every factor is read
     assert parse_poly(2, "3w1*w2^2*w1") == parse_poly(2, "3*w1^2*w2^2")
-    for bad in ("w1*", "w1**w2", "w1w2", "1/0", "3/w1", "*", "w1^"):
+    for bad in ("w1*", "w1**w2", "w1w2", "1/0", "3/w1", "*", "w1^", "2*", "*w1"):
         with pytest.raises(ParseError):
             parse_poly(2, bad)
 
@@ -125,6 +130,14 @@ def test_plan_missing_label():
     doc = {"root_system": "A2", "sequence": "s1 s2",
            "pairs": [[1, 2]], "labels": {}}
     with pytest.raises(ParseError):
+        parse_plan(doc)
+
+
+@pytest.mark.parametrize("label", [{"9-9": "s1"}, {"x": 5}, {"1-2 ": "e"}])
+def test_plan_label_for_unknown_pair(label):
+    doc = {"root_system": "A2", "sequence": "s1 s2",
+           "pairs": [[1, 2]], "labels": {"1-2": "e", **label}}
+    with pytest.raises(ParseError, match="label for unknown pair"):
         parse_plan(doc)
 
 

@@ -8,6 +8,7 @@ where that tuple holds a dict.
 """
 
 import copy
+import inspect
 
 import pytest
 
@@ -111,9 +112,36 @@ def test_value_type(name):
         tuple(getattr(value, f) for f in hashed))
 
 
+# the types that only store their arguments: the constructor is the setter
+# that errors.Value writes from __slots__
+RECORDS = ["Root", "Reflection", "Poly", "Divisor", "Gallerification", "BasisElement",
+           "Violation", "FactorCertificate", "PointedMorphism"]
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_record_constructor_is_written_from_its_slots(name):
+    value = VALUES[name][0]
+    cls, names = type(value), fields(value)
+    assert cls.__init__ is cls._fill
+    assert list(inspect.signature(cls).parameters) == names
+    assert cls.__init__.__qualname__ == f"{name}._fill"
+    assert cls.__init__.__module__ == cls.__module__
+    for count in (len(names) - 1, len(names) + 1):
+        with pytest.raises(TypeError):
+            cls(*range(count))
+    rebuilt = cls(*(getattr(value, f) for f in names))
+    assert rebuilt == value and all(getattr(rebuilt, f) is getattr(value, f) for f in names)
+    assert cls(**{f: getattr(value, f) for f in names}) == value
+
+
 def test_verified_flag_is_set_only_by_verification():
     unverified = Morphism(ONE_POS, TWO_POS, (2,), RS.identity(), PHI)
     assert EMBED.verified and not unverified.verified
     assert copy.copy(EMBED).verified
     with pytest.raises(TypeError):
         Morphism(ONE_POS, TWO_POS, (2,), RS.identity(), PHI, True)
+    # the setter takes every field, verified last; the constructor takes all
+    # but verified, and a rebuild of a verified morphism starts unverified
+    assert list(inspect.signature(Morphism._fill).parameters) == ["self"] + fields(EMBED)
+    assert list(inspect.signature(Morphism).parameters) == fields(EMBED)[:-1]
+    assert not Morphism(*(getattr(EMBED, f) for f in fields(EMBED)[:-1])).verified
