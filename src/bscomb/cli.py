@@ -2,36 +2,21 @@
 
 Subcommands: gallery-type, fixed-points, project, fibres, basis, decompose,
 morphism verify|enumerate|apply, weyl info.  Structured output is canonical
-JSON with sorted keys; text output is for humans.  Exit codes: 0 success,
-2 parse error, 3 resource limit, 4 not-in-span or verification failure.
+JSON with sorted keys; text output is for humans.  The exit status is 0 on
+success, else the `exit_code` of the error class raised (`errors`): 2 parse
+error, 3 resource limit, 4 not-in-span or verification failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
 
 from . import formats, foldcat, gallery, gkm, nested, rootsys
-from .errors import (
-    MAX_LENGTH,
-    MAX_WEYL,
-    NUMERAL,
-    BscombError,
-    InvalidInputError,
-    NotInSpanError,
-    ParseError,
-    ResourceLimitError,
-    VerificationError,
-    check_bound,
-)
-
-EXIT_OK = 0
-EXIT_PARSE = 2
-EXIT_RESOURCE = 3
-EXIT_VERIFY = 4
+from .errors import (MAX_LENGTH, MAX_WEYL, NUMERAL, BscombError, ParseError,
+                     VerificationError, check_bound)
 
 
 def numeral(text: str) -> int:
@@ -52,10 +37,9 @@ def _read_doc(arg: str):
                 text = fh.read()
         else:
             text = arg
-        return json.loads(text)
-    # a directory or unreadable file, undecodable bytes, a JSONDecodeError,
-    # or an integer too long to convert
-    except (OSError, ValueError) as exc:
+        return formats.loads(text)
+    # a directory or unreadable file, undecodable bytes, or what formats.loads refuses
+    except (OSError, ValueError, ParseError) as exc:
         raise ParseError(f"bad JSON document {arg!r}: {exc}") from exc
 
 
@@ -68,20 +52,16 @@ def _emit(args, doc: dict, text_lines: list[str]) -> None:
 
 
 def _load_plan(arg: str) -> nested.NestedPlan:
-    plan = formats.parse_plan(_read_doc(arg))
-    violation = nested.validate(plan)
-    if violation is not None:
-        raise InvalidInputError(f"plan is not nested: {violation}")
-    return plan
+    return nested.require_valid(formats.parse_plan(_read_doc(arg)))
 
 
-def cmd_gallery_type(args) -> int:
+def cmd_gallery_type(args) -> None:
     s = formats.parse_sequence(args.sequence, args.max_weyl)
     check_bound("sequence length", len(s), args.max_length)
     cert = gallery.is_gallery_type(s)  # verified before it is returned
     if cert is None:
         _emit(args, {"gallery_type": False}, ["no labelled gallery exists"])
-        return EXIT_OK
+        return
     doc = {
         "gallery_type": True,
         "x": str(cert.x),
@@ -92,20 +72,18 @@ def cmd_gallery_type(args) -> int:
                       f"x = {doc['x']}",
                       f"t = {doc['t'] or '(empty)'}",
                       f"gamma = {doc['gamma']}"])
-    return EXIT_OK
 
 
-def cmd_fixed_points(args) -> int:
+def cmd_fixed_points(args) -> None:
     plan = _load_plan(args.plan)
     check_bound("sequence length", len(plan.seq), args.max_length)
     points = nested.fixed_points(plan)
     bitstrings = [formats.serialize_bits(g) for g in points]
     doc = {"count": len(points), "galleries": bitstrings}
     _emit(args, doc, [f"{len(points)} galleries"] + bitstrings)
-    return EXIT_OK
 
 
-def cmd_project(args) -> int:
+def cmd_project(args) -> None:
     plan = _load_plan(args.plan)
     F = nested.FSelection(tuple(formats.parse_pair(t) for t in args.pairs.split(","))
                           if args.pairs else ())
@@ -121,10 +99,9 @@ def cmd_project(args) -> int:
         doc["fixed_point_count"] = cert.count
         lines.append(f"fixed points factor: verified ({cert.count} galleries)")
     _emit(args, doc, lines)
-    return EXIT_OK
 
 
-def cmd_fibres(args) -> int:
+def cmd_fibres(args) -> None:
     plan = _load_plan(args.plan)
     docs, lines = [], []
     for r in [formats.parse_pair(args.pair)] if args.pair else plan.pairs:
@@ -133,10 +110,9 @@ def cmd_fibres(args) -> int:
         lines.append(f"fibre at {r}: {formats.serialize_sequence(fib.seq)}"
                      f" with label {plan.labels[r]}")
     _emit(args, {"fibres": docs}, lines)
-    return EXIT_OK
 
 
-def cmd_basis(args) -> int:
+def cmd_basis(args) -> None:
     s = formats.parse_sequence(args.sequence)
     check_bound("sequence length", len(s), args.max_length)
     elements = gkm.basis(s)
@@ -147,10 +123,9 @@ def cmd_basis(args) -> int:
         lines.append(f"B_{sorted(e.subset)}:")
         lines.extend(f"  {b} -> {p}" for b, p in sorted(func.items()))
     _emit(args, {"basis": docs}, lines)
-    return EXIT_OK
 
 
-def cmd_decompose(args) -> int:
+def cmd_decompose(args) -> None:
     s = formats.parse_sequence(args.sequence)
     check_bound("sequence length", len(s), args.max_length)
     g = formats.parse_fpfunction(s, _read_doc(args.function))
@@ -159,7 +134,6 @@ def cmd_decompose(args) -> int:
              for J, c in coeffs.items()}
     _emit(args, {"coefficients": table},
           [f"c_[{J}] = {c}" for J, c in sorted(table.items())])
-    return EXIT_OK
 
 
 def _load_morphism(args) -> foldcat.Morphism:
@@ -168,18 +142,17 @@ def _load_morphism(args) -> foldcat.Morphism:
     return m
 
 
-def cmd_morphism_verify(args) -> int:
+def cmd_morphism_verify(args) -> int | None:
     m = _load_morphism(args)
     bad = foldcat.verify_morphism(m)
     if bad is not None:
         _emit(args, {"verified": False, "violation": str(bad)},
               [f"not a morphism: {bad}"])
-        return EXIT_VERIFY
+        return VerificationError.exit_code
     _emit(args, {"verified": True}, ["morphism verified"])
-    return EXIT_OK
 
 
-def cmd_morphism_enumerate(args) -> int:
+def cmd_morphism_enumerate(args) -> None:
     source = formats.parse_sequence(args.source, args.max_weyl)
     target = formats.parse_sequence(args.target, args.max_weyl)
     check_bound("sequence length", max(len(source), len(target)), args.max_length)
@@ -189,10 +162,9 @@ def cmd_morphism_enumerate(args) -> int:
     for d in docs:
         lines.append(f"p={d['p']} w={d['w']} phi={d['phi']}")
     _emit(args, {"count": len(found), "morphisms": docs}, lines)
-    return EXIT_OK
 
 
-def cmd_morphism_apply(args) -> int:
+def cmd_morphism_apply(args) -> None:
     m = _load_morphism(args)
     bad = foldcat.verify_morphism(m)
     if bad is not None:
@@ -201,10 +173,9 @@ def cmd_morphism_apply(args) -> int:
     result = gkm.induced_map(m, g)
     doc = formats.fpfunction_to_doc(result)
     _emit(args, doc, [f"{b} -> {p}" for b, p in sorted(doc["values"].items())])
-    return EXIT_OK
 
 
-def cmd_weyl_info(args) -> int:
+def cmd_weyl_info(args) -> None:
     rs = formats.parse_root_system(args.root_system, args.max_weyl)
     elements = rootsys.enumerate_weyl(rs)
     doc = {
@@ -220,7 +191,6 @@ def cmd_weyl_info(args) -> int:
                       f"|W| = {doc['order']}",
                       f"positive roots: {doc['positive_roots']}",
                       f"longest element: {doc['longest_element']}"])
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -286,15 +256,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args) or 0
     except BscombError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc, ResourceLimitError):
-            return EXIT_RESOURCE
-        return EXIT_VERIFY if isinstance(exc, (NotInSpanError, VerificationError)) else EXIT_PARSE
+        return exc.exit_code
 
 
 if __name__ == "__main__":

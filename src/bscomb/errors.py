@@ -6,6 +6,8 @@ constant below and refuses through `check_bound`.  A caller (the CLI's
 --max-weyl and --max-length) may check a tighter bound first; it cannot
 loosen these.  Every layer imports this module, and the CLI loads it even
 for a usage error, so what lives here adds no module to any command.
+Each error class carries the CLI's exit status for it, `exit_code` (2 where
+a class names none), so a new class has one where it is defined.
 """
 
 from operator import attrgetter
@@ -88,6 +90,7 @@ class Value:
 
 class BscombError(Exception):
     """Base class for errors raised by this package."""
+    exit_code = 2
 
 
 class InvalidInputError(BscombError):
@@ -96,6 +99,7 @@ class InvalidInputError(BscombError):
 
 class ResourceLimitError(BscombError):
     """An enumeration would exceed a configured bound."""
+    exit_code = 3
 
 
 def check_bound(what: str, value: int, bound: int) -> None:
@@ -113,6 +117,7 @@ class NotInSpanError(BscombError):
 
     Carries the first failing subset and the non-divisible remainder.
     """
+    exit_code = 4
 
     def __init__(self, subset, remainder, message=None):
         self.subset = subset
@@ -122,6 +127,7 @@ class NotInSpanError(BscombError):
 
 class VerificationError(BscombError):
     """A certificate or morphism failed re-verification."""
+    exit_code = 4
 
 
 class PropertyViolationError(BscombError):

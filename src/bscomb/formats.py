@@ -35,6 +35,23 @@ def _expect(value, kind: str, what: str):
     return value
 
 
+def _fields(doc, what: str, *keys: str) -> list:
+    """The values of an object's required keys; ParseError "<what> missing '<key>'"."""
+    _expect(doc, "object", what)
+    for key in keys:
+        if key not in doc:
+            raise ParseError(f"{what} missing {key!r}")
+    return [doc[key] for key in keys]
+
+
+def _build(make, *args):
+    """make(*args), a value's own InvalidInputError read as a ParseError."""
+    try:
+        return make(*args)
+    except InvalidInputError as exc:
+        raise ParseError(str(exc)) from exc
+
+
 def _is_int(value) -> bool:
     """A JSON integer: JSON true and false decode to bool, an int subclass."""
     return type(value) is int
@@ -56,10 +73,7 @@ def parse_root_system(text: str, max_weyl: int | None = None) -> RootSystem:
     family, rank = m.group(1), _number(m.group(2))
     if max_weyl is not None:
         check_weyl_order(family, rank, max_weyl)
-    try:
-        return build_root_system(family, rank)
-    except InvalidInputError as exc:
-        raise ParseError(str(exc)) from exc
+    return _build(build_root_system, family, rank)
 
 
 def _letter(rs: RootSystem, token: str) -> int | None:
@@ -133,24 +147,24 @@ def parse_bits(text: str, n: int) -> Bits:
 
 # a term is [coefficient[*]][monomial], the monomial factors joined by "*";
 # a "*" after the coefficient only joins it to a monomial
-_TERM_RE = re.compile(rf"(?:({NUMERAL}(?:/[1-9][0-9]*)?)(?:\*(?=w))?)?(.*)")
+_TERM_RE = re.compile(rf"(?:({NUMERAL}(?:/[1-9][0-9]*)?)(?:\*(?=w))?)?(.*)", re.S)
 _FACTOR_RE = re.compile(rf"w({NUMERAL})(?:\^({NUMERAL}))?")
 
 
 def parse_poly(nvars: int, text: str) -> poly.Poly:
-    """Canonical sparse form, e.g. "3*w1^2*w2 - 1/2*w2"; "0" is zero."""
+    """Canonical sparse form, e.g. "3*w1^2*w2 - 1/2*w2"; "0" is zero.  Spaces
+    may stand only at the ends and around a term's sign, as str(Poly) writes."""
     from fractions import Fraction
 
     text = _expect(text, "string", "polynomial").strip()
     if text in ("0", ""):
         return poly.Poly.zero(nvars)
-    chunks = re.split(r"(?=[+-])", "".join(text.split()))
     terms: dict = {}
-    for chunk in chunks:
+    for chunk in re.split(r"\s*(?=[+-])", text):
         if not chunk:
             continue
         sign = -1 if chunk[0] == "-" else 1
-        chunk = chunk[1:] if chunk[0] in "+-" else chunk
+        chunk = chunk[1:].lstrip() if chunk[0] in "+-" else chunk
         coeff_text, factors = _TERM_RE.fullmatch(chunk).groups()
         if coeff_text is None and not factors:
             raise ParseError(f"bad polynomial term {chunk!r}")
@@ -190,33 +204,23 @@ def parse_plan(doc) -> nested.NestedPlan:
     {"root_system": "A4", "sequence": "s4 s1 ...",
      "pairs": [[1,10],[2,6]], "labels": {"1-10": "s2 s3 s4"}}
     """
-    _expect(doc, "object", "plan document")
-    for key in ("root_system", "sequence", "pairs", "labels"):
-        if key not in doc:
-            raise ParseError(f"plan document missing {key!r}")
-    rs = parse_root_system(doc["root_system"])
-    seq = _tokens(rs, _expect(doc["sequence"], "string", "plan sequence"))
+    root_system, sequence, items, texts = _fields(
+        doc, "plan document", "root_system", "sequence", "pairs", "labels")
+    rs = parse_root_system(root_system)
+    seq = _tokens(rs, _expect(sequence, "string", "plan sequence"))
     pairs = []
-    for item in _expect(doc["pairs"], "array", "plan pairs"):
+    for item in _expect(items, "array", "plan pairs"):
         if (not isinstance(item, (list, tuple)) or len(item) != 2
                 or not all(map(_is_int, item))):
             raise ParseError(f"bad pair {item!r}")
         pairs.append((item[0], item[1]))
-    texts = _expect(doc["labels"], "object", "plan labels")
-    labels = {}
-    for r in pairs:
-        key = _pair_key(r)
-        if key not in texts:
-            raise ParseError(f"plan labels missing pair {key}")
-        labels[r] = parse_weyl(rs, texts[key])
-    keys = set(map(_pair_key, pairs))
-    for key in texts:
+    # a pair without a label is refused by NestedPlan
+    keys, labels = {_pair_key(r): r for r in pairs}, {}
+    for key, text in _expect(texts, "object", "plan labels").items():
         if key not in keys:
             raise ParseError(f"label for unknown pair {key!r}")
-    try:
-        return nested.NestedPlan(seq, tuple(pairs), labels)
-    except InvalidInputError as exc:
-        raise ParseError(str(exc)) from exc
+        labels[keys[key]] = parse_weyl(rs, text)
+    return _build(nested.NestedPlan, seq, tuple(pairs), labels)
 
 
 def plan_to_doc(plan: nested.NestedPlan) -> dict:
@@ -233,21 +237,15 @@ def parse_morphism(doc) -> foldcat.Morphism:
     """A decoded morphism document, carrying its own source and target
     sequence documents: {"source": "A1: s1", "target": "A1: s1 s1",
     "p": [2], "w": "s1", "phi": {"0": "10", "1": "11"}}."""
-    _expect(doc, "object", "morphism document")
-    for key in ("source", "target", "p", "w", "phi"):
-        if key not in doc:
-            raise ParseError(f"morphism document missing {key!r}")
-    source, target = parse_sequence(doc["source"]), parse_sequence(doc["target"])
-    p = tuple(_expect(doc["p"], "array", "p"))
+    source, target, p, w, phi = _fields(
+        doc, "morphism document", "source", "target", "p", "w", "phi")
+    source, target = parse_sequence(source), parse_sequence(target)
+    p = tuple(_expect(p, "array", "p"))
     if not all(map(_is_int, p)):
         raise ParseError("p must be a list of integers")
-    w = parse_weyl(source.rs, doc["w"])
-    phi = {parse_bits(src_text, len(source)): parse_bits(tgt_text, len(target))
-           for src_text, tgt_text in _expect(doc["phi"], "object", "phi").items()}
-    try:
-        return foldcat.Morphism(source, target, p, w, phi)
-    except InvalidInputError as exc:
-        raise ParseError(str(exc)) from exc
+    return _build(foldcat.Morphism, source, target, p, parse_weyl(source.rs, w),
+                  {parse_bits(src_text, len(source)): parse_bits(tgt_text, len(target))
+                   for src_text, tgt_text in _expect(phi, "object", "phi").items()})
 
 
 def morphism_docs(source: ReflSeq, target: ReflSeq,
@@ -273,13 +271,27 @@ def fpfunction_to_doc(g: gkm.FPFunction) -> dict:
 
 def parse_fpfunction(s: ReflSeq, doc) -> gkm.FPFunction:
     """A decoded function document {"values": {"0": "3", "1": "w1"}}."""
-    if "values" not in _expect(doc, "object", "function document"):
-        raise ParseError("function document missing 'values'")
+    (values,) = _fields(doc, "function document", "values")
     values = {parse_bits(b, len(s)): parse_poly(s.rs.rank, text)
-              for b, text in _expect(doc["values"], "object", "function values").items()}
+              for b, text in _expect(values, "object", "function values").items()}
+    return _build(gkm.FPFunction, s, values)
+
+
+def _object(pairs) -> dict:
+    """A JSON object's dict; ParseError for a key it repeats."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ParseError(f"repeated key {key!r}")
+        doc[key] = value
+    return doc
+
+
+def loads(text: str):
+    """A decoded document; ParseError for bad or too deeply nested JSON or a repeated key."""
     try:
-        return gkm.FPFunction(s, values)
-    except InvalidInputError as exc:
+        return json.loads(text, object_pairs_hook=_object)
+    except (ValueError, RecursionError) as exc:
         raise ParseError(str(exc)) from exc
 
 

@@ -92,9 +92,11 @@ def validate(plan: NestedPlan) -> Violation | None:
     return plan.violation
 
 
-def _require_valid(plan: NestedPlan) -> None:
+def require_valid(plan: NestedPlan) -> NestedPlan:
+    """The plan; InvalidInputError "invalid nested structure (...)" if `validate` faults it."""
     if plan.violation is not None:
         raise InvalidInputError(f"invalid nested structure ({plan.violation})")
+    return plan
 
 
 class FSelection(Value):
@@ -162,7 +164,7 @@ def _restrict(plan: NestedPlan, lo: int, hi: int, cut: tuple[Pair, ...]) -> Nest
 
 def project(plan: NestedPlan, F: FSelection) -> NestedPlan:
     """The projected plan (s^F, R^F, v^F): `_restrict` of 1..n with F cut out."""
-    _require_valid(plan)
+    require_valid(plan)
     F = FSelection.of(plan, F.pairs)
     return _restrict(plan, 1, len(plan.seq), F.pairs)
 
@@ -173,7 +175,7 @@ def fibre_data(plan: NestedPlan, f: Pair) -> NestedPlan:
     The span pair of the fibre is f itself with label v_f, so the fibre's
     nested structure is closed.  Nothing is cut, so nothing is conjugated.
     """
-    _require_valid(plan)
+    require_valid(plan)
     if f not in plan.pairs:
         raise InvalidInputError(f"{f} is not a pair of the plan")
     return _restrict(plan, f[0], f[1], ())
@@ -204,7 +206,7 @@ def fixed_points(plan: NestedPlan) -> list[Bits]:
     most n levels of bounded width are held.  Nothing enumerates W and
     nothing is kept on the system.
     """
-    _require_valid(plan)
+    require_valid(plan)
     seq = plan.seq
     n = len(seq)
     check_bound("sequence length", n, MAX_LENGTH)
@@ -299,7 +301,7 @@ def factor_fixed_points(plan: NestedPlan, F: FSelection) -> FactorCertificate:
 def restricted_seq(plan: NestedPlan, r: Pair) -> ReflSeq:
     """The sequence s^(r,v) on I(r, R): [r] minus the maximal nested intervals,
     with surviving entries conjugated by the accumulated nested labels."""
-    _require_valid(plan)
+    require_valid(plan)
     if r not in plan.pairs:
         raise InvalidInputError(f"{r} is not a pair of the plan")
     # pairs are sorted by first endpoint, so an inner pair is maximal exactly
@@ -318,7 +320,7 @@ def is_gallery_type_pair(plan: NestedPlan
     Empty R is vacuously of gallery type.  Returns the verdict plus the
     certificate (or None) per pair.
     """
-    _require_valid(plan)
+    require_valid(plan)
     certs: dict[Pair, Gallerification | None] = {}
     ok = True
     for r in plan.pairs:

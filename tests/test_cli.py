@@ -19,6 +19,9 @@ from bscomb.rootsys import build_root_system
 from conftest import cap_address_space
 
 SL5 = "data/sl5.plan"
+# a plan whose pairs share the endpoint 2, so it is not nested
+CROSSED = json.dumps({"root_system": "A2", "sequence": "s1 s2 s1", "pairs": [[1, 2], [2, 3]],
+                      "labels": {"1-2": "e", "2-3": "e"}})
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -83,8 +86,10 @@ def test_parse_error_exit_code(capsys, monkeypatch):
     # denominator, bad JSON on standard input, a plan sequence that names
     # its root system, numerals too long to convert (Python refuses
     # integer strings of more than 4,300 digits), a label for a pair the
-    # plan lacks, and gallery keys not written as serialize_bits writes
-    # them, which could name one gallery twice
+    # plan lacks, gallery keys not written as serialize_bits writes them,
+    # which could name one gallery twice, a key an object repeats (JSON
+    # would keep the last), a space inside a polynomial term, and arrays
+    # nested too deeply for the decoder
     monkeypatch.setattr(sys, "stdin", io.StringIO("{"))
     morphism = {"source": "A1: s1", "target": "A1: s1 s1",
                 "p": [2], "w": "s1", "phi": {"0": "10", "1": "11"}}
@@ -122,7 +127,14 @@ def test_parse_error_exit_code(capsys, monkeypatch):
                  ["morphism", "verify", json.dumps(dict(morphism, source="A1:", target="A1: s1",
                                                         p=[], w="e", phi={"": "0"}))],
                  ["decompose", "A2: s1", '{"values": {"0": "3", "1": "3", "1 ": "3"}}'],
-                 ["decompose", "A2:", '{"values": {"": "3"}}']):
+                 ["decompose", "A2:", '{"values": {"": "3"}}'],
+                 ["decompose", "A2: s1", '{"values": {"0": "3", "1": "3", "1": "5"}}'],
+                 ["fixed-points", '{"root_system": "A2", "sequence": "s1", "pairs": [[1, 1]], '
+                                  '"labels": {"1-1": "s1", "1-1": "e"}}'],
+                 ["morphism", "verify", '{"source": "A1: s1", "target": "A1: s1 s1", "p": [2], '
+                                        '"w": "s1", "phi": {"0": "10", "1": "11", "1": "10"}}'],
+                 ["decompose", "A2: s1", '{"values": {"0": "1 0", "1": "10"}}'],
+                 ["decompose", "A2: s1", "[" * 100_000 + "]" * 100_000]):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert "error" in err, argv
@@ -166,6 +178,7 @@ def test_error_class_exit_code(capsys, monkeypatch, error, expected):
     monkeypatch.setattr(cli, "cmd_weyl_info", fail)
     code, out, err = run(capsys, "weyl", "info", "--root-system", "A2")
     assert (code, out, err) == (expected, "", f"error: {error}\n")
+    assert type(error).exit_code == expected
 
 
 @pytest.mark.parametrize("argv", [
@@ -330,7 +343,12 @@ def test_project_empty_f_rejected(capsys):
     (["project", SL5, "--pairs", "9-9"], "(9, 9) is not a pair of the plan"),
     (["project", SL5, "--pairs", "2-6,9-9"], "(9, 9) is not a pair of the plan"),
     (["project", SL5, "--pairs", "1-10,2-6"], "intervals (1, 10) and (2, 6) of F are not disjoint"),
-], ids=["fibres-outside", "project-outside", "project-one-outside", "project-overlapping"])
+    (["fixed-points", CROSSED], "invalid nested structure (endpoint sets not disjoint: (1, 2), (2, 3))"),
+    # the plan is refused before --max-length is applied
+    (["--max-length", "1", "fixed-points", CROSSED],
+     "invalid nested structure (endpoint sets not disjoint: (1, 2), (2, 3))"),
+], ids=["fibres-outside", "project-outside", "project-one-outside", "project-overlapping",
+        "plan-not-nested", "plan-not-nested-max-length"])
 def test_selection_refused_by_the_library(capsys, argv, message):
     # the plan and selection checks are nested's; the CLI only reports them
     code, out, err = run(capsys, *argv)

@@ -91,7 +91,10 @@ def test_poly_round_trip():
         parse_poly(2, "3**w1")
     # the coefficient's "*" is optional, and every factor is read
     assert parse_poly(2, "3w1*w2^2*w1") == parse_poly(2, "3*w1^2*w2^2")
-    for bad in ("w1*", "w1**w2", "w1w2", "1/0", "3/w1", "*", "w1^", "2*", "*w1"):
+    # spaces stand only at the ends and around a term's sign
+    assert parse_poly(2, " -  w1+2 ") == parse_poly(2, "-w1 + 2")
+    for bad in ("w1*", "w1**w2", "w1w2", "1/0", "3/w1", "*", "w1^", "2*", "*w1",
+                "1 0", "w 1", "1 / 2 w 1", "3 w1", "w1 ^2", "3\nw1"):
         with pytest.raises(ParseError):
             parse_poly(2, bad)
 
@@ -129,7 +132,8 @@ def test_pair_errors(text):
 def test_plan_missing_label():
     doc = {"root_system": "A2", "sequence": "s1 s2",
            "pairs": [[1, 2]], "labels": {}}
-    with pytest.raises(ParseError):
+    # refused by NestedPlan, which states every plan refusal
+    with pytest.raises(ParseError, match=r"^pair \(1, 2\) has no label$"):
         parse_plan(doc)
 
 
