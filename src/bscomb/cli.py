@@ -4,7 +4,8 @@ Subcommands: gallery-type, fixed-points, project, fibres, basis, decompose,
 morphism verify|enumerate|apply, weyl info.  Structured output is canonical
 JSON with sorted keys; text output is for humans.  The exit status is 0 on
 success, else the `exit_code` of the error class raised (`errors`): 2 parse
-error, 3 resource limit, 4 not-in-span or verification failure.
+error, 3 resource limit, 4 not-in-span or verification failure; 141 when
+the reader closes stdout early.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import argparse
 import os
 import re
 import sys
+from contextlib import suppress
 
 from . import formats, foldcat, gallery, gkm, nested, rootsys
 from .errors import (MAX_LENGTH, MAX_WEYL, NUMERAL, BscombError, ParseError,
@@ -195,73 +197,59 @@ def cmd_weyl_info(args) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="bscomb",
-        description="Exact Bott-Samelson gallery combinatorics.")
-    parser.add_argument("--format", choices=("text", "structured"),
-                        default="text")
+        prog="bscomb", description="Exact Bott-Samelson gallery combinatorics.")
+    parser.add_argument("--format", choices=("text", "structured"), default="text")
     # defaults from errors, which holds every bound, so a usage error runs no layer
     parser.add_argument("--max-weyl", type=numeral, default=MAX_WEYL)
     parser.add_argument("--max-length", type=numeral, default=MAX_LENGTH)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gallery-type", help="decide gallery type, print a certificate")
-    p.add_argument("sequence")
-    p.set_defaults(func=cmd_gallery_type)
-
-    p = sub.add_parser("fixed-points", help="list the galleries of a plan")
-    p.add_argument("plan")
-    p.set_defaults(func=cmd_fixed_points)
-
-    p = sub.add_parser("project", help="project a plan along a selection F")
-    p.add_argument("plan")
-    p.add_argument("--pairs", required=True, help="e.g. 1-10,2-6")
-    p.add_argument("--check-fixed-points", action="store_true")
-    p.set_defaults(func=cmd_project)
-
-    p = sub.add_parser("fibres", help="fibre data of a plan")
-    p.add_argument("plan")
-    p.add_argument("--pair", help="restrict to one pair, e.g. 2-6")
-    p.set_defaults(func=cmd_fibres)
-
-    p = sub.add_parser("basis", help="the triangular 2^n basis")
-    p.add_argument("sequence")
-    p.set_defaults(func=cmd_basis)
-
-    p = sub.add_parser("decompose", help="decompose a function in the basis")
-    p.add_argument("sequence")
-    p.add_argument("function")
-    p.set_defaults(func=cmd_decompose)
-
-    pm = sub.add_parser("morphism", help="folding-category morphisms")
-    msub = pm.add_subparsers(dest="subcommand", required=True)
-    p = msub.add_parser("verify")
-    p.add_argument("morphism")
-    p.set_defaults(func=cmd_morphism_verify)
-    p = msub.add_parser("enumerate")
-    p.add_argument("source")
-    p.add_argument("target")
-    p.set_defaults(func=cmd_morphism_enumerate)
-    p = msub.add_parser("apply")
-    p.add_argument("morphism")
-    p.add_argument("function")
-    p.set_defaults(func=cmd_morphism_apply)
-
-    pw = sub.add_parser("weyl", help="root system information")
-    wsub = pw.add_subparsers(dest="subcommand", required=True)
-    p = wsub.add_parser("info")
-    p.add_argument("--root-system", required=True)
-    p.set_defaults(func=cmd_weyl_info)
-
+    # path -> (help, handler, *arguments), read per call; an argument is a name or
+    # (flag, options), a group has no handler, and argparse lists only a help= command
+    commands = {
+        "gallery-type": ("decide gallery type, print a certificate", cmd_gallery_type, "sequence"),
+        "fixed-points": ("list the galleries of a plan", cmd_fixed_points, "plan"),
+        "project": ("project a plan along a selection F", cmd_project, "plan",
+                    ("--pairs", {"required": True, "help": "e.g. 1-10,2-6"}),
+                    ("--check-fixed-points", {"action": "store_true"})),
+        "fibres": ("fibre data of a plan", cmd_fibres, "plan",
+                   ("--pair", {"help": "restrict to one pair, e.g. 2-6"})),
+        "basis": ("the triangular 2^n basis", cmd_basis, "sequence"),
+        "decompose": ("decompose a function in the basis", cmd_decompose, "sequence", "function"),
+        "morphism": ("folding-category morphisms", None),
+        "morphism verify": (None, cmd_morphism_verify, "morphism"),
+        "morphism enumerate": (None, cmd_morphism_enumerate, "source", "target"),
+        "morphism apply": (None, cmd_morphism_apply, "morphism", "function"),
+        "weyl": ("root system information", None),
+        "weyl info": (None, cmd_weyl_info, ("--root-system", {"required": True})),
+    }
+    groups = {"": parser.add_subparsers(dest="command", required=True)}
+    for path, (text, func, *arguments) in commands.items():
+        group, _, name = path.rpartition(" ")
+        p = groups[group].add_parser(name, **({"help": text} if text else {}))
+        for arg in arguments:
+            flag, options = (arg, {}) if isinstance(arg, str) else arg
+            p.add_argument(flag, **options)
+        if func is None:
+            groups[path] = p.add_subparsers(dest="subcommand", required=True)
+        else:
+            p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args) or 0
+        code = args.func(args) or 0
+        sys.stdout.flush()
+        return code
     except BscombError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull, so that the interpreter's
+        # flush at exit stays quiet; a stdout in memory (pytest's capture) has no fileno
+        with suppress(AttributeError, OSError), open(os.devnull, "w") as null:
+            os.dup2(null.fileno(), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, as a shell reports a writer that SIGPIPE ended
 
 
 if __name__ == "__main__":

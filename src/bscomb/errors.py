@@ -40,9 +40,8 @@ class Value:
     `self._fill(...)`.  Equality and the hash read one tuple of fields,
     the class's key: every field, or those the class statement
     names (`compare=`), so the hash is the hash of that tuple.  A field
-    cannot be set or deleted afterwards; `copy` restores fields through
-    `__setstate__`, and so do `deepcopy` and `pickle` where every field
-    pickles (a `Morphism`'s phi view does not).
+    cannot be set or deleted afterwards; `copy`, `deepcopy` and `pickle`
+    restore the fields through `__setstate__`, or a class's own `__reduce__`.
     """
 
     __slots__ = ()

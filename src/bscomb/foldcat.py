@@ -59,10 +59,8 @@ class Morphism(Value, compare=("source", "target", "p", "w", "phi")):
     def __init__(self, source: ReflSeq, target: ReflSeq, p: tuple[int, ...],
                  w: WeylElement, phi: Mapping[Bits, Bits]):
         self._fill(source, target, p, w, MappingProxyType(dict(phi)), False)
-        if self.source.rs is not self.target.rs and self.source.rs != self.target.rs:
-            raise InvalidInputError("source and target are over different root systems")
-        if self.w.rs is not self.source.rs and self.w.rs != self.source.rs:
-            raise InvalidInputError("w is from a different root system")
+        source.rs.require_same(target.rs, "source and target are over different root systems")
+        source.rs.require_same(w.rs, "w is from a different root system")
         n, m = len(self.source), len(self.target)
         if len(self.p) != n:
             raise InvalidInputError("p must be defined on every source position")
@@ -73,6 +71,21 @@ class Morphism(Value, compare=("source", "target", "p", "w", "phi")):
 
     def __hash__(self):
         return hash((self.source, self.target, self.p, self.w))
+
+    def __reduce__(self):
+        # the phi view does not pickle: deepcopy and pickle rebuild through
+        # the constructor, and a verified morphism is verified again
+        return _rebuild, (self.verified, self.source, self.target, self.p, self.w, dict(self.phi))
+
+    def __copy__(self):
+        return self  # immutable, as a tuple is
+
+
+def _rebuild(verified: bool, *fields) -> Morphism:
+    m = Morphism(*fields)
+    if verified:
+        verify_morphism(m)
+    return m
 
 
 class PointedMorphism(Value):
@@ -168,8 +181,7 @@ def enumerate_morphisms(s: ReflSeq, target: ReflSeq) -> list[Morphism]:
     Each candidate is verified over the 2^n galleries of s, and more than
     MAX_CANDIDATE_GALLERIES candidates times 2^n are refused before any is built.
     """
-    if s.rs != target.rs:
-        raise InvalidInputError("source and target are over different root systems")
+    s.rs.require_same(target.rs, "source and target are over different root systems")
     n, nt = len(s), len(target)
     check_bound("morphism sequence length", max(n, nt), MAX_MORPHISM_LENGTH)
     if n > nt:

@@ -40,8 +40,7 @@ class ReflSeq(Value):
     def __init__(self, rs: RootSystem, entries: tuple[Reflection, ...]):
         self._fill(rs, entries)
         for t in self.entries:
-            if t.rs is not self.rs and t.rs != self.rs:
-                raise InvalidInputError("sequence entry from a different root system")
+            rs.require_same(t.rs, "sequence entry from a different root system")
 
     def __len__(self):
         return len(self.entries)

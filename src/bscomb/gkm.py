@@ -58,6 +58,7 @@ def generator(s: ReflSeq, i: int, w: WeylElement, c: Poly) -> FPFunction:
     i = 0 plays the role of -infinity, where the prefix is trivial.  Acts
     by w once, then by each prefix: (gamma^i w) . c = gamma^i . (w . c).
     """
+    s.rs.require_same(w.rs, "w is from a different root system")
     if not 0 <= i <= len(s):
         raise InvalidInputError(f"generator index {i} out of range 0..{len(s)}")
     wc = weyl_act(w, c)

@@ -60,8 +60,7 @@ class NestedPlan(Value, compare=("seq", "pairs", "labels", "display_pairs")):
         for r, w in labels.items():
             if r not in pairs:
                 raise InvalidInputError(f"label for unknown pair {r}")
-            if w.rs != seq.rs:
-                raise InvalidInputError("label from a different root system")
+            seq.rs.require_same(w.rs, "label from a different root system")
         self._fill(seq, pairs, labels, {} if display_pairs is None else display_pairs,
                    _first_violation(pairs))
 
@@ -70,21 +69,19 @@ class NestedPlan(Value, compare=("seq", "pairs", "labels", "display_pairs")):
 
 
 def _first_violation(pairs: tuple[Pair, ...]) -> Violation | None:
-    """The first of the three nested-structure conditions the pairs break."""
+    """The first of the three nested-structure conditions the sorted pairs break."""
     for r in pairs:
         if r[0] > r[1]:
             return Violation("endpoint order r1 <= r2 violated", (r,))
+    crossing = None
     for i, r in enumerate(pairs):
         for q in pairs[i + 1:]:
             if {r[0], r[1]} & {q[0], q[1]}:
                 return Violation("endpoint sets not disjoint", (r, q))
-    for i, r in enumerate(pairs):
-        for q in pairs[i + 1:]:
-            disjoint = r[1] < q[0] or q[1] < r[0]
-            nested = (r[0] <= q[0] and q[1] <= r[1]) or (q[0] <= r[0] and r[1] <= q[1])
-            if not (disjoint or nested):
-                return Violation("intervals neither disjoint nor nested", (r, q))
-    return None
+            # sorted and sharing no end, r1 < q1: so they cross iff q1 < r2 < q2
+            if crossing is None and q[0] < r[1] < q[1]:
+                crossing = (r, q)
+    return crossing and Violation("intervals neither disjoint nor nested", crossing)
 
 
 def validate(plan: NestedPlan) -> Violation | None:

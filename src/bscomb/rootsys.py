@@ -176,6 +176,11 @@ class RootSystem:
         """s_beta = s_-beta, the table entry of either root; refuses a non-root."""
         return self.reflections[self._root_index(root)]
 
+    def require_same(self, other: "RootSystem", message: str) -> None:
+        """Refuse another system with InvalidInputError(message)."""
+        if other is not self and other != self:
+            raise InvalidInputError(message)
+
     def __eq__(self, other):
         return (isinstance(other, RootSystem)
                 and (self.family, self.rank) == (other.family, other.rank))
@@ -209,8 +214,7 @@ class WeylElement(Value, compare=("perm",)):
         return tuple(zip(*images))
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
-        if self.rs is not other.rs and self.rs != other.rs:
-            raise InvalidInputError("cannot multiply elements of different systems")
+        self.rs.require_same(other.rs, "cannot multiply elements of different systems")
         return WeylElement(self.rs, tuple(map(self.perm.__getitem__, other.perm)))
 
     def inv(self) -> "WeylElement":
@@ -288,8 +292,7 @@ def build_root_system(family: str, rank: int) -> RootSystem:
 
 def conjugate_reflection(w: WeylElement, t: Reflection) -> Reflection:
     """w s_alpha w^-1 = s_{w(alpha)}: the table entry at w's image of alpha."""
-    if w.rs is not t.rs and w.rs != t.rs:
-        raise InvalidInputError("mismatched root systems")
+    w.rs.require_same(t.rs, "mismatched root systems")
     return w.rs.reflections[w.perm[t.index]]
 
 

@@ -216,6 +216,32 @@ def test_large_exponent_costs_its_terms_not_its_value(argv, expected):
     assert (proc.returncode, proc.stdout) == (0, expected)
 
 
+def test_closed_stdout_exits_141_without_a_traceback():
+    # 276 KB of output, four times a pipe's buffer, so the command is still
+    # writing when the reader closes the pipe after 10 bytes
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    for _ in range(3):
+        proc = subprocess.Popen([sys.executable, "-m", "bscomb.cli", "--format", "structured",
+                                 "basis", "B2: s1 s2 s1 s2 s1 s2 s1"], cwd=ROOT, env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.read(10) == b'{"basis":['
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (141, b"")
+
+
+def test_closed_stdout_in_memory(monkeypatch):
+    # an in-process caller's stdout without a descriptor is left as it is
+    class Closed(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError
+
+    closed = Closed()
+    monkeypatch.setattr(sys, "stdout", closed)
+    assert main(["basis", "A1: s1"]) == 141
+    assert sys.stdout is closed
+
+
 A6_POSITIVE = "A6: s[0,0,1,1,0,0] s2 s[0,0,0,1,1,1] s[0,1,1,1,1,0] s[1,1,1,1,1,1] s4"
 A6_NEGATIVE = ("A6: s[0,1,1,1,1,0] s[1,1,1,1,1,1] s[0,0,1,1,0,0] s[0,0,1,1,1,1] "
                "s[0,1,1,1,1,0] s[0,0,1,1,1,0]")

@@ -40,7 +40,7 @@ from bscomb.poly import (
     root_poly,
     weyl_act,
 )
-from bscomb.rootsys import WeylElement, build_root_system
+from bscomb.rootsys import RootSystem, WeylElement, build_root_system
 
 from conftest import all_seqs, simple_seq
 
@@ -90,6 +90,19 @@ def test_generator_single_letter(a2):
     g = generator(s, 1, a2.identity(), a1)
     assert g.values[(False,)] == a1
     assert g.values[(True,)] == a1.scale(-1)
+
+
+def test_generator_refuses_w_from_another_system():
+    # C2 and G2 have B2's rank, so weyl_act alone would accept their w
+    b2 = build_root_system("B", 2)
+    s, c = simple_seq(b2, 1), Poly.linear(2, (1, 0))
+    for family in ("C", "G"):
+        w = build_root_system(family, 2).simple_reflection(1)
+        with pytest.raises(InvalidInputError, match="^w is from a different root system$"):
+            generator(s, 1, w, c)
+    # an equal system built apart is the same system
+    assert (generator(s, 1, RootSystem("B", 2).simple_reflection(1), c)
+            == generator(s, 1, b2.simple_reflection(1), c))
 
 
 def test_copy_constant(a2):

@@ -5,7 +5,7 @@ from itertools import combinations, product
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bscomb import nested
@@ -59,6 +59,33 @@ def test_validate_overlap(a2):
 def test_validate_shared_endpoint(a2):
     plan = make_plan(a2, (1, 2, 1), [(1, 2), (2, 3)], [(), ()])
     assert validate(plan) is not None
+
+
+def _reference_first_violation(pairs):
+    """One pass per condition, in the order the conditions are stated."""
+    for r in pairs:
+        if r[0] > r[1]:
+            return nested.Violation("endpoint order r1 <= r2 violated", (r,))
+    for i, r in enumerate(pairs):
+        for q in pairs[i + 1:]:
+            if {r[0], r[1]} & {q[0], q[1]}:
+                return nested.Violation("endpoint sets not disjoint", (r, q))
+    for i, r in enumerate(pairs):
+        for q in pairs[i + 1:]:
+            disjoint = r[1] < q[0] or q[1] < r[0]
+            inside = (r[0] <= q[0] and q[1] <= r[1]) or (q[0] <= r[0] and r[1] <= q[1])
+            if not (disjoint or inside):
+                return nested.Violation("intervals neither disjoint nor nested", (r, q))
+    return None
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 10), st.integers(1, 10)), max_size=6))
+# a crossing is met before a shared endpoint, which is still reported first
+@example([(1, 4), (2, 5), (3, 4)])
+def test_first_violation_matches_one_pass_per_condition(pairs):
+    pairs = tuple(sorted(pairs))
+    assert nested._first_violation(pairs) == _reference_first_violation(pairs)
 
 
 def test_sl5_projection(sl5_plan):

@@ -9,9 +9,11 @@ where that tuple holds a dict.
 
 import copy
 import inspect
+import pickle
 
 import pytest
 
+from bscomb import foldcat
 from bscomb.foldcat import Morphism, MorphismViolation, PointedMorphism, subsequence_morphism
 from bscomb.gallery import Gallerification, Gallery, is_gallery_type
 from bscomb.gkm import FPFunction, basis
@@ -110,6 +112,27 @@ def test_value_type(name):
     assert value != other and value != tuple(getattr(value, f) for f in compared)
     assert hash_or_error(value) == hash_or_error(same) == hash_or_error(
         tuple(getattr(value, f) for f in hashed))
+
+
+@pytest.mark.parametrize("name", VALUES)
+def test_deepcopy_and_pickle_round_trip(name):
+    value = VALUES[name][0]
+    for duplicate in (copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(duplicate) is type(value) and duplicate == value
+        assert hash_or_error(duplicate) == hash_or_error(value)
+
+
+def test_morphism_rebuild_is_verified_again(monkeypatch):
+    # deepcopy and pickle rebuild a morphism through its constructor; only
+    # verify_morphism sets the flag, so a verified original is verified again
+    unverified = Morphism(ONE_POS, TWO_POS, (2,), RS.identity(), PHI)
+    calls, verify = [], foldcat.verify_morphism
+    monkeypatch.setattr(foldcat, "verify_morphism", lambda m: calls.append(m) or verify(m))
+    for m in (EMBED, unverified):
+        for duplicate in (copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+            assert duplicate == m and duplicate.verified is m.verified
+            assert duplicate.phi is not m.phi
+    assert len(calls) == 2 and all(c.verified for c in calls)
 
 
 # the types that only store their arguments: the constructor is the setter
