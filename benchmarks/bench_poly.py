@@ -1,7 +1,8 @@
 """Microbenchmarks for the poly layer: products, the multiply-accumulate
 `mul_add`, division by a linear form prepared on each call, exact division
 by a product of linear forms prepared once (a lead value of degree 3 or 5)
-and the Weyl action, on rank-2 (B2) and rank-3 (B3) inputs.
+and the Weyl action, on rank-2 (B2) and rank-3 (B3) inputs; and `mul_add`
+at rank 30 (`MAX_RANK`), where a packed monomial is widest.
 
 Run from the repository root:
 
@@ -15,6 +16,7 @@ from fractions import Fraction
 
 import pytest
 
+from bscomb.errors import MAX_RANK
 from bscomb.poly import (
     Poly,
     divide_linear,
@@ -59,6 +61,15 @@ def test_mul_add(benchmark, system):
     _, cases = _cases(system)
     work = [(cases[k][0], [(p, q) for p, q, _, _ in cases[k + 1:k + 9]])
             for k in range(0, len(cases) - 8, 9)]
+    benchmark(lambda: [mul_add(base, pairs, -1) for base, pairs in work])
+
+
+def test_mul_add_rank30(benchmark):
+    # the same residues in MAX_RANK variables: each monomial is one int of
+    # 30 fields of 64 bits
+    rng = random.Random(0)
+    cases = [(_poly(rng, MAX_RANK), _poly(rng, MAX_RANK)) for _ in range(100)]
+    work = [(cases[k][0], cases[k + 1:k + 9]) for k in range(0, len(cases) - 8, 9)]
     benchmark(lambda: [mul_add(base, pairs, -1) for base, pairs in work])
 
 

@@ -5,7 +5,8 @@ morphism verify|enumerate|apply, weyl info.  Structured output is canonical
 JSON with sorted keys; text output is for humans.  The exit status is 0 on
 success, else the `exit_code` of the error class raised (`errors`): 2 parse
 error, 3 resource limit, 4 not-in-span or verification failure; 141 when
-the reader closes stdout early.
+the reader closes stdout early, and 74 (EX_IOERR) when a write to stdout
+fails otherwise, as on a full disk.
 """
 
 from __future__ import annotations
@@ -244,12 +245,17 @@ def main(argv=None) -> int:
     except BscombError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    except BrokenPipeError:
-        # the reader closed stdout: point it at devnull, so that the interpreter's
-        # flush at exit stays quiet; a stdout in memory (pytest's capture) has no fileno
+    except OSError as exc:
+        # stdout failed: the reader closed it (quietly) or a write failed, as on
+        # a full disk.  Point it at devnull, so that the interpreter's flush at
+        # exit stays quiet; a stdout in memory (pytest's capture) has no fileno
+        closed = isinstance(exc, BrokenPipeError)
+        if not closed:
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
         with suppress(AttributeError, OSError), open(os.devnull, "w") as null:
             os.dup2(null.fileno(), sys.stdout.fileno())
-        return 141  # 128 + SIGPIPE, as a shell reports a writer that SIGPIPE ended
+        # 128 + SIGPIPE, as a shell reports a writer that SIGPIPE ended; EX_IOERR
+        return 141 if closed else 74
 
 
 if __name__ == "__main__":

@@ -2,9 +2,11 @@
 numeral rule, and the base of the library's immutable value types.
 
 Each exhaustive walk, and each polynomial expansion, is bounded by one
-constant below and refuses through `check_bound`.  A caller (the CLI's
---max-weyl and --max-length) may check a tighter bound first; it cannot
-loosen these.  Every layer imports this module, and the CLI loads it even
+constant below and refuses through `check_bound`.  `MAX_EXPONENT` keeps
+the top bit of each variable's 64-bit field of a packed monomial (`poly`)
+clear, so a product's exponent past it shows as that bit.  A caller (the
+CLI's --max-weyl and --max-length) may check a tighter bound first; it
+cannot loosen these.  Every layer imports this module, and the CLI loads it even
 for a usage error, so what lives here adds no module to any command.
 Each error class carries the CLI's exit status for it, `exit_code` (2 where
 a class names none), so a new class has one where it is defined.
@@ -20,6 +22,7 @@ MAX_MORPHISM_LENGTH = 12   # positions of a morphism's source or target
 MAX_TERMS = 10_000         # terms of a polynomial product or quotient
 MAX_CANDIDATE_GALLERIES = 100_000  # morphism candidates times the 2^n galleries each verifies
 MAX_LEVEL_TERMS = 100_000  # product terms of one level of a triangular basis
+MAX_EXPONENT = 2**63 - 1   # exponent of one variable: a polynomial's 64-bit packed field
 
 
 # the one numeral of every grammar and of the CLI's bound flags: ASCII

@@ -42,6 +42,10 @@ class ReflSeq(Value):
         for t in self.entries:
             rs.require_same(t.rs, "sequence entry from a different root system")
 
+    def __reduce__(self):
+        # copies and pickles rebuild from the fields, without the cached tables
+        return ReflSeq, (self.rs, self.entries)
+
     def __len__(self):
         return len(self.entries)
 

@@ -86,7 +86,7 @@ def concentrate(s: ReflSeq, g: FPFunction, cross: bool) -> FPFunction:
     forms, neg = root_forms(s.rs), s[n].index + len(s.rs.roots) // 2  # -alpha_n
     zero, table = Poly.zero(s.rs.rank), s.prefixes[n]
     return FPFunction(s, {b: forms[table[b].perm[neg]] * g.values[b[:-1]]
-                          if b[-1] == cross and g.values[b[:-1]].terms else zero
+                          if b[-1] == cross and g.values[b[:-1]].packed else zero
                           for b in s.patterns})
 
 
@@ -156,18 +156,18 @@ def basis(s: ReflSeq) -> Basis:
     for k in range(1, n + 1):
         # gamma^k(-alpha_k) for each crossing k-bit pattern, in pattern order
         cross = [forms[u.perm[neg[k - 1]]] for b, u in s.prefixes[k].items() if b[-1]]
-        sizes, total = [len(c.terms) for c in cross], 0
+        sizes, total = [len(c.packed) for c in cross], 0
         for f in level.values():  # the level's bounds, before any of its products
             for a, p in zip(sizes, f):
-                if p.terms:
-                    check_bound("polynomial terms", a * len(p.terms), MAX_TERMS)
-                    total += a * len(p.terms)
+                if p.packed:
+                    check_bound("polynomial terms", a * len(p.packed), MAX_TERMS)
+                    total += a * len(p.packed)
         check_bound("basis level polynomial terms", total, MAX_LEVEL_TERMS)
         nxt: dict[frozenset[int], list[Poly]] = {}
         for J, f in level.items():
             nxt[J] = [p for p in f for _ in (False, True)]
             nxt[J | {k}] = [q for c, p in zip(cross, f)
-                            for q in (zero, times(c, p) if p.terms else zero)]
+                            for q in (zero, times(c, p) if p.packed else zero)]
         level = nxt
     lead = {frozenset(): None}  # J -> its lead value, prepared as a divisor
     columns = {bits: [] for bits in s.patterns}
@@ -183,7 +183,7 @@ def basis(s: ReflSeq) -> Basis:
         if values[mask] != (lead[J].product if J else one):
             raise VerificationError("basis element has the wrong leading value")
         for r, p in enumerate(values):
-            if p.terms:
+            if p.packed:
                 if r & mask != mask:
                     raise VerificationError("basis element breaks triangularity")
                 by_mask[r].append((J, p))

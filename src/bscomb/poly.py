@@ -8,6 +8,17 @@ only ever by a product of linear forms, prepared once (`linear_divisor`):
 one pass of multivariate long division in the order that ranks the last
 variable highest, with a remainder test; no Groebner machinery.
 
+A monomial is packed into one non-negative int: each variable has a
+64-bit field, the first variable the most significant one, so integer
+order is the lex order of exponent tuples.  An exponent is at most
+`errors.MAX_EXPONENT` = 2^63 - 1, so the top bit of every field (the
+guard mask, `_guard`) is clear: the product of two monomials is their
+sum, which cannot carry out of a field, and a set guard bit in it is an
+exponent past the bound, refused with exit 3.  Divisibility and the
+quotient monomial are one subtraction each, against the guard mask.
+`Poly.terms` decodes the packed terms into exponent tuples for display
+and for callers; the library itself reads `Poly.packed`.
+
 A coefficient is stored as an `int` when it is integral and as a
 `Fraction` only otherwise, so that the common integral case runs on
 machine-speed integers; every constructor and operation normalises its
@@ -18,15 +29,16 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
 from heapq import heapify, heappop, heappush
-from operator import add, ge, mul, sub
+from operator import mul, or_
 
-from .errors import MAX_TERMS, InvalidInputError, Value, check_bound
+from .errors import MAX_EXPONENT, MAX_TERMS, InvalidInputError, Value, check_bound
 from .rootsys import Root, RootSystem, WeylElement
 
 Monomial = tuple[int, ...]
 Coeff = int | Fraction
+_FIELD = (1 << 64) - 1  # one variable's field of a packed monomial
 
 
 def _coeff(c) -> Coeff:
@@ -42,77 +54,123 @@ def _coeff(c) -> Coeff:
     return c.numerator if c.denominator == 1 else c
 
 
-def _canon(nvars: int, d: dict[Monomial, Coeff]) -> "Poly":
-    """The polynomial of an arithmetic result: nonzero terms, sorted, with
-    integral Fractions turned back into ints."""
-    return Poly(nvars, tuple(sorted([
-        (m, c if type(c) is int or c.denominator != 1 else c.numerator)
-        for m, c in d.items() if c])))
+@cache
+def _shifts(nvars: int) -> tuple[int, ...]:
+    """The bit offset of each variable's field, first variable highest."""
+    return tuple(64 * (nvars - 1 - j) for j in range(nvars))
 
 
 @cache
-def _units(nvars: int) -> tuple[Monomial, ...]:
-    """The monomials w1..w_nvars, built once per variable count."""
-    return tuple(tuple(int(k == j) for k in range(nvars)) for j in range(nvars))
+def _guard(nvars: int) -> int:
+    """The top bit of every field, built once per variable count, as `_units`."""
+    return sum(1 << (s + 63) for s in _shifts(nvars))
+
+
+@cache
+def _units(nvars: int) -> tuple[int, ...]:
+    """The packed monomials w1..w_nvars, built once per variable count."""
+    return tuple(1 << s for s in _shifts(nvars))
+
+
+def _exponents(nvars: int, m: int) -> Monomial:
+    """The exponent tuple of a packed monomial."""
+    return tuple(m >> s & _FIELD for s in _shifts(nvars))
+
+
+def _check_exponents(nvars: int, monomials: Iterable[int]) -> None:
+    """Refuse the first packed monomial with a guard bit set, by its
+    largest exponent; a field holds the sum of two exponents in full."""
+    for m in monomials:
+        check_bound("polynomial exponent", max(_exponents(nvars, m)), MAX_EXPONENT)
+
+
+def _canon(nvars: int, d: dict[int, Coeff]) -> "Poly":
+    """The polynomial of an arithmetic result, unchecked: nonzero terms,
+    sorted, with integral Fractions turned back into ints."""
+    p = object.__new__(Poly)
+    p._fill(nvars, tuple(sorted([
+        (m, c if type(c) is int or c.denominator != 1 else c.numerator)
+        for m, c in d.items() if c])))
+    return p
 
 
 def mul_add(base: "Poly", pairs: Iterable[tuple["Poly", "Poly"]], sign: int = 1) -> "Poly":
     """base + sign * (sum of a * b over the pairs), for sign 1 or -1, with
     every product term accumulated in one dict that is canonicalised once.
-    The one product kernel: `Poly.__mul__` is this over a zero base."""
+    The one product kernel: `Poly.__mul__` is this over a zero base.  A
+    product monomial is one integer add; the guard bits of every monomial
+    made are checked once, when all are made."""
     nvars = base.nvars
-    d = dict(base.terms)
+    d = dict(base.packed)
     get = d.get
     for a, b in pairs:
         if a.nvars != nvars or b.nvars != nvars:
             raise InvalidInputError("polynomials in different variable counts")
-        for m1, c1 in a.terms:
+        for m1, c1 in a.packed:
             c1 *= sign
-            for m2, c2 in b.terms:
-                m = tuple(map(add, m1, m2))
+            for m2, c2 in b.packed:
+                m = m1 + m2
                 d[m] = get(m, 0) + c1 * c2
+    if reduce(or_, d, 0) & _guard(nvars):
+        _check_exponents(nvars, d)
     return _canon(nvars, d)
 
 
 class Poly(Value):
     """A polynomial in `nvars` variables; zero has no terms.
 
-    `Poly(nvars, terms)` checks nothing: it takes canonical terms, as
-    `_canon` writes them (sorted, nonzero, an integral coefficient as an
-    int).  `Poly.from_dict` is the checked constructor."""
+    `Poly(nvars, terms)` takes (exponent tuple, coefficient) pairs, checks
+    each and packs it; a repeated monomial adds.  `packed` holds the
+    canonical terms, each (packed monomial, coefficient), sorted and
+    nonzero, with an integral coefficient as an int."""
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "packed")
+
+    def __init__(self, nvars: int, terms: Iterable[tuple[Monomial, Coeff]]):
+        shifts, d = _shifts(nvars), {}
+        for m, c in terms:
+            if (type(m) is not tuple or len(m) != nvars
+                    or not all(type(e) is int and e >= 0 for e in m)):
+                raise InvalidInputError(f"monomial {m!r} is not {nvars} exponents >= 0")
+            check_bound("polynomial exponent", max(m, default=0), MAX_EXPONENT)
+            key = sum(e << s for e, s in zip(m, shifts))
+            d[key] = d.get(key, 0) + _coeff(c)
+        self._fill(nvars, _canon(nvars, d).packed)
 
     # written out, not derived from the key: the basis compares and hashes values often
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self.nvars == other.nvars and self.terms == other.terms
+            return self.nvars == other.nvars and self.packed == other.packed
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.nvars, self.terms))
+        return hash((self.nvars, self.packed))
+
+    def __repr__(self):  # the public fields, as a valid constructor call
+        return f"Poly(nvars={self.nvars!r}, terms={self.terms!r})"
+
+    @property
+    def terms(self) -> tuple[tuple[Monomial, Coeff], ...]:
+        """The sorted (exponent tuple, coefficient) pairs, decoded from `packed`."""
+        return tuple((_exponents(self.nvars, m), c) for m, c in self.packed)
 
     @staticmethod
     def from_dict(nvars: int, d: dict[Monomial, Coeff]) -> "Poly":
         """sum c * w^m over d, each monomial m being `nvars` exponents >= 0."""
-        for m in d:
-            if (type(m) is not tuple or len(m) != nvars
-                    or not all(type(e) is int and e >= 0 for e in m)):
-                raise InvalidInputError(f"monomial {m!r} is not {nvars} exponents >= 0")
-        return _canon(nvars, {m: _coeff(c) for m, c in d.items()})
+        return Poly(nvars, d.items())
 
     @staticmethod
     @cache
     def zero(nvars: int) -> "Poly":
         """The zero polynomial, built once per variable count, as `_units`."""
-        return Poly(nvars, ())
+        return _canon(nvars, {})
 
     @staticmethod
     def const(nvars: int, c) -> "Poly":
         c = _coeff(c)
         if c == 0:
             return Poly.zero(nvars)
-        return Poly(nvars, (((0,) * nvars, c),))
+        return _canon(nvars, {0: c})
 
     @staticmethod
     def linear(nvars: int, coeffs) -> "Poly":
@@ -121,24 +179,22 @@ class Poly(Value):
         if len(coeffs) != nvars:
             raise InvalidInputError(f"a linear form in {nvars} variables needs "
                                     f"{nvars} coefficients, not {len(coeffs)}")
-        return Poly.from_dict(nvars, dict(zip(_units(nvars), coeffs)))
+        return _canon(nvars, {u: _coeff(c) for u, c in zip(_units(nvars), coeffs)})
 
     def degree(self) -> int:
         """Total polynomial degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(m) for m, _ in self.terms)
+        return max((sum(_exponents(self.nvars, m)) for m, _ in self.packed), default=-1)
 
     def __add__(self, other: "Poly") -> "Poly":
         if self.nvars != other.nvars:
             raise InvalidInputError("polynomials in different variable counts")
-        if not other.terms:
+        if not other.packed:
             return self
-        if not self.terms:
+        if not self.packed:
             return other
-        d = dict(self.terms)
+        d = dict(self.packed)
         get = d.get
-        for m, c in other.terms:
+        for m, c in other.packed:
             d[m] = get(m, 0) + c
         return _canon(self.nvars, d)
 
@@ -152,7 +208,7 @@ class Poly(Value):
         c = _coeff(c)
         if c == 0:
             return Poly.zero(self.nvars)
-        return _canon(self.nvars, {m: c * coeff for m, coeff in self.terms})
+        return _canon(self.nvars, {m: c * coeff for m, coeff in self.packed})
 
     def substitute(self, images: list["Poly"]) -> "Poly":
         """Ring map sending generator j to images[j]; powers by repeated squaring,
@@ -161,23 +217,23 @@ class Poly(Value):
             raise InvalidInputError("substitution must cover every variable")
         out_nvars = images[0].nvars if images else self.nvars
         result = Poly.zero(out_nvars)
-        for mono, coeff in self.terms:
+        for mono, coeff in self.packed:
             term = Poly.const(out_nvars, coeff)
-            for square, e in zip(images, mono):
+            for square, e in zip(images, _exponents(self.nvars, mono)):
                 while e:
                     if e & 1:
-                        check_bound("polynomial terms", len(term.terms) * len(square.terms),
+                        check_bound("polynomial terms", len(term.packed) * len(square.packed),
                                     MAX_TERMS)
                         term = term * square
                     e >>= 1
                     if e:
-                        check_bound("polynomial terms", len(square.terms) ** 2, MAX_TERMS)
+                        check_bound("polynomial terms", len(square.packed) ** 2, MAX_TERMS)
                         square = square * square
             result = result + term
         return result
 
     def __str__(self):
-        if not self.terms:
+        if not self.packed:
             return "0"
         ordered = sorted(self.terms, key=lambda t: (sum(t[0]), t[0]), reverse=True)
         pieces = []
@@ -201,9 +257,9 @@ class Poly(Value):
 
 class Divisor(Value):
     """A product of homogeneous linear forms, prepared for `divide_linear`:
-    its leading term (monomial `lead`, coefficient `coeff`) in the order that
-    ranks the last variable highest, `pivot` the last variable of `lead`, and
-    the other terms negated (`others`)."""
+    its leading term (packed monomial `lead`, coefficient `coeff`) in the
+    order that ranks the last variable highest, `pivot` the last variable
+    of `lead`, and the other terms negated (`others`)."""
 
     __slots__ = ("product", "pivot", "lead", "coeff", "others")
 
@@ -213,12 +269,13 @@ def linear_divisor(ell: Poly, times: Divisor | None = None) -> Divisor:
     divisor: ell itself, or the product of `times` and ell, made by one `*`.
 
     A product of linear forms has its leading term first in sorted order:
-    every other term moves exponent from later variables to earlier ones."""
-    if ell.degree() != 1 or any(sum(m) == 0 for m, _ in ell.terms):
+    every other term moves exponent from later variables to earlier ones.
+    The pivot's field is the lowest nonzero one of the lead."""
+    if ell.degree() != 1 or any(m == 0 for m, _ in ell.packed):
         raise InvalidInputError("divisor must be a homogeneous linear form")
     product = ell if times is None else times.product * ell
-    (lead, a), rest = product.terms[0], product.terms[1:]
-    pivot = max(j for j, e in enumerate(lead) if e)
+    (lead, a), rest = product.packed[0], product.packed[1:]
+    pivot = ell.nvars - 1 - ((lead & -lead).bit_length() - 1) // 64
     return Divisor(product, pivot, lead, a, tuple((m, -b) for m, b in rest))
 
 
@@ -237,40 +294,49 @@ def divide_linear(p: Poly, divisor: Divisor) -> tuple[Poly, Poly]:
     a product of linear forms moves exponent from later variables to
     earlier ones.  So each term is taken once, and the result is the
     unique quotient and remainder of the division algorithm in that order.
+    On packed monomials, m is divisible by the lead exactly when
+    subtracting the lead from m with every guard bit set clears none of
+    them, and the pivot degree is one shift and one mask; a new term with
+    a guard bit set has an exponent past the bound and is refused.
     A quotient past MAX_TERMS is refused, checked after each pivot degree
     and whenever a subtraction adds a term to the current degree, which a
     product of linear forms in three or more variables can do again and
     again within one degree.
     """
     d = divisor
-    nvars, pivot, lead, a, top = p.nvars, d.pivot, d.lead, d.coeff, d.lead[d.pivot]
+    nvars, lead, a = p.nvars, d.lead, d.coeff
     if d.product.nvars != nvars:
         raise InvalidInputError("polynomials in different variable counts")
-    rest = dict(p.terms)
-    heap = [(-m[pivot], m) for m in rest]
+    shift, guard = _shifts(nvars)[d.pivot], _guard(nvars)
+    top = lead >> shift & _FIELD
+    rest = dict(p.packed)
+    heap = [(-(m >> shift & _FIELD), m) for m in rest]
     heapify(heap)
-    quotient: dict[Monomial, Coeff] = {}
+    quotient: dict[int, Coeff] = {}
     level = None
     while heap:
-        m = heappop(heap)[1]
-        if m[pivot] != level:
+        key, m = heappop(heap)
+        if key != level:
             check_bound("polynomial terms", len(quotient), MAX_TERMS)
-            if (level := m[pivot]) < top:
+            if -(level := key) < top:
                 break
         c = rest[m]
-        if c and all(map(ge, m, lead)):
+        if c and ((m | guard) - lead) & guard == guard:
             del rest[m]
             c = c // a if type(c) is int and type(a) is int and not c % a else Fraction(c, a)
-            q = tuple(map(sub, m, lead))
+            q = m - lead
             quotient[q] = c
             for t, b in d.others:
-                t = tuple(map(add, q, t))
+                t += q
                 if t in rest:
                     rest[t] += c * b
                 else:
+                    if t & guard:
+                        _check_exponents(nvars, (t,))
                     rest[t] = c * b
-                    heappush(heap, (-t[pivot], t))
-                    if t[pivot] == level:  # never for one form; can repeat for products
+                    k = -(t >> shift & _FIELD)
+                    heappush(heap, (k, t))
+                    if k == level:  # never for one form; can repeat for products
                         check_bound("polynomial terms", len(quotient), MAX_TERMS)
     check_bound("polynomial terms", len(quotient), MAX_TERMS)
     return _canon(nvars, quotient), _canon(nvars, rest) if any(rest.values()) else Poly.zero(nvars)
@@ -280,7 +346,7 @@ def exact_divide(p: Poly, divisor: Divisor) -> Poly | None:
     """p divided by a product of linear forms prepared by `linear_divisor`,
     in one `divide_linear`; None when it is inexact."""
     q, rem = divide_linear(p, divisor)
-    return None if rem.terms else q
+    return None if rem.packed else q
 
 
 def root_poly(rs: RootSystem, root: Root) -> Poly:
@@ -318,6 +384,6 @@ def weyl_act(w: WeylElement, p: Poly) -> Poly:
     if p.nvars != rank:
         raise InvalidInputError("polynomial variable count does not match rank")
     rows, zero = weight_matrix(w), Poly.zero(rank)
-    used = {j for m, _ in p.terms for j, e in enumerate(m) if e}
-    return p.substitute([Poly.linear(rank, [row[j] for row in rows]) if j in used else zero
+    used = _exponents(rank, reduce(or_, (m for m, _ in p.packed), 0))
+    return p.substitute([Poly.linear(rank, [row[j] for row in rows]) if used[j] else zero
                          for j in range(rank)])

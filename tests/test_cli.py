@@ -1,5 +1,6 @@
 """The batch CLI: commands, formats, and exit codes."""
 
+import errno
 import io
 import json
 import os
@@ -214,6 +215,42 @@ def test_large_exponent_costs_its_terms_not_its_value(argv, expected):
     proc = subprocess.run([sys.executable, "-m", "bscomb.cli", *argv], cwd=ROOT, env=env,
                           capture_output=True, timeout=10)
     assert (proc.returncode, proc.stdout) == (0, expected)
+
+
+@pytest.mark.parametrize("exponent,code,out,err", [
+    (errors.MAX_EXPONENT, 0, f"c_[-] = 0\nc_[1] = 1/2*w1^{errors.MAX_EXPONENT - 1}\n", ""),
+    (errors.MAX_EXPONENT + 1, 3, "", f"error: polynomial exponent {errors.MAX_EXPONENT + 1} "
+                                     f"exceeds bound {errors.MAX_EXPONENT}\n"),
+], ids=["at-bound", "past-bound"])
+def test_exponent_bound(capsys, exponent, code, out, err):
+    doc = json.dumps({"values": {"0": "0", "1": f"w1^{exponent}"}})
+    assert run(capsys, "decompose", "A1: s1", doc) == (code, out, err)
+
+
+class FullStdout(io.StringIO):
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_failed_write_exits_74(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", FullStdout())
+    code = main(["weyl", "info", "--root-system", "A1"])
+    assert (code, capsys.readouterr().err) == (
+        74, f"error: cannot write output: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+@pytest.mark.parametrize("argv", [["weyl", "info", "--root-system", "A1"],
+                                  ["basis", "B2: s1 s2 s1 s2 s1 s2 s1"]],
+                         ids=["at-flush", "while-printing"])
+def test_write_to_full_device_exits_74_without_a_traceback(argv):
+    # a short output fails at the final flush, a long one while it is printed
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "bscomb.cli", *argv], cwd=ROOT, env=env,
+                              stdout=full, stderr=subprocess.PIPE, timeout=60)
+    assert (proc.returncode, proc.stderr.decode()) == (
+        74, f"error: cannot write output: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n")
 
 
 def test_closed_stdout_exits_141_without_a_traceback():

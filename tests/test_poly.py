@@ -2,7 +2,9 @@
 
 from collections import Counter
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import accumulate
+from operator import add, ge, sub
 from unittest import mock
 
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bscomb import poly
-from bscomb.errors import InvalidInputError, ResourceLimitError
+from bscomb.errors import MAX_EXPONENT, MAX_RANK, InvalidInputError, ResourceLimitError
 from bscomb.poly import (
     Poly,
     divide_linear,
@@ -134,7 +136,7 @@ def test_quotient_is_bounded_within_one_pivot_degree():
     # by itself; the refusal comes as soon as the quotient passes the bound
     divisor = linear_divisor(Poly.linear(3, (-1, -1, 1)),
                              linear_divisor(Poly.linear(3, (-2, 1, 0))))
-    assert (divisor.lead, divisor.pivot) == ((0, 1, 1), 2)
+    assert (poly._exponents(3, divisor.lead), divisor.pivot) == ((0, 1, 1), 2)
     p = Poly.from_dict(3, {(0, 10**12, 1): 1})
     with mock.patch.object(poly, "MAX_TERMS", 20):
         with pytest.raises(ResourceLimitError, match="^polynomial terms 21 exceeds bound 20$"):
@@ -241,6 +243,50 @@ def test_from_dict_refuses_malformed_monomial(monomial):
     # printed as a positive one, and a long one printed a variable w3
     with pytest.raises(InvalidInputError, match="is not 2 exponents >= 0"):
         Poly.from_dict(2, {monomial: 1})
+
+
+def test_public_constructor_checks_its_terms():
+    # the constructor checks and packs as from_dict does: a short monomial
+    # once printed w1^2 + w1 after a product, and a zero term stayed a term
+    with pytest.raises(InvalidInputError, match="is not 2 exponents >= 0"):
+        Poly(2, (((1,), 1),))
+    assert Poly(2, (((0, 1), 0),)) == Poly.zero(2)
+    assert Poly(2, (((1, 0), 1), ((1, 0), Fraction(1, 2)), ((0, 0), 2))) == Poly.from_dict(
+        2, {(0, 0): 2, (1, 0): Fraction(3, 2)})
+    with pytest.raises(InvalidInputError):
+        Poly(2, (((1, 0), 0.5),))
+
+
+def test_exponent_bound():
+    top = Poly.from_dict(2, {(MAX_EXPONENT, 0): 1, (0, MAX_EXPONENT): -1})
+    assert top.terms == (((0, MAX_EXPONENT), -1), ((MAX_EXPONENT, 0), 1))
+    assert str(top) == f"w1^{MAX_EXPONENT} - w2^{MAX_EXPONENT}"
+    for m in ((MAX_EXPONENT + 1, 0), (0, MAX_EXPONENT + 1)):
+        with pytest.raises(ResourceLimitError, match=(
+                f"^polynomial exponent {MAX_EXPONENT + 1} exceeds bound {MAX_EXPONENT}$")):
+            Poly.from_dict(2, {m: 1})
+    # a product past the bound sets a guard bit, which is refused, whether
+    # the term survives or not; just under it, the field holds it
+    half = Poly.from_dict(1, {(2 ** 62,): 1})
+    with pytest.raises(ResourceLimitError, match=f"^polynomial exponent {2 ** 63} exceeds"):
+        half * half
+    with pytest.raises(ResourceLimitError, match="^polynomial exponent"):
+        mul_add(Poly.zero(1), [(half, half), (half, half.scale(-1))])
+    below = Poly.from_dict(1, {(2 ** 62 - 1,): 1})
+    assert (half * below).terms == (((MAX_EXPONENT,), 1),)
+    w1 = Poly.linear(2, (1, 0))
+    assert (w1 * Poly.from_dict(2, {(MAX_EXPONENT - 1, 5): 1})).terms == (
+        ((MAX_EXPONENT, 5), 1),)
+    with pytest.raises(ResourceLimitError, match="^polynomial exponent"):
+        w1 * top
+    # a division that would move exponent past the bound: w1^MAX*w2 over
+    # w2 - w1 leaves w1^MAX times w1 to take next
+    with pytest.raises(ResourceLimitError, match=f"^polynomial exponent {MAX_EXPONENT + 1} "):
+        divide_linear(Poly.from_dict(2, {(MAX_EXPONENT, 1): 1}),
+                      linear_divisor(Poly.linear(2, (-1, 1))))
+    q, r = divide_linear(Poly.from_dict(2, {(MAX_EXPONENT - 1, 1): 1}),
+                         linear_divisor(Poly.linear(2, (-1, 1))))
+    assert (q.terms, r.terms) == ((((MAX_EXPONENT - 1, 0), 1),), (((MAX_EXPONENT, 0), 1),))
 
 
 @pytest.mark.parametrize("coeffs", [(1,), (1, 0, 3)])
@@ -486,3 +532,120 @@ def test_substitute_matches_sympy(nvars, out_nvars, data):
     assert result.nvars == out_nvars
     expect = to_sympy(p).xreplace({g: to_sympy(q) for g, q in zip(_gens(nvars), images)})
     assert result == from_sympy(expect, out_nvars)
+
+
+# -- fast path against slow path: packed monomials against exponent tuples ----
+
+def reference_mul_add(base, pairs, sign=1):
+    """`mul_add` on exponent tuples, as before packing: the sorted terms,
+    and the largest exponent of any monomial it made."""
+    d, top = dict(base.terms), 0
+    for a, b in pairs:
+        for m1, c1 in a.terms:
+            for m2, c2 in b.terms:
+                m = tuple(map(add, m1, m2))
+                top = max(top, *m)
+                d[m] = d.get(m, 0) + sign * c1 * c2
+    return canonical_terms(d), top
+
+
+def reference_divide_linear(p, product, limit):
+    """`divide_linear` on exponent tuples, as before packing: the sorted
+    terms of quotient and remainder, and the largest exponent of any new
+    term it made; None once the quotient has more than `limit` terms."""
+    (lead, a), *rest_terms = product.terms
+    pivot = max(j for j, e in enumerate(lead) if e)
+    others = [(m, -b) for m, b in rest_terms]
+    rest, top = dict(p.terms), 0
+    heap = [(-m[pivot], m) for m in rest]
+    heapify(heap)
+    quotient = {}
+    while heap:
+        m = heappop(heap)[1]
+        if m[pivot] < lead[pivot]:
+            break
+        c = rest[m]
+        if c and all(map(ge, m, lead)):
+            del rest[m]
+            c = Fraction(c, a)
+            q = tuple(map(sub, m, lead))
+            quotient[q] = c
+            if len(quotient) > limit:
+                return None
+            for t, b in others:
+                t = tuple(map(add, q, t))
+                if t in rest:
+                    rest[t] += c * b
+                else:
+                    top = max(top, *t)
+                    rest[t] = c * b
+                    heappush(heap, (-t[pivot], t))
+    return canonical_terms(quotient), canonical_terms(rest), top
+
+
+def canonical_terms(d):
+    return tuple(sorted((m, c.numerator if type(c) is Fraction and c.denominator == 1 else c)
+                        for m, c in d.items() if c))
+
+
+def spread(nvars, values):
+    """Up to four values placed on the first two and the last two of nvars
+    variables, so that the widest case uses its first and last fields."""
+    values = tuple(values)
+    if nvars <= 4:
+        return values
+    return values[:2] + (0,) * (nvars - 4) + values[2:]
+
+
+def packed_polys(nvars, coeffs, max_size=4, near=True, min_size=0):
+    # small exponents, and, unless near is False, sometimes ones next to the
+    # bound, whose sums pass it
+    small = st.integers(0, 3)
+    exponent = st.one_of(small, small, small, st.integers(MAX_EXPONENT - 3, MAX_EXPONENT)
+                         ) if near else small
+    monomials = st.lists(exponent, min_size=min(nvars, 4), max_size=min(nvars, 4)).map(
+        lambda e: spread(nvars, e))
+    return st.dictionaries(monomials, coeffs, min_size=min_size, max_size=max_size).map(
+        lambda d: Poly.from_dict(nvars, d))
+
+
+# every variable count 1-4, and the widest packing once
+packed_nvars = st.one_of(st.integers(1, 4), st.just(MAX_RANK))
+packed_coeffs = st.one_of(st.integers(-20, 20),
+                          st.fractions(min_value=-20, max_value=20, max_denominator=12))
+
+
+@settings(max_examples=150, deadline=None)
+@given(packed_nvars, st.sampled_from([1, -1]), st.booleans(), st.data())
+def test_packed_mul_add_matches_tuples(nvars, sign, integral, data):
+    coeffs = st.integers(-20, 20) if integral else packed_coeffs
+    base = data.draw(packed_polys(nvars, coeffs))
+    pairs = data.draw(st.lists(st.tuples(packed_polys(nvars, coeffs, 3),
+                                         packed_polys(nvars, coeffs, 3)), max_size=3))
+    terms, top = reference_mul_add(base, pairs, sign)
+    if top > MAX_EXPONENT:
+        with pytest.raises(ResourceLimitError, match="^polynomial exponent"):
+            mul_add(base, pairs, sign)
+    else:
+        assert mul_add(base, pairs, sign).terms == terms
+
+
+@settings(max_examples=150, deadline=None)
+@given(packed_nvars, st.booleans(), st.data())
+def test_packed_divide_linear_matches_tuples(nvars, integral, data):
+    # a term near the bound divides in up to 2^63 steps, so the quotient
+    # bound is lowered to 40 terms, and the reference stops there too
+    coeffs = st.integers(-20, 20) if integral else packed_coeffs
+    factors = data.draw(st.lists(pivoted_linear(min(nvars, 4)), min_size=1, max_size=3))
+    factors = [Poly(nvars, [(spread(nvars, m), c) for m, c in f.terms]) for f in factors]
+    divisor = product_divisor(factors)
+    small = packed_polys(nvars, coeffs, 3, near=False)
+    p = data.draw(small) * divisor.product + data.draw(packed_polys(nvars, coeffs, min_size=1))
+    expected = reference_divide_linear(p, divisor.product, 40)
+    with mock.patch.object(poly, "MAX_TERMS", 40):
+        if expected is None or expected[2] > MAX_EXPONENT:
+            with pytest.raises(ResourceLimitError):
+                divide_linear(p, divisor)
+        else:
+            q, r = divide_linear(p, divisor)
+            assert (q.terms, r.terms) == expected[:2]
