@@ -1,6 +1,7 @@
 """Microbenchmarks for the gkm layer on a length-5 B2 sequence: generator,
 concentrate, the concentration identity check, basis, combine and decompose;
-and a length-6 G2 basis and a rejected decomposition there.
+a length-8 B2 basis; and a length-6 G2 basis and a rejected decomposition
+there.
 
 Run from the repository root:
 
@@ -32,6 +33,7 @@ from bscomb.rootsys import build_root_system
 RS = build_root_system("B", 2)
 ROOTS = [r for r in RS.roots if r.is_positive]
 ENTRIES = tuple(RS.reflection(ROOTS[k]) for k in (0, 2, 1, 3, 0))
+LONG_ENTRIES = tuple(RS.reflection(ROOTS[k]) for k in (0, 2, 1, 3, 0, 2, 1, 3))
 G2 = build_root_system("G", 2)
 G2_ROOTS = [r for r in G2.roots if r.is_positive]
 G2_ENTRIES = tuple(G2.reflection(G2_ROOTS[k]) for k in (0, 3, 1, 5, 2, 4))
@@ -81,6 +83,14 @@ def test_concentration_identity_check(benchmark):
 def test_basis(benchmark):
     result = benchmark.pedantic(basis, setup=lambda: ((_seq(),), {}), rounds=20)
     assert len(result) == 2 ** len(ENTRIES)
+
+
+def test_basis_b2_length_8(benchmark):
+    # 3^8 = 6,561 nonzero values among the 4^8 = 65,536 (subset, gallery) entries
+    result = benchmark.pedantic(basis, setup=lambda: ((ReflSeq(RS, LONG_ENTRIES),), {}),
+                                rounds=10)
+    assert len(result) == 2 ** len(LONG_ENTRIES)
+    assert sum(len(col) for col in result.columns.values()) == 3 ** len(LONG_ENTRIES)
 
 
 def _dense_coeffs(rng):

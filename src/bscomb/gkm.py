@@ -36,7 +36,16 @@ from .rootsys import WeylElement
 class FPFunction(Value, compare=("values",)):
     """A function Gamma(s) -> S, stored as a total table keyed by bits.
     Equal by its table alone; the table is not hashed, so every function
-    hashes alike."""
+    hashes alike.
+
+    The constructor checks that the table's keys are s's patterns and that
+    every value is in S of s's system; every caller outside this module
+    builds through it.  The tables that `basis`, `copy`, `concentrate`,
+    `combine` and `generator` write skip that check (`_table`): their keys
+    are s.patterns, or a `Basis`'s columns, which `basis` wrote from them,
+    and each value is a root form, a value of a checked function, or a
+    product or sum of these, which `mul_add` and `weyl_act` check for the
+    rank."""
 
     __slots__ = ("seq", "values")
 
@@ -52,6 +61,13 @@ class FPFunction(Value, compare=("values",)):
         return hash(())
 
 
+def _table(s: ReflSeq, values: dict[Bits, Poly]) -> FPFunction:
+    """The FPFunction of a table this module wrote over s.patterns, unchecked."""
+    f = object.__new__(FPFunction)
+    f._fill(s, values)
+    return f
+
+
 def generator(s: ReflSeq, i: int, w: WeylElement, c: Poly) -> FPFunction:
     """The restriction of the generator class: gamma -> (gamma^i w) . c.
 
@@ -63,7 +79,7 @@ def generator(s: ReflSeq, i: int, w: WeylElement, c: Poly) -> FPFunction:
         raise InvalidInputError(f"generator index {i} out of range 0..{len(s)}")
     wc = weyl_act(w, c)
     acted = {b: weyl_act(u, wc) for b, u in s.prefixes[i].items()}
-    return FPFunction(s, {b: acted[b[:i]] for b in s.patterns})
+    return _table(s, {b: acted[b[:i]] for b in s.patterns})
 
 
 def copy(s: ReflSeq, g: FPFunction) -> FPFunction:
@@ -71,7 +87,7 @@ def copy(s: ReflSeq, g: FPFunction) -> FPFunction:
     only depends on the truncated gallery."""
     if g.seq != s.truncated():
         raise InvalidInputError("function is not over the truncation of s")
-    return FPFunction(s, {b: g.values[b[:-1]] for b in s.patterns})
+    return _table(s, {b: g.values[b[:-1]] for b in s.patterns})
 
 
 def concentrate(s: ReflSeq, g: FPFunction, cross: bool) -> FPFunction:
@@ -85,9 +101,9 @@ def concentrate(s: ReflSeq, g: FPFunction, cross: bool) -> FPFunction:
     n = len(s)
     forms, neg = root_forms(s.rs), s[n].index + len(s.rs.roots) // 2  # -alpha_n
     zero, table = Poly.zero(s.rs.rank), s.prefixes[n]
-    return FPFunction(s, {b: forms[table[b].perm[neg]] * g.values[b[:-1]]
-                          if b[-1] == cross and g.values[b[:-1]].packed else zero
-                          for b in s.patterns})
+    return _table(s, {b: forms[table[b].perm[neg]] * g.values[b[:-1]]
+                      if b[-1] == cross and g.values[b[:-1]].packed else zero
+                      for b in s.patterns})
 
 
 def concentration_identity_check(s: ReflSeq, g: FPFunction, cross: bool) -> bool:
@@ -96,13 +112,24 @@ def concentration_identity_check(s: ReflSeq, g: FPFunction, cross: bool) -> bool
     by -2, which has the same solutions over Q and needs no fractions: one
     gallery at a time, stopping at the first that differs.  Both Sigma
     values at gamma are roots, gamma^(n-1)(t alpha_n) with t alpha_n =
-    -alpha_n when t = s_n, and gamma^n(alpha_n), read from `root_forms`."""
+    -alpha_n when t = s_n, and gamma^n(alpha_n), read from `root_forms`.
+    Their sum is zero at every gallery whose last step is not t, so the
+    product is made only where the sum and Delta g(gamma) are both
+    nonzero; elsewhere the right side is zero, and nabla_t g(gamma) must
+    be.  Delta g and nabla_t g are built unchecked (`_table`) from g, a
+    checked function, over s.patterns."""
     k, forms = s[len(s)].index, root_forms(s.rs)  # alpha_n
     tk = k + len(s.rs.roots) // 2 if cross else k  # t alpha_n
     before, last = s.prefixes[-2], s.prefixes[-1]
     nabla, delta = concentrate(s, g, cross).values, copy(s, g).values
-    return all(nabla[b].scale(-2) == (forms[before[b[:-1]].perm[tk]] + forms[last[b].perm[k]])
-               * delta[b] for b in s.patterns)
+    for b in s.patterns:
+        sigma = forms[before[b[:-1]].perm[tk]] + forms[last[b].perm[k]]
+        if sigma.packed and delta[b].packed:
+            if nabla[b].scale(-2) != sigma * delta[b]:
+                return False
+        elif nabla[b].packed:
+            return False
+    return True
 
 
 class BasisElement(Value):
@@ -123,24 +150,40 @@ class Basis(tuple):
         return self
 
 
+def _step(level: dict[frozenset[int], list[tuple[int, Poly]]], k: int,
+          cross: list[Poly], times) -> dict[frozenset[int], list[tuple[int, Poly]]]:
+    """Level k of `basis` from level k - 1: an entry (r, p) of J stays as
+    (2r, p) and (2r + 1, p) in J, and crosses as (2r + 1, cross[r] * p) in
+    J + {k}, the product made by `times`."""
+    nxt = {}
+    for J, f in level.items():
+        nxt[J] = [(q, p) for r, p in f for q in (2 * r, 2 * r + 1)]
+        nxt[J | {k}] = [(2 * r + 1, times(cross[r], p)) for r, p in f]
+    return nxt
+
+
 def basis(s: ReflSeq) -> Basis:
     """The 2^n triangular basis, ordered by (|J|, sorted J).
 
     B_J is built from the unit by copying (Delta) at positions outside J
-    and concentrating (nabla_t, t = s_k) at k in J, on plain tables over s:
-    level k holds, for each J in {1..k}, the values over the k-bit patterns
-    in lexicographic order, where a pattern's index is its bitmask.  Each
-    crossing factor gamma^k(-alpha_k) is a root, read from `root_forms`.
-    Every (factor, nonzero value) pair of a level is checked against
+    and concentrating (nabla_t, t = s_k) at k in J, on sparse tables over
+    s: level k holds, for each J in {1..k}, the nonzero values over the
+    k-bit patterns as (pattern index, value) pairs in lexicographic order,
+    where a pattern's index is its bitmask (`_step`).  B_J vanishes off
+    {gamma : J subset supp(gamma)}, so the levels hold 3^n values, not 4^n.
+    Each crossing factor gamma^k(-alpha_k) is a root, read from
+    `root_forms`.  Every (factor, value) pair of a level is checked against
     MAX_TERMS, in (J, pattern) order, and the sum over the pairs against
     MAX_LEVEL_TERMS, before any of its products is made; each distinct
-    product is made once per call.  Every element is re-verified: it
-    vanishes off {gamma : J subset supp(gamma)}, and its value at gamma_J
-    is the product of the forms prefix(gamma_J, i)(-alpha_i) over i in J.
-    That product is prepared as a divisor along the subset lattice: the
-    divisor of J is that of J - max J times one new form, which
-    `linear_divisor` validates, and its product is made by one plain `*`.
-    The same pass over the values fills the basis's columns.
+    product is made once per call.  Every element is re-verified: its
+    value at gamma_J is the product of the forms prefix(gamma_J, i)(-alpha_i)
+    over i in J, and it has no entry off its support.  That product is
+    prepared as a divisor along the subset lattice: the divisor of J is
+    that of J - max J times one new form, which `linear_divisor` validates,
+    and its product is made by one plain `*`.  Each element's table is made
+    once, zero-filled over s.patterns, from the entries that also fill the
+    basis's columns, and unchecked (`_table`): its keys are s.patterns and
+    its values products of s's root forms.
     """
     n = len(s)
     check_bound("basis sequence length", n, MAX_BASIS_LENGTH)
@@ -152,25 +195,20 @@ def basis(s: ReflSeq) -> Basis:
     def times(c: Poly, p: Poly) -> Poly:
         return c * p
 
-    level: dict[frozenset[int], list[Poly]] = {frozenset(): [one]}
+    level: dict[frozenset[int], list[tuple[int, Poly]]] = {frozenset(): [(0, one)]}
     for k in range(1, n + 1):
         # gamma^k(-alpha_k) for each crossing k-bit pattern, in pattern order
         cross = [forms[u.perm[neg[k - 1]]] for b, u in s.prefixes[k].items() if b[-1]]
         sizes, total = [len(c.packed) for c in cross], 0
         for f in level.values():  # the level's bounds, before any of its products
-            for a, p in zip(sizes, f):
-                if p.packed:
-                    check_bound("polynomial terms", a * len(p.packed), MAX_TERMS)
-                    total += a * len(p.packed)
+            for r, p in f:
+                check_bound("polynomial terms", sizes[r] * len(p.packed), MAX_TERMS)
+                total += sizes[r] * len(p.packed)
         check_bound("basis level polynomial terms", total, MAX_LEVEL_TERMS)
-        nxt: dict[frozenset[int], list[Poly]] = {}
-        for J, f in level.items():
-            nxt[J] = [p for p in f for _ in (False, True)]
-            nxt[J | {k}] = [q for c, p in zip(cross, f)
-                            for q in (zero, times(c, p) if p.packed else zero)]
-        level = nxt
+        level = _step(level, k, cross, times)
     lead = {frozenset(): None}  # J -> its lead value, prepared as a divisor
-    columns = {bits: [] for bits in s.patterns}
+    patterns = list(s.patterns)
+    columns = {bits: [] for bits in patterns}
     by_mask = list(columns.values())
     elements = []
     for J in sorted(level, key=lambda J: (len(J), sorted(J))):
@@ -179,15 +217,17 @@ def basis(s: ReflSeq) -> Basis:
             k = max(J)
             lead[J] = linear_divisor(forms[s.prefixes[k][bits[:k]].perm[neg[k - 1]]],
                                      lead[J - {k}])
-        mask, values = sum(1 << (n - i) for i in J), level[J]
-        if values[mask] != (lead[J].product if J else one):
+        mask, entries = sum(1 << (n - i) for i in J), level[J]
+        values = dict.fromkeys(patterns, zero)
+        for r, p in entries:
+            values[patterns[r]] = p
+        if values[bits] != (lead[J].product if J else one):
             raise VerificationError("basis element has the wrong leading value")
-        for r, p in enumerate(values):
-            if p.packed:
-                if r & mask != mask:
-                    raise VerificationError("basis element breaks triangularity")
-                by_mask[r].append((J, p))
-        elements.append(BasisElement(J, FPFunction(s, dict(zip(s.patterns, values))), bits))
+        for r, p in entries:
+            if r & mask != mask:
+                raise VerificationError("basis element breaks triangularity")
+            by_mask[r].append((J, p))
+        elements.append(BasisElement(J, _table(s, values), bits))
     return Basis(s, elements, columns, [lead[e.subset] for e in elements[1:]])
 
 
@@ -229,8 +269,8 @@ def combine(b: Basis, coeffs: dict[frozenset[int], Poly]) -> FPFunction:
     if not coeffs.keys() <= {e.subset for e in b}:
         raise InvalidInputError("coefficient of a subset outside the basis")
     zero = Poly.zero(b.seq.rs.rank)
-    return FPFunction(b.seq, {bits: mul_add(zero, [(coeffs[J], p) for J, p in col if J in coeffs])
-                              for bits, col in b.columns.items()})
+    return _table(b.seq, {bits: mul_add(zero, [(coeffs[J], p) for J, p in col if J in coeffs])
+                          for bits, col in b.columns.items()})
 
 
 def induced_map(m: foldcat.Morphism, g: FPFunction) -> FPFunction:

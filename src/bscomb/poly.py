@@ -181,10 +181,6 @@ class Poly(Value):
                                     f"{nvars} coefficients, not {len(coeffs)}")
         return _canon(nvars, {u: _coeff(c) for u, c in zip(_units(nvars), coeffs)})
 
-    def degree(self) -> int:
-        """Total polynomial degree; -1 for the zero polynomial."""
-        return max((sum(_exponents(self.nvars, m)) for m, _ in self.packed), default=-1)
-
     def __add__(self, other: "Poly") -> "Poly":
         if self.nvars != other.nvars:
             raise InvalidInputError("polynomials in different variable counts")
@@ -268,10 +264,12 @@ def linear_divisor(ell: Poly, times: Divisor | None = None) -> Divisor:
     """ell checked once as a homogeneous linear form and prepared as a
     divisor: ell itself, or the product of `times` and ell, made by one `*`.
 
+    ell is such a form when it has a term and each of its packed monomials
+    is a single bit at the foot of a field: one variable to the power 1.
     A product of linear forms has its leading term first in sorted order:
     every other term moves exponent from later variables to earlier ones.
     The pivot's field is the lowest nonzero one of the lead."""
-    if ell.degree() != 1 or any(m == 0 for m, _ in ell.packed):
+    if not ell.packed or any(m & (m - 1) or m.bit_length() % 64 != 1 for m, _ in ell.packed):
         raise InvalidInputError("divisor must be a homogeneous linear form")
     product = ell if times is None else times.product * ell
     (lead, a), rest = product.packed[0], product.packed[1:]

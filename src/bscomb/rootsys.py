@@ -103,7 +103,9 @@ class RootSystem:
     the chamber across it (`gallery._attached`, one table per reflection
     asked, rank*|W| entries over all of them), and one linear form per root
     (`poly.root_forms`).  No table grows with the queries asked.  A fresh
-    one starts empty.
+    one starts empty.  Copies and pickles rebuild through
+    `build_root_system`, so they are the one cached system of their family
+    and rank, and carry none of the tables.
     """
 
     def __init__(self, family: str, rank: int):
@@ -125,6 +127,9 @@ class RootSystem:
         self._weyl_right: tuple[int, ...] | None = None
         self._attached: dict[int, dict[int, int]] = {}
         self._root_forms: tuple | None = None
+
+    def __reduce__(self):
+        return build_root_system, (self.family, self.rank)
 
     def _root_index(self, root: Root) -> int:
         """The index of root in `roots`; refuses a non-root."""

@@ -36,6 +36,11 @@ def simple_seq(rs, *letters):
                              for i in letters))
 
 
+def degree(p):
+    """The total degree of a Poly, read from its decoded terms; -1 for zero."""
+    return max((sum(m) for m, _ in p.terms), default=-1)
+
+
 def all_seqs(rs, length):
     """Every sequence of reflections of exactly `length` over rs."""
     from itertools import product

@@ -3,7 +3,6 @@
 import random
 from fractions import Fraction
 from operator import mul
-from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -42,7 +41,7 @@ from bscomb.poly import (
 )
 from bscomb.rootsys import RootSystem, WeylElement, build_root_system
 
-from conftest import all_seqs, simple_seq
+from conftest import all_seqs, degree, simple_seq
 
 
 def rand_poly(rng, rank, max_deg=2):
@@ -129,8 +128,8 @@ def test_concentrate_example(a2):
 def test_concentrate_degree_shift(a2):
     s = simple_seq(a2, 2, 1)
     g = FPFunction(s.truncated(), dict.fromkeys(s.truncated().patterns, Poly.const(2, 3)))
-    degrees = [p.degree() for p in concentrate(s, g, True).values.values()]
-    assert max(degrees) == max(p.degree() for p in g.values.values()) + 1
+    degrees = [degree(p) for p in concentrate(s, g, True).values.values()]
+    assert max(degrees) == max(degree(p) for p in g.values.values()) + 1
 
 
 def test_concentration_identity(a2, b2):
@@ -515,9 +514,10 @@ ORACLE_SYSTEMS = [build_root_system(f, r) for f, r in (("A", 2), ("B", 2), ("G",
 
 
 @st.composite
-def sequences(draw, min_size=0, max_size=6):
-    """A sequence of arbitrary (not only simple) reflections in A2, B2, G2 or B3."""
-    rs = draw(st.sampled_from(ORACLE_SYSTEMS))
+def sequences(draw, min_size=0, max_size=6, systems=ORACLE_SYSTEMS):
+    """A sequence of arbitrary (not only simple) reflections in one of the
+    systems, by default A2, B2, G2 or B3."""
+    rs = draw(st.sampled_from(systems))
     refls = [rs.reflection(r) for r in rs.roots if r.is_positive]
     return ReflSeq(rs, tuple(draw(st.lists(st.sampled_from(refls),
                                            min_size=min_size, max_size=max_size))))
@@ -845,10 +845,172 @@ def test_basis_refuses_a_wrong_lead_value(b2):
 
 
 def test_basis_refuses_a_value_off_its_support(b2):
-    # the recursion's zero is a one, so B_J is nonzero where a gallery stays
-    # at a position of J; the values at each gamma_J are unchanged
+    # the last level's step puts the last entry of each subset that gains
+    # position n at the stay pattern beside it, so B_{n} is nonzero at a
+    # gallery that stays at n; B_{n}(gamma_{n}) is unchanged, so only the
+    # support test sees it
     s = simple_seq(b2, 1, 2, 1)
-    ring = SimpleNamespace(const=Poly.const, zero=lambda nvars: Poly.const(nvars, 1))
-    with mock.patch.object(gkm, "Poly", ring):
+    step = gkm._step
+
+    def misplaced(level, k, cross, times):
+        nxt = step(level, k, cross, times)
+        if k == len(s):
+            for J, f in nxt.items():
+                if k in J:
+                    r, p = f[-1]
+                    f[-1] = (r - 1, p)
+        return nxt
+
+    with mock.patch.object(gkm, "_step", misplaced):
         with pytest.raises(VerificationError, match="triangularity"):
             basis(s)
+
+
+# -- the sparse basis and the identity check against the dense code they replace --
+
+def dense_basis(s):
+    """`gkm.basis` as it was before its levels went sparse, without its
+    resource bounds: level k holds every value over the k-bit patterns,
+    zeros included, and each element is a checked FPFunction.  Returns
+    (elements, columns, divisors)."""
+    n = len(s)
+    one, zero = Poly.const(s.rs.rank, 1), Poly.zero(s.rs.rank)
+    forms, neg = poly.root_forms(s.rs), [t.index + len(s.rs.roots) // 2 for t in s.entries]
+    level = {frozenset(): [one]}
+    for k in range(1, n + 1):
+        cross = [forms[u.perm[neg[k - 1]]] for b, u in s.prefixes[k].items() if b[-1]]
+        nxt = {}
+        for J, f in level.items():
+            nxt[J] = [p for p in f for _ in (False, True)]
+            nxt[J | {k}] = [q for c, p in zip(cross, f)
+                            for q in (zero, c * p if p.packed else zero)]
+        level = nxt
+    lead = {frozenset(): None}
+    columns = {bits: [] for bits in s.patterns}
+    by_mask = list(columns.values())
+    elements = []
+    for J in sorted(level, key=lambda J: (len(J), sorted(J))):
+        bits = tuple(i + 1 in J for i in range(n))
+        if J:
+            k = max(J)
+            lead[J] = linear_divisor(forms[s.prefixes[k][bits[:k]].perm[neg[k - 1]]],
+                                     lead[J - {k}])
+        mask, values = sum(1 << (n - i) for i in J), level[J]
+        if values[mask] != (lead[J].product if J else one):
+            raise VerificationError("basis element has the wrong leading value")
+        for r, p in enumerate(values):
+            if p.packed:
+                if r & mask != mask:
+                    raise VerificationError("basis element breaks triangularity")
+                by_mask[r].append((J, p))
+        elements.append(BasisElement(J, FPFunction(s, dict(zip(s.patterns, values))), bits))
+    return elements, columns, [lead[e.subset] for e in elements[1:]]
+
+
+def dense_identity_check(s, g, cross):
+    """`concentration_identity_check` as it was before it skipped the
+    galleries where a factor is zero: one product at every gallery.  Reads
+    `gkm.concentrate` at call time, so both see a patched one."""
+    k, forms = s[len(s)].index, poly.root_forms(s.rs)
+    tk = k + len(s.rs.roots) // 2 if cross else k
+    before, last = s.prefixes[-2], s.prefixes[-1]
+    nabla, delta = gkm.concentrate(s, g, cross).values, copy(s, g).values
+    return all(nabla[b].scale(-2) == (forms[before[b[:-1]].perm[tk]] + forms[last[b].perm[k]])
+               * delta[b] for b in s.patterns)
+
+
+SPARSE_SYSTEMS = [build_root_system(f, r) for f, r in (("A", 1), ("A", 2), ("B", 2), ("G", 2))]
+
+
+@settings(max_examples=80, deadline=None)
+@given(sequences(max_size=5, systems=SPARSE_SYSTEMS))
+@example(ReflSeq(build_root_system("A", 1), ()))
+@example(nonsimple_seq("G", 2, 5))
+@example(nonsimple_seq("B", 2, 5))
+def test_sparse_basis_matches_dense(s):
+    got = basis(s)
+    elements, columns, divisors = dense_basis(s)
+    assert [(e.subset, e.bits) for e in got] == [(e.subset, e.bits) for e in elements]
+    for e, ref in zip(got, elements):
+        assert e.function.seq is s
+        assert list(e.function.values.items()) == list(ref.function.values.items())
+        assert list(e.function.values) == list(s.patterns)
+    assert list(got.columns.items()) == list(columns.items())
+    assert got.divisors == divisors
+
+
+def zero_sum_gallery(s, cross):
+    """The first gallery whose Sigma sum gamma^(n-1)(t alpha_n) +
+    gamma^n(alpha_n) is zero, read off the action on roots: the first
+    whose last step is not t."""
+    n, alpha = len(s), s[len(s)].root
+    t_alpha = -alpha if cross else alpha
+    for gamma in galleries(s):
+        total = (root_poly(s.rs, prefix(gamma, n - 1).apply(t_alpha))
+                 + root_poly(s.rs, prefix(gamma, n).apply(alpha)))
+        if not total.terms:
+            assert gamma.bits[-1] != cross
+            return gamma.bits
+    raise AssertionError("no gallery with a zero sum")
+
+
+def bump_at(bits, concentrate_):
+    """concentrate with a constant added at the gallery `bits`."""
+    def bumped(s, g, cross):
+        values = dict(concentrate_(s, g, cross).values)
+        values[bits] = values[bits] + Poly.const(s.rs.rank, 1)
+        return FPFunction(s, values)
+    return bumped
+
+
+@settings(max_examples=80, deadline=None)
+@given(sequences(min_size=1, max_size=5, systems=SPARSE_SYSTEMS),
+       st.randoms(use_true_random=False))
+@example(nonsimple_seq("G", 2, 5), random.Random(9))
+def test_sparse_identity_check_matches_dense(s, rng):
+    # some values zero, so Delta g is zero at some galleries as well
+    g = FPFunction(s.truncated(), {b: rand_frac_poly(rng, s.rs.rank)
+                                   for b in s.truncated().patterns})
+    for cross in (False, True):
+        assert concentration_identity_check(s, g, cross) is dense_identity_check(s, g, cross)
+        bits = zero_sum_gallery(s, cross)
+        other = rng.choice(sorted(s.patterns))
+        for perturb in (bump_at(bits, gkm.concentrate), bump_at(other, gkm.concentrate),
+                        flip_cross(gkm.concentrate)):
+            with mock.patch.object(gkm, "concentrate", perturb):
+                verdict = concentration_identity_check(s, g, cross)
+                assert verdict is dense_identity_check(s, g, cross)
+        with mock.patch.object(gkm, "concentrate", bump_at(bits, gkm.concentrate)):
+            assert concentration_identity_check(s, g, cross) is False
+
+
+def test_unchecked_tables_would_pass_the_check():
+    # every table gkm builds past the FPFunction constructor's check has
+    # s.patterns as its keys, in order, and a value in S of s's system at
+    # each; the constructor accepts each one
+    made, table = [], gkm._table
+
+    def recording(s, values):
+        made.append((s, values))
+        return table(s, values)
+
+    rng, expected = random.Random(33), 0
+    with mock.patch.object(gkm, "_table", recording):
+        for rs in SPARSE_SYSTEMS:
+            for n in (1, 3, 5):
+                s = nonsimple_seq(rs.family, rs.rank, n)
+                elements = basis(s)
+                g = FPFunction(s.truncated(), {b: rand_frac_poly(rng, rs.rank)
+                                               for b in s.truncated().patterns})
+                copy(s, g)
+                concentrate(s, g, True)
+                concentration_identity_check(s, g, False)  # a concentration and a copy
+                combine(elements, {e.subset: rand_frac_poly(rng, rs.rank) for e in elements})
+                generator(s, rng.randint(0, n), rs.simple_reflection(1),
+                          rand_frac_poly(rng, rs.rank))
+                expected += 2 ** n + 6
+    assert len(made) == expected
+    for s, values in made:
+        assert list(values) == list(s.patterns)
+        assert all(type(p) is Poly and p.nvars == s.rs.rank for p in values.values())
+        assert FPFunction(s, values).values == values

@@ -27,7 +27,7 @@ from bscomb.poly import (
 )
 from bscomb.rootsys import RootSystem, build_root_system, enumerate_weyl
 
-from conftest import simple_seq
+from conftest import degree, simple_seq
 
 monomials = st.tuples(st.integers(0, 3), st.integers(0, 3))
 coefficients = st.fractions(max_denominator=12).filter(lambda c: c != 0)
@@ -43,9 +43,9 @@ def test_zero_is_canonical():
 
 
 def test_degree():
-    assert Poly.zero(2).degree() == -1
-    assert Poly.const(2, 5).degree() == 0
-    assert (Poly.linear(2, (1, 0)) * Poly.linear(2, (0, 1))).degree() == 2
+    assert degree(Poly.zero(2)) == -1
+    assert degree(Poly.const(2, 5)) == 0
+    assert degree(Poly.linear(2, (1, 0)) * Poly.linear(2, (0, 1))) == 2
 
 
 @settings(max_examples=80, deadline=None)
@@ -107,6 +107,46 @@ def test_product_divisor_checks_each_form():
             linear_divisor(bad, linear_divisor(ell))
     with pytest.raises(InvalidInputError, match="^polynomials in different variable counts$"):
         linear_divisor(Poly.linear(3, (1, 0, 0)), linear_divisor(ell))
+
+
+NOT_LINEAR = "^divisor must be a homogeneous linear form$"
+
+
+@pytest.mark.parametrize("bad", [
+    Poly.zero(2), Poly.const(2, 3), Poly.from_dict(2, {(1, 1): 1}),
+    Poly.from_dict(2, {(2, 0): 1}), Poly.from_dict(2, {(1, 0): 2, (0, 0): 1}),
+    Poly.from_dict(2, {(0, 2): 1, (1, 0): 1}), Poly.from_dict(3, {(0, 0, 63): 1}),
+    Poly.from_dict(3, {(0, 64, 0): 1}), Poly.from_dict(1, {(MAX_EXPONENT,): 1}),
+], ids=["zero", "constant", "w1*w2", "w1^2", "2*w1+1", "w2^2+w1", "w3^63", "w2^64", "w1^max"])
+def test_linear_divisor_refuses_a_form_that_is_not_linear(bad):
+    with pytest.raises(InvalidInputError, match=NOT_LINEAR):
+        linear_divisor(bad)
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3, MAX_RANK])
+def test_linear_divisor_takes_each_variable(nvars):
+    # the first variable's field is the most significant one, the last's the least
+    for j in range(nvars):
+        coeffs = [0] * nvars
+        coeffs[j] = -3
+        d = linear_divisor(Poly.linear(nvars, coeffs))
+        assert d.pivot == j and d.coeff == -3 and not d.others
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)),
+                       st.integers(-3, 3), max_size=4))
+def test_linear_divisor_refuses_as_the_degree_rule(d):
+    # the bit test on packed monomials against the decoded rule: degree 1
+    # and no constant term
+    p = Poly.from_dict(3, d)
+    linear = degree(p) == 1 and all(sum(m) == 1 for m, _ in p.terms)
+    try:
+        linear_divisor(p)
+    except InvalidInputError:
+        assert not linear
+    else:
+        assert linear
 
 
 @pytest.mark.parametrize("forms", [[(-1, 2)], [(-1, 2), (1, 1)]], ids=["form", "product"])

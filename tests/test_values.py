@@ -18,8 +18,15 @@ from bscomb.foldcat import Morphism, MorphismViolation, PointedMorphism, subsequ
 from bscomb.gallery import Gallerification, Gallery, is_gallery_type
 from bscomb.gkm import FPFunction, basis
 from bscomb.nested import FactorCertificate, FSelection, NestedPlan, Violation
-from bscomb.poly import Poly, linear_divisor
-from bscomb.rootsys import Reflection, Root, RootSystem, WeylElement, build_root_system
+from bscomb.poly import Poly, linear_divisor, root_forms
+from bscomb.rootsys import (
+    Reflection,
+    Root,
+    RootSystem,
+    WeylElement,
+    build_root_system,
+    enumerate_weyl,
+)
 
 from conftest import simple_seq
 
@@ -149,6 +156,21 @@ def test_sequence_copies_drop_the_cached_tables():
         assert duplicate == seq and "prefixes" not in vars(duplicate)
         assert len(pickle.dumps(duplicate)) == fresh
         assert duplicate.prefixes[-1] == seq.prefixes[-1]
+
+
+def test_root_system_copies_are_the_one_cached_system():
+    # a system's copies and pickles rebuild through build_root_system, so
+    # they are the cached system and carry none of the tables it has built
+    # (C4 pickled its Weyl order and right-product table, 39,394 bytes)
+    rs = build_root_system("C", 4)
+    fresh = len(pickle.dumps(RootSystem("C", 4)))
+    assert len(enumerate_weyl(rs)) == 384 and root_forms(rs)
+    assert len(pickle.dumps(rs)) == fresh < 100
+    for duplicate in (copy.deepcopy(rs), pickle.loads(pickle.dumps(rs)), copy.copy(rs)):
+        assert duplicate is rs
+    # a system built apart copies to the cached one, and so do values holding it
+    assert copy.deepcopy(FRESH) is RS and pickle.loads(pickle.dumps(FRESH)) is RS
+    assert copy.deepcopy(SEQ_FRESH).rs is RS and copy.deepcopy(SEQ_FRESH) == SEQ
 
 
 # the types that only store their arguments: the constructor is the setter
