@@ -10,7 +10,9 @@ for all galleries gamma and positions i:
     phi(f_i gamma) = f_{p(i)} phi(gamma)
 
 Since foldings act transitively on galleries, phi is determined by its
-value on a single seed.  Twist entries come from one table per sequence,
+value on a single seed, so the folding equation is checked as one
+comparison with the table propagated from phi's image of the all-stay
+gallery.  Twist entries come from one table per sequence,
 `ReflSeq.twists`; enumeration keys candidates by the wall equation at the
 all-stay gallery and then verifies each one in full.
 """
@@ -52,7 +54,10 @@ class Morphism(Value, compare=("source", "target", "p", "w", "phi")):
     `verified` is neither a constructor argument nor compared: it starts
     False and only `verify_morphism` sets it.  phi is compared but not
     hashed, and is a read-only view of a private copy of the table it is
-    given, so a verified table cannot be edited afterwards."""
+    given, so a verified table cannot be edited afterwards.  The
+    constructor checks p and the systems for every caller; only the
+    tables `compose` and `enumerate_morphisms` build are wrapped without
+    the copy and the checks (`_morphism`)."""
 
     __slots__ = ("source", "target", "p", "w", "phi", "verified")
 
@@ -81,6 +86,16 @@ class Morphism(Value, compare=("source", "target", "p", "w", "phi")):
         return self  # immutable, as a tuple is
 
 
+def _morphism(source: ReflSeq, target: ReflSeq, p: tuple[int, ...],
+              w: WeylElement, phi: dict[Bits, Bits]) -> Morphism:
+    """The Morphism of a table this module has just built, uncopied and
+    unchecked: `compose` and `enumerate_morphisms` make p, w and the systems
+    valid by construction, and no one else holds the table."""
+    m = object.__new__(Morphism)
+    m._fill(source, target, p, w, MappingProxyType(phi), False)
+    return m
+
+
 def _rebuild(verified: bool, *fields) -> Morphism:
     m = Morphism(*fields)
     if verified:
@@ -97,17 +112,53 @@ class PointedMorphism(Value):
 def verify_morphism(m: Morphism) -> MorphismViolation | None:
     """Check both defining equations exhaustively; None means verified.
 
-    w s_beta w^-1 = s_{w(beta)}, so the wall equation at (gamma, i) compares
-    the target's twist entry p(i) with w's image of the source's entry i, up
-    to sign.  phi's keys must be the source's patterns (else phi-total), and
-    each image is checked for the target's length (else phi-shape) when the
-    pass reaches its gallery.  On success the verified flag is set in place.
+    phi's keys must be the source's patterns (else phi-total).  The folding
+    equation holds at every (gamma, i), and every image has the target's
+    length, exactly when phi is the table propagated from its image of the
+    all-stay gallery (`_propagated_table`): folds commute, and each gallery
+    is reached from the all-stay one by folds.  So phi is compared with
+    that table, a block of patterns at a time in the order the table is
+    built, stopping at the first block that differs.  When they
+    match, only the wall equation remains: w s_beta w^-1 = s_{w(beta)}, so
+    at (gamma, i) the target's twist entry p(i) is compared with w's image
+    of the source's entry i, up to sign, one index comparison each.  On
+    any failure the gallery-by-gallery pass of `_first_violation` names
+    the first violation.  On success the verified flag is set in place.
     """
-    check_bound("morphism sequence length", max(len(m.source), len(m.target)),
-                MAX_MORPHISM_LENGTH)
+    n, nt = len(m.source), len(m.target)
+    check_bound("morphism sequence length", max(n, nt), MAX_MORPHISM_LENGTH)
     phi, rows = m.phi, m.source.twists
     if phi.keys() != rows.keys():
         return MorphismViolation("phi-total", ())
+    # phi's images in pattern order: the `size` patterns from `size` on are
+    # the first `size` crossed at one more position, as `_propagated_table`
+    # builds them
+    images = [phi[bits] for bits in rows]
+    if len(images[0]) != nt:
+        return _first_violation(m)
+    size = 1
+    for j in reversed(m.p):
+        for image, crossed in zip(images, images[size:2 * size]):
+            if crossed != image[:j - 1] + (not image[j - 1],) + image[j:]:
+                return _first_violation(m)
+        size *= 2
+    tgt, perm, p = m.target.twists, m.w.perm, m.p
+    half = len(perm) // 2
+    for (bits, src), image in zip(rows.items(), images):
+        row = tgt[image]
+        for i, j in enumerate(p):
+            if row[j - 1] != perm[src[i]] % half:
+                return MorphismViolation("wall-equation", bits, i + 1)
+    object.__setattr__(m, "verified", True)
+    return None
+
+
+def _first_violation(m: Morphism) -> MorphismViolation | None:
+    """The first violation of a table over the source's patterns, gallery by
+    gallery in pattern order: each image is checked for the target's length
+    (else phi-shape) when the pass reaches its gallery, then the wall and
+    folding equations at each position."""
+    phi, rows = m.phi, m.source.twists
     tgt, perm, nt = m.target.twists, m.w.perm, len(m.target)
     half = len(perm) // 2
     for bits, src in rows.items():
@@ -144,12 +195,16 @@ def subsequence_morphism(s: ReflSeq, target: ReflSeq,
 
 
 def compose(outer: Morphism, inner: Morphism) -> Morphism:
-    """outer after inner; raises VerificationError unless the composite verifies."""
+    """outer after inner; raises VerificationError unless the composite verifies.
+
+    The composite's p, w and systems are valid whenever outer's and inner's
+    are, so its fresh table is wrapped unchecked (`_morphism`) and then
+    verified in full."""
     if inner.target != outer.source:
         raise InvalidInputError("morphisms are not composable")
     p = tuple(outer.p[j - 1] for j in inner.p)
     phi = {bits: outer.phi[image] for bits, image in inner.phi.items()}
-    m = Morphism(inner.source, outer.target, p, outer.w * inner.w, phi)
+    m = _morphism(inner.source, outer.target, p, outer.w * inner.w, phi)
     bad = verify_morphism(m)
     if bad is not None:
         raise VerificationError(f"composite is not a morphism: {bad}")
@@ -160,14 +215,12 @@ def _propagated_table(s: ReflSeq, p: tuple[int, ...],
                       seed_image: Bits) -> dict[Bits, Bits]:
     # Folding from the all-stay seed flips target bit p(i) whenever source
     # bit i is set; bit flips commute, so the table is path-independent.
-    table = {}
-    for bits in s.patterns:
-        image = list(seed_image)
-        for j, bit in zip(p, bits):
-            if bit:
-                image[j - 1] = not image[j - 1]
-        table[bits] = tuple(image)
-    return table
+    # Patterns run in lexicographic order, so the 2^k from 2^k on are the
+    # first 2^k crossed at position n - k.
+    images = [seed_image]
+    for j in reversed(p):
+        images += [image[:j - 1] + (not image[j - 1],) + image[j:] for image in images]
+    return dict(zip(s.patterns, images))
 
 
 def enumerate_morphisms(s: ReflSeq, target: ReflSeq) -> list[Morphism]:
@@ -205,7 +258,7 @@ def enumerate_morphisms(s: ReflSeq, target: ReflSeq) -> list[Morphism]:
     for p, buckets in plans:
         for key, w in keyed:
             for seed in buckets.get(key, ()):
-                m = Morphism(s, target, p, w, _propagated_table(s, p, seed))
+                m = _morphism(s, target, p, w, _propagated_table(s, p, seed))
                 if verify_morphism(m) is None:
                     out.append(m)
     return out
@@ -216,6 +269,10 @@ def verify_pointed(pm: PointedMorphism) -> MorphismViolation | None:
 
     Requires x~ (phi(gamma)^max)^{-1} = w x (gamma^max)^{-1} w^{-1} for all
     gamma, which in particular carries Gamma(s, x) into Gamma(s~, x~).
+    An unverified morphism is verified first.  c = x^-1 w^-1 x~ is formed
+    once on root permutations; an x or x~ of another system is refused as
+    their product would refuse it, InvalidInputError("cannot multiply
+    elements of different systems").
     """
     m = pm.morphism
     if not m.verified:
@@ -223,8 +280,14 @@ def verify_pointed(pm: PointedMorphism) -> MorphismViolation | None:
         if bad is not None:
             return bad
     # x~ v^-1 = w x u^-1 w^-1 holds exactly when v = w u c, c = x^-1 w^-1 x~;
-    # composed on root permutations, (w u c)[k] = w[u[c[k]]]
-    c = (pm.x.inv() * m.w.inv() * pm.x_target).perm
+    # composed on root permutations, (w u c)[k] = w[u[c[k]]], and c is
+    # (w x)^-1 x~
+    for u in (pm.x, pm.x_target):
+        m.w.rs.require_same(u.rs, "cannot multiply elements of different systems")
+    wx_inv = [0] * len(m.w.perm)
+    for k, image in enumerate(pm.x.perm):
+        wx_inv[m.w.perm[image]] = k
+    c = [wx_inv[image] for image in pm.x_target.perm]
     w = m.w.perm.__getitem__
     phi, tgt = m.phi, m.target.prefixes[len(m.target)]
     for bits, u in m.source.prefixes[len(m.source)].items():

@@ -15,7 +15,9 @@ nonzero values of the B_J.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from functools import cache
+from types import MappingProxyType
 
 from . import foldcat  # for an annotation; binding the lazy module runs nothing
 from .errors import (
@@ -36,21 +38,22 @@ from .rootsys import WeylElement
 class FPFunction(Value, compare=("values",)):
     """A function Gamma(s) -> S, stored as a total table keyed by bits.
     Equal by its table alone; the table is not hashed, so every function
-    hashes alike.
+    hashes alike.  The table is a read-only view, of a private copy of the
+    one the constructor is given, so a checked value cannot be replaced.
 
     The constructor checks that the table's keys are s's patterns and that
     every value is in S of s's system; every caller outside this module
     builds through it.  The tables that `basis`, `copy`, `concentrate`,
-    `combine` and `generator` write skip that check (`_table`): their keys
-    are s.patterns, or a `Basis`'s columns, which `basis` wrote from them,
-    and each value is a root form, a value of a checked function, or a
-    product or sum of these, which `mul_add` and `weyl_act` check for the
-    rank."""
+    `combine` and `generator` write skip that check and the copy
+    (`_table`): their keys are s.patterns, or a `Basis`'s columns, which
+    `basis` wrote from them, and each value is a root form, a value of a
+    checked function, or a product or sum of these, which `mul_add` and
+    `weyl_act` check for the rank."""
 
     __slots__ = ("seq", "values")
 
-    def __init__(self, seq: ReflSeq, values: dict[Bits, Poly]):
-        self._fill(seq, values)
+    def __init__(self, seq: ReflSeq, values: Mapping[Bits, Poly]):
+        self._fill(seq, MappingProxyType(dict(values)))
         if self.values.keys() != self.seq.patterns.keys():
             raise InvalidInputError("table does not cover Gamma(s) exactly")
         for p in self.values.values():
@@ -60,11 +63,20 @@ class FPFunction(Value, compare=("values",)):
     def __hash__(self):
         return hash(())
 
+    def __reduce__(self):
+        # the table view does not pickle: deepcopy and pickle rebuild
+        # through the constructor, which checks the table again
+        return FPFunction, (self.seq, dict(self.values))
+
+    def __copy__(self):
+        return self  # immutable, as a tuple is
+
 
 def _table(s: ReflSeq, values: dict[Bits, Poly]) -> FPFunction:
-    """The FPFunction of a table this module wrote over s.patterns, unchecked."""
+    """The FPFunction of a table this module wrote over s.patterns,
+    uncopied and unchecked."""
     f = object.__new__(FPFunction)
-    f._fill(s, values)
+    f._fill(s, MappingProxyType(values))
     return f
 
 

@@ -262,9 +262,14 @@ class Reflection(Value, compare=("rs", "index")):
     Its system builds one per positive root; reach it through
     `RootSystem.reflection` or `conjugate_reflection`.  Equal and hashed by
     (root system, index).  `letter` is i when alpha = alpha_i, else None.
+    Copies and pickles are its system's own table entry.
     """
 
     __slots__ = ("rs", "index", "root", "letter", "__dict__")
+
+    def __reduce__(self):
+        # (system, index) alone: the cached `_weyl` is not carried along
+        return _reflection, (self.rs, self.index)
 
     @cached_property
     def _weyl(self) -> WeylElement:
@@ -283,6 +288,10 @@ class Reflection(Value, compare=("rs", "index")):
         if self.letter is not None:
             return f"s{self.letter}"
         return "s[" + ",".join(str(c) for c in self.root.coords) + "]"
+
+
+def _reflection(rs: RootSystem, index: int) -> Reflection:
+    return rs.reflections[index]
 
 
 @lru_cache(maxsize=None)

@@ -1,7 +1,9 @@
 """Folding-category morphisms: verification, enumeration, pointed checks."""
 
 import random
+from collections import Counter
 from itertools import combinations, product
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -202,6 +204,21 @@ def test_composition_verifies(a2):
             assert c.w == b.w * a.w
 
 
+def test_built_morphisms_equal_their_checked_rebuild(a2, b2):
+    # compose and enumerate_morphisms wrap the tables they build unchecked;
+    # each is what the checking constructor makes of its fields, verified,
+    # with a read-only table
+    for rs in (a2, b2):
+        s, mid, target = simple_seq(rs, 1), simple_seq(rs, 1, 2), simple_seq(rs, 1, 2, 1)
+        inner, outer = enumerate_morphisms(s, mid), enumerate_morphisms(mid, target)
+        built = inner + outer + [compose(b, a) for a in inner[:4] for b in outer[:4]]
+        for m in built:
+            assert m == Morphism(m.source, m.target, m.p, m.w, m.phi)
+            assert m.verified and type(m.phi) is MappingProxyType
+            with pytest.raises(TypeError):
+                m.phi[next(iter(m.phi))] = ()
+
+
 def test_compose_rejects_invalid_composite(a2):
     s = simple_seq(a2, 1)
     bad = Morphism(s, s, (1,), a2.simple_reflection(2),
@@ -224,6 +241,20 @@ def test_pointed_subsequence(a2):
     m = subsequence_morphism(s, target, (1,))
     for x in enumerate_weyl(a2):
         assert verify_pointed(PointedMorphism(m, x, x)) is None
+
+
+def test_pointed_refuses_points_of_another_system(a2, b2):
+    # A3 and G2 both have 12 roots, so an A3 point fits G2's permutations;
+    # the refusal is the one a product of Weyl elements of two systems makes
+    g2, a3 = build_root_system("G", 2), build_root_system("A", 3)
+    for rs, other in ((a2, b2), (g2, a3)):
+        s = simple_seq(rs, 1, 2)
+        m = subsequence_morphism(s, s, (1, 2))
+        e, foreign = rs.identity(), other.simple_reflection(1)
+        for x, x_target in ((foreign, e), (e, foreign)):
+            with pytest.raises(InvalidInputError,
+                               match="cannot multiply elements of different systems"):
+                verify_pointed(PointedMorphism(m, x, x_target))
 
 
 def test_pointed_wrong_target_point(a2):
@@ -366,18 +397,48 @@ def _reference_pairs():
                     yield ReflSeq(rs, e), ReflSeq(rs, f)
 
 
+def _flip(image, j):
+    return image[:j] + (not image[j],) + image[j + 1:]
+
+
+def _broken_tables(rng, phi, w, order, nt):
+    """(table, w) pairs around a propagated table, each checked against the
+    reference: its seed flipped, several images flipped, an image of the
+    wrong length at a gallery other than the seed, and the table itself
+    under another w."""
+    keys = list(phi)
+    if nt:
+        seed = keys[0]
+        yield {**phi, seed: _flip(phi[seed], rng.randrange(nt))}, w
+        flipped = dict(phi)
+        for bits in rng.sample(keys, min(3, len(keys))):
+            flipped[bits] = _flip(flipped[bits], rng.randrange(nt))
+        yield flipped, w
+    if len(keys) > 1:
+        bits = rng.choice(keys[1:])
+        yield {**phi, bits: phi[bits][:-1] if nt and rng.random() < 0.5
+               else phi[bits] + (False,)}, w
+    yield phi, rng.choice(order)
+
+
 def test_verify_matches_twist_reference():
     rng = random.Random(9)
     accepted = rejected = pointed_ok = 0
+    conditions = Counter()
     for s, target in _reference_pairs():
         order = enumerate_weyl(s.rs)
         for p, w, phi in _candidate_tables(s, target):
+            for table, v in _broken_tables(rng, phi, w, order, len(target)):
+                m = Morphism(s, target, p, v, table)
+                expect = _reference_verify(m)
+                assert verify_morphism(m) == expect, (s, target, p, v, table)
+                assert m.verified == (expect is None)
+                conditions[expect and expect.condition] += 1
             flipped = dict(phi)
             bits = rng.choice(list(phi))
             j = rng.randrange(len(target)) if len(target) else None
             if j is not None:
-                image = flipped[bits]
-                flipped[bits] = image[:j] + (not image[j],) + image[j + 1:]
+                flipped[bits] = _flip(flipped[bits], j)
             for table in (phi, flipped):
                 m = Morphism(s, target, p, w, table)
                 expect = _reference_verify(m)
@@ -398,6 +459,10 @@ def test_verify_matches_twist_reference():
                     assert got == expect, (s, target, p, w, table, x, x_target)
                     pointed_ok += got is None
     assert accepted > 2000 and rejected > 5000 and pointed_ok > 2000
+    # an image of the wrong length is folded onto from an earlier gallery,
+    # which breaks its folding equation there first, or a wall equation before
+    assert all(conditions[c] > 1000 for c in
+               ("wall-equation", "folding-equation", None)), conditions
 
 
 def test_enumerate_matches_generate_and_test(a1, a2):

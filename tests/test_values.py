@@ -173,6 +173,42 @@ def test_root_system_copies_are_the_one_cached_system():
     assert copy.deepcopy(SEQ_FRESH).rs is RS and copy.deepcopy(SEQ_FRESH) == SEQ
 
 
+def test_reflection_copies_are_the_system_entry():
+    # a reflection's copies and pickles are its system's own table entry,
+    # and carry neither the Weyl element it caches nor the system's tables
+    # (a C4 simple reflection pickled to 163 bytes fresh, and to 280 once
+    # as_weyl and enumerate_weyl had run, and unpickled as a new object)
+    rs = build_root_system("C", 4)
+    t = rs.reflection(rs.simple_roots[0])
+    fresh = len(pickle.dumps(t))
+    assert t.as_weyl() and len(enumerate_weyl(rs)) == 384
+    assert len(pickle.dumps(t)) == fresh < 100
+    for duplicate in (pickle.loads(pickle.dumps(t)), copy.deepcopy(t), copy.copy(t)):
+        assert duplicate is t is rs.reflections[t.index]
+    # so do the entries of a sequence's copies
+    assert pickle.loads(pickle.dumps(simple_seq(rs, 1, 2))).entries[0] is t
+
+
+def test_fpfunction_table_is_read_only():
+    # a value written into a checked table would skip the ring check, and
+    # copy and concentrate pass values on without another one
+    three = Poly.linear(3, [1, 0, 0])
+    table = dict(TABLE)
+    g = FPFunction(ONE_POS, table)
+    with pytest.raises(TypeError):
+        g.values[(True,)] = three
+    table[(True,)] = three  # the table passed in is copied
+    assert g.values[(True,)] == X
+    built = basis(SEQ)[1].function  # a table gkm wrote, wrapped without a copy
+    with pytest.raises(TypeError):
+        built.values[(True, True)] = Y
+    assert copy.copy(g) is g
+    for duplicate in (copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+        assert duplicate == g and duplicate.values is not g.values
+        with pytest.raises(TypeError):
+            duplicate.values[(True,)] = three
+
+
 # the types that only store their arguments: the constructor is the setter
 # that errors.Value writes from __slots__
 RECORDS = ["Root", "Reflection", "Divisor", "Gallerification", "BasisElement",
