@@ -10,9 +10,7 @@ for all galleries gamma and positions i:
     phi(f_i gamma) = f_{p(i)} phi(gamma)
 
 Since foldings act transitively on galleries, phi is determined by its
-value on a single seed, so the folding equation is checked as one
-comparison with the table propagated from phi's image of the all-stay
-gallery.  Twist entries come from one table per sequence,
+value on a single seed.  Twist entries come from one table per sequence,
 `ReflSeq.twists`; enumeration keys candidates by the wall equation at the
 all-stay gallery and then verifies each one in full.
 """
@@ -33,7 +31,7 @@ from .errors import (
     check_bound,
 )
 from .gallery import Bits, ReflSeq, serialize_bits
-from .rootsys import WeylElement, enumerate_weyl
+from .rootsys import WeylElement, enumerate_weyl, quotient_perm
 
 
 class MorphismViolation(Value):
@@ -112,53 +110,17 @@ class PointedMorphism(Value):
 def verify_morphism(m: Morphism) -> MorphismViolation | None:
     """Check both defining equations exhaustively; None means verified.
 
-    phi's keys must be the source's patterns (else phi-total).  The folding
-    equation holds at every (gamma, i), and every image has the target's
-    length, exactly when phi is the table propagated from its image of the
-    all-stay gallery (`_propagated_table`): folds commute, and each gallery
-    is reached from the all-stay one by folds.  So phi is compared with
-    that table, a block of patterns at a time in the order the table is
-    built, stopping at the first block that differs.  When they
-    match, only the wall equation remains: w s_beta w^-1 = s_{w(beta)}, so
-    at (gamma, i) the target's twist entry p(i) is compared with w's image
-    of the source's entry i, up to sign, one index comparison each.  On
-    any failure the gallery-by-gallery pass of `_first_violation` names
-    the first violation.  On success the verified flag is set in place.
+    w s_beta w^-1 = s_{w(beta)}, so the wall equation at (gamma, i) compares
+    the target's twist entry p(i) with w's image of the source's entry i, up
+    to sign.  phi's keys must be the source's patterns (else phi-total), and
+    each image is checked for the target's length (else phi-shape) when the
+    pass reaches its gallery.  On success the verified flag is set in place.
     """
-    n, nt = len(m.source), len(m.target)
-    check_bound("morphism sequence length", max(n, nt), MAX_MORPHISM_LENGTH)
+    check_bound("morphism sequence length", max(len(m.source), len(m.target)),
+                MAX_MORPHISM_LENGTH)
     phi, rows = m.phi, m.source.twists
     if phi.keys() != rows.keys():
         return MorphismViolation("phi-total", ())
-    # phi's images in pattern order: the `size` patterns from `size` on are
-    # the first `size` crossed at one more position, as `_propagated_table`
-    # builds them
-    images = [phi[bits] for bits in rows]
-    if len(images[0]) != nt:
-        return _first_violation(m)
-    size = 1
-    for j in reversed(m.p):
-        for image, crossed in zip(images, images[size:2 * size]):
-            if crossed != image[:j - 1] + (not image[j - 1],) + image[j:]:
-                return _first_violation(m)
-        size *= 2
-    tgt, perm, p = m.target.twists, m.w.perm, m.p
-    half = len(perm) // 2
-    for (bits, src), image in zip(rows.items(), images):
-        row = tgt[image]
-        for i, j in enumerate(p):
-            if row[j - 1] != perm[src[i]] % half:
-                return MorphismViolation("wall-equation", bits, i + 1)
-    object.__setattr__(m, "verified", True)
-    return None
-
-
-def _first_violation(m: Morphism) -> MorphismViolation | None:
-    """The first violation of a table over the source's patterns, gallery by
-    gallery in pattern order: each image is checked for the target's length
-    (else phi-shape) when the pass reaches its gallery, then the wall and
-    folding equations at each position."""
-    phi, rows = m.phi, m.source.twists
     tgt, perm, nt = m.target.twists, m.w.perm, len(m.target)
     half = len(perm) // 2
     for bits, src in rows.items():
@@ -270,8 +232,9 @@ def verify_pointed(pm: PointedMorphism) -> MorphismViolation | None:
     Requires x~ (phi(gamma)^max)^{-1} = w x (gamma^max)^{-1} w^{-1} for all
     gamma, which in particular carries Gamma(s, x) into Gamma(s~, x~).
     An unverified morphism is verified first.  c = x^-1 w^-1 x~ is formed
-    once on root permutations; an x or x~ of another system is refused as
-    their product would refuse it, InvalidInputError("cannot multiply
+    once, as the permutation (w x)^-1 x~ (`quotient_perm`), and each
+    gallery is compared on root permutations; an x or x~ of another system
+    is refused as a product refuses it, InvalidInputError("cannot multiply
     elements of different systems").
     """
     m = pm.morphism
@@ -280,14 +243,8 @@ def verify_pointed(pm: PointedMorphism) -> MorphismViolation | None:
         if bad is not None:
             return bad
     # x~ v^-1 = w x u^-1 w^-1 holds exactly when v = w u c, c = x^-1 w^-1 x~;
-    # composed on root permutations, (w u c)[k] = w[u[c[k]]], and c is
-    # (w x)^-1 x~
-    for u in (pm.x, pm.x_target):
-        m.w.rs.require_same(u.rs, "cannot multiply elements of different systems")
-    wx_inv = [0] * len(m.w.perm)
-    for k, image in enumerate(pm.x.perm):
-        wx_inv[m.w.perm[image]] = k
-    c = [wx_inv[image] for image in pm.x_target.perm]
+    # composed on root permutations, (w u c)[k] = w[u[c[k]]]
+    c = quotient_perm(m.w, pm.x, pm.x_target)
     w = m.w.perm.__getitem__
     phi, tgt = m.phi, m.target.prefixes[len(m.target)]
     for bits, u in m.source.prefixes[len(m.source)].items():

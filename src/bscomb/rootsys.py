@@ -219,14 +219,10 @@ class WeylElement(Value, compare=("perm",)):
         return tuple(zip(*images))
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
-        self.rs.require_same(other.rs, "cannot multiply elements of different systems")
-        return WeylElement(self.rs, tuple(map(self.perm.__getitem__, other.perm)))
+        return WeylElement(self.rs, _times(self.rs, self.perm, other))
 
     def inv(self) -> "WeylElement":
-        inverse = [0] * len(self.perm)
-        for k, image in enumerate(self.perm):
-            inverse[image] = k
-        return WeylElement(self.rs, tuple(inverse))
+        return WeylElement(self.rs, _inverse(self.perm))
 
     def is_identity(self) -> bool:
         return self.perm == self.rs.identity().perm
@@ -254,6 +250,26 @@ class WeylElement(Value, compare=("perm",)):
     def __str__(self):
         w = self.word()
         return " ".join(f"s{i}" for i in w) if w else "e"
+
+
+def _times(rs: RootSystem, perm: Perm, other: WeylElement) -> Perm:
+    """The perm of (the element of rs with this perm) * other."""
+    rs.require_same(other.rs, "cannot multiply elements of different systems")
+    return tuple(map(perm.__getitem__, other.perm))
+
+
+def _inverse(perm: Perm) -> Perm:
+    inverse = [0] * len(perm)
+    for k, image in enumerate(perm):
+        inverse[image] = k
+    return tuple(inverse)
+
+
+def quotient_perm(u: WeylElement, v: WeylElement, t: WeylElement) -> Perm:
+    """The perm of (u v)^-1 t, as ((u * v).inv() * t).perm but with no
+    element built; factors of different systems are refused as `*`
+    refuses them."""
+    return _times(u.rs, _inverse(_times(u.rs, u.perm, v)), t)
 
 
 class Reflection(Value, compare=("rs", "index")):

@@ -18,6 +18,7 @@ from bscomb.rootsys import (
     closed_weyl_order,
     conjugate_reflection,
     enumerate_weyl,
+    quotient_perm,
 )
 from bscomb.poly import Poly, weight_matrix, weyl_act
 
@@ -91,6 +92,20 @@ def test_inverse(a3):
     for w in enumerate_weyl(a3):
         assert (w * w.inv()).is_identity()
         assert (w.inv() * w).is_identity()
+
+
+def test_quotient_perm_matches_products(a2, b2):
+    for rs, other in ((a2, b2), (b2, a2)):
+        order = enumerate_weyl(rs)
+        for u in order:
+            for v in order[::3]:
+                for t in order[::5]:
+                    assert quotient_perm(u, v, t) == ((u * v).inv() * t).perm
+        e, foreign = rs.identity(), other.simple_reflection(1)
+        for v, t in ((foreign, e), (e, foreign)):
+            with pytest.raises(InvalidInputError,
+                               match="cannot multiply elements of different systems"):
+                quotient_perm(e, v, t)
 
 
 def test_conjugate_reflection_moves_root(a2):
