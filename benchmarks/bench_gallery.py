@@ -1,7 +1,8 @@
 """Microbenchmarks for the gallery layer: the gallery-type decision on a
 positive and a negative B3 sequence and on a negative length-9 D4 sequence,
-that D4 decision as the first call on a new system, and the prefix tables
-of a length-10 B3 sequence.
+that D4 decision as the first call on a new system, the check of the
+positive B3 certificate alone, and the prefix tables of a length-10 B3
+sequence.
 
 Run from the repository root:
 
@@ -13,7 +14,7 @@ Tier-1 does not collect this file (`testpaths = ["tests"]`).
 import pytest
 
 from bscomb.formats import parse_sequence
-from bscomb.gallery import ReflSeq, _attached, is_gallery_type
+from bscomb.gallery import ReflSeq, _attached, is_gallery_type, verify_gallerification
 from bscomb.rootsys import RootSystem, build_root_system, enumerate_weyl
 
 RS = build_root_system("B", 3)
@@ -69,6 +70,13 @@ def test_is_gallery_type_negative_d4_cold(benchmark):
     # attached tables of the sequence's reflections
     cert = benchmark.pedantic(is_gallery_type, setup=lambda: _cold(TAIL_CASE), rounds=20)
     assert cert is None
+
+
+def test_verify_gallerification(benchmark):
+    # the check is_gallery_type runs on each certificate before returning it
+    s = parse_sequence(SEARCH_CASES["positive-12"][0])
+    cert = is_gallery_type(s)
+    assert benchmark(verify_gallerification, s, cert) is None
 
 
 def test_prefixes(benchmark):

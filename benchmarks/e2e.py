@@ -6,7 +6,9 @@ is made in a temporary directory, and in that copy:
 - each of the four workloads runs `bench/run.py --seed S --seconds 15
   --trace 0` several times; the record keeps the median of each of the
   five end-to-end metrics, the answer digest and the failed-item count;
-- each workload runs once with `--trace 1`; the record keeps its `*.calls`;
+- each workload runs once with `--trace 1`; the record keeps, under
+  `counts`, each of its per-layer metrics that is not a time: the `*.calls`,
+  `*.items` and `*.found` counts and the `*_ratio` shares;
 - the acceptance suite runs several times; the record keeps the median
   time of each criterion;
 - the lines of `src/bscomb/*.py` are counted.
@@ -103,7 +105,7 @@ def record(revs: dict[str, str], seed: int, runs: int) -> dict:
             os.mkdir(copies[side])
             checkout(rev, copies[side])
         sides = {side: {"rev": rev, "commit": commit(rev), "src_lines": src_lines(copies[side]),
-                        "workloads": {}, "calls": {}} for side, rev in revs.items()}
+                        "workloads": {}, "counts": {}} for side, rev in revs.items()}
         timed = {side: {w: [] for w in WORKLOADS} for side in revs}
         criteria = {side: [] for side in revs}
         order = list(revs)
@@ -124,8 +126,8 @@ def record(revs: dict[str, str], seed: int, runs: int) -> dict:
                     "failed": sum(out["failed"] for out, _ in outs),
                 }
                 traced, _ = bench(copies[side], w, seed, 1)
-                sides[side]["calls"][w] = {m: v["value"] for m, v in traced["metrics"].items()
-                                           if m.endswith(".calls")}
+                sides[side]["counts"][w] = {m: v["value"] for m, v in traced["metrics"].items()
+                                            if v["unit"] in ("count", "ratio")}
             sides[side]["acceptance_s"] = median_of(criteria[side])
         pycache = any(glob.glob(os.path.join(c, "**", "__pycache__"), recursive=True)
                       for c in copies.values())

@@ -158,11 +158,6 @@ def fold(gamma: Gallery, i: int) -> Gallery:
     return Gallery(gamma.seq, tuple(bits))
 
 
-def conj_seq(s: ReflSeq, w: WeylElement) -> ReflSeq:
-    """The conjugated sequence s^w with (s^w)_i = w s_i w^-1."""
-    return ReflSeq(s.rs, tuple(conjugate_reflection(w, t) for t in s.entries))
-
-
 def twist_seq(s: ReflSeq, bits: Bits) -> ReflSeq:
     """s^(gamma) for the gallery of s with pattern bits: entry i is gamma^i s_i (gamma^i)^-1."""
     if len(bits) != len(s):
@@ -234,10 +229,29 @@ def is_gallery_type(s: ReflSeq) -> Gallerification | None:
 
 
 def verify_gallerification(s: ReflSeq, cert: Gallerification) -> None:
-    """Check t^(gamma) = s^x entrywise; raise if the certificate is unsound."""
-    lhs = twist_seq(cert.t, cert.gamma.bits)
-    rhs = conj_seq(s, cert.x)
-    if lhs.entries != rhs.entries:
+    """Check t^(gamma) = s^x entrywise; raise if the certificate is unsound.
+
+    Both sides are compared as lists of reflection indices, with no sequence
+    built: entry i of t^(gamma) is gamma^(i-1) t_i (gamma^(i-1))^-1, read
+    off a running prefix permutation, and entry i of s^x is x s_i x^-1.  A
+    gallery of another length than t is refused as `twist_seq` refuses it,
+    an x of another system than a nonempty s as `conjugate_reflection`
+    does, and a t of another system than a nonempty s fails the equation.
+    """
+    t, bits, x = cert.t, cert.gamma.bits, cert.x
+    if len(bits) != len(t):
+        raise InvalidInputError("gallery length does not match its sequence")
+    if s.entries:
+        s.rs.require_same(x.rs, "mismatched root systems")
+    half = len(t.rs.roots) // 2
+    w, lhs = t.rs.identity().perm, []
+    for ti, bit in zip(t.entries, bits):
+        # gamma^i t_i (gamma^i)^-1 = gamma^(i-1) t_i (gamma^(i-1))^-1
+        lhs.append(w[ti.index] % half)
+        if bit:
+            w = tuple(map(w.__getitem__, ti.as_weyl().perm))
+    rhs = [x.perm[si.index] % half for si in s.entries]
+    if lhs != rhs or (rhs and t.rs != s.rs):
         raise VerificationError("gallerification fails t^(gamma) = s^x")
-    if not cert.t.all_simple():
+    if not t.all_simple():
         raise VerificationError("gallerification sequence is not simple")

@@ -13,6 +13,8 @@ bijection on bit patterns.
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 from .errors import MAX_LENGTH, InvalidInputError, PropertyViolationError, Value, check_bound
 from .gallery import (
     Bits,
@@ -22,7 +24,7 @@ from .gallery import (
     is_gallery_type,
     serialize_bits,
 )
-from .rootsys import WeylElement
+from .rootsys import WeylElement, inverse_perm
 
 Pair = tuple[int, int]
 
@@ -208,7 +210,7 @@ def fixed_points(plan: NestedPlan) -> list[Bits]:
     n = len(seq)
     check_bound("sequence length", n, MAX_LENGTH)
     steps = [t.as_weyl().perm for t in seq.entries]
-    opens = {a - 1: plan.labels[(a, b)].inv().perm for a, b in plan.pairs}
+    opens = {a - 1: inverse_perm(plan.labels[(a, b)].perm) for a, b in plan.pairs}
     closes = {b - 1 for _, b in plan.pairs}
     # an entry is (bits, images, stack), a stack being None or (target, stack)
     start = ((), tuple(seq.rs.reflection(a).index for a in seq.rs.simple_roots), None)
@@ -254,14 +256,29 @@ class FactorCertificate(Value):
         return len(self.forward)
 
 
+def _picker(positions: list[int]):
+    """One itemgetter from g to the tuple of g's entries at `positions`.
+    An itemgetter of one index returns the bare entry, and one of none
+    cannot be made, so those two read a slice."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    return itemgetter(slice(positions[0], positions[0] + 1) if positions else slice(0))
+
+
 def factor_fixed_points(plan: NestedPlan, F: FSelection) -> FactorCertificate:
     """Build and verify the explicit factoring of the constrained gallery set.
 
     A gallery maps to its bit restriction to the surviving positions (a
-    gallery over s^F) together with its restrictions to each [f].  Raises
-    PropertyViolationError if the map fails to be a bijection onto the
-    product, which would falsify the implementation.  An invalid plan, or
-    an F outside it, is refused by `project`.
+    gallery over s^F) together with its restrictions to each [f].  The
+    images are read by itemgetters over the whole source list, and the map
+    is checked set by set: every base lies in Gamma(s^F, v^F) and every
+    part in its Gamma(s_f, v_f) (membership), no image repeats
+    (injectivity), and there are as many galleries as the product has
+    elements (surjectivity).  Only when membership or injectivity fails
+    does one scan in source order name the first gallery at fault.
+    Raises PropertyViolationError if the map fails to be a bijection onto
+    the product, which would falsify the implementation.  An invalid plan,
+    or an F outside it, is refused by `project`.
     """
     base_plan = project(plan, F)
     fibre_plans = tuple(fibre_data(plan, f) for f in F.pairs)
@@ -271,20 +288,14 @@ def factor_fixed_points(plan: NestedPlan, F: FSelection) -> FactorCertificate:
     base_set = set(fixed_points(base_plan))
     fibre_sets = [set(fixed_points(fp)) for fp in fibre_plans]
 
-    forward: dict[Bits, tuple[Bits, tuple[Bits, ...]]] = {}
-    seen_images: set = set()
-    for g in source:
-        base = tuple(g[i] for i in survivors)
-        parts = tuple(g[f[0] - 1:f[1]] for f in F.pairs)
-        if base not in base_set or any(p not in s for p, s in zip(parts, fibre_sets)):
-            raise PropertyViolationError(
-                f"image of gallery {serialize_bits(g)} lands outside the product")
-        key = (base, parts)
-        if key in seen_images:
-            raise PropertyViolationError(
-                f"factoring map is not injective at {serialize_bits(g)}")
-        seen_images.add(key)
-        forward[g] = key
+    bases = list(map(_picker(survivors), source))
+    parts = [list(map(itemgetter(slice(a - 1, b)), source)) for a, b in F.pairs]
+    images = list(zip(bases, zip(*parts)))
+    if not (base_set.issuperset(bases)
+            and all(s.issuperset(p) for s, p in zip(fibre_sets, parts))
+            and len(set(images)) == len(images)):
+        raise PropertyViolationError(_first_fault(source, images, base_set, fibre_sets))
+    forward = dict(zip(source, images))
 
     expected = len(base_set)
     for s in fibre_sets:
@@ -293,6 +304,21 @@ def factor_fixed_points(plan: NestedPlan, F: FSelection) -> FactorCertificate:
         raise PropertyViolationError(
             f"factoring map not surjective: {len(forward)} != {expected}")
     return FactorCertificate(base_plan, fibre_plans, forward)
+
+
+def _first_fault(source: list[Bits], images: list, base_set: set,
+                 fibre_sets: list[set]) -> str:
+    """The refusal of the first gallery, in source order, whose image lands
+    outside the product or repeats an earlier image."""
+    seen = set()
+    for g, image in zip(source, images):
+        base, parts = image
+        if base not in base_set or any(p not in s for p, s in zip(parts, fibre_sets)):
+            return f"image of gallery {serialize_bits(g)} lands outside the product"
+        if image in seen:
+            return f"factoring map is not injective at {serialize_bits(g)}"
+        seen.add(image)
+    raise AssertionError("no gallery at fault")
 
 
 def restricted_seq(plan: NestedPlan, r: Pair) -> ReflSeq:

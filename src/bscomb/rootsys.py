@@ -222,7 +222,7 @@ class WeylElement(Value, compare=("perm",)):
         return WeylElement(self.rs, _times(self.rs, self.perm, other))
 
     def inv(self) -> "WeylElement":
-        return WeylElement(self.rs, _inverse(self.perm))
+        return WeylElement(self.rs, inverse_perm(self.perm))
 
     def is_identity(self) -> bool:
         return self.perm == self.rs.identity().perm
@@ -258,7 +258,8 @@ def _times(rs: RootSystem, perm: Perm, other: WeylElement) -> Perm:
     return tuple(map(perm.__getitem__, other.perm))
 
 
-def _inverse(perm: Perm) -> Perm:
+def inverse_perm(perm: Perm) -> Perm:
+    """The perm of w^-1 from the perm of w, as `WeylElement.inv` takes it."""
     inverse = [0] * len(perm)
     for k, image in enumerate(perm):
         inverse[image] = k
@@ -269,7 +270,7 @@ def quotient_perm(u: WeylElement, v: WeylElement, t: WeylElement) -> Perm:
     """The perm of (u v)^-1 t, as ((u * v).inv() * t).perm but with no
     element built; factors of different systems are refused as `*`
     refuses them."""
-    return _times(u.rs, _inverse(_times(u.rs, u.perm, v)), t)
+    return _times(u.rs, inverse_perm(_times(u.rs, u.perm, v)), t)
 
 
 class Reflection(Value, compare=("rs", "index")):

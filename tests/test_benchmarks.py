@@ -2,11 +2,14 @@
 once with timing switched off, so an API change that breaks one fails
 here rather than at the next measurement.  Every end-to-end record
 (BENCH_*.json, written by benchmarks/e2e.py) has the shape that script
-writes."""
+writes: from BENCH_35.json on it keeps every per-layer count and ratio of
+its traced runs under `counts`, where earlier records kept only the
+`*.calls` under `calls`."""
 
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from glob import glob
@@ -30,6 +33,10 @@ def test_microbenchmarks_run():
 
 WORKLOADS = {"certify", "cohomology", "morphisms", "cli"}
 METRICS = {"setup_s", "items_per_s", "item_p50_ms", "item_tail_ms", "peak_rss_mb"}
+FIRST_WITH_COUNTS = 35
+with open(os.path.join(ROOT, "BENCHMARK.json")) as _f:
+    # the per-layer metrics that are not times: counts and ratios
+    COUNTS = {m["name"] for m in json.load(_f)["per_layer"] if m["unit"] in ("count", "ratio")}
 
 
 @pytest.mark.parametrize("path", sorted(glob(os.path.join(ROOT, "BENCH_*.json"))),
@@ -44,12 +51,17 @@ def test_bench_record_has_every_key(path):
     for side in doc["sides"].values():
         assert side["rev"] and side["commit"]
         assert isinstance(side["src_lines"], int)
-        assert set(side["workloads"]) == WORKLOADS == set(side["calls"])
+        newer = int(re.search(r"BENCH_(\d+)", path).group(1)) >= FIRST_WITH_COUNTS
+        traced = side["counts" if newer else "calls"]
+        assert set(side["workloads"]) == WORKLOADS == set(traced)
         for run in side["workloads"].values():
             assert set(run["metrics"]) == METRICS
             assert run["digest"] and run["correct"] in (True, False)
             assert isinstance(run["failed"], int)
-        for calls in side["calls"].values():
-            assert calls and all(name.endswith(".calls") for name in calls)
+        for counts in traced.values():
+            if newer:
+                assert set(counts) == COUNTS
+            else:
+                assert counts and all(name.endswith(".calls") for name in counts)
         assert side["acceptance_s"] and all(
             isinstance(t, float) for t in side["acceptance_s"].values())

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -347,27 +348,53 @@ def test_unreadable_document_is_a_parse_error(capsys, tmp_path):
             assert err.startswith("error: bad JSON document"), argv
 
 
+# runs cli.main on its arguments, then prints the high-water mark of its
+# own memory (VmHWM, in KiB) to stderr.  On Linux ru_maxrss keeps the peak
+# of the process that forked the child across exec, so the child reads it
+PEAK_CHILD = ("import sys\n"
+              "from bscomb.cli import main\n"
+              "code = main(sys.argv[1:])\n"
+              "with open('/proc/self/status') as fh:\n"
+              "    print(next(line for line in fh if line.startswith('VmHWM:')), file=sys.stderr)\n"
+              "sys.exit(code)\n")
+
+
+def run_with_peak(argv, timeout):
+    """(completed process, VmHWM in KiB) of cli.main(argv) in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run([sys.executable, "-c", PEAK_CHILD, *argv],
+                          cwd=ROOT, env=env, capture_output=True, timeout=timeout)
+    return proc, int(proc.stderr.split()[-2])
+
+
 def test_fixed_points_at_length_bound():
     # 2^20 galleries with one constraint that only the full product can
     # check.  The sweep holds at most one level of bounded width per
-    # position, so the child, which prints its own peak RSS, stays small.
-    # On Linux ru_maxrss keeps the peak of the process that forked the child
-    # across exec, so the child reads the high-water mark of its own memory
-    # (VmHWM, in KiB) instead.
+    # position, so the child stays small.
     plan = json.dumps({"root_system": "A4", "sequence": "s1 s2 s3 s4 " * 5,
                        "pairs": [[1, 20]], "labels": {"1-20": "e"}})
-    child = ("import sys\n"
-             "from bscomb.cli import main\n"
-             "code = main(sys.argv[1:])\n"
-             "with open('/proc/self/status') as fh:\n"
-             "    print(next(line for line in fh if line.startswith('VmHWM:')), file=sys.stderr)\n"
-             "sys.exit(code)\n")
-    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
-    proc = subprocess.run([sys.executable, "-c", child, "fixed-points", plan],
-                          cwd=ROOT, env=env, capture_output=True, timeout=15)
+    proc, kib = run_with_peak(["fixed-points", plan], timeout=15)
     assert proc.returncode == 0
-    kib = int(proc.stderr.split()[-2])
     assert kib < 64 * 1024
+
+
+def test_factoring_at_length_bound():
+    # 2^19 fixed points, factored along (1, 2), whose label e holds exactly
+    # when s1 s1 is taken whole or not at all: the source list, its images
+    # and the sets that check them are all held at once.  Building the
+    # images as columns of the source would peak above 500 MB
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("VmHWM is read from /proc/self/status")
+    plan = json.dumps({"root_system": "A2", "sequence": "s1 s1" + " s1 s2" * 9,
+                       "pairs": [[1, 2]], "labels": {"1-2": "e"}})
+    start = time.perf_counter()
+    proc, kib = run_with_peak(["project", plan, "--pairs", "1-2", "--check-fixed-points"],
+                              timeout=60)
+    assert time.perf_counter() - start < 20
+    assert proc.returncode == 0
+    assert proc.stdout.decode().splitlines()[-1] == (
+        "fixed points factor: verified (524288 galleries)")
+    assert kib <= 480 * 1024
 
 
 def test_fixed_points_a9(capsys):

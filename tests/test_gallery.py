@@ -18,7 +18,6 @@ from bscomb.gallery import (
     Gallerification,
     ReflSeq,
     _attached,
-    conj_seq,
     fold,
     galleries,
     is_gallery_type,
@@ -110,9 +109,14 @@ def test_twist_refuses_pattern_of_other_length(a2, bits):
         twist_seq(s, bits)
 
 
-def test_conj_seq_identity(a2):
+def _conj(s, w):
+    """The conjugated sequence s^w, (s^w)_i = w s_i w^-1."""
+    return ReflSeq(s.rs, tuple(conjugate_reflection(w, t) for t in s.entries))
+
+
+def test_conj_reference_identity(a2):
     s = simple_seq(a2, 1, 2)
-    assert conj_seq(s, a2.identity()).entries == s.entries
+    assert _conj(s, a2.identity()).entries == s.entries
 
 
 def test_empty_sequence_certificate(a2):
@@ -152,6 +156,72 @@ def test_verify_rejects_bad_certificate(a2):
         verify_gallerification(s, wrong)
 
 
+def _reference_verify(s, cert):
+    """The check t^(gamma) = s^x on the two sequences themselves."""
+    if twist_seq(cert.t, cert.gamma.bits).entries != _conj(s, cert.x).entries:
+        raise VerificationError("gallerification fails t^(gamma) = s^x")
+    if not cert.t.all_simple():
+        raise VerificationError("gallerification sequence is not simple")
+
+
+def _verdict(check, s, cert):
+    try:
+        check(s, cert)
+    except Exception as e:  # the class and the text are compared
+        return type(e), str(e)
+    return None
+
+
+VERIFY_SYSTEMS = [("A", 2), ("B", 2), ("A", 3), ("B", 3)]
+BREAKS = ["none", "flip-bit", "x-times-simple", "non-simple-t", "t-of-other-system",
+          "x-of-other-system", "shorter-t", "shorter-t-and-gamma"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(VERIFY_SYSTEMS), st.sampled_from(VERIFY_SYSTEMS),
+       st.sampled_from(BREAKS), st.data())
+def test_verify_matches_sequence_reference(system, other, broken, data):
+    """verify_gallerification gives the verdict, the exception class and the
+    text of the check on whole sequences, for sound certificates
+    s = (t^(gamma))^(x^-1) and for each way of breaking one."""
+    rs, far = build_root_system(*system), build_root_system(*other)
+    simple = [rs.reflection(a) for a in rs.simple_roots]
+    n = data.draw(st.integers(0, 8))
+    t = ReflSeq(rs, tuple(data.draw(st.sampled_from(simple)) for _ in range(n)))
+    bits = tuple(data.draw(st.booleans()) for _ in range(n))
+    x = data.draw(st.sampled_from(enumerate_weyl(rs)))
+    s = _conj(twist_seq(t, bits), x.inv())
+    cert = Gallerification(x, t, Gallery(t, bits))
+    k = data.draw(st.integers(0, max(n - 1, 0)))
+    if broken == "flip-bit" and n:
+        flipped = bits[:k] + (not bits[k],) + bits[k + 1:]
+        cert = Gallerification(x, t, Gallery(t, flipped))
+    elif broken == "x-times-simple":
+        j = data.draw(st.integers(1, rs.rank))
+        cert = Gallerification(x * rs.simple_reflection(j), t, cert.gamma)
+    elif broken == "non-simple-t" and n:
+        other_refl = data.draw(st.sampled_from(
+            [r for r in rs.reflections if not r.is_simple()]))
+        u = ReflSeq(rs, t.entries[:k] + (other_refl,) + t.entries[k + 1:])
+        cert = Gallerification(x, u, Gallery(u, bits))
+    elif broken == "t-of-other-system":
+        u = ReflSeq(far, tuple(far.reflections[e.index % (len(far.roots) // 2)]
+                               for e in t.entries))
+        cert = Gallerification(x, u, Gallery(u, bits))
+    elif broken == "x-of-other-system":
+        cert = Gallerification(data.draw(st.sampled_from(enumerate_weyl(far))), t, cert.gamma)
+    elif broken == "shorter-t" and n:
+        # the certificate's gallery keeps the longer pattern
+        cert = Gallerification(x, t.truncated(), cert.gamma)
+    elif broken == "shorter-t-and-gamma" and n:
+        u = t.truncated()
+        cert = Gallerification(x, u, Gallery(u, bits[:-1]))
+    verdict = _verdict(verify_gallerification, s, cert)
+    assert verdict == _verdict(_reference_verify, s, cert)
+    if broken == "none":
+        assert verdict is None
+
+
 def test_prefix_out_of_range(a2):
     s = simple_seq(a2, 1)
     g = Gallery(s, (True,))
@@ -168,8 +238,8 @@ def test_twist_of_conjugate(data):
     s = data.draw(st.sampled_from(seqs))
     w = data.draw(st.sampled_from(enumerate_weyl(rs)))
     bits = tuple(data.draw(st.booleans()) for _ in range(3))
-    lhs = twist_seq(conj_seq(s, w), bits)
-    rhs = conj_seq(twist_seq(s, bits), w)
+    lhs = twist_seq(_conj(s, w), bits)
+    rhs = _conj(twist_seq(s, bits), w)
     assert lhs.entries == rhs.entries
 
 
@@ -261,7 +331,7 @@ def fresh_sequences(draw):
     t = ReflSeq(rs, tuple(draw(st.sampled_from(simple)) for _ in range(n)))
     bits = tuple(draw(st.booleans()) for _ in range(n))
     x = draw(st.sampled_from(enumerate_weyl(rs)))
-    return conj_seq(twist_seq(t, bits), x.inv())
+    return _conj(twist_seq(t, bits), x.inv())
 
 
 @settings(max_examples=150, deadline=None)
@@ -297,9 +367,9 @@ def test_gallery_type_matches_reference(system, length):
 
 
 def test_gallery_type_walk_multiplies_no_weyl_elements():
-    # the pass reads integer tables of chamber indices: a negative answer
-    # at length 16 makes no Weyl product, and a positive one makes only
-    # those of its certificate check, one per crossing of twist_seq
+    # the pass reads integer tables of chamber indices and the certificate
+    # check composes raw permutations: neither a negative answer at length
+    # 16 nor a positive one makes a Weyl product
     rs = RootSystem("B", 3)  # a fresh system, with no table built yet
 
     def fresh(text):
@@ -320,8 +390,8 @@ def test_gallery_type_walk_multiplies_no_weyl_elements():
         assert is_gallery_type(negative) is None
         assert calls == []
         cert = is_gallery_type(positive)
-    assert cert is not None
-    assert 0 < len(calls) <= sum(cert.gamma.bits)
+    assert cert is not None and sum(cert.gamma.bits) > 0
+    assert calls == []
 
 
 def test_gallery_type_keeps_no_answers():
@@ -343,7 +413,7 @@ def test_gallery_type_keeps_no_answers():
         else:
             t = ReflSeq(rs, tuple(rng.choice(simple) for _ in range(n)))
             bits = tuple(rng.random() < 0.5 for _ in range(n))
-            s = conj_seq(twist_seq(t, bits), rng.choice(order).inv())
+            s = _conj(twist_seq(t, bits), rng.choice(order).inv())
         seqs[s.entries] = s
     found = sum(is_gallery_type(s) is not None for s in seqs.values())
     assert 900 <= found < 2000

@@ -571,3 +571,78 @@ def test_invalid_plan_refused_alike_everywhere(a2, pairs, message):
         with pytest.raises(InvalidInputError) as info:
             call()
         assert str(info.value) == f"invalid nested structure ({message})"
+
+
+def _two_fibre_plan():
+    # F = ((2, 4), (5, 7)) inside (1, 8): 8 = 2 * 2 * 2 fixed points
+    a2 = build_root_system("A", 2)
+    return make_plan(a2, (1, 2, 1, 2, 2, 1, 2, 1), [(1, 8), (2, 4), (5, 7)],
+                     [(1,), (2,), (2,)])
+
+
+def _drop(k):
+    return lambda points: points[:k] + points[k + 1:]
+
+
+def _add_foreign(points):
+    """The points and the first pattern of their length that is not one of them."""
+    n = len(points[0])
+    return points + [next(p for p in product((False, True), repeat=n) if p not in points)]
+
+
+def _repeat(k, at):
+    """The points with a second copy of points[k] inserted at position `at`."""
+    return lambda points: points[:at] + [points[k]] + points[at:]
+
+
+def _factor_with_edits(plan, F, edits):
+    """factor_fixed_points(plan, F) with each edit applied to the fixed points
+    of one plan it asks for: "source" is the plan itself, "base" its
+    projection, and k the fibre over F.pairs[k]."""
+    roles = [(plan, "source"), (project(plan, F), "base"),
+             *((fibre_data(plan, f), k) for k, f in enumerate(F.pairs))]
+    real = nested.fixed_points
+
+    def edited(p):
+        role = next(r for q, r in roles if q == p)
+        return edits[role](real(p)) if role in edits else real(p)
+
+    with mock.patch.object(nested, "fixed_points", edited):
+        return factor_fixed_points(plan, F)
+
+
+@pytest.mark.parametrize("which, selection, edits, message", [
+    ("sl5", [(2, 6)], {"base": _drop(0)},
+     "image of gallery 0000100011 lands outside the product"),
+    ("sl5", [(2, 6)], {"base": _drop(4)},
+     "image of gallery 1000101110 lands outside the product"),
+    ("sl5", [(2, 6)], {0: _drop(4)},
+     "image of gallery 0111110011 lands outside the product"),
+    ("two", [(2, 4), (5, 7)], {1: _drop(1)},
+     "image of gallery 00011001 lands outside the product"),
+    ("sl5", [(2, 6)], {"source": _repeat(3, 10)},
+     "factoring map is not injective at 0010000011"),
+    ("two", [(2, 4), (5, 7)], {"source": _repeat(0, 8)},
+     "factoring map is not injective at 00010011"),
+    # the first gallery at fault in source order is named, whichever check it fails
+    ("sl5", [(2, 6)], {"source": _repeat(1, 2), "base": _drop(4)},
+     "factoring map is not injective at 0000101001"),
+    ("sl5", [(2, 6)], {"source": _repeat(8, 20), "base": _drop(4)},
+     "image of gallery 1000101110 lands outside the product"),
+    ("sl5", [(2, 6)], {"base": _add_foreign}, "factoring map not surjective: 25 != 30"),
+    ("sl5", [(2, 6)], {0: _add_foreign}, "factoring map not surjective: 25 != 30"),
+    ("two", [(2, 4), (5, 7)], {1: _add_foreign}, "factoring map not surjective: 8 != 12"),
+    ("two", [(2, 4), (5, 7)], {"base": _add_foreign, 0: _add_foreign},
+     "factoring map not surjective: 8 != 18"),
+], ids=["base-drops-first", "base-drops-last", "fibre-drops", "second-fibre-drops",
+        "source-repeats", "source-repeats-last", "repeat-before-outside",
+        "outside-before-repeat", "base-adds", "fibre-adds", "second-fibre-adds",
+        "base-and-fibre-add"])
+def test_factoring_refusals_name_the_first_fault(sl5_plan, which, selection, edits, message):
+    # no correct plan reaches these refusals: the fixed points of the plan,
+    # its projection or a fibre are edited so that the factoring map fails
+    plan = sl5_plan if which == "sl5" else _two_fibre_plan()
+    F = FSelection.of(plan, selection)
+    with pytest.raises(PropertyViolationError) as info:
+        _factor_with_edits(plan, F, edits)
+    assert str(info.value) == message
