@@ -3,16 +3,8 @@
 Root systems and Weyl groups, combinatorial galleries with gallery-type
 certificates, nested-structure projections with verified counting
 bijections, a GKM-style fixed-point model of equivariant cohomology with a
-triangular basis, and folding-category morphisms.  All arithmetic is exact
-(integers and rationals).
-
-Every layer module except `cli` is registered in `sys.modules` at import
-through `importlib.util.LazyLoader`, and is compiled and run the first time
-one of its attributes is read.  So `import bscomb` runs no layer, and a CLI
-command runs only the layers it uses.  The public names below resolve on
-first access (PEP 562), each from the one layer that defines it.  Before
-Python 3.12 a lazy module's first load is not thread-safe, so a threaded
-caller should touch the layers it needs before starting threads.
+triangular basis, and folding-category morphisms, in exact arithmetic.
+Every layer module except `cli` runs on first use of one of its names.
 """
 
 import importlib.util

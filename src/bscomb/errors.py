@@ -34,17 +34,19 @@ class Value:
     """Base of the library's immutable value types.
 
     A subclass names its fields in `__slots__`, with "__dict__" where a
-    `cached_property` needs one.  For each subclass one setter, `_fill`, is
+    `cached_property` needs one.  For each subclass two functions are
     written from those names, as `collections.namedtuple` writes its
-    `__new__`: `_fill(self, f1, ..., fk)` sets each field once, past the
-    `__setattr__` that refuses assignment.  A subclass without its own
-    `__init__` takes `_fill` as its constructor, so its signature lists
-    the fields in order; one that checks its arguments stores them in one
-    `self._fill(...)`.  Equality and the hash read one tuple of fields,
-    the class's key: every field, or those the class statement
-    names (`compare=`), so the hash is the hash of that tuple.  A field
-    cannot be set or deleted afterwards; `copy`, `deepcopy` and `pickle`
-    restore the fields through `__setstate__`, or a class's own `__reduce__`.
+    `__new__`: the setter `_fill(self, f1, ..., fk)`, which sets each field
+    once past the `__setattr__` that refuses assignment, and the maker
+    `_trusted(f1, ..., fk)`, which makes a new value from fields the
+    library has made valid itself, not checked and not copied.  A subclass
+    without its own `__init__` takes `_fill` as its constructor, so its
+    signature lists the fields in order; one that checks its arguments
+    stores them in one `self._fill(...)`.  Equality and the hash read one
+    tuple of fields, the class's key: every field, or those the class
+    statement names (`compare=`), so the hash is the hash of that tuple.
+    `copy`, `deepcopy` and `pickle` rebuild a value through `_trusted`,
+    with no `__dict__`, unless its class has its own `__reduce__`.
     """
 
     __slots__ = ()
@@ -55,11 +57,15 @@ class Value:
         # an attrgetter is not a descriptor, so self._key(v) reads v's key;
         # of one name it returns the bare field, hashed as a 1-tuple
         cls._key, cls._one = attrgetter(*names), len(names) == 1
+        cls._fields, args = tuple(fields), ", ".join(fields)
         body = "".join(f"\n    _set(self, {name!r}, {name})" for name in fields)
-        namespace = {"_set": object.__setattr__, "__name__": cls.__module__}
-        exec(f"def _fill(self, {', '.join(fields)}):{body}", namespace)
-        cls._fill = namespace["_fill"]
-        cls._fill.__qualname__ = f"{cls.__qualname__}._fill"
+        namespace = {"_set": object.__setattr__, "_new": object.__new__, "_cls": cls,
+                     "__name__": cls.__module__}
+        exec(f"def _fill(self, {args}):{body}\n"
+             f"def _trusted({args}):\n    self = _new(_cls){body}\n    return self", namespace)
+        for name in ("_fill", "_trusted"):
+            namespace[name].__qualname__ = f"{cls.__qualname__}.{name}"
+        cls._fill, cls._trusted = namespace["_fill"], staticmethod(namespace["_trusted"])
         if "__init__" not in cls.__dict__:
             cls.__init__ = cls._fill
 
@@ -78,15 +84,11 @@ class Value:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
-    def __setstate__(self, state):
-        # (the __dict__ or None, the slots), as object.__getstate__ gives them
-        for part in state:
-            for name, value in (part or {}).items():
-                object.__setattr__(self, name, value)
+    def __reduce__(self):
+        return self._trusted, tuple(getattr(self, name) for name in self._fields)
 
     def __repr__(self):
-        fields = (f"{name}={getattr(self, name)!r}" for name in self.__slots__
-                  if name != "__dict__")
+        fields = (f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__name__}({', '.join(fields)})"
 
 
@@ -121,10 +123,10 @@ class NotInSpanError(BscombError):
     """
     exit_code = 4
 
-    def __init__(self, subset, remainder, message=None):
+    def __init__(self, subset, remainder):
         self.subset = subset
         self.remainder = remainder
-        super().__init__(message or f"not in span: division fails at {sorted(subset)}")
+        super().__init__(f"not in span: division fails at {sorted(subset)}")
 
 
 class VerificationError(BscombError):

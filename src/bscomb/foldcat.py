@@ -39,9 +39,6 @@ class MorphismViolation(Value):
 
     __slots__ = ("condition", "bits", "position")
 
-    def __init__(self, condition: str, bits: Bits, position: int | None = None):
-        self._fill(condition, bits, position)
-
     def __str__(self):
         where = f" at position {self.position}" if self.position is not None else ""
         return f"{self.condition} fails at gallery {serialize_bits(self.bits)}{where}"
@@ -86,12 +83,9 @@ class Morphism(Value, compare=("source", "target", "p", "w", "phi")):
 
 def _morphism(source: ReflSeq, target: ReflSeq, p: tuple[int, ...],
               w: WeylElement, phi: dict[Bits, Bits]) -> Morphism:
-    """The Morphism of a table this module has just built, uncopied and
-    unchecked: `compose` and `enumerate_morphisms` make p, w and the systems
-    valid by construction, and no one else holds the table."""
-    m = object.__new__(Morphism)
-    m._fill(source, target, p, w, MappingProxyType(phi), False)
-    return m
+    """The unverified Morphism of a table this module has just built, in a
+    read-only view."""
+    return Morphism._trusted(source, target, p, w, MappingProxyType(phi), False)
 
 
 def _rebuild(verified: bool, *fields) -> Morphism:
@@ -113,21 +107,22 @@ def verify_morphism(m: Morphism) -> MorphismViolation | None:
     w s_beta w^-1 = s_{w(beta)}, so the wall equation at (gamma, i) compares
     the target's twist entry p(i) with w's image of the source's entry i, up
     to sign.  phi's keys must be the source's patterns (else phi-total), and
-    each image is checked for the target's length (else phi-shape) when the
-    pass reaches its gallery.  On success the verified flag is set in place.
+    each image one of the target's (else phi-shape) when the pass reaches
+    its gallery.  On success the verified flag is set in place.
     """
     check_bound("morphism sequence length", max(len(m.source), len(m.target)),
                 MAX_MORPHISM_LENGTH)
     phi, rows = m.phi, m.source.twists
     if phi.keys() != rows.keys():
-        return MorphismViolation("phi-total", ())
-    tgt, perm, nt = m.target.twists, m.w.perm, len(m.target)
+        return MorphismViolation("phi-total", (), None)
+    tgt, perm = m.target.twists, m.w.perm
     half = len(perm) // 2
     for bits, src in rows.items():
         image = phi[bits]
-        if len(image) != nt:
-            return MorphismViolation("phi-shape", bits)
-        row = tgt[image]
+        try:
+            row = tgt[image]
+        except (KeyError, TypeError):  # not one of the target's patterns
+            return MorphismViolation("phi-shape", bits, None)
         for i, j in enumerate(m.p, start=1):
             if row[j - 1] != perm[src[i - 1]] % half:
                 return MorphismViolation("wall-equation", bits, i)
@@ -249,5 +244,5 @@ def verify_pointed(pm: PointedMorphism) -> MorphismViolation | None:
     phi, tgt = m.phi, m.target.prefixes[len(m.target)]
     for bits, u in m.source.prefixes[len(m.source)].items():
         if tgt[phi[bits]].perm != tuple(map(w, map(u.perm.__getitem__, c))):
-            return MorphismViolation("pointed-condition", bits)
+            return MorphismViolation("pointed-condition", bits, None)
     return None

@@ -42,10 +42,6 @@ class ReflSeq(Value):
         for t in self.entries:
             rs.require_same(t.rs, "sequence entry from a different root system")
 
-    def __reduce__(self):
-        # copies and pickles rebuild from the fields, without the cached tables
-        return ReflSeq, (self.rs, self.entries)
-
     def __len__(self):
         return len(self.entries)
 
@@ -188,20 +184,12 @@ def _attached(rs: RootSystem, r: int) -> dict[int, int]:
 def is_gallery_type(s: ReflSeq) -> Gallerification | None:
     """The first gallerification of s, or None if no labelled gallery exists.
 
-    States are chambers u.Delta+ encoded by Weyl elements u, numbered in
-    enumerate_weyl order.  At position i the current chamber must be
-    attached to the wall of s_i, which makes t_i = u^-1 s_i u = s_j simple;
-    the gallery then stays (gamma_i = 1) or crosses to its partner s_i u =
-    u s_j (gamma_i = t_i), again attached.  One backward pass finds
-    alive[i], the chambers from which positions i+1..n can be completed:
-    alive[n] is every chamber, and alive[i] is A with the partner of each
-    chamber in A, where A = alive[i+1] intersected with the chambers
-    attached at i.  The answer is None once some alive[i] is empty.
-    Otherwise the certificate starts at the first chamber u0 of alive[0],
-    x = u0^-1, and stays wherever it can: the first certificate of a search
-    over start chambers in enumerate_weyl order, stay before cross.  Only
-    the certificate is built of Weyl elements and reflection sequences, and
-    it is verified before it is returned; nothing is kept between calls.
+    One backward pass over chambers in enumerate_weyl order finds alive[i],
+    the chambers from which positions i+1..n can be completed.  The
+    certificate starts at the first chamber u0 of alive[0], x = u0^-1, and
+    stays wherever it can: the first certificate of a search over start
+    chambers in enumerate_weyl order, stay before cross.  It is verified
+    before it is returned, and nothing is kept between calls.
     """
     rs = s.rs
     order = enumerate_weyl(rs)

@@ -2,15 +2,9 @@
 
 Classes are functions from the gallery set Gamma(s) to the polynomial ring
 S = Sym of the rational weight lattice, with W acting by linear
-substitution.  The module provides the generator classes, the copy and
-concentration operators, a triangular basis of 2^n elements indexed by
-subsets of positions, and exact decomposition in its span.  Where W acts
-on a root, as in the basis, the concentration and its identity, the
-image is read from the system's root forms (`poly.root_forms`); only
-`generator` and `induced_map` act on general polynomials (`weyl_act`).
-Each value of a combination sum c_J B_J, and each residue of a
-decomposition, is one multiply-accumulate (`poly.mul_add`) over the
-nonzero values of the B_J.
+substitution: generator classes, the copy and concentration operators, a
+triangular basis of 2^n elements indexed by subsets of positions, and
+exact decomposition in its span.
 """
 
 from __future__ import annotations
@@ -37,18 +31,11 @@ from .rootsys import WeylElement
 
 class FPFunction(Value, compare=("values",)):
     """A function Gamma(s) -> S, stored as a total table keyed by bits.
-    Equal by its table alone; the table is not hashed, so every function
-    hashes alike.  The table is a read-only view, of a private copy of the
-    one the constructor is given, so a checked value cannot be replaced.
-
-    The constructor checks that the table's keys are s's patterns and that
-    every value is in S of s's system; every caller outside this module
-    builds through it.  The tables that `basis`, `copy`, `concentrate`,
-    `combine` and `generator` write skip that check and the copy
-    (`_table`): their keys are s.patterns, or a `Basis`'s columns, which
-    `basis` wrote from them, and each value is a root form, a value of a
-    checked function, or a product or sum of these, which `mul_add` and
-    `weyl_act` check for the rank."""
+    Equal by its table alone, which is not hashed, so every function
+    hashes alike.  The table is a read-only view of a private copy of the
+    one the constructor is given, whose keys must be s's patterns and whose
+    values must be in S of s's system; only the tables this module writes
+    itself skip the check and the copy (`_table`)."""
 
     __slots__ = ("seq", "values")
 
@@ -73,11 +60,9 @@ class FPFunction(Value, compare=("values",)):
 
 
 def _table(s: ReflSeq, values: dict[Bits, Poly]) -> FPFunction:
-    """The FPFunction of a table this module wrote over s.patterns,
-    uncopied and unchecked."""
-    f = object.__new__(FPFunction)
-    f._fill(s, MappingProxyType(values))
-    return f
+    """The FPFunction of a table this module wrote over s.patterns, in a
+    read-only view."""
+    return FPFunction._trusted(s, MappingProxyType(values))
 
 
 def generator(s: ReflSeq, i: int, w: WeylElement, c: Poly) -> FPFunction:
@@ -161,6 +146,13 @@ class Basis(tuple):
         self.seq, self.columns, self.divisors = seq, columns, divisors
         return self
 
+    def __reduce__(self):
+        # deepcopy and pickle rebuild through `basis`, which verifies again
+        return basis, (self.seq,)
+
+    def __copy__(self):
+        return self
+
 
 def _step(level: dict[frozenset[int], list[tuple[int, Poly]]], k: int,
           cross: list[Poly], times) -> dict[frozenset[int], list[tuple[int, Poly]]]:
@@ -177,25 +169,12 @@ def _step(level: dict[frozenset[int], list[tuple[int, Poly]]], k: int,
 def basis(s: ReflSeq) -> Basis:
     """The 2^n triangular basis, ordered by (|J|, sorted J).
 
-    B_J is built from the unit by copying (Delta) at positions outside J
-    and concentrating (nabla_t, t = s_k) at k in J, on sparse tables over
-    s: level k holds, for each J in {1..k}, the nonzero values over the
-    k-bit patterns as (pattern index, value) pairs in lexicographic order,
-    where a pattern's index is its bitmask (`_step`).  B_J vanishes off
-    {gamma : J subset supp(gamma)}, so the levels hold 3^n values, not 4^n.
-    Each crossing factor gamma^k(-alpha_k) is a root, read from
-    `root_forms`.  Every (factor, value) pair of a level is checked against
-    MAX_TERMS, in (J, pattern) order, and the sum over the pairs against
-    MAX_LEVEL_TERMS, before any of its products is made; each distinct
-    product is made once per call.  Every element is re-verified: its
-    value at gamma_J is the product of the forms prefix(gamma_J, i)(-alpha_i)
-    over i in J, and it has no entry off its support.  That product is
-    prepared as a divisor along the subset lattice: the divisor of J is
-    that of J - max J times one new form, which `linear_divisor` validates,
-    and its product is made by one plain `*`.  Each element's table is made
-    once, zero-filled over s.patterns, from the entries that also fill the
-    basis's columns, and unchecked (`_table`): its keys are s.patterns and
-    its values products of s's root forms.
+    Every (factor, value) pair of a level is checked against MAX_TERMS, in
+    (J, pattern) order, and the sum over the pairs against
+    MAX_LEVEL_TERMS, before any of the level's products is made.  Every
+    element is re-verified: its value at gamma_J is the product of the
+    forms prefix(gamma_J, i)(-alpha_i) over i in J, and it has no entry off
+    its support.
     """
     n = len(s)
     check_bound("basis sequence length", n, MAX_BASIS_LENGTH)

@@ -191,19 +191,10 @@ def fixed_points(plan: NestedPlan) -> list[Bits]:
     interval constraints, in lexicographic order.
 
     A live prefix of i bits carries (gamma^i)^-1 as its images of the rank
-    simple roots (root indices), which determine it.  Crossing s_i gives
-    (gamma^i)^-1 = s_i (gamma^(i-1))^-1, so the images are mapped through
-    s_i's root permutation.  Pair (a, b) holds exactly when (gamma^b)^-1 =
-    v_(a,b)^-1 (gamma^(a-1))^-1: that target is pushed on the prefix's
-    stack when a opens and compared and popped when b closes, which works
-    because pairs are nested or disjoint.  Endpoints are distinct, so at
-    most one pair opens and one closes at each position.
-
-    Every live prefix is extended one position at a time, stay before
-    cross, and each distinct crossing is computed once per level.  A
-    level wider than _WIDTH is swept one entry at a time, in order, so at
-    most n levels of bounded width are held.  Nothing enumerates W and
-    nothing is kept on the system.
+    simple roots.  Pair (a, b) holds exactly when (gamma^b)^-1 =
+    v_(a,b)^-1 (gamma^(a-1))^-1: that target is pushed when a opens and
+    compared when b closes.  A level wider than _WIDTH is swept one entry
+    at a time, so at most n levels of bounded width are held.
     """
     require_valid(plan)
     seq = plan.seq

@@ -1,28 +1,14 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
-Variables are the fundamental weights w1..wr of a root system; the
-cohomological degree of a class is twice the polynomial degree.  Simple
-roots embed linearly via the Cartan matrix (alpha_i = sum_j C[i][j] w_j),
-which makes the Weyl action an integral linear substitution.  Division is
-only ever by a product of linear forms, prepared once (`linear_divisor`):
-one pass of multivariate long division in the order that ranks the last
-variable highest, with a remainder test; no Groebner machinery.
-
-A monomial is packed into one non-negative int: each variable has a
-64-bit field, the first variable the most significant one, so integer
-order is the lex order of exponent tuples.  An exponent is at most
-`errors.MAX_EXPONENT` = 2^63 - 1, so the top bit of every field (the
-guard mask, `_guard`) is clear: the product of two monomials is their
-sum, which cannot carry out of a field, and a set guard bit in it is an
-exponent past the bound, refused with exit 3.  Divisibility and the
-quotient monomial are one subtraction each, against the guard mask.
-`Poly.terms` decodes the packed terms into exponent tuples for display
-and for callers; the library itself reads `Poly.packed`.
-
-A coefficient is stored as an `int` when it is integral and as a
-`Fraction` only otherwise, so that the common integral case runs on
-machine-speed integers; every constructor and operation normalises its
-result, and the sorted term tuple is canonical.
+Variables are the fundamental weights w1..wr of a root system; simple
+roots embed via the Cartan matrix (alpha_i = sum_j C[i][j] w_j), so the
+Weyl action is an integral linear substitution.  A monomial is packed into
+one non-negative int, a 64-bit field per variable with the first variable
+most significant, so integer order is the lex order of exponent tuples
+and a product of monomials is their sum; a set top bit of a field (the
+guard mask, `_guard`) is an exponent past `errors.MAX_EXPONENT`.  A
+coefficient is an `int` when integral and a `Fraction` only otherwise,
+and every result's sorted term tuple is canonical.
 """
 
 from __future__ import annotations
@@ -87,11 +73,9 @@ def _check_exponents(nvars: int, monomials: Iterable[int]) -> None:
 def _canon(nvars: int, d: dict[int, Coeff]) -> "Poly":
     """The polynomial of an arithmetic result, unchecked: nonzero terms,
     sorted, with integral Fractions turned back into ints."""
-    p = object.__new__(Poly)
-    p._fill(nvars, tuple(sorted([
+    return Poly._trusted(nvars, tuple(sorted([
         (m, c if type(c) is int or c.denominator != 1 else c.numerator)
         for m, c in d.items() if c])))
-    return p
 
 
 def mul_add(base: "Poly", pairs: Iterable[tuple["Poly", "Poly"]], sign: int = 1) -> "Poly":
@@ -278,28 +262,14 @@ def linear_divisor(ell: Poly, times: Divisor | None = None) -> Divisor:
 
 
 def divide_linear(p: Poly, divisor: Divisor) -> tuple[Poly, Poly]:
-    """Divide p by a product of linear forms prepared by `linear_divisor`,
-    which validates each form; returns (quotient, remainder), the remainder with
-    no term divisible by the divisor's leading term in the order that ranks
-    the last variable highest, and zero exactly when the divisor divides p.
-    For a single linear form that term is in its last variable, the pivot.
-
-    One pass over a heap of the remaining terms, in descending pivot degree
-    and, within one degree, in ascending lex order (first variable first):
-    a term divisible by the leading term gives the quotient term that
-    cancels it, and subtracting that term times the other terms of the
-    divisor only adds terms the heap takes later, since each other term of
-    a product of linear forms moves exponent from later variables to
-    earlier ones.  So each term is taken once, and the result is the
-    unique quotient and remainder of the division algorithm in that order.
-    On packed monomials, m is divisible by the lead exactly when
-    subtracting the lead from m with every guard bit set clears none of
-    them, and the pivot degree is one shift and one mask; a new term with
-    a guard bit set has an exponent past the bound and is refused.
-    A quotient past MAX_TERMS is refused, checked after each pivot degree
-    and whenever a subtraction adds a term to the current degree, which a
-    product of linear forms in three or more variables can do again and
-    again within one degree.
+    """Divide p by a product of linear forms prepared by `linear_divisor`;
+    returns (quotient, remainder), the remainder with no term divisible by
+    the divisor's leading term in the order that ranks the last variable
+    highest, so zero exactly when the divisor divides p.  One pass over a
+    heap of the remaining terms, in descending pivot degree, takes each
+    term once.  A quotient past MAX_TERMS is refused, checked after each
+    pivot degree and whenever a subtraction adds a term to the current
+    degree, and so is a new term with an exponent past the bound.
     """
     d = divisor
     nvars, lead, a = p.nvars, d.lead, d.coeff
@@ -319,6 +289,7 @@ def divide_linear(p: Poly, divisor: Divisor) -> tuple[Poly, Poly]:
             if -(level := key) < top:
                 break
         c = rest[m]
+        # lead divides m exactly when subtracting it with every guard bit set clears none
         if c and ((m | guard) - lead) & guard == guard:
             del rest[m]
             c = c // a if type(c) is int and type(a) is int and not c % a else Fraction(c, a)

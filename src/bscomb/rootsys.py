@@ -97,15 +97,8 @@ class RootSystem:
 
     Construct via :func:`build_root_system`; instances compare by (family,
     rank).  A system owns the tables of pure functions of it, each filled
-    on first use and kept as long as the system: the Weyl order, returned
-    uncopied, and the index of each u * s_j (`enumerate_weyl`, tuples of
-    rank*|W| entries), the chambers attached to each reflection's wall with
-    the chamber across it (`gallery._attached`, one table per reflection
-    asked, rank*|W| entries over all of them), and one linear form per root
-    (`poly.root_forms`).  No table grows with the queries asked.  A fresh
-    one starts empty.  Copies and pickles rebuild through
-    `build_root_system`, so they are the one cached system of their family
-    and rank, and carry none of the tables.
+    on first use and bounded by the system.  Copies and pickles rebuild
+    through `build_root_system`, and carry none of the tables.
     """
 
     def __init__(self, family: str, rank: int):

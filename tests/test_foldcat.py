@@ -85,21 +85,24 @@ def test_phi_keys_must_be_the_source_galleries(a1):
                 {(False,): good[(False,)]},
                 {**good, (True, True): (True, True)}):
         m = Morphism(s, target, (1,), e, phi)
-        assert verify_morphism(m) == MorphismViolation("phi-total", ()) == _reference_verify(m)
+        assert verify_morphism(m) == MorphismViolation("phi-total", (), None) == _reference_verify(m)
         assert not m.verified
 
 
 def test_phi_shape_is_found_in_pattern_order(a2):
-    # images of the wrong length are reported at the first such gallery in
-    # pattern order, whatever order the table was written in; one that an
-    # earlier gallery folds onto breaks that gallery's folding equation first
+    # images that are not target patterns (of the wrong length, of the right
+    # length but not bits, or not tuples) are reported at the first such
+    # gallery in pattern order, whatever order the table was written in; one
+    # that an earlier gallery folds onto breaks that gallery's folding equation first
     s = simple_seq(a2, 1, 2)
     good = subsequence_morphism(s, s, (1, 2)).phi
     first, last = (False, False), (True, True)
     backwards = {bits: good[bits] for bits in reversed(list(s.patterns))}
-    cases = [({**backwards, first: (False,)}, MorphismViolation("phi-shape", first)),
+    cases = [({**backwards, first: (False,)}, MorphismViolation("phi-shape", first, None)),
              ({**backwards, last: (True,), first: (False, False, False)},
-              MorphismViolation("phi-shape", first)),
+              MorphismViolation("phi-shape", first, None)),
+             ({**backwards, first: ("x", "y")}, MorphismViolation("phi-shape", first, None)),
+             ({**backwards, first: [False, False]}, MorphismViolation("phi-shape", first, None)),
              ({**backwards, last: (True,)}, MorphismViolation("folding-equation", (False, True), 1))]
     for phi, expect in cases:
         m = Morphism(s, s, (1, 2), a2.identity(), phi)
@@ -278,16 +281,16 @@ def _reference_verify(m):
     """verify_morphism as one twisted sequence per gallery, from twist_seq
     and prefix: the reference for the first violation reported.  phi must
     be defined on exactly the galleries of the source; then, gallery by
-    gallery in pattern order, its image must have the target's length
-    before the equations there are read."""
-    n, nt = len(m.source), len(m.target)
+    gallery in pattern order, its image must equal one of the target's
+    patterns before the equations there are read."""
+    n, patterns = len(m.source), list(m.target.patterns)
     if set(m.phi) != {gamma.bits for gamma in galleries(m.source)}:
-        return MorphismViolation("phi-total", ())
+        return MorphismViolation("phi-total", (), None)
     for gamma in galleries(m.source):
         src = twist_seq(m.source, gamma.bits)
         image = m.phi[gamma.bits]
-        if len(image) != nt:
-            return MorphismViolation("phi-shape", gamma.bits)
+        if image not in patterns:  # compared by ==, so a list is no pattern
+            return MorphismViolation("phi-shape", gamma.bits, None)
         tgt = twist_seq(m.target, image)
         for i in range(1, n + 1):
             j = m.p[i - 1]
@@ -309,7 +312,7 @@ def _reference_pointed(m, x, x_target):
         lhs = x_target * prefix(image, len(m.target)).inv()
         rhs = m.w * x * prefix(gamma, len(m.source)).inv() * m.w.inv()
         if lhs != rhs:
-            return MorphismViolation("pointed-condition", gamma.bits)
+            return MorphismViolation("pointed-condition", gamma.bits, None)
     return None
 
 
@@ -325,7 +328,7 @@ def _reference_pointed_loop(pm):
     tgt = m.target.prefixes[len(m.target)]
     for bits, u in m.source.prefixes[len(m.source)].items():
         if tgt[m.phi[bits]] != m.w * u * c:
-            return MorphismViolation("pointed-condition", bits)
+            return MorphismViolation("pointed-condition", bits, None)
     return None
 
 

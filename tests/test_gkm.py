@@ -985,17 +985,17 @@ def test_sparse_identity_check_matches_dense(s, rng):
 
 
 def test_unchecked_tables_would_pass_the_check():
-    # every table gkm builds past the FPFunction constructor's check has
-    # s.patterns as its keys, in order, and a value in S of s's system at
-    # each; the constructor accepts each one
-    made, table = [], gkm._table
+    # every table gkm builds past the FPFunction constructor's check, through
+    # the class's one unchecked maker, has s.patterns as its keys, in order,
+    # and a value in S of s's system at each; the constructor accepts each one
+    made, trusted = [], FPFunction._trusted
 
     def recording(s, values):
         made.append((s, values))
-        return table(s, values)
+        return trusted(s, values)
 
     rng, expected = random.Random(33), 0
-    with mock.patch.object(gkm, "_table", recording):
+    with mock.patch.object(FPFunction, "_trusted", staticmethod(recording)):
         for rs in SPARSE_SYSTEMS:
             for n in (1, 3, 5):
                 s = nonsimple_seq(rs.family, rs.rank, n)

@@ -7,16 +7,19 @@ A value hashes as the tuple of its hashed fields, and raises for it alike
 where that tuple holds a dict.
 """
 
+import ast
 import copy
 import inspect
+import pathlib
 import pickle
 
 import pytest
 
+import bscomb
 from bscomb import foldcat
 from bscomb.foldcat import Morphism, MorphismViolation, PointedMorphism, subsequence_morphism
 from bscomb.gallery import Gallerification, Gallery, is_gallery_type
-from bscomb.gkm import FPFunction, basis
+from bscomb.gkm import Basis, FPFunction, basis
 from bscomb.nested import FactorCertificate, FSelection, NestedPlan, Violation
 from bscomb.poly import Poly, linear_divisor, root_forms
 from bscomb.rootsys import (
@@ -79,7 +82,7 @@ VALUES = {
                           ["base_plan", "fibre_plans", "forward"]),
     "MorphismViolation": (MorphismViolation("wall-equation", (True,), 1),
                           MorphismViolation("wall-equation", (True,), 1),
-                          MorphismViolation("wall-equation", (True,)),
+                          MorphismViolation("wall-equation", (True,), None),
                           ["condition", "bits", "position"], ["condition", "bits", "position"]),
     # verified is not compared, and phi is compared but not hashed
     "Morphism": (EMBED, Morphism(ONE_POS, TWO_POS, (2,), RS.identity(), PHI),
@@ -128,6 +131,43 @@ def test_deepcopy_and_pickle_round_trip(name):
     for duplicate in (copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
         assert type(duplicate) is type(value) and duplicate == value
         assert hash_or_error(duplicate) == hash_or_error(value)
+
+
+def test_trusted_maker_sets_the_fields_unchecked():
+    # each class's maker takes every field in slot order and sets it as
+    # given, with no check and no copy; pickle finds it by its qualified name
+    for name, (value, *_) in VALUES.items():
+        cls, names = type(value), fields(value)
+        made = cls._trusted(*(getattr(value, f) for f in names))
+        assert type(made) is cls and made is not value
+        assert all(getattr(made, f) is getattr(value, f) for f in names)
+        assert list(inspect.signature(cls._trusted).parameters) == names
+        assert cls._trusted.__qualname__ == f"{name}._trusted"
+        assert pickle.loads(pickle.dumps(cls._trusted)) is cls._trusted
+    unchecked = WeylElement._trusted(RS, (0,))  # the constructor refuses this perm
+    assert unchecked.perm == (0,) and copy.copy(unchecked).perm == (0,)
+
+
+def test_values_skip_their_constructors_through_the_one_maker():
+    # object.__new__ is called in errors.py alone, where Value writes each
+    # class's `_trusted`; copies and pickles go through it, not __setstate__
+    for path in pathlib.Path(bscomb.__file__).parent.glob("*.py"):
+        nodes = list(ast.walk(ast.parse(path.read_text())))
+        news = [n for n in nodes if isinstance(n, ast.Attribute) and n.attr == "__new__"
+                and isinstance(n.value, ast.Name) and n.value.id == "object"]
+        assert not news or path.name == "errors.py", path.name
+        assert not any(isinstance(n, ast.FunctionDef) and n.name == "__setstate__"
+                       for n in nodes), path.name
+
+
+def test_basis_copies_are_the_basis_or_built_again():
+    # a copy is the basis itself; deepcopy and pickle rebuild through
+    # `basis`, which verifies every element again
+    assert copy.copy(B) is B
+    for duplicate in (copy.deepcopy(B), pickle.loads(pickle.dumps(B))):
+        assert type(duplicate) is Basis and duplicate is not B and duplicate.seq == B.seq
+        assert list(duplicate) == list(B)
+        assert duplicate.columns == B.columns and duplicate.divisors == B.divisors
 
 
 def test_morphism_rebuild_is_verified_again(monkeypatch):
@@ -212,7 +252,7 @@ def test_fpfunction_table_is_read_only():
 # the types that only store their arguments: the constructor is the setter
 # that errors.Value writes from __slots__
 RECORDS = ["Root", "Reflection", "Divisor", "Gallerification", "BasisElement",
-           "Violation", "FactorCertificate", "PointedMorphism"]
+           "Violation", "FactorCertificate", "MorphismViolation", "PointedMorphism"]
 
 
 @pytest.mark.parametrize("name", RECORDS)
