@@ -14,8 +14,8 @@ Tier-1 does not collect this file (`testpaths = ["tests"]`).
 import pytest
 
 from bscomb.formats import parse_sequence
-from bscomb.gallery import ReflSeq, _attached, is_gallery_type, verify_gallerification
-from bscomb.rootsys import RootSystem, build_root_system, enumerate_weyl
+from bscomb.gallery import ReflSeq, is_gallery_type, verify_gallerification
+from bscomb.rootsys import RootSystem, attached, build_root_system, enumerate_weyl
 
 RS = build_root_system("B", 3)
 SEARCH_CASES = {
@@ -48,7 +48,7 @@ def _fresh(text):
     enumerate_weyl(s.rs)
     for t in s.rs.reflections:
         t.as_weyl()
-        _attached(s.rs, t.index)
+        attached(s.rs, t.index)
     return (s,), {}
 
 

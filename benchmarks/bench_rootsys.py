@@ -1,5 +1,6 @@
 """Microbenchmarks for the rootsys layer: Weyl product, inverse, conjugation,
-reflection lookup and group enumeration on A5 (|W| = 720, 30 roots).
+reflection lookup, group enumeration and the attached-chamber tables of
+every reflection on A5 (|W| = 720, 30 roots).
 
 Run from the repository root:
 
@@ -12,7 +13,7 @@ import random
 
 import pytest
 
-from bscomb.rootsys import RootSystem, conjugate_reflection, enumerate_weyl
+from bscomb.rootsys import RootSystem, attached, conjugate_reflection, enumerate_weyl
 
 
 @pytest.fixture
@@ -53,3 +54,19 @@ def test_enumerate_weyl(benchmark):
     result = benchmark.pedantic(enumerate_weyl, setup=lambda: ((RootSystem("A", 5),), {}),
                                 rounds=10)
     assert len(result) == 720
+
+
+def _enumerated():
+    """A fresh A5 whose Weyl group and right-simple table are built, and nothing else."""
+    rs = RootSystem("A", 5)
+    enumerate_weyl(rs)
+    return (rs,), {}
+
+
+def test_attached_tables_cold(benchmark):
+    # every reflection's table of attached chambers and their partners across
+    # its wall, each built on first use: 15 tables of 720 * 5 / 15 = 240 chambers
+    tables = benchmark.pedantic(
+        lambda rs: [attached(rs, r) for r in sorted(set(rs.reflection_index))],
+        setup=_enumerated, rounds=10)
+    assert len(tables) == 15 and all(len(t) == 240 for t in tables)

@@ -185,8 +185,8 @@ def cmd_weyl_info(args) -> None:
         "root_system": str(rs),
         "rank": rs.rank,
         "order": len(elements),
-        # the positive half of rs.roots, already in sorted order
-        "positive_roots": [list(r.coords) for r in rs.roots[:len(rs.roots) // 2]],
+        # rs.roots lists the positive roots in sorted order
+        "positive_roots": [list(r.coords) for r in rs.roots if r.is_positive],
         # breadth-first by length, so the unique longest element comes last
         "longest_element": str(elements[-1]),
     }

@@ -61,9 +61,8 @@ class Morphism(Value, compare=("source", "target", "p", "w", "phi")):
         self._fill(source, target, p, w, MappingProxyType(dict(phi)), False)
         source.rs.require_same(target.rs, "source and target are over different root systems")
         source.rs.require_same(w.rs, "w is from a different root system")
-        n, m = len(self.source), len(self.target)
-        if len(self.p) != n:
-            raise InvalidInputError("p must be defined on every source position")
+        m = len(self.target)
+        _check_positions(self.p, len(self.source))
         if any(not 1 <= j <= m for j in self.p):
             raise InvalidInputError("p maps outside the target positions")
         if any(a >= b for a, b in zip(self.p, self.p[1:])):
@@ -79,6 +78,14 @@ class Morphism(Value, compare=("source", "target", "p", "w", "phi")):
 
     def __copy__(self):
         return self  # immutable, as a tuple is
+
+
+def _check_positions(p: tuple[int, ...], n: int) -> None:
+    """Refuse a p that is not n integers (a bool is not one)."""
+    if len(p) != n:
+        raise InvalidInputError("p must be defined on every source position")
+    if not all(type(j) is int for j in p):
+        raise InvalidInputError("p must be a list of integers")
 
 
 def _morphism(source: ReflSeq, target: ReflSeq, p: tuple[int, ...],
@@ -115,8 +122,7 @@ def verify_morphism(m: Morphism) -> MorphismViolation | None:
     phi, rows = m.phi, m.source.twists
     if phi.keys() != rows.keys():
         return MorphismViolation("phi-total", (), None)
-    tgt, perm = m.target.twists, m.w.perm
-    half = len(perm) // 2
+    tgt, perm, refl = m.target.twists, m.w.perm, m.w.rs.reflection_index
     for bits, src in rows.items():
         image = phi[bits]
         try:
@@ -124,7 +130,7 @@ def verify_morphism(m: Morphism) -> MorphismViolation | None:
         except (KeyError, TypeError):  # not one of the target's patterns
             return MorphismViolation("phi-shape", bits, None)
         for i, j in enumerate(m.p, start=1):
-            if row[j - 1] != perm[src[i - 1]] % half:
+            if row[j - 1] != refl[perm[src[i - 1]]]:
                 return MorphismViolation("wall-equation", bits, i)
             folded = bits[:i - 1] + (not bits[i - 1],) + bits[i:]
             expect = image[:j - 1] + (not image[j - 1],) + image[j:]
@@ -137,8 +143,7 @@ def verify_morphism(m: Morphism) -> MorphismViolation | None:
 def subsequence_morphism(s: ReflSeq, target: ReflSeq,
                          p: tuple[int, ...]) -> Morphism:
     """The embedding with w = e placing gamma_i at p(i) and 1 elsewhere."""
-    if len(p) != len(s):
-        raise InvalidInputError("p must be defined on every source position")
+    _check_positions(p, len(s))
     for i in range(1, len(s) + 1):
         if target[p[i - 1]] != s[i]:
             raise InvalidInputError(
@@ -196,8 +201,8 @@ def enumerate_morphisms(s: ReflSeq, target: ReflSeq) -> list[Morphism]:
     check_bound("morphism sequence length", max(n, nt), MAX_MORPHISM_LENGTH)
     if n > nt:
         return []
-    half = len(s.rs.roots) // 2
-    keyed = [(tuple(w.perm[t.index] % half for t in s.entries), w)
+    refl = s.rs.reflection_index
+    keyed = [(tuple(refl[w.perm[t.index]] for t in s.entries), w)
              for w in enumerate_weyl(s.rs)]
     w_count = Counter(key for key, _ in keyed)
     # a (p, w, seed) whose keys match is a candidate; the buckets that can

@@ -21,6 +21,7 @@ from .rootsys import (
     Reflection,
     RootSystem,
     WeylElement,
+    attached,
     conjugate_reflection,
     enumerate_weyl,
 )
@@ -90,12 +91,11 @@ class ReflSeq(Value):
         (gamma^{i-1})^-1, so it depends on bits[:i-1] alone.  Built once per
         sequence object by doubling over the bit tree, as `prefixes`;
         `twist_seq` is the one-gallery form.  n <= MAX_LENGTH (`prefixes` checks)."""
-        half = len(self.rs.roots) // 2
-        level = {(): ()}
+        refl, level = self.rs.reflection_index, {(): ()}
         for t, products in zip(self.entries, self.prefixes):
             nxt = {}
             for b, row in level.items():
-                row += (products[b].perm[t.index] % half,)
+                row += (refl[products[b].perm[t.index]],)
                 nxt[b + (False,)] = nxt[b + (True,)] = row
             level = nxt
         return level
@@ -167,20 +167,6 @@ def twist_seq(s: ReflSeq, bits: Bits) -> ReflSeq:
     return ReflSeq(s.rs, tuple(entries))
 
 
-def _attached(rs: RootSystem, r: int) -> dict[int, int]:
-    """{k: k'} over the chambers u = enumerate_weyl(rs)[k] attached to the wall
-    of rs.reflections[r], those with u^-1(beta_r) = +-alpha_j, where k' is the
-    index of the chamber across that wall, s_r u = u s_j, read from the
-    right-simple table.  Built on first use and kept on the system."""
-    table = rs._attached.get(r)
-    if table is None:
-        order = enumerate_weyl(rs)  # fills rs._weyl_right
-        right, rank, letters = rs._weyl_right, rs.rank, [t.letter for t in rs.reflections]
-        table = rs._attached[r] = {k: right[k * rank + j - 1] for k, u in enumerate(order)
-                                   if (j := letters[u.perm.index(r)])}
-    return table
-
-
 def is_gallery_type(s: ReflSeq) -> Gallerification | None:
     """The first gallerification of s, or None if no labelled gallery exists.
 
@@ -193,7 +179,7 @@ def is_gallery_type(s: ReflSeq) -> Gallerification | None:
     """
     rs = s.rs
     order = enumerate_weyl(rs)
-    walls = [_attached(rs, t.index) for t in s.entries]
+    walls = [attached(rs, t.index) for t in s.entries]
     alive = [range(len(order))]
     for wall in reversed(walls):
         a = wall.keys() & alive[-1]
@@ -217,28 +203,21 @@ def is_gallery_type(s: ReflSeq) -> Gallerification | None:
 
 
 def verify_gallerification(s: ReflSeq, cert: Gallerification) -> None:
-    """Check t^(gamma) = s^x entrywise; raise if the certificate is unsound.
-
-    Both sides are compared as lists of reflection indices, with no sequence
-    built: entry i of t^(gamma) is gamma^(i-1) t_i (gamma^(i-1))^-1, read
-    off a running prefix permutation, and entry i of s^x is x s_i x^-1.  A
-    gallery of another length than t is refused as `twist_seq` refuses it,
-    an x of another system than a nonempty s as `conjugate_reflection`
-    does, and a t of another system than a nonempty s fails the equation.
-    """
+    """Check t^(gamma) = s^x entrywise; raise VerificationError if the
+    certificate is unsound, and InvalidInputError for a gallery of another
+    length than t or an x of another system than a nonempty s."""
     t, bits, x = cert.t, cert.gamma.bits, cert.x
     if len(bits) != len(t):
         raise InvalidInputError("gallery length does not match its sequence")
     if s.entries:
         s.rs.require_same(x.rs, "mismatched root systems")
-    half = len(t.rs.roots) // 2
-    w, lhs = t.rs.identity().perm, []
+    w, lhs, refl = t.rs.identity().perm, [], t.rs.reflection_index
     for ti, bit in zip(t.entries, bits):
         # gamma^i t_i (gamma^i)^-1 = gamma^(i-1) t_i (gamma^(i-1))^-1
-        lhs.append(w[ti.index] % half)
+        lhs.append(refl[w[ti.index]])
         if bit:
             w = tuple(map(w.__getitem__, ti.as_weyl().perm))
-    rhs = [x.perm[si.index] % half for si in s.entries]
+    rhs = [x.rs.reflection_index[x.perm[si.index]] for si in s.entries]
     if lhs != rhs or (rhs and t.rs != s.rs):
         raise VerificationError("gallerification fails t^(gamma) = s^x")
     if not t.all_simple():

@@ -96,7 +96,7 @@ def concentrate(s: ReflSeq, g: FPFunction, cross: bool) -> FPFunction:
     if g.seq != s.truncated():
         raise InvalidInputError("function is not over the truncation of s")
     n = len(s)
-    forms, neg = root_forms(s.rs), s[n].index + len(s.rs.roots) // 2  # -alpha_n
+    forms, neg = root_forms(s.rs), s.rs.negative[s[n].index]  # -alpha_n
     zero, table = Poly.zero(s.rs.rank), s.prefixes[n]
     return _table(s, {b: forms[table[b].perm[neg]] * g.values[b[:-1]]
                       if b[-1] == cross and g.values[b[:-1]].packed else zero
@@ -104,19 +104,11 @@ def concentrate(s: ReflSeq, g: FPFunction, cross: bool) -> FPFunction:
 
 
 def concentration_identity_check(s: ReflSeq, g: FPFunction, cross: bool) -> bool:
-    """Verify nabla_t g = -1/2 (Sigma(s,n-1,1)*(t alpha_n)
-    + Sigma(s,n,1)*(alpha_n)) . Delta g pointwise, in the form multiplied
-    by -2, which has the same solutions over Q and needs no fractions: one
-    gallery at a time, stopping at the first that differs.  Both Sigma
-    values at gamma are roots, gamma^(n-1)(t alpha_n) with t alpha_n =
-    -alpha_n when t = s_n, and gamma^n(alpha_n), read from `root_forms`.
-    Their sum is zero at every gallery whose last step is not t, so the
-    product is made only where the sum and Delta g(gamma) are both
-    nonzero; elsewhere the right side is zero, and nabla_t g(gamma) must
-    be.  Delta g and nabla_t g are built unchecked (`_table`) from g, a
-    checked function, over s.patterns."""
+    """Whether nabla_t g = -1/2 (Sigma(s,n-1,1)*(t alpha_n)
+    + Sigma(s,n,1)*(alpha_n)) . Delta g at every gallery, for t = s_n
+    (cross=True) or t = 1, and g over the truncation of s."""
     k, forms = s[len(s)].index, root_forms(s.rs)  # alpha_n
-    tk = k + len(s.rs.roots) // 2 if cross else k  # t alpha_n
+    tk = s.rs.negative[k] if cross else k  # t alpha_n
     before, last = s.prefixes[-2], s.prefixes[-1]
     nabla, delta = concentrate(s, g, cross).values, copy(s, g).values
     for b in s.patterns:
@@ -179,8 +171,7 @@ def basis(s: ReflSeq) -> Basis:
     n = len(s)
     check_bound("basis sequence length", n, MAX_BASIS_LENGTH)
     one, zero = Poly.const(s.rs.rank, 1), Poly.zero(s.rs.rank)
-    # -alpha_k as an index: rs.roots[i + N] = -rs.roots[i] for N positive roots
-    forms, neg = root_forms(s.rs), [t.index + len(s.rs.roots) // 2 for t in s.entries]
+    forms, neg = root_forms(s.rs), [s.rs.negative[t.index] for t in s.entries]  # -alpha_k
 
     @cache  # the product table, which lives for this call
     def times(c: Poly, p: Poly) -> Poly:

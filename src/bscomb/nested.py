@@ -16,15 +16,8 @@ from __future__ import annotations
 from operator import itemgetter
 
 from .errors import MAX_LENGTH, InvalidInputError, PropertyViolationError, Value, check_bound
-from .gallery import (
-    Bits,
-    Gallerification,
-    ReflSeq,
-    conjugate_reflection,
-    is_gallery_type,
-    serialize_bits,
-)
-from .rootsys import WeylElement, inverse_perm
+from .gallery import Bits, Gallerification, ReflSeq, is_gallery_type, serialize_bits
+from .rootsys import WeylElement, conjugate_reflection, inverse_perm
 
 Pair = tuple[int, int]
 
@@ -52,6 +45,9 @@ class NestedPlan(Value, compare=("seq", "pairs", "labels", "display_pairs")):
     def __init__(self, seq: ReflSeq, pairs: tuple[Pair, ...],
                  labels: dict[Pair, WeylElement] | None = None,
                  display_pairs: dict[Pair, Pair] | None = None):
+        for r in pairs:
+            if type(r) is not tuple or tuple(map(type, r)) != (int, int):
+                raise InvalidInputError(f"bad pair {r!r}")
         pairs, labels = tuple(sorted(pairs)), {} if labels is None else labels
         n = len(seq)
         for r in pairs:
@@ -204,7 +200,7 @@ def fixed_points(plan: NestedPlan) -> list[Bits]:
     opens = {a - 1: inverse_perm(plan.labels[(a, b)].perm) for a, b in plan.pairs}
     closes = {b - 1 for _, b in plan.pairs}
     # an entry is (bits, images, stack), a stack being None or (target, stack)
-    start = ((), tuple(seq.rs.reflection(a).index for a in seq.rs.simple_roots), None)
+    start = ((), seq.rs.simple_indices, None)
     out: list[Bits] = []
 
     def sweep(level: list, i: int) -> None:
@@ -257,20 +253,11 @@ def _picker(positions: list[int]):
 
 
 def factor_fixed_points(plan: NestedPlan, F: FSelection) -> FactorCertificate:
-    """Build and verify the explicit factoring of the constrained gallery set.
-
-    A gallery maps to its bit restriction to the surviving positions (a
-    gallery over s^F) together with its restrictions to each [f].  The
-    images are read by itemgetters over the whole source list, and the map
-    is checked set by set: every base lies in Gamma(s^F, v^F) and every
-    part in its Gamma(s_f, v_f) (membership), no image repeats
-    (injectivity), and there are as many galleries as the product has
-    elements (surjectivity).  Only when membership or injectivity fails
-    does one scan in source order name the first gallery at fault.
-    Raises PropertyViolationError if the map fails to be a bijection onto
-    the product, which would falsify the implementation.  An invalid plan,
-    or an F outside it, is refused by `project`.
-    """
+    """The verified bijection Gamma(s,v) -> Gamma(s^F,v^F) x prod Gamma(s_f,v_f)
+    that restricts a gallery's bits to the surviving positions and to each
+    [f].  Raises PropertyViolationError if the map is not a bijection onto
+    the product; an invalid plan, or an F outside it, is refused by
+    `project`."""
     base_plan = project(plan, F)
     fibre_plans = tuple(fibre_data(plan, f) for f in F.pairs)
     survivors = [i - 1 for i in _contract(plan, 1, len(plan.seq), F.pairs)]

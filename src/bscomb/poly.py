@@ -331,16 +331,18 @@ def weight_matrix(w: WeylElement) -> tuple[tuple[int, ...], ...]:
     beta = w^-1(alpha_k): row k is the coroot of beta.
     """
     rs, winv = w.rs, w.inv().perm
-    return tuple(rs.coroots[winv[rs._index[a.coords]]] for a in rs.simple_roots)
+    return tuple(rs.coroots[winv[k]] for k in rs.simple_indices)
 
 
 def root_forms(rs: RootSystem) -> tuple[Poly, ...]:
     """Every root as a linear form, indexed like rs.roots and built once per
     system.  Since w . root_poly(beta) = root_poly(w(beta)), the action of w
     on root k is the form at w.perm[k]: a lookup, with no substitution."""
-    if rs._root_forms is None:
-        rs._root_forms = tuple(root_poly(rs, r) for r in rs.roots)
-    return rs._root_forms
+    return rs.kept(_root_polys)
+
+
+def _root_polys(rs: RootSystem) -> tuple[Poly, ...]:
+    return tuple(root_poly(rs, r) for r in rs.roots)
 
 
 def weyl_act(w: WeylElement, p: Poly) -> Poly:

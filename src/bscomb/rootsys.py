@@ -96,9 +96,11 @@ class RootSystem:
     """The full root datum of a finite family/rank: roots, coroots, Weyl group.
 
     Construct via :func:`build_root_system`; instances compare by (family,
-    rank).  A system owns the tables of pure functions of it, each filled
-    on first use and bounded by the system.  Copies and pickles rebuild
-    through `build_root_system`, and carry none of the tables.
+    rank).  Root k has its reflection at `reflection_index[k]` and its
+    negative at `negative[k]`; alpha_i is root `simple_indices[i - 1]`.  A
+    system keeps the tables of pure functions of it in one dict, each
+    filled on first use (`kept`, `enumerate_weyl`, `attached`).  Copies
+    and pickles rebuild through `build_root_system`, and carry no table.
     """
 
     def __init__(self, family: str, rank: int):
@@ -110,19 +112,27 @@ class RootSystem:
                                   for i in range(rank))
         self.roots, self.coroots = self._close_roots()
         self._index = {r.coords: k for k, r in enumerate(self.roots)}
-        letters = {a.coords: i for i, a in enumerate(self.simple_roots, start=1)}
-        positive = [Reflection(self, k, r, letters.get(r.coords))
-                    for k, r in enumerate(self.roots[:len(self.roots) // 2])]
         # roots[k + N] = -roots[k], so both halves share the reflection objects
+        half = len(self.roots) // 2
+        self.reflection_index = tuple(range(half)) * 2
+        self.negative = tuple(range(half, 2 * half)) + tuple(range(half))
+        self.simple_indices = tuple(self._index[a.coords] for a in self.simple_roots)
+        letters = {k: i for i, k in enumerate(self.simple_indices, start=1)}
+        positive = [Reflection(self, k, r, letters.get(k))
+                    for k, r in enumerate(self.roots[:half])]
         self.reflections = tuple(positive + positive)
         self._identity = WeylElement(self, tuple(range(len(self.roots))))
-        self._weyl_cache: tuple["WeylElement", ...] | None = None
-        self._weyl_right: tuple[int, ...] | None = None
-        self._attached: dict[int, dict[int, int]] = {}
-        self._root_forms: tuple | None = None
+        self._tables: dict = {}
 
     def __reduce__(self):
         return build_root_system, (self.family, self.rank)
+
+    def kept(self, build):
+        """build(self), built on first use and kept with the system."""
+        table = self._tables.get(build)
+        if table is None:
+            table = self._tables[build] = build(self)
+        return table
 
     def _root_index(self, root: Root) -> int:
         """The index of root in `roots`; refuses a non-root."""
@@ -230,12 +240,11 @@ class WeylElement(Value, compare=("perm",)):
         Display aid only; equality of elements is permutation equality.
         """
         # the positive roots are the first half of rs.roots
-        half, index = len(self.perm) // 2, self.rs._index
+        half, simple = len(self.perm) // 2, self.rs.simple_indices
         letters: list[int] = []
         u = self
         while not u.is_identity():
-            i = next(k for k, a in enumerate(self.rs.simple_roots, start=1)
-                     if u.perm[index[a.coords]] >= half)
+            i = next(i for i, k in enumerate(simple, start=1) if u.perm[k] >= half)
             letters.append(i)
             u = u * self.rs.simple_reflection(i)
         return tuple(reversed(letters))
@@ -327,10 +336,10 @@ def enumerate_weyl(rs: RootSystem) -> tuple[WeylElement, ...]:
     Deterministic order: breadth-first by word length, elements sorted by
     matrix within each level.  Built once and kept on the root system as a
     tuple that every call returns uncopied, with the products the closure
-    makes anyway: the tuple `rs._weyl_right` holds at k * rank + j - 1 the
+    makes anyway: the right-simple table holds at k * rank + j - 1 the
     index of order[k] * s_j, rank*|W| integers kept as long as the system.
     """
-    if rs._weyl_cache is None:
+    if "order" not in rs._tables:
         check_weyl_order(rs.family, rs.rank)
         # u * s on raw perms, (us)[k] = u[s[k]]; only each new element is wrapped.
         # A product first met on this level's pass is numbered ~p, its place
@@ -354,5 +363,19 @@ def enumerate_weyl(rs: RootSystem) -> tuple[WeylElement, ...]:
             order.extend(level)
             final = [index[w.perm] for w in nxt]
             right += [k if k >= 0 else final[~k] for k in row]
-        rs._weyl_cache, rs._weyl_right = tuple(order), tuple(right)
-    return rs._weyl_cache
+        rs._tables["order"], rs._tables["right"] = tuple(order), tuple(right)
+    return rs._tables["order"]
+
+
+def attached(rs: RootSystem, r: int) -> dict[int, int]:
+    """{k: k'} over the chambers u = enumerate_weyl(rs)[k] attached to the wall
+    of rs.reflections[r], those with u^-1(beta_r) = +-alpha_j, where k' is the
+    index of the chamber across that wall, s_r u = u s_j, read from the
+    right-simple table.  Built on first use and kept on the system."""
+    table = rs._tables.get(r)
+    if table is None:
+        order = enumerate_weyl(rs)  # builds the right-simple table
+        right, rank, letters = rs._tables["right"], rs.rank, [t.letter for t in rs.reflections]
+        table = rs._tables[r] = {k: right[k * rank + j - 1] for k, u in enumerate(order)
+                                 if (j := letters[u.perm.index(r)])}
+    return table

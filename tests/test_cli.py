@@ -1,9 +1,12 @@
 """The batch CLI: commands, formats, and exit codes."""
 
 import errno
+import hashlib
+import importlib.util
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -395,6 +398,74 @@ def test_factoring_at_length_bound():
     assert proc.stdout.decode().splitlines()[-1] == (
         "fixed points factor: verified (524288 galleries)")
     assert kib <= 480 * 1024
+
+
+def _a7_negative_20():
+    """20 positive A7 roots drawn with random.Random(5): not of gallery type."""
+    rng, rs = random.Random(5), build_root_system("A", 7)
+    positives = [r for r in rs.roots if r.is_positive]
+    return "A7: " + " ".join("[" + ",".join(map(str, rng.choice(positives).coords)) + "]"
+                             for _ in range(20))
+
+
+# each bound command builds a whole Weyl group (|W| = 46,080 and 40,320);
+# about 2 s and 55-58 MB each on a 2-core host
+BOUND_COMMANDS = {
+    "weyl-info-C6": (["weyl", "info", "--root-system", "C6"], None,
+                     "c5f806e309d7bd8e5caa8031595b99b13b92d1800b530fc15fe0c6c70c46b11f"),
+    "gallery-type-C6-positive": (
+        ["gallery-type", "C6: " + " ".join(f"s{1 + 5 * i % 6}" for i in range(20))],
+        "gallery type: yes\nx = e\n"
+        "t = s1 s6 s5 s4 s3 s2 s1 s6 s5 s4 s3 s2 s1 s6 s5 s4 s3 s2 s1 s6\n"
+        "gamma = 00000000000000000000\n", None),
+    "gallery-type-A7-negative": (["gallery-type", _a7_negative_20()],
+                                 "no labelled gallery exists\n", None),
+}
+
+
+@pytest.mark.parametrize("name", BOUND_COMMANDS)
+def test_bound_commands_stay_within_time_and_memory(name):
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("VmHWM is read from /proc/self/status")
+    argv, text, digest = BOUND_COMMANDS[name]
+    start = time.perf_counter()
+    proc, kib = run_with_peak(argv, timeout=60)
+    assert time.perf_counter() - start < 20
+    assert proc.returncode == 0
+    if text is not None:
+        assert proc.stdout.decode() == text
+    else:
+        assert hashlib.sha256(proc.stdout).hexdigest() == digest
+    assert kib <= 80 * 1000
+
+
+def _cliwork():
+    """bench/cliwork.py, loaded from its file without running it."""
+    spec = importlib.util.spec_from_file_location(
+        "cliwork", os.path.join(ROOT, "bench", "cliwork.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_cli_corpus_in_one_process_forward_and_reversed():
+    # the benchmark corpus through cli.main in this process, in order and
+    # then reversed: every exit code and stdout digest is the recorded one,
+    # whichever per-system tables earlier commands left built
+    cliwork = _cliwork()
+    mismatches = []
+    for name, argv, _ in cliwork.CORPUS + cliwork.CORPUS[::-1]:
+        out = io.StringIO()
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:  # argparse reports usage errors this way
+                code = exc.code
+        got = [code, hashlib.sha256(out.getvalue().encode()).hexdigest()]
+        if got != cliwork.EXPECTED[name]:
+            mismatches.append((name, got))
+    assert len(cliwork.CORPUS) == len(cliwork.EXPECTED) == 54
+    assert mismatches == []
 
 
 def test_fixed_points_a9(capsys):

@@ -277,6 +277,25 @@ def test_p_must_increase(a2):
                  {g.bits: g.bits for g in galleries(s)})
 
 
+BAD_POSITIONS = [(1.5,), ("1",), (True,), (None,)]
+
+
+@pytest.mark.parametrize("p", BAD_POSITIONS, ids=repr)
+def test_morphism_refuses_positions_that_are_not_integers(a2, p):
+    # a float or a string used to build, and fail later with TypeError; a
+    # bool was read as 1
+    s, target = simple_seq(a2, 1), simple_seq(a2, 1, 1)
+    with pytest.raises(InvalidInputError, match="p must be a list of integers"):
+        Morphism(s, target, p, a2.identity(), {(False,): (True, False), (True,): (True, True)})
+
+
+@pytest.mark.parametrize("p", BAD_POSITIONS, ids=repr)
+def test_subsequence_morphism_refuses_positions_that_are_not_integers(a2, p):
+    # the target used to be indexed by p before anything was built
+    with pytest.raises(InvalidInputError, match="p must be a list of integers"):
+        subsequence_morphism(simple_seq(a2, 1), simple_seq(a2, 1, 1), p)
+
+
 def _reference_verify(m):
     """verify_morphism as one twisted sequence per gallery, from twist_seq
     and prefix: the reference for the first violation reported.  phi must

@@ -17,7 +17,6 @@ from bscomb.gallery import (
     Gallery,
     Gallerification,
     ReflSeq,
-    _attached,
     fold,
     galleries,
     is_gallery_type,
@@ -29,6 +28,7 @@ from bscomb.formats import parse_sequence
 from bscomb.rootsys import (
     RootSystem,
     WeylElement,
+    attached,
     build_root_system,
     conjugate_reflection,
     enumerate_weyl,
@@ -308,7 +308,7 @@ def test_attached_tables_match_conjugation(system):
     rs = build_root_system(*system)
     order = enumerate_weyl(rs)
     for t in rs.reflections[:len(rs.reflections) // 2]:
-        table = _attached(rs, t.index)
+        table = attached(rs, t.index)
         letters = [conjugate_reflection(u.inv(), t).letter for u in order]
         assert table.keys() == {k for k, j in enumerate(letters) if j is not None}
         for k, partner in table.items():
@@ -401,7 +401,7 @@ def test_gallery_type_keeps_no_answers():
     rs = build_root_system("D", 4)
     positives = rs.reflections[:len(rs.reflections) // 2]
     for t in positives:
-        _attached(rs, t.index)
+        attached(rs, t.index)
     before = {name: copy.copy(value) for name, value in vars(rs).items()}
     rng = random.Random(24)
     simple, order = [rs.reflection(a) for a in rs.simple_roots], enumerate_weyl(rs)
@@ -418,7 +418,7 @@ def test_gallery_type_keeps_no_answers():
     found = sum(is_gallery_type(s) is not None for s in seqs.values())
     assert 900 <= found < 2000
     assert vars(rs) == before
-    assert len(rs._attached) <= len(positives)
+    assert sum(type(k) is int for k in rs._tables) <= len(positives)
 
 
 def test_gallery_type_search_is_bounded_by_states():

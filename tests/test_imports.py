@@ -6,10 +6,12 @@ executed for the life of the process.  A lazily registered module is a
 counts as executed when its type is plain `types.ModuleType` again.
 """
 
+import ast
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -163,3 +165,25 @@ else:
     raise AssertionError("unknown name resolved")
 """
     python("-c", code)
+
+
+def test_library_names_are_imported_from_their_owner():
+    # `from .layer import name` names a function, class or module-level
+    # name that the layer defines itself, not one it imports in turn
+    src = Path(ROOT) / "src" / "bscomb"
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in src.glob("*.py")}
+    defined = {}
+    for layer, tree in trees.items():
+        names = set()
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+        defined[layer] = names
+    relayed = [f"{layer} imports {a.name} through {node.module}"
+               for layer, tree in trees.items() for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+               for a in node.names if a.name not in defined[node.module]]
+    assert relayed == []

@@ -45,6 +45,16 @@ def sl5_plan():
                      [(1, 10), (2, 6)], [(2, 3, 4), (2,)])
 
 
+@pytest.mark.parametrize("pair", [(1,), (1, 3, 5), (1.5, 3), ("1", 3), (True, 3), [1, 3]],
+                         ids=repr)
+def test_plan_refuses_pairs_that_are_not_two_integers(a2, pair):
+    # these raised IndexError or TypeError, built a plan whose fixed points
+    # then failed, or read True as 1
+    labels = {} if type(pair) is list else {pair: a2.identity()}
+    with pytest.raises(InvalidInputError, match="bad pair"):
+        NestedPlan(simple_seq(a2, 1, 2, 1, 2, 1), (pair,), labels)
+
+
 def test_validate_ok(sl5_plan):
     assert validate(sl5_plan) is None
 

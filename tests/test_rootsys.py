@@ -1,7 +1,9 @@
 """Root systems, Weyl elements, and reflections."""
 
+import ast
 import copy
 import hashlib
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -145,16 +147,18 @@ def test_memo_tables_belong_to_their_system():
     cert = is_gallery_type(seq)
     assert not cert.x.is_identity()
     walls = {t.index for t in seq.entries}
-    assert walls <= shared._attached.keys() and shared._weyl_right is not None
-    assert (fresh._weyl_cache, fresh._weyl_right, fresh._attached, fresh._root_forms) == (
-        None, None, {}, None)
+    # the system keeps its tables in one holder: the Weyl order and the
+    # right-simple table by name, each wall's attached table by its index
+    assert walls <= shared._tables.keys() and shared._tables["right"] is not None
+    assert fresh._tables == {}
     fresh_seq = ReflSeq(fresh, tuple(fresh.reflection(r) for r in entries))
     fresh_cert = is_gallery_type(fresh_seq)
     assert ((fresh_cert.x, fresh_cert.t.entries, fresh_cert.gamma.bits)
             == (cert.x, cert.t.entries, cert.gamma.bits))
     # the fresh system rebuilt the tables it needed, equal to the shared ones
-    assert fresh._weyl_right == shared._weyl_right
-    assert fresh._attached == {r: shared._attached[r] for r in walls}
+    assert fresh._tables["right"] == shared._tables["right"]
+    assert ({k: t for k, t in fresh._tables.items() if type(k) is int}
+            == {r: shared._tables[r] for r in walls})
     # the Weyl action keeps nothing: 2,000 distinct polynomials leave every
     # attribute of the system as it was
     before = [{name: copy.copy(value) for name, value in vars(rs).items()}
@@ -235,18 +239,54 @@ def test_group_action_axiom(data):
 def test_right_simple_table_matches_products(family, rank):
     rs = build_root_system(family, rank)
     order = enumerate_weyl(rs)
-    assert len(rs._weyl_right) == rank * len(order)
+    right = rs._tables["right"]
+    assert len(right) == rank * len(order)
     for k, u in enumerate(order):
         for j in range(1, rank + 1):
-            assert order[rs._weyl_right[k * rank + j - 1]] == u * rs.simple_reflection(j)
+            assert order[right[k * rank + j - 1]] == u * rs.simple_reflection(j)
 
 
 def test_enumerate_weyl_returns_its_stored_tuple():
     # the order is built once per system and handed out uncopied
     rs = RootSystem("B", 3)
     order = enumerate_weyl(rs)
-    assert type(order) is tuple and type(rs._weyl_right) is tuple
-    assert enumerate_weyl(rs) is order is rs._weyl_cache
+    assert type(order) is tuple and type(rs._tables["right"]) is tuple
+    assert enumerate_weyl(rs) is order is rs._tables["order"]
+
+
+@pytest.mark.parametrize("family,rank", TABLE_SYSTEMS)
+def test_layout_tuples_state_the_root_order(family, rank):
+    # positive roots first and roots[k + N] = -roots[k]: the reflection,
+    # the negative and the simple roots read off by index
+    rs = build_root_system(family, rank)
+    assert len(rs.reflection_index) == len(rs.negative) == len(rs.roots)
+    for k, root in enumerate(rs.roots):
+        assert rs.roots[rs.negative[k]] == -root and rs.negative[rs.negative[k]] == k
+        assert rs.reflections[k].index == rs.reflection_index[k]
+        assert rs.roots[rs.reflection_index[k]] == (root if root.is_positive else -root)
+    assert [rs.roots[k] for k in rs.simple_indices] == list(rs.simple_roots)
+    assert [rs.reflections[k].letter for k in rs.simple_indices] == list(range(1, rank + 1))
+
+
+def test_only_rootsys_knows_the_layout_and_the_tables():
+    # no other module re-derives the layout from a root count, reads the
+    # system's private index or tables, or touches the one holder of its
+    # tables but through `RootSystem.kept`
+    private = {"_index", "_weyl_cache", "_weyl_right", "_attached", "_root_forms", "_tables"}
+    faults = []
+    for path in sorted((Path(__file__).parent.parent / "src" / "bscomb").glob("*.py")):
+        if path.name == "rootsys.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in private:
+                faults.append(f"{path.name}:{node.lineno} .{node.attr}")
+            if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.FloorDiv)
+                    and isinstance(node.left, ast.Call)
+                    and getattr(node.left.func, "id", None) == "len"
+                    and any(getattr(a, "attr", getattr(a, "id", None)) in ("roots", "perm")
+                            for a in node.left.args)):
+                faults.append(f"{path.name}:{node.lineno} len(...) // 2")
+    assert faults == []
 
 
 def test_enumerate_weyl_deterministic(a3):
