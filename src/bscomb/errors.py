@@ -1,8 +1,8 @@
 """Exception hierarchy shared by all modules, the resource bounds, the
 numeral rule, and the base of the library's immutable value types.
 
-Each exhaustive walk, and each polynomial expansion, is bounded by one
-constant below and refuses through `check_bound`.  `MAX_EXPONENT` keeps
+Each exhaustive walk, and each polynomial product or quotient, is bounded
+by one constant below and refuses through `check_bound`.  `MAX_EXPONENT` keeps
 the top bit of each variable's 64-bit field of a packed monomial (`poly`)
 clear, so a product's exponent past it shows as that bit.  A caller (the
 CLI's --max-weyl and --max-length) may check a tighter bound first; it
@@ -40,9 +40,10 @@ class Value:
     once past the `__setattr__` that refuses assignment, and the maker
     `_trusted(f1, ..., fk)`, which makes a new value from fields the
     library has made valid itself, not checked and not copied.  A subclass
-    without its own `__init__` takes `_fill` as its constructor, so its
-    signature lists the fields in order; one that checks its arguments
-    stores them in one `self._fill(...)`.  Equality and the hash read one
+    may write its own `_fill`, of the same fields, to store a field in
+    canonical form.  A subclass without its own `__init__` takes `_fill`
+    as its constructor, so its signature lists the fields in order; one
+    that checks its arguments stores them in one `self._fill(...)`.  Equality and the hash read one
     tuple of fields, the class's key: every field, or those the class
     statement names (`compare=`), so the hash is the hash of that tuple.
     `copy`, `deepcopy` and `pickle` rebuild a value through `_trusted`,
@@ -65,7 +66,8 @@ class Value:
              f"def _trusted({args}):\n    self = _new(_cls){body}\n    return self", namespace)
         for name in ("_fill", "_trusted"):
             namespace[name].__qualname__ = f"{cls.__qualname__}.{name}"
-        cls._fill, cls._trusted = namespace["_fill"], staticmethod(namespace["_trusted"])
+        cls._fill = cls.__dict__.get("_fill", namespace["_fill"])  # or the class's own
+        cls._trusted = staticmethod(namespace["_trusted"])
         if "__init__" not in cls.__dict__:
             cls.__init__ = cls._fill
 

@@ -50,23 +50,17 @@ class Morphism(Value, compare=("source", "target", "p", "w", "phi")):
     False and only `verify_morphism` sets it.  phi is compared but not
     hashed, and is a read-only view of a private copy of the table it is
     given, so a verified table cannot be edited afterwards.  The
-    constructor checks p and the systems for every caller; only the
-    tables `compose` and `enumerate_morphisms` build are wrapped without
-    the copy and the checks (`_morphism`)."""
+    constructor checks the systems and p (`_positions`); only the tables
+    this module builds are wrapped unchecked and uncopied (`_morphism`)."""
 
     __slots__ = ("source", "target", "p", "w", "phi", "verified")
 
     def __init__(self, source: ReflSeq, target: ReflSeq, p: tuple[int, ...],
                  w: WeylElement, phi: Mapping[Bits, Bits]):
-        self._fill(source, target, p, w, MappingProxyType(dict(phi)), False)
         source.rs.require_same(target.rs, "source and target are over different root systems")
         source.rs.require_same(w.rs, "w is from a different root system")
-        m = len(self.target)
-        _check_positions(self.p, len(self.source))
-        if any(not 1 <= j <= m for j in self.p):
-            raise InvalidInputError("p maps outside the target positions")
-        if any(a >= b for a, b in zip(self.p, self.p[1:])):
-            raise InvalidInputError("p must be strictly increasing")
+        self._fill(source, target, _positions(p, source, target), w,
+                   MappingProxyType(dict(phi)), False)
 
     def __hash__(self):
         return hash((self.source, self.target, self.p, self.w))
@@ -80,12 +74,17 @@ class Morphism(Value, compare=("source", "target", "p", "w", "phi")):
         return self  # immutable, as a tuple is
 
 
-def _check_positions(p: tuple[int, ...], n: int) -> None:
-    """Refuse a p that is not n integers (a bool is not one)."""
-    if len(p) != n:
-        raise InvalidInputError("p must be defined on every source position")
-    if not all(type(j) is int for j in p):
+def _positions(p, source: ReflSeq, target: ReflSeq) -> tuple[int, ...]:
+    """p as a tuple: ints (not bools), one per source position, rising in the target's."""
+    if not isinstance(p, (list, tuple)) or not all(type(j) is int for j in p):
         raise InvalidInputError("p must be a list of integers")
+    if len(p) != len(source):
+        raise InvalidInputError("p must be defined on every source position")
+    if any(not 1 <= j <= len(target) for j in p):
+        raise InvalidInputError("p maps outside the target positions")
+    if any(a >= b for a, b in zip(p, p[1:])):
+        raise InvalidInputError("p must be strictly increasing")
+    return tuple(p)
 
 
 def _morphism(source: ReflSeq, target: ReflSeq, p: tuple[int, ...],
@@ -143,13 +142,14 @@ def verify_morphism(m: Morphism) -> MorphismViolation | None:
 def subsequence_morphism(s: ReflSeq, target: ReflSeq,
                          p: tuple[int, ...]) -> Morphism:
     """The embedding with w = e placing gamma_i at p(i) and 1 elsewhere."""
-    _check_positions(p, len(s))
+    s.rs.require_same(target.rs, "source and target are over different root systems")
+    p = _positions(p, s, target)
     for i in range(1, len(s) + 1):
         if target[p[i - 1]] != s[i]:
             raise InvalidInputError(
                 f"target entry at {p[i - 1]} does not match source entry {i}")
-    phi = _propagated_table(s, p, (False,) * len(target))
-    m = Morphism(s, target, p, s.rs.identity(), phi)
+    m = _morphism(s, target, p, s.rs.identity(),
+                  _propagated_table(s, p, (False,) * len(target)))
     bad = verify_morphism(m)
     if bad is not None:
         raise VerificationError(f"subsequence morphism unsound: {bad}")

@@ -52,11 +52,6 @@ def _build(make, *args):
         raise ParseError(str(exc)) from exc
 
 
-def _is_int(value) -> bool:
-    """A JSON integer: JSON true and false decode to bool, an int subclass."""
-    return type(value) is int
-
-
 def _number(text: str, kind=int):
     """int or Fraction of text; ParseError for a numeral it refuses (over 4,300 digits)."""
     try:
@@ -211,7 +206,7 @@ def parse_plan(doc) -> nested.NestedPlan:
     pairs = []
     for item in _expect(items, "array", "plan pairs"):
         if (not isinstance(item, (list, tuple)) or len(item) != 2
-                or not all(map(_is_int, item))):
+                or not all(type(v) is int for v in item)):  # JSON true is a bool
             raise ParseError(f"bad pair {item!r}")
         pairs.append((item[0], item[1]))
     # a pair without a label is refused by NestedPlan
@@ -240,10 +235,8 @@ def parse_morphism(doc) -> foldcat.Morphism:
     source, target, p, w, phi = _fields(
         doc, "morphism document", "source", "target", "p", "w", "phi")
     source, target = parse_sequence(source), parse_sequence(target)
-    p = tuple(_expect(p, "array", "p"))
-    if not all(map(_is_int, p)):
-        raise ParseError("p must be a list of integers")
-    return _build(foldcat.Morphism, source, target, p, parse_weyl(source.rs, w),
+    return _build(foldcat.Morphism, source, target, _expect(p, "array", "p"),
+                  parse_weyl(source.rs, w),
                   {parse_bits(src_text, len(source)): parse_bits(tgt_text, len(target))
                    for src_text, tgt_text in _expect(phi, "object", "phi").items()})
 

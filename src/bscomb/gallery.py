@@ -22,7 +22,6 @@ from .rootsys import (
     RootSystem,
     WeylElement,
     attached,
-    conjugate_reflection,
     enumerate_weyl,
 )
 
@@ -39,7 +38,7 @@ class ReflSeq(Value):
     __slots__ = ("rs", "entries", "__dict__")
 
     def __init__(self, rs: RootSystem, entries: tuple[Reflection, ...]):
-        self._fill(rs, entries)
+        self._fill(rs, tuple(entries))
         for t in self.entries:
             rs.require_same(t.rs, "sequence entry from a different root system")
 
@@ -90,7 +89,7 @@ class ReflSeq(Value):
         rs.reflections of gamma^i s_i (gamma^i)^-1 = gamma^{i-1} s_i
         (gamma^{i-1})^-1, so it depends on bits[:i-1] alone.  Built once per
         sequence object by doubling over the bit tree, as `prefixes`;
-        `twist_seq` is the one-gallery form.  n <= MAX_LENGTH (`prefixes` checks)."""
+        `_twist_row` is the one-gallery form.  n <= MAX_LENGTH (`prefixes` checks)."""
         refl, level = self.rs.reflection_index, {(): ()}
         for t, products in zip(self.entries, self.prefixes):
             nxt = {}
@@ -111,7 +110,7 @@ class Gallery(Value, compare=("bits",)):
     __slots__ = ("seq", "bits")
 
     def __init__(self, seq: ReflSeq, bits: Bits):
-        self._fill(seq, bits)
+        self._fill(seq, tuple(bits))
         if len(self.bits) != len(self.seq):
             raise InvalidInputError("gallery length does not match its sequence")
 
@@ -151,20 +150,24 @@ def fold(gamma: Gallery, i: int) -> Gallery:
         raise InvalidInputError(f"fold index {i} out of range")
     bits = list(gamma.bits)
     bits[i - 1] = not bits[i - 1]
-    return Gallery(gamma.seq, tuple(bits))
+    return Gallery(gamma.seq, bits)
+
+
+def _twist_row(s: ReflSeq, bits: Bits) -> list[int]:
+    """`ReflSeq.twists[bits]`, the twist row of one gallery of s, in one pass."""
+    if len(bits) != len(s):
+        raise InvalidInputError("gallery length does not match its sequence")
+    w, row, refl = s.rs.identity().perm, [], s.rs.reflection_index
+    for t, bit in zip(s.entries, bits):
+        row.append(refl[w[t.index]])
+        if bit:
+            w = tuple(map(w.__getitem__, t.as_weyl().perm))
+    return row
 
 
 def twist_seq(s: ReflSeq, bits: Bits) -> ReflSeq:
     """s^(gamma) for the gallery of s with pattern bits: entry i is gamma^i s_i (gamma^i)^-1."""
-    if len(bits) != len(s):
-        raise InvalidInputError("gallery length does not match its sequence")
-    entries = []
-    w = s.rs.identity()
-    for t, bit in zip(s.entries, bits):
-        if bit:
-            w = w * t.as_weyl()
-        entries.append(conjugate_reflection(w, t))
-    return ReflSeq(s.rs, tuple(entries))
+    return ReflSeq(s.rs, tuple(map(s.rs.reflections.__getitem__, _twist_row(s, bits))))
 
 
 def is_gallery_type(s: ReflSeq) -> Gallerification | None:
@@ -206,17 +209,10 @@ def verify_gallerification(s: ReflSeq, cert: Gallerification) -> None:
     """Check t^(gamma) = s^x entrywise; raise VerificationError if the
     certificate is unsound, and InvalidInputError for a gallery of another
     length than t or an x of another system than a nonempty s."""
-    t, bits, x = cert.t, cert.gamma.bits, cert.x
-    if len(bits) != len(t):
-        raise InvalidInputError("gallery length does not match its sequence")
+    t, x = cert.t, cert.x
+    lhs = _twist_row(t, cert.gamma.bits)
     if s.entries:
         s.rs.require_same(x.rs, "mismatched root systems")
-    w, lhs, refl = t.rs.identity().perm, [], t.rs.reflection_index
-    for ti, bit in zip(t.entries, bits):
-        # gamma^i t_i (gamma^i)^-1 = gamma^(i-1) t_i (gamma^(i-1))^-1
-        lhs.append(refl[w[ti.index]])
-        if bit:
-            w = tuple(map(w.__getitem__, ti.as_weyl().perm))
     rhs = [x.rs.reflection_index[x.perm[si.index]] for si in s.entries]
     if lhs != rhs or (rhs and t.rs != s.rs):
         raise VerificationError("gallerification fails t^(gamma) = s^x")

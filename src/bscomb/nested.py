@@ -37,7 +37,7 @@ class NestedPlan(Value, compare=("seq", "pairs", "labels", "display_pairs")):
     `pairs` are 1-based inclusive intervals in the operational numbering of
     `seq`; `display_pairs` keeps the original labels after renumbering.
     `violation` is found once, at construction, and `validate` returns it;
-    it is not compared.  `labels` and `display_pairs` default to empty.
+    it is not compared.  `labels` and `display_pairs` are copied, or empty.
     """
 
     __slots__ = ("seq", "pairs", "labels", "display_pairs", "violation")
@@ -45,10 +45,7 @@ class NestedPlan(Value, compare=("seq", "pairs", "labels", "display_pairs")):
     def __init__(self, seq: ReflSeq, pairs: tuple[Pair, ...],
                  labels: dict[Pair, WeylElement] | None = None,
                  display_pairs: dict[Pair, Pair] | None = None):
-        for r in pairs:
-            if type(r) is not tuple or tuple(map(type, r)) != (int, int):
-                raise InvalidInputError(f"bad pair {r!r}")
-        pairs, labels = tuple(sorted(pairs)), {} if labels is None else labels
+        pairs, labels = tuple(sorted(map(_pair, pairs))), dict(labels or {})
         n = len(seq)
         for r in pairs:
             if not (1 <= r[0] <= n and 1 <= r[1] <= n):
@@ -56,14 +53,27 @@ class NestedPlan(Value, compare=("seq", "pairs", "labels", "display_pairs")):
             if r not in labels:
                 raise InvalidInputError(f"pair {r} has no label")
         for r, w in labels.items():
-            if r not in pairs:
+            if _pair(r) not in pairs:
                 raise InvalidInputError(f"label for unknown pair {r}")
             seq.rs.require_same(w.rs, "label from a different root system")
-        self._fill(seq, pairs, labels, {} if display_pairs is None else display_pairs,
-                   _first_violation(pairs))
+        self._fill(seq, pairs, labels, dict(display_pairs or {}), _first_violation(pairs))
 
     def display(self, r: Pair) -> Pair:
         return self.display_pairs.get(r, r)
+
+
+def _pair(r) -> Pair:
+    """r when it is a pair, a 2-tuple of ints (a bool is not one)."""
+    if type(r) is not tuple or len(r) != 2 or type(r[0]) is not int or type(r[1]) is not int:
+        raise InvalidInputError(f"bad pair {r!r}")
+    return r
+
+
+def _plan_pair(plan: NestedPlan, r) -> Pair:
+    """r when it is a pair of the plan."""
+    if _pair(r) not in plan.pairs:
+        raise InvalidInputError(f"{r} is not a pair of the plan")
+    return r
 
 
 def _first_violation(pairs: tuple[Pair, ...]) -> Violation | None:
@@ -102,7 +112,7 @@ class FSelection(Value):
     def __init__(self, pairs: tuple[Pair, ...]):
         if not pairs:
             raise InvalidInputError("F must be nonempty")
-        ordered = tuple(sorted(pairs))
+        ordered = tuple(sorted(map(_pair, pairs)))
         for f, g in zip(ordered, ordered[1:]):
             if g[0] <= f[1]:
                 raise InvalidInputError(f"intervals {f} and {g} of F are not disjoint")
@@ -112,8 +122,7 @@ class FSelection(Value):
     def of(cls, plan: NestedPlan, pairs) -> "FSelection":
         sel = cls(tuple(pairs))
         for f in sel.pairs:
-            if f not in plan.pairs:
-                raise InvalidInputError(f"{f} is not a pair of the plan")
+            _plan_pair(plan, f)
         return sel
 
 
@@ -171,8 +180,7 @@ def fibre_data(plan: NestedPlan, f: Pair) -> NestedPlan:
     nested structure is closed.  Nothing is cut, so nothing is conjugated.
     """
     require_valid(plan)
-    if f not in plan.pairs:
-        raise InvalidInputError(f"{f} is not a pair of the plan")
+    _plan_pair(plan, f)
     return _restrict(plan, f[0], f[1], ())
 
 
@@ -303,8 +311,7 @@ def restricted_seq(plan: NestedPlan, r: Pair) -> ReflSeq:
     """The sequence s^(r,v) on I(r, R): [r] minus the maximal nested intervals,
     with surviving entries conjugated by the accumulated nested labels."""
     require_valid(plan)
-    if r not in plan.pairs:
-        raise InvalidInputError(f"{r} is not a pair of the plan")
+    _plan_pair(plan, r)
     # pairs are sorted by first endpoint, so an inner pair is maximal exactly
     # when it starts after the last maximal one ends
     maximal = []
@@ -322,12 +329,6 @@ def is_gallery_type_pair(plan: NestedPlan
     certificate (or None) per pair.
     """
     require_valid(plan)
-    certs: dict[Pair, Gallerification | None] = {}
-    ok = True
-    for r in plan.pairs:
-        cert = is_gallery_type(restricted_seq(plan, r))
-        certs[r] = cert
-        if cert is None:
-            ok = False
-    return ok, certs
+    certs = {r: is_gallery_type(restricted_seq(plan, r)) for r in plan.pairs}
+    return all(cert is not None for cert in certs.values()), certs
 

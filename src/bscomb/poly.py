@@ -81,18 +81,22 @@ def _canon(nvars: int, d: dict[int, Coeff]) -> "Poly":
 def mul_add(base: "Poly", pairs: Iterable[tuple["Poly", "Poly"]], sign: int = 1) -> "Poly":
     """base + sign * (sum of a * b over the pairs), for sign 1 or -1, with
     every product term accumulated in one dict that is canonicalised once.
-    The one product kernel: `Poly.__mul__` is this over a zero base.  A
-    product monomial is one integer add; the guard bits of every monomial
-    made are checked once, when all are made."""
+    The one product kernel: `Poly.__mul__` is this over a zero base, and a
+    pair whose term counts multiply past MAX_TERMS is refused before its
+    products are made.  A product monomial is one integer add; the guard
+    bits of every monomial made are checked once, when all are made."""
     nvars = base.nvars
     d = dict(base.packed)
     get = d.get
     for a, b in pairs:
         if a.nvars != nvars or b.nvars != nvars:
             raise InvalidInputError("polynomials in different variable counts")
-        for m1, c1 in a.packed:
+        ap, bp = a.packed, b.packed
+        if len(ap) * len(bp) > MAX_TERMS:
+            check_bound("polynomial terms", len(ap) * len(bp), MAX_TERMS)
+        for m1, c1 in ap:
             c1 *= sign
-            for m2, c2 in b.packed:
+            for m2, c2 in bp:
                 m = m1 + m2
                 d[m] = get(m, 0) + c1 * c2
     if reduce(or_, d, 0) & _guard(nvars):
@@ -191,8 +195,8 @@ class Poly(Value):
         return _canon(self.nvars, {m: c * coeff for m, coeff in self.packed})
 
     def substitute(self, images: list["Poly"]) -> "Poly":
-        """Ring map sending generator j to images[j]; powers by repeated squaring,
-        refusing a product whose two term counts multiply past MAX_TERMS."""
+        """Ring map sending generator j to images[j]; powers by repeated
+        squaring, each product bounded by `mul_add`."""
         if len(images) != self.nvars:
             raise InvalidInputError("substitution must cover every variable")
         out_nvars = images[0].nvars if images else self.nvars
@@ -202,12 +206,9 @@ class Poly(Value):
             for square, e in zip(images, _exponents(self.nvars, mono)):
                 while e:
                     if e & 1:
-                        check_bound("polynomial terms", len(term.packed) * len(square.packed),
-                                    MAX_TERMS)
                         term = term * square
                     e >>= 1
                     if e:
-                        check_bound("polynomial terms", len(square.packed) ** 2, MAX_TERMS)
                         square = square * square
             result = result + term
         return result

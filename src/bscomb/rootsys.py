@@ -70,6 +70,9 @@ class Root(Value):
 
     __slots__ = ("coords",)
 
+    def _fill(self, coords: tuple[int, ...]):  # the constructor: coords kept as a tuple
+        object.__setattr__(self, "coords", tuple(coords))
+
     @property
     def is_positive(self) -> bool:
         return next(c for c in self.coords if c != 0) > 0
@@ -211,7 +214,7 @@ class WeylElement(Value, compare=("perm",)):
     __slots__ = ("rs", "perm")
 
     def __init__(self, rs: RootSystem, perm: Perm):
-        self._fill(rs, perm)
+        self._fill(rs, tuple(perm))
         if len(self.perm) != len(self.rs.roots):
             raise InvalidInputError("permutation size does not match the root count")
 

@@ -4,7 +4,8 @@ here rather than at the next measurement.  Every end-to-end record
 (BENCH_*.json, written by benchmarks/e2e.py) has the shape that script
 writes: from BENCH_35.json on it keeps every per-layer count and ratio of
 its traced runs under `counts`, where earlier records kept only the
-`*.calls` under `calls`."""
+`*.calls` under `calls`.  benchmarks/src_lines.py puts each line of
+src/bscomb in one of its three parts."""
 
 import importlib.util
 import json
@@ -65,3 +66,23 @@ def test_bench_record_has_every_key(path):
                 assert counts and all(name.endswith(".calls") for name in counts)
         assert side["acceptance_s"] and all(
             isinstance(t, float) for t in side["acceptance_s"].values())
+
+
+def test_src_lines_puts_every_line_in_one_part():
+    spec = importlib.util.spec_from_file_location(
+        "src_lines", os.path.join(ROOT, "benchmarks", "src_lines.py"))
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    sources = tool.sources(None)
+    assert sources.keys() == {n for n in os.listdir(os.path.join(ROOT, "src", "bscomb"))
+                              if n.endswith(".py")}
+    for name, text in sources.items():
+        parts = tool.split(text)
+        assert min(parts.values()) >= 0, name
+        assert (parts["code"] + parts["docstring"] + parts["other"] == parts["total"]
+                == text.count("\n")), name
+    # a module, a function and a class docstring; a string that is not one
+    # is code; a blank or comment line is neither
+    sample = ('"""Doc\n\nmore."""\n\n# c\nx = """not\ndoc"""\n\n'
+              'def f():\n    """d."""\n    return 1  # r\n\n\nclass C:\n    """e."""\n')
+    assert tool.split(sample) == {"code": 5, "docstring": 5, "other": 5, "total": 15}

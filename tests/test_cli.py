@@ -408,18 +408,44 @@ def _a7_negative_20():
                              for _ in range(20))
 
 
-# each bound command builds a whole Weyl group (|W| = 46,080 and 40,320);
-# about 2 s and 55-58 MB each on a 2-core host
+# argv, then the exact stdout (or its SHA-256) and the VmHWM limit in KiB.
+# The first three build a whole Weyl group (|W| = 46,080 and 40,320): about
+# 2 s and 55-58 MB each on a 2-core host.  The others are the largest
+# accepted inputs of their commands, limited at about 1.15 times the peak
+# measured when they were added (KiB): no-pair fixed points of length 20,
+# 338,212 as text and 386,072 structured; a length-10 basis, 284,196; the
+# decomposition of the constant 1 in it, 64,928; and the morphisms of a
+# length-4 A2 sequence into one of length 8, 23,092
+FIXED_POINTS_20 = json.dumps({"root_system": "A2", "sequence": " ".join(["s1 s2"] * 10),
+                              "pairs": [], "labels": {}})
+A1_10 = "A1:" + " s1" * 10
 BOUND_COMMANDS = {
     "weyl-info-C6": (["weyl", "info", "--root-system", "C6"], None,
-                     "c5f806e309d7bd8e5caa8031595b99b13b92d1800b530fc15fe0c6c70c46b11f"),
+                     "c5f806e309d7bd8e5caa8031595b99b13b92d1800b530fc15fe0c6c70c46b11f",
+                     80 * 1000),
     "gallery-type-C6-positive": (
         ["gallery-type", "C6: " + " ".join(f"s{1 + 5 * i % 6}" for i in range(20))],
         "gallery type: yes\nx = e\n"
         "t = s1 s6 s5 s4 s3 s2 s1 s6 s5 s4 s3 s2 s1 s6 s5 s4 s3 s2 s1 s6\n"
-        "gamma = 00000000000000000000\n", None),
+        "gamma = 00000000000000000000\n", None, 80 * 1000),
     "gallery-type-A7-negative": (["gallery-type", _a7_negative_20()],
-                                 "no labelled gallery exists\n", None),
+                                 "no labelled gallery exists\n", None, 80 * 1000),
+    "fixed-points-text": (["fixed-points", FIXED_POINTS_20], None,
+                          "67b14b343b8059a229ab5c1cb9dabe65b9512b99ca87fb85b075d1a245b23535",
+                          389 * 1000),
+    "fixed-points-structured": (
+        ["--format", "structured", "fixed-points", FIXED_POINTS_20], None,
+        "e2906ff452be7d5f342955be4a9a7db01993b01f9cea66bab9052763e24df996", 444 * 1000),
+    "basis-structured": (["--format", "structured", "basis", A1_10], None,
+                         "5f86c480be4faff8bf18733c7249c31e9542c6b809ced9ab08564457d24898ec",
+                         327 * 1000),
+    "decompose-one": (
+        ["decompose", A1_10, json.dumps({"values": {format(k, "010b"): "1"
+                                                    for k in range(1024)}})], None,
+        "598ad4cf84b1e8381e0a561554f27e89d9ed5ae536e62ba6d9f055a7ab8204b4", 75 * 1000),
+    "morphism-enumerate-A2": (
+        ["morphism", "enumerate", "A2: s1 s2 s1 s2", "A2: s1 s2 s1 s2 s1 s2 s1 s2"], None,
+        "05180bc09ef45fdce0381c2fd1c2346dac5289c308c1ff2469b752a13b7cc22a", 27 * 1000),
 }
 
 
@@ -427,7 +453,7 @@ BOUND_COMMANDS = {
 def test_bound_commands_stay_within_time_and_memory(name):
     if not os.path.exists("/proc/self/status"):
         pytest.skip("VmHWM is read from /proc/self/status")
-    argv, text, digest = BOUND_COMMANDS[name]
+    argv, text, digest, limit = BOUND_COMMANDS[name]
     start = time.perf_counter()
     proc, kib = run_with_peak(argv, timeout=60)
     assert time.perf_counter() - start < 20
@@ -436,7 +462,7 @@ def test_bound_commands_stay_within_time_and_memory(name):
         assert proc.stdout.decode() == text
     else:
         assert hashlib.sha256(proc.stdout).hexdigest() == digest
-    assert kib <= 80 * 1000
+    assert kib <= limit
 
 
 def _cliwork():

@@ -277,6 +277,16 @@ def test_p_must_increase(a2):
                  {g.bits: g.bits for g in galleries(s)})
 
 
+def test_morphism_built_from_a_list_of_positions_stores_a_tuple(a1):
+    # a list p used to be stored as given: the morphism built and verified,
+    # but did not hash and was unequal to the one built from a tuple
+    s, target = simple_seq(a1, 1), simple_seq(a1, 1, 1)
+    phi = {(False,): (False, False), (True,): (False, True)}
+    listed, tupled = (Morphism(s, target, p, a1.identity(), phi) for p in ([2], (2,)))
+    assert verify_morphism(listed) is None
+    assert listed.p == (2,) and listed == tupled and hash(listed) == hash(tupled)
+
+
 BAD_POSITIONS = [(1.5,), ("1",), (True,), (None,)]
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from bscomb import nested
 from bscomb.errors import InvalidInputError, PropertyViolationError
-from bscomb.gallery import Gallery, ReflSeq, conjugate_reflection, is_gallery_type
+from bscomb.gallery import Gallery, ReflSeq, is_gallery_type
 from bscomb.nested import (
     FSelection,
     NestedPlan,
@@ -22,7 +22,7 @@ from bscomb.nested import (
     restricted_seq,
     validate,
 )
-from bscomb.rootsys import build_root_system, enumerate_weyl
+from bscomb.rootsys import build_root_system, conjugate_reflection, enumerate_weyl
 
 from conftest import positive_root, simple_seq
 
@@ -53,6 +53,41 @@ def test_plan_refuses_pairs_that_are_not_two_integers(a2, pair):
     labels = {} if type(pair) is list else {pair: a2.identity()}
     with pytest.raises(InvalidInputError, match="bad pair"):
         NestedPlan(simple_seq(a2, 1, 2, 1, 2, 1), (pair,), labels)
+
+
+@pytest.mark.parametrize("pair", [(True, 10), (1.0, 10)], ids=repr)
+@pytest.mark.parametrize("call", [fibre_data, restricted_seq], ids=lambda f: f.__name__)
+def test_pair_arguments_that_only_compare_equal_are_refused(sl5_plan, call, pair):
+    # (True, 10) was answered as (1, 10), and (1.0, 10) raised TypeError
+    with pytest.raises(InvalidInputError, match="bad pair"):
+        call(sl5_plan, pair)
+
+
+@pytest.mark.parametrize("key", [(True, 3), (1.0, 3)], ids=repr)
+def test_plan_refuses_a_label_keyed_by_a_look_alike_pair(a2, key):
+    # such a key used to be stored as given, since it compares equal to (1, 3)
+    with pytest.raises(InvalidInputError, match="bad pair"):
+        NestedPlan(simple_seq(a2, 1, 2, 1, 2), ((1, 3),), {key: a2.identity()})
+
+
+def test_selection_refuses_a_float_pair():
+    # it used to build, and `project` then raised TypeError
+    with pytest.raises(InvalidInputError, match="bad pair"):
+        FSelection(((2.0, 6),))
+
+
+def test_plan_keeps_its_own_label_tables(a2):
+    # editing or emptying the caller's dict after construction changed the
+    # fixed points, or made them raise KeyError
+    seq, s1, s2 = simple_seq(a2, 1, 2, 1, 2), a2.simple_reflection(1), a2.simple_reflection(2)
+    labels, display = {(1, 3): s1 * s2 * s1}, {(1, 3): (5, 7)}
+    plan = NestedPlan(seq, ((1, 3),), labels, display)
+    before = fixed_points(plan)
+    assert len(before) == 2
+    labels[(1, 3)], display[(1, 3)] = a2.identity(), (1, 3)
+    assert fixed_points(plan) == before and plan.display((1, 3)) == (5, 7)
+    labels.clear()
+    assert fixed_points(plan) == before
 
 
 def test_validate_ok(sl5_plan):

@@ -183,6 +183,43 @@ def test_quotient_is_bounded_within_one_pivot_degree():
             divide_linear(p, divisor)
 
 
+class Tally(int):
+    """An int coefficient that counts the products it takes part in."""
+    products = 0
+
+    def __mul__(self, other):
+        Tally.products += 1
+        return int(self) * other
+
+    __rmul__ = __mul__
+
+
+PRODUCTS = {"mul": lambda a, b: a * b,
+            "mul_add": lambda a, b: mul_add(Poly.zero(a.nvars), [(a, b)])}
+
+
+@pytest.mark.parametrize("product", PRODUCTS.values(), ids=PRODUCTS)
+def test_product_past_the_term_bound_is_refused(product):
+    # 3,000 x 1,000 terms used to run for about 40 s and build 3,000,000 terms
+    a = Poly.from_dict(2, {(i, 0): 1 for i in range(3000)})
+    b = Poly.from_dict(2, {(0, j): 1 for j in range(1000)})
+    with pytest.raises(ResourceLimitError, match="^polynomial terms 3000000 exceeds bound 10000$"):
+        product(a, b)
+
+
+@pytest.mark.parametrize("product", PRODUCTS.values(), ids=PRODUCTS)
+def test_product_past_the_term_bound_makes_no_product(product):
+    # 101 x 100 term products, one past the bound: refused before the first
+    a = Poly._trusted(2, tuple((m, Tally(1)) for m, _ in
+                               Poly.from_dict(2, {(i, 0): 1 for i in range(101)}).packed))
+    b = Poly.from_dict(2, {(0, j): 1 for j in range(100)})
+    Tally.products = 0
+    with pytest.raises(ResourceLimitError, match="^polynomial terms 10100 exceeds bound 10000$"):
+        product(a, b)
+    assert Tally.products == 0
+    assert (a * Poly.const(2, 1)).packed == a.packed and Tally.products == 101
+
+
 def test_simple_root_embedding(a2):
     assert root_poly(a2, a2.simple_roots[0]) == Poly.linear(2, (2, -1))
     assert root_poly(a2, a2.simple_roots[1]) == Poly.linear(2, (-1, 2))

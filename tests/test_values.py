@@ -9,18 +9,29 @@ where that tuple holds a dict.
 
 import ast
 import copy
+from contextlib import suppress
 import inspect
 import pathlib
 import pickle
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import bscomb
 from bscomb import foldcat
 from bscomb.foldcat import Morphism, MorphismViolation, PointedMorphism, subsequence_morphism
-from bscomb.gallery import Gallerification, Gallery, is_gallery_type
+from bscomb.errors import InvalidInputError
+from bscomb.gallery import Gallerification, Gallery, ReflSeq, is_gallery_type
 from bscomb.gkm import Basis, FPFunction, basis
-from bscomb.nested import FactorCertificate, FSelection, NestedPlan, Violation
+from bscomb.nested import (
+    FactorCertificate,
+    FSelection,
+    NestedPlan,
+    Violation,
+    fibre_data,
+    restricted_seq,
+)
 from bscomb.poly import Poly, linear_divisor, root_forms
 from bscomb.rootsys import (
     Reflection,
@@ -295,3 +306,65 @@ def test_verified_flag_is_set_only_by_verification():
     assert list(inspect.signature(Morphism._fill).parameters) == ["self"] + fields(EMBED)
     assert list(inspect.signature(Morphism).parameters) == fields(EMBED)[:-1]
     assert not Morphism(*(getattr(EMBED, f) for f in fields(EMBED)[:-1])).verified
+
+
+# each built from lists, and each list field stored as a tuple: the value
+# hashes, and equals the one built from tuples
+LIST_BUILT = {
+    "Root": (lambda: Root([1, 0]), Root((1, 0)), "coords"),
+    "WeylElement": (lambda: WeylElement(RS, list(S1.perm)), S1, "perm"),
+    "ReflSeq": (lambda: ReflSeq(RS, list(SEQ.entries)), SEQ, "entries"),
+    "Gallery": (lambda: Gallery(SEQ, [True, False]), Gallery(SEQ, (True, False)), "bits"),
+}
+
+
+@pytest.mark.parametrize("name", LIST_BUILT)
+def test_values_built_from_lists_store_tuples(name):
+    make, expected, field = LIST_BUILT[name]
+    value = make()
+    assert type(getattr(value, field)) is tuple
+    assert value == expected and hash(value) == hash(expected)
+
+
+# pair-like and position-like objects: near misses of the real ones
+ATOMS = st.sampled_from([1, 2, 6, 10, True, False, 1.0, 2.0, 10.0, "1", None])
+SHAPED = st.one_of(ATOMS, st.text(max_size=3), st.lists(ATOMS, max_size=3),
+                   *(st.tuples(*[ATOMS] * k) for k in range(4)))
+A4 = build_root_system("A", 4)
+SL5 = NestedPlan(simple_seq(A4, 4, 1, 2, 1, 2, 1, 3, 4, 3, 4), ((1, 10), (2, 6)),
+                 {(1, 10): A4.simple_reflection(2), (2, 6): A4.simple_reflection(2)})
+
+
+def _ints(r, n) -> bool:
+    """Whether r is a tuple of n ints, a bool not being one."""
+    return type(r) is tuple and len(r) == n and all(type(j) is int for j in r)
+
+
+@settings(max_examples=300, deadline=None)
+@given(SHAPED)
+@example((True, 10))
+@example((1.0, 10))
+@example((2.0, 6))
+@example([2])
+@example("2")
+def test_malformed_pairs_and_positions_are_refused(x):
+    # every entry point that takes a pair or positions either holds exact
+    # int tuples, or answers for x only when x is one, or refuses with
+    # InvalidInputError: never a raw TypeError, IndexError or KeyError
+    try:
+        labels = {x: RS.identity()}
+    except TypeError:  # an unhashable x cannot key a label
+        labels = {}
+    with suppress(InvalidInputError):
+        plan = NestedPlan(simple_seq(RS, 1, 2, 1, 2, 1, 2), (x,), labels)
+        assert all(_ints(r, 2) for r in plan.pairs)
+    with suppress(InvalidInputError):
+        assert all(_ints(r, 2) for r in FSelection((x,)).pairs)
+    for call in (fibre_data, restricted_seq):
+        with suppress(InvalidInputError):
+            call(SL5, x)
+            assert _ints(x, 2), call.__name__
+    for make in (lambda: Morphism(ONE_POS, TWO_POS, x, RS.identity(), PHI),
+                 lambda: subsequence_morphism(ONE_POS, TWO_POS, x)):
+        with suppress(InvalidInputError):
+            assert _ints(make().p, 1)
